@@ -15,6 +15,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from typing import NoReturn
 
 from . import __version__
 from . import construction as con
@@ -44,6 +45,7 @@ from .symmetry import (
     aut_incidence,
     canonical_form,
     colored_incidence_graph,
+    incidence_certificate,
     is_isomorphic,
     is_self_dual,
     relabel_incidence,
@@ -67,15 +69,19 @@ def _emit(command: str, inputs: dict, results: dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2, default=_encode_json) + "\n")
 
 
+def _fail(message: str) -> NoReturn:
+    """One-line error on stderr, exit code 2."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _load(path: str) -> IncidenceStructure:
     try:
         return read_incidence(path)
     except OSError as e:
-        print(f"error: cannot read {path}: {e}", file=sys.stderr)
-        raise SystemExit(2)
+        _fail(f"cannot read {path}: {e}")
     except ValueError as e:
-        print(f"error: bad incidence file {path}: {e}", file=sys.stderr)
-        raise SystemExit(2)
+        _fail(f"bad incidence file {path}: {e}")
 
 
 def _geometry(name: str) -> IncidenceStructure:
@@ -201,7 +207,10 @@ def _cmd_cliques(args) -> int:
 
 def _cmd_aut(args) -> int:
     g = _load(args.file)
-    group = aut_incidence(g, on=args.on)
+    try:
+        group = aut_incidence(g, on=args.on)
+    except ValueError as e:
+        _fail(str(e))
     orbs = group.orbits()
     _emit(
         "aut",
@@ -219,14 +228,20 @@ def _cmd_aut(args) -> int:
 
 def _cmd_iso(args) -> int:
     g1, g2 = _load(args.file1), _load(args.file2)
-    _emit("iso", {"file1": args.file1, "file2": args.file2},
-          {"isomorphic": is_isomorphic(g1, g2)})
+    try:
+        iso = is_isomorphic(g1, g2)
+    except ValueError as e:
+        _fail(str(e))
+    _emit("iso", {"file1": args.file1, "file2": args.file2}, {"isomorphic": iso})
     return 0
 
 
 def _cmd_dual(args) -> int:
     g = _load(args.file)
-    sd, witness = is_self_dual(g)
+    try:
+        sd, witness = is_self_dual(g)
+    except ValueError as e:
+        _fail(str(e))
     if args.out:
         try:
             write_incidence(dual(g), args.out)
@@ -243,12 +258,15 @@ def _cmd_dual(args) -> int:
 
 def _cmd_cover(args) -> int:
     g = _load(args.file)
-    graph = point_graph(g)
-    solutions = all_geometries_on(graph)
-    classes: list[IncidenceStructure] = []
-    for s in solutions:
-        if not any(is_isomorphic(s, rep) for rep in classes):
-            classes.append(s)
+    try:
+        solutions = all_geometries_on(point_graph(g))
+        classes: list[IncidenceStructure] = []
+        for s in solutions:
+            if not any(is_isomorphic(s, rep) for rep in classes):
+                classes.append(s)
+        all_iso = all(is_isomorphic(s, g) for s in solutions)
+    except ValueError as e:
+        _fail(str(e))
     _emit(
         "cover",
         {"file": args.file},
@@ -256,7 +274,7 @@ def _cmd_cover(args) -> int:
             "solutions": len(solutions),
             "isomorphism_classes": len(classes),
             "contains_input_lines": any(s.lines == g.lines for s in solutions),
-            "all_isomorphic_to_input": all(is_isomorphic(s, g) for s in solutions),
+            "all_isomorphic_to_input": all_iso,
         },
     )
     return 0
@@ -331,7 +349,7 @@ def _claim_isomorphism_and_duality(env, relabelings: int) -> dict:
     sd_vls, _ = is_self_dual(env["G"])
     sd_new, _ = is_self_dual(env["Gp"])
     certs = {
-        name: canonical_form(colored_incidence_graph(g)).certificate
+        name: incidence_certificate(g)
         for name, g in [("vls", env["G"]), ("new", env["Gp"])]
     }
     rng = random.Random(20210522)
@@ -341,6 +359,7 @@ def _claim_isomorphism_and_duality(env, relabelings: int) -> dict:
             perm = list(range(g.v))
             rng.shuffle(perm)
             h = relabel_incidence(g, tuple(perm))
+            # one search per relabeling, outside the cache of shared forms
             c = canonical_form(colored_incidence_graph(h)).certificate
             if c == certs[name]:
                 stable[name] += 1
@@ -526,6 +545,7 @@ def _claim_local_configuration(env) -> dict:
 def _claim_exact_cover_geometries(env) -> dict:
     out = {}
     ok = True
+    want = {"vls": 2, "new": 1}
     for name, g, graph in [("vls", env["G"], env["P1"]), ("new", env["Gp"], env["P1p"])]:
         sols = all_geometries_on(graph)
         line_sets = [s.lines for s in sols]
@@ -540,7 +560,7 @@ def _claim_exact_cover_geometries(env) -> dict:
             entry["contains_negative_lines"] = tuple(con.negative_lines(g)) in line_sets
             ok = ok and entry["contains_negative_lines"]
         out[name] = entry
-        ok = ok and contains and iso_all and len(sols) >= 1
+        ok = ok and contains and iso_all and len(sols) == want[name]
     return {"pass": ok, "got": out}
 
 

@@ -190,16 +190,30 @@ def local_configuration(g, x: int, y: int) -> LocalConfig:
 
     ``g`` is an incidence structure (81 points, 6-point lines).  A is the
     common line minus {x, y}; z is the unique common neighbour isolated in
-    the induced collinearity graph; B is the rest.
+    the induced collinearity graph; B is the rest.  Only the collinearity
+    rows of x, y and their common neighbours are built.
     """
-    common_lines = [m for m in g.lines if m >> x & 1 and m >> y & 1]
+    xy = 1 << x | 1 << y
+    row_x = row_y = 0
+    common_lines = []
+    for m in g.lines:
+        if m & xy:
+            if m >> x & 1:
+                row_x |= m
+            if m >> y & 1:
+                row_y |= m
+            if m & xy == xy:
+                common_lines.append(m)
     if len(common_lines) != 1:
         raise ValueError(f"points {x}, {y} are not collinear on a unique line")
-    pg = collinearity_graph(g.v, g.lines)
-    commons = pg.adj[x] & pg.adj[y]
-    a_mask = common_lines[0] & ~(1 << x) & ~(1 << y)
+    commons = row_x & row_y & ~xy
+    rows = dict.fromkeys(bits(commons), 0)
+    for m in g.lines:
+        for p in bits(m & commons):
+            rows[p] |= m
+    a_mask = common_lines[0] & ~xy
     rest = commons & ~a_mask
-    isolated = [p for p in bits(rest) if not pg.adj[p] & (commons & ~(1 << p))]
+    isolated = [p for p in bits(rest) if not rows[p] & (commons & ~(1 << p))]
     if len(isolated) != 1:
         raise ValueError(
             f"expected a unique isolated common neighbour, got {isolated}"
@@ -207,11 +221,16 @@ def local_configuration(g, x: int, y: int) -> LocalConfig:
     z = isolated[0]
     b_mask = rest & ~(1 << z)
     verts = tuple(bits(a_mask)) + tuple(bits(b_mask)) + (z,)
+    pos = {v: i for i, v in enumerate(verts)}
+    induced = [0] * len(verts)
+    for i, v in enumerate(verts):
+        for u in bits(rows[v] & commons & ~(1 << v)):
+            induced[i] |= 1 << pos[u]
     return LocalConfig(
         a_mask=a_mask,
         b_mask=b_mask,
         z=z,
-        induced=induced_subgraph(pg, verts),
+        induced=Graph(len(verts), tuple(induced)),
         vertices=verts,
     )
 

@@ -23,6 +23,7 @@ is a single ``bytes.translate`` call.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -64,29 +65,26 @@ def _pad(p) -> bytes:
     return b + _TAIL[len(b):]
 
 
-def _inv_table(p: bytes) -> bytes:
-    inv = bytearray(256)
-    for i, y in enumerate(p):
-        inv[y] = i
-    return bytes(inv)
-
-
 class _Chain:
     """One level of a deterministic Schreier-Sims stabilizer chain.
 
     Permutations are identity-padded 256-byte strings.  Transversal entries
     are only ever appended, never recomputed, so Schreier generators already
-    processed stay processed when the orbit grows.
+    processed stay processed when the orbit grows.  ``inverses[p]`` is the
+    inverse of ``transversal[p]``, stored when the entry is added, so a sift
+    step is one ``bytes.translate`` call.
     """
 
     def __init__(self, base: tuple[int, ...] = ()):
         self.basepoint: int | None = base[0] if base else None
         self.gens: list[bytes] = []
         self.transversal: dict[int, bytes] = {}
+        self.inverses: dict[int, bytes] = {}
         self.stab: _Chain | None = None
         self._done: set[tuple[int, bytes]] = set()
         if self.basepoint is not None:
             self.transversal[self.basepoint] = _TAIL
+            self.inverses[self.basepoint] = _TAIL
             self.stab = _Chain(base[1:])
 
     def all_gens(self) -> list[bytes]:
@@ -98,10 +96,10 @@ class _Chain:
     def sift(self, g: bytes) -> bytes:
         level = self
         while level is not None and level.basepoint is not None:
-            u = level.transversal.get(g[level.basepoint])
-            if u is None:
+            u_inv = level.inverses.get(g[level.basepoint])
+            if u_inv is None:
                 return g
-            g = g.translate(_inv_table(u))  # right-multiply by u^{-1}
+            g = g.translate(u_inv)  # right-multiply by u^{-1}
             level = level.stab
         return g
 
@@ -110,6 +108,7 @@ class _Chain:
         if self.basepoint is None:
             self.basepoint = next(i for i in range(256) if g[i] != i)
             self.transversal = {self.basepoint: _TAIL}
+            self.inverses = {self.basepoint: _TAIL}
             self.stab = _Chain()
         if g[self.basepoint] == self.basepoint:
             self.stab.insert(g)
@@ -127,7 +126,9 @@ class _Chain:
             for s in gens:
                 x = s[p]
                 if x not in self.transversal:
-                    self.transversal[x] = u.translate(s)
+                    ux = u.translate(s)
+                    self.transversal[x] = ux
+                    self.inverses[x] = bytes.maketrans(ux, _TAIL)
                     queue.append(x)
 
     def _process_schreier(self) -> None:
@@ -139,9 +140,7 @@ class _Chain:
                 if key in self._done:
                     continue
                 self._done.add(key)
-                schreier = u_p.translate(s).translate(
-                    _inv_table(self.transversal[s[p]])
-                )
+                schreier = u_p.translate(s).translate(self.inverses[s[p]])
                 if schreier == _TAIL:
                     continue
                 residue = self.stab.sift(schreier)
@@ -289,47 +288,73 @@ def refine(adj, cells, active) -> list[tuple[int, ...]]:
     their cell in place, ordered by ascending count.  Newly created
     fragments are queued (all of them if the split cell was itself queued,
     else all but one largest).  Deterministic.
+
+    Cells are keyed by their start position in the ordered partition, which
+    a split never moves: ``cell_at[s]`` is the cell starting at s and
+    ``cell_of[v]`` the start of v's cell, updated only for the vertices
+    that a split moves to a new non-singleton cell.  ``live`` masks the
+    vertices of non-singleton cells, the only ones a splitter can separate.
+    ``adj`` must be symmetric, so |N(v) ∩ W| is ``(adj[v] & W).bit_count()``.
     """
-    cells = list(cells)
+    cell_at: dict[int, tuple[int, ...]] = {}
+    cell_of = [0] * len(adj)
+    live = 0
+    start = 0
+    for cell in cells:
+        cell = tuple(cell)
+        cell_at[start] = cell
+        if len(cell) > 1:
+            live |= mask_of(cell)
+            for v in cell:
+                cell_of[v] = start
+        start += len(cell)
     queue = deque(active)
     queued = set(active)
-    while queue:
+    while queue and live:
         w = queue.popleft()
         if w not in queued:
             continue
         queued.discard(w)
-        counts: dict[int, int] = {}
+        hit = 0
         for x in bits(w):
-            for u in bits(adj[x]):
-                counts[u] = counts.get(u, 0) + 1
-        cell_index: dict[int, int] = {}
-        for i, cell in enumerate(cells):
-            for v in cell:
-                cell_index[v] = i
-        touched = sorted({cell_index[u] for u in counts}, reverse=True)
-        for i in touched:
-            cell = cells[i]
-            if len(cell) == 1:
-                continue
+            hit |= adj[x]
+        for s in sorted({cell_of[u] for u in bits(hit & live)}, reverse=True):
             groups: dict[int, list[int]] = {}
-            for v in cell:
-                groups.setdefault(counts.get(v, 0), []).append(v)
+            for v in cell_at[s]:
+                c = (adj[v] & w).bit_count()
+                if c in groups:
+                    groups[c].append(v)
+                else:
+                    groups[c] = [v]
             if len(groups) == 1:
                 continue
-            frags = [tuple(groups[k]) for k in sorted(groups)]
-            cells[i : i + 1] = frags
-            cell_mask = mask_of(cell)
-            frag_masks = [mask_of(f) for f in frags]
+            cell_mask = 0
+            frag_masks = []
+            skip = big = 0
+            t = s
+            for j, c in enumerate(sorted(groups)):
+                frag = tuple(groups[c])
+                fm = mask_of(frag)
+                cell_at[t] = frag
+                if len(frag) == 1:
+                    live &= ~fm
+                elif t != s:
+                    for v in frag:
+                        cell_of[v] = t
+                if len(frag) > big:
+                    skip, big = j, len(frag)
+                cell_mask |= fm
+                frag_masks.append(fm)
+                t += len(frag)
             if cell_mask in queued:
                 queued.discard(cell_mask)
                 new = frag_masks
             else:
-                skip = max(range(len(frags)), key=lambda j: len(frags[j]))
-                new = [fm for j, fm in enumerate(frag_masks) if j != skip]
+                new = frag_masks[:skip] + frag_masks[skip + 1 :]
             for fm in new:
                 queue.append(fm)
                 queued.add(fm)
-    return cells
+    return [cell_at[s] for s in sorted(cell_at)]
 
 
 def _target_cell(cells) -> int:
@@ -358,6 +383,7 @@ class _Search:
     def __init__(self, cg: ColoredGraph):
         self.cg = cg
         self.adj = cg.adj
+        self.nbrs = [tuple(bits(row)) for row in cg.adj]
         self.n = cg.n
         self.colors = cg.colors
         self.first_cert = None
@@ -440,7 +466,7 @@ class _Search:
             pos = lab[v]
             cols[pos] = self.colors[v]
             row = 0
-            for u in bits(self.adj[v]):
+            for u in self.nbrs[v]:
                 row |= 1 << lab[u]
             rows[pos] = row
         return (tuple(cols), tuple(rows))
@@ -456,11 +482,33 @@ class _Search:
 
 
 def canonical_form(cg: ColoredGraph) -> CanonicalForm:
+    """Canonical form of a colored graph on at most 256 vertices (the
+    degree the stabilizer chain's byte-string permutations can hold)."""
+    if cg.n > 256:
+        raise ValueError(f"graph has {cg.n} vertices; at most 256 are supported")
     return _Search(cg).run()
 
 
 # ---------------------------------------------------------------------------
 # high-level operations on graphs and incidence structures
+
+
+@functools.lru_cache(maxsize=8)
+def _incidence_form(g: IncidenceStructure) -> tuple[Perm, tuple, tuple[Perm, ...]]:
+    """Labeling, certificate and automorphism generators of the canonical
+    form of g's colored incidence graph.  Isomorphism, self-duality and
+    automorphism queries about the same few structures share one search;
+    eight entries hold the five structures a report asks about (both
+    geometries, their duals and the second geometry on the van
+    Lint-Schrijver point graph).  The stabilizer chain is not kept."""
+    cf = canonical_form(colored_incidence_graph(g))
+    return cf.labeling, cf.certificate, cf.generators
+
+
+def incidence_certificate(g: IncidenceStructure) -> tuple:
+    """Certificate of g's colored incidence graph: equal for two incidence
+    structures iff they are isomorphic."""
+    return _incidence_form(g)[1]
 
 
 def aut_graph(g: Graph) -> PermutationGroup:
@@ -488,8 +536,8 @@ def aut_incidence(g: IncidenceStructure, on: str = "points") -> PermutationGroup
     class; ``on="lines"`` returns the induced action on line indices
     instead.
     """
-    cf = canonical_form(colored_incidence_graph(g))
-    point_gens = [p[: g.v] for p in cf.generators]
+    _, _, gens = _incidence_form(g)
+    point_gens = [p[: g.v] for p in gens]
     if on == "points":
         return PermutationGroup(g.v, point_gens)
     if on == "lines":
@@ -504,21 +552,20 @@ def is_isomorphic(g1: IncidenceStructure, g2: IncidenceStructure) -> bool:
     colored incidence graphs."""
     if g1.v != g2.v or g1.b != g2.b:
         return False
-    c1 = canonical_form(colored_incidence_graph(g1)).certificate
-    c2 = canonical_form(colored_incidence_graph(g2)).certificate
-    return c1 == c2
+    return incidence_certificate(g1) == incidence_certificate(g2)
 
 
 def is_self_dual(g: IncidenceStructure) -> tuple[bool, Perm | None]:
     """Whether g is isomorphic to its dual; on success also returns a
     witness isomorphism from the incidence graph of g to that of dual(g)."""
-    cg = colored_incidence_graph(g)
-    cd = colored_incidence_graph(dual(g))
-    f1 = canonical_form(cg)
-    f2 = canonical_form(cd)
-    if f1.certificate != f2.certificate:
+    d = dual(g)
+    lab1, cert1, _ = _incidence_form(g)
+    lab2, cert2, _ = _incidence_form(d)
+    if cert1 != cert2:
         return False, None
-    witness = compose(f1.labeling, inverse(f2.labeling))
+    witness = compose(lab1, inverse(lab2))
+    cg = colored_incidence_graph(g)
+    cd = colored_incidence_graph(d)
     for v in range(cg.n):  # hand back only a checked witness
         if permute_mask(cg.adj[v], witness) != cd.adj[witness[v]]:
             raise AssertionError("self-duality witness failed verification")

@@ -209,3 +209,34 @@ def test_report_all(tmp_path, capsys):
     with open(f"{out_dir}/automorphism_orders.json") as f:
         orders = json.load(f)
     assert orders["got"]["aut_vls"] == 58320
+
+
+def run_error(capsys, *argv):
+    with pytest.raises(SystemExit) as e:
+        cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return e.value.code, captured.err
+
+
+@pytest.mark.parametrize("command", ["aut", "iso", "dual"])
+def test_more_than_256_vertices_is_one_line_error(tmp_path, capsys, command):
+    # a 130-cycle as 130 two-point lines: 260 incidence-graph vertices
+    cycle = inc.IncidenceStructure(130, [1 << i | 1 << (i + 1) % 130 for i in range(130)])
+    path = str(tmp_path / "cycle.pg")
+    inc.write_incidence(cycle, path)
+    argv = [command, path, path] if command == "iso" else [command, path]
+    code, err = run_error(capsys, *argv)
+    assert code == 2
+    assert "256" in err
+
+
+def test_cover_of_non_geometry_is_one_line_error(tmp_path, capsys):
+    # 43 disjoint 6-point lines: one exact cover, which fails the pg axioms
+    lines = [0b111111 << 6 * i for i in range(43)]
+    path = str(tmp_path / "disjoint.pg")
+    inc.write_incidence(inc.IncidenceStructure(258, lines), path)
+    code, err = run_error(capsys, "cover", path)
+    assert code == 2
+    assert "alpha" in err

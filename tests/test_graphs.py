@@ -195,3 +195,17 @@ def test_local_edge_list_matches_induced(vls):
     verts = set(cfg.vertices)
     for u, v in cfg.edge_list:
         assert u in verts and v in verts
+
+
+def test_local_configuration_matches_full_point_graph(vls, new):
+    # every collinear pair of both geometries, against the induced subgraph
+    # of the whole collinearity graph
+    for g in (vls, new):
+        pg = gr.collinearity_graph(g.v, g.lines)
+        for x in range(g.v):
+            for y in bits(pg.adj[x]):
+                cfg = gr.local_configuration(g, x, y)
+                commons = pg.adj[x] & pg.adj[y]
+                assert cfg.a_mask | cfg.b_mask | (1 << cfg.z) == commons
+                assert not pg.adj[cfg.z] & commons
+                assert cfg.induced == gr.induced_subgraph(pg, cfg.vertices)

@@ -9,6 +9,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pg552 import construction as con
 from pg552 import gf3space as gf3
@@ -264,3 +266,107 @@ def test_colored_incidence_graph_shape(vls):
     for j, m in enumerate(vls.lines):
         for p in bits(m):
             assert cg.adj[p] >> (81 + j) & 1
+
+
+# --- kernel invariants ------------------------------------------------------
+
+
+def chain_levels(chain):
+    while chain is not None and chain.basepoint is not None:
+        yield chain
+        chain = chain.stab
+
+
+def test_stored_inverses_invert_transversals(aut_vls, aut_new):
+    n = aut_vls.degree
+    for grp in (aut_vls, aut_new):
+        chains = [grp._chain]
+        chains += [
+            sym.PermutationGroup(n, grp.generators, base=b)._chain
+            for b in (tuple(range(n)), tuple(reversed(range(n))))
+        ]
+        for chain in chains:
+            for level in chain_levels(chain):
+                assert level.inverses.keys() == level.transversal.keys()
+                for p, u in level.transversal.items():
+                    assert u[level.basepoint] == p
+                    assert u.translate(level.inverses[p]) == bytes(range(256))
+
+
+@st.composite
+def colored_graphs(draw, max_n=10):
+    n = draw(st.integers(1, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    adj = [0] * n
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    colors = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return sym.ColoredGraph(n, tuple(adj), tuple(colors))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(colored_graphs(), st.data())
+def test_refine_is_equitable_and_finer(cg, data):
+    order = data.draw(st.permutations(range(cg.n)))
+    cuts = data.draw(st.sets(st.integers(1, cg.n - 1))) if cg.n > 1 else set()
+    bounds = [0, *sorted(cuts), cg.n]
+    cells = [tuple(order[a:b]) for a, b in zip(bounds, bounds[1:])]
+    out = sym.refine(cg.adj, cells, [mask_of(c) for c in cells])
+    assert is_equitable(cg.adj, out)
+    # each input cell is split in place into consecutive output cells, each
+    # keeping the input cell's vertex order
+    pos = 0
+    for cell in cells:
+        taken = 0
+        while taken < len(cell):
+            frag = out[pos]
+            assert list(frag) == [v for v in cell if v in frag]
+            taken += len(frag)
+            pos += 1
+        assert taken == len(cell)
+    assert pos == len(out)
+
+
+def relabel(cg, perm):
+    adj = [0] * cg.n
+    colors = [0] * cg.n
+    for v in range(cg.n):
+        adj[perm[v]] = sym.permute_mask(cg.adj[v], perm)
+        colors[perm[v]] = cg.colors[v]
+    return sym.ColoredGraph(cg.n, tuple(adj), tuple(colors))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(colored_graphs(), st.data())
+def test_certificate_invariant_under_relabeling(cg, data):
+    perm = tuple(data.draw(st.permutations(range(cg.n))))
+    f1 = sym.canonical_form(cg)
+    f2 = sym.canonical_form(relabel(cg, perm))
+    assert f1.certificate == f2.certificate
+    assert f1.group.order() == f2.group.order()
+
+
+def brute_colored_aut_order(cg):
+    return sum(
+        all(
+            cg.colors[perm[v]] == cg.colors[v]
+            and sym.permute_mask(cg.adj[v], perm) == cg.adj[perm[v]]
+            for v in range(cg.n)
+        )
+        for perm in itertools.permutations(range(cg.n))
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(colored_graphs(max_n=7))
+def test_group_order_matches_brute_force_count(cg):
+    assert sym.canonical_form(cg).group.order() == brute_colored_aut_order(cg)
+
+
+def test_canonical_form_rejects_more_than_256_vertices():
+    n = 257
+    adj = tuple((1 << (i - 1) % n) | (1 << (i + 1) % n) for i in range(n))
+    with pytest.raises(ValueError, match="256"):
+        sym.canonical_form(sym.ColoredGraph(n, adj, (0,) * n))
