@@ -170,8 +170,7 @@ def _cmd_local(args) -> int:
     try:
         cfg = local_configuration(g, args.x, args.y)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        _fail(str(e))
     _emit(
         "local",
         {"file": args.file, "x": args.x, "y": args.y},
@@ -284,10 +283,10 @@ def _cmd_mms(args) -> int:
     g = _load(args.file)
     rep = max_cliques(line_graph(g))
     stars, non_stars = classify_line_cliques(g, rep.cliques_of_size_6)
+    if not non_stars:
+        _fail("the line graph has no non-star 6-clique")
     if not 0 <= args.clique < len(non_stars):
-        print(f"error: clique index out of range 0..{len(non_stars) - 1}",
-              file=sys.stderr)
-        return 2
+        _fail(f"clique index out of range 0..{len(non_stars) - 1}")
     clique = non_stars[args.clique]
     witness = mms_counterexample_search(g, clique, bound=args.bound)
     inputs = {"file": args.file, "clique": args.clique, "bound": args.bound}

@@ -12,6 +12,13 @@ available whenever the prefix lies along the first root-to-leaf path) and
 at the end generate the full automorphism group, whose order a
 deterministic Schreier-Sims stabilizer chain certifies.
 
+Once a first leaf exists, a node is skipped when its equitable partition
+proves that every leaf below it has a certificate above the best one so
+far and unequal to the first one.  Such leaves would change nothing: no
+new best, no automorphism, no backjump.  So the pruning leaves the
+labeling, the certificate and the automorphism generators exactly as the
+full search finds them; it only saves refinements.
+
 Incidence structures are canonized through their 2-colored bipartite
 incidence graph (points color 0, lines color 1), which yields isomorphism
 testing, self-duality and automorphism groups with one engine.
@@ -290,13 +297,16 @@ def refine(adj, cells, active) -> list[tuple[int, ...]]:
     else all but one largest).  Deterministic.
 
     Cells are keyed by their start position in the ordered partition, which
-    a split never moves: ``cell_at[s]`` is the cell starting at s and
-    ``cell_of[v]`` the start of v's cell, updated only for the vertices
-    that a split moves to a new non-singleton cell.  ``live`` masks the
-    vertices of non-singleton cells, the only ones a splitter can separate.
-    ``adj`` must be symmetric, so |N(v) ∩ W| is ``(adj[v] & W).bit_count()``.
+    a split never moves: ``cell_at[s]`` and ``mask_at[s]`` are the cell
+    starting at s and its mask, and ``cell_of[v]`` the start of v's cell,
+    updated only for the vertices that a split moves to a new non-singleton
+    cell.  ``live`` masks the vertices of non-singleton cells, the only
+    ones a splitter can separate.  The counts are bit-sliced: bit j of
+    |N(v) ∩ W| is bit v of ``planes[j]``, and ``adj`` must be symmetric, so
+    adding ``adj[x]`` for each x in W counts every vertex at once.
     """
     cell_at: dict[int, tuple[int, ...]] = {}
+    mask_at: dict[int, int] = {}
     cell_of = [0] * len(adj)
     live = 0
     start = 0
@@ -304,7 +314,9 @@ def refine(adj, cells, active) -> list[tuple[int, ...]]:
         cell = tuple(cell)
         cell_at[start] = cell
         if len(cell) > 1:
-            live |= mask_of(cell)
+            m = mask_of(cell)
+            mask_at[start] = m
+            live |= m
             for v in cell:
                 cell_of[v] = start
         start += len(cell)
@@ -315,42 +327,56 @@ def refine(adj, cells, active) -> list[tuple[int, ...]]:
         if w not in queued:
             continue
         queued.discard(w)
+        planes: list[int] = []
         hit = 0
         for x in bits(w):
-            hit |= adj[x]
-        for s in sorted({cell_of[u] for u in bits(hit & live)}, reverse=True):
-            groups: dict[int, list[int]] = {}
-            for v in cell_at[s]:
-                c = (adj[v] & w).bit_count()
-                if c in groups:
-                    groups[c].append(v)
-                else:
-                    groups[c] = [v]
-            if len(groups) == 1:
+            carry = adj[x]
+            hit |= carry
+            for j, plane in enumerate(planes):
+                if not carry:
+                    break
+                planes[j] = plane ^ carry
+                carry &= plane
+            if carry:
+                planes.append(carry)
+        hit &= live
+        touched = []
+        while hit:
+            s = cell_of[(hit & -hit).bit_length() - 1]
+            touched.append(s)
+            hit &= ~mask_at[s]
+        touched.sort(reverse=True)
+        for s in touched:
+            cell_mask = mask_at[s]
+            parts = [cell_mask]
+            for plane in reversed(planes):  # high bit first: ascending counts
+                if (cell_mask & plane) not in (0, cell_mask):
+                    parts = [q for m in parts for q in (m & ~plane, m & plane) if q]
+            if len(parts) == 1:
                 continue
-            cell_mask = 0
-            frag_masks = []
+            cell = cell_at[s]
             skip = big = 0
             t = s
-            for j, c in enumerate(sorted(groups)):
-                frag = tuple(groups[c])
-                fm = mask_of(frag)
-                cell_at[t] = frag
-                if len(frag) == 1:
+            for j, fm in enumerate(parts):
+                size = fm.bit_count()
+                if size == 1:
+                    cell_at[t] = (fm.bit_length() - 1,)
                     live &= ~fm
-                elif t != s:
-                    for v in frag:
-                        cell_of[v] = t
-                if len(frag) > big:
-                    skip, big = j, len(frag)
-                cell_mask |= fm
-                frag_masks.append(fm)
-                t += len(frag)
+                else:
+                    frag = tuple([v for v in cell if fm >> v & 1])
+                    cell_at[t] = frag
+                    mask_at[t] = fm
+                    if t != s:
+                        for v in frag:
+                            cell_of[v] = t
+                if size > big:
+                    skip, big = j, size
+                t += size
             if cell_mask in queued:
                 queued.discard(cell_mask)
-                new = frag_masks
+                new = parts
             else:
-                new = frag_masks[:skip] + frag_masks[skip + 1 :]
+                new = parts[:skip] + parts[skip + 1 :]
             for fm in new:
                 queue.append(fm)
                 queued.add(fm)
@@ -371,12 +397,20 @@ def _target_cell(cells) -> int:
 class CanonicalForm:
     """Canonical labeling (vertex -> canonical position), a certificate that
     two colored graphs share iff they are isomorphic, and generators of the
-    automorphism group together with its stabilizer-chain order."""
+    automorphism group together with its stabilizer-chain order.
+
+    The work counters are deterministic: ``nodes`` search-tree nodes were
+    entered (leaves and pruned subtrees included), ``leaves`` of them were
+    discrete and cost a certificate, and ``pruned`` subtrees were skipped
+    because every leaf below them was provably worse."""
 
     labeling: Perm
     certificate: tuple
     generators: tuple[Perm, ...] = field(compare=False)
     group: PermutationGroup = field(compare=False)
+    nodes: int = field(default=0, compare=False)
+    leaves: int = field(default=0, compare=False)
+    pruned: int = field(default=0, compare=False)
 
 
 class _Search:
@@ -393,6 +427,7 @@ class _Search:
         self.best_cert = None
         self.best_lab: Perm | None = None
         self.backjump: int | None = None
+        self.nodes = self.leaves = self.pruned = 0
 
     def run(self) -> CanonicalForm:
         initial = _initial_cells(self.cg)
@@ -403,12 +438,19 @@ class _Search:
             certificate=self.best_cert,
             generators=tuple(self.group.generators),
             group=self.group,
+            nodes=self.nodes,
+            leaves=self.leaves,
+            pruned=self.pruned,
         )
 
     def _node(self, cells, prefix) -> None:
+        self.nodes += 1
         t = _target_cell(cells)
         if t < 0:
             self._leaf(cells, prefix)
+            return
+        if self.first_cert is not None and self._worse_below(cells):
+            self.pruned += 1
             return
         target = cells[t]
         k = len(prefix)
@@ -428,7 +470,62 @@ class _Search:
                     return  # keep unwinding
                 self.backjump = None
 
+    def _worse_below(self, cells) -> bool:
+        """Whether every leaf below the equitable partition ``cells`` has a
+        certificate above the best one and unequal to the first one, so
+        that none of those leaves could change the search.
+
+        A leaf below puts a vertex of cell C at each position of C's range,
+        and the row there has exactly k(C, D) bits in the range of each
+        cell D, the neighbour count that equitability makes the same for
+        all of C.  The smallest such row, ``lo``, takes the lowest k(C, D)
+        positions of each range.  If the best certificate's rows equal
+        ``lo`` up to a position where ``lo`` exceeds its row, every leaf
+        below is above the best: where a leaf first leaves the best
+        certificate's rows, its row is at least ``lo`` and so above.  If
+        some row of the first certificate has other counts than k(C, D),
+        no leaf below equals the first certificate."""
+        start_of = [0] * self.n
+        size = {}
+        s = 0
+        for cell in cells:
+            for v in cell:
+                start_of[v] = s
+            size[s] = len(cell)
+            s += len(cell)
+
+        def rows():
+            """The counts k(C, .) and the row ``lo`` at each position."""
+            for cell in cells:
+                k: dict[int, int] = {}
+                for u in self.nbrs[cell[0]]:
+                    d = start_of[u]
+                    k[d] = k.get(d, 0) + 1
+                lo = 0
+                for d, c in k.items():
+                    lo |= (1 << c) - 1 << d
+                for _ in cell:
+                    yield k, lo
+
+        def fits(row: int, k: dict[int, int]) -> bool:
+            return row.bit_count() == sum(k.values()) and all(
+                (row >> d & (1 << size[d]) - 1).bit_count() == c
+                for d, c in k.items()
+            )
+
+        best = self.best_cert[1]
+        for p, (_, lo) in enumerate(rows()):
+            if lo != best[p]:
+                break
+        else:
+            return False  # a leaf below may have the best certificate
+        if lo < best[p]:
+            return False
+        first = self.first_cert[1]
+        return not all(fits(first[q], k) for q, (k, _) in enumerate(rows()))
+
     def _leaf(self, cells, prefix) -> None:
+        self.leaves += 1
         lab_list = [0] * self.n
         for pos, cell in enumerate(cells):
             lab_list[cell[0]] = pos

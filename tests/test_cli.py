@@ -240,3 +240,23 @@ def test_cover_of_non_geometry_is_one_line_error(tmp_path, capsys):
     code, err = run_error(capsys, "cover", path)
     assert code == 2
     assert "alpha" in err
+
+
+def test_local_bad_pair_is_one_line_error(vls_file, capsys):
+    code, err = run_error(capsys, "local", vls_file, "--x", "0", "--y", "0")
+    assert code == 2
+    assert "not collinear" in err
+
+
+def test_mms_without_non_star_clique_is_one_line_error(tmp_path, capsys):
+    path = str(tmp_path / "line.pg")
+    inc.write_incidence(inc.IncidenceStructure(3, [0b111]), path)
+    code, err = run_error(capsys, "mms", path)
+    assert code == 2
+    assert "no non-star 6-clique" in err
+
+
+def test_mms_clique_index_out_of_range_is_one_line_error(new_file, capsys):
+    code, err = run_error(capsys, "mms", new_file, "--clique", "27")
+    assert code == 2
+    assert "out of range 0..26" in err

@@ -5,6 +5,7 @@ automorphism counts by enumerating all vertex permutations, and group
 orders by closing the generator set under composition.
 """
 
+import dataclasses
 import itertools
 import random
 
@@ -370,3 +371,95 @@ def test_canonical_form_rejects_more_than_256_vertices():
     adj = tuple((1 << (i - 1) % n) | (1 << (i + 1) % n) for i in range(n))
     with pytest.raises(ValueError, match="256"):
         sym.canonical_form(sym.ColoredGraph(n, adj, (0,) * n))
+
+
+# --- certificate-bound pruning ----------------------------------------------
+
+
+def test_counters_show_pruning_on_switched_geometry(new):
+    cf = sym.canonical_form(sym.colored_incidence_graph(new))
+    assert cf.pruned > 0
+    assert cf.leaves + cf.pruned < cf.nodes
+    assert dataclasses.replace(cf, nodes=0, leaves=0, pruned=0) == cf
+
+
+def chang_graph(switching_edges):
+    """Seidel switching of the triangular graph T(8) with respect to a set
+    of edges of K8: the three choices below give the three Chang graphs,
+    srg(28, 12, 6, 4) with small automorphism groups."""
+    pairs = list(itertools.combinations(range(8), 2))
+    switched = {tuple(sorted(e)) for e in switching_edges}
+    edges = [
+        (i, j)
+        for i, j in itertools.combinations(range(len(pairs)), 2)
+        if bool(set(pairs[i]) & set(pairs[j]))
+        != ((pairs[i] in switched) != (pairs[j] in switched))
+    ]
+    return gr.Graph.from_edges(len(pairs), edges)
+
+
+def subtree_leaves(adj, cells):
+    """Every leaf below ``cells``, with no pruning of any kind."""
+    t = sym._target_cell(cells)
+    if t < 0:
+        yield cells
+        return
+    target = cells[t]
+    for v in target:
+        child = list(cells)
+        child[t : t + 1] = [(v,), tuple(u for u in target if u != v)]
+        yield from subtree_leaves(adj, sym.refine(adj, child, [1 << v]))
+
+
+class _CheckedSearch(sym._Search):
+    """Enumerates the whole subtree of each node the bound prunes."""
+
+    checked = 0
+
+    def _worse_below(self, cells):
+        pruned = super()._worse_below(cells)
+        if pruned:
+            self.checked += 1
+            for leaf in subtree_leaves(self.adj, cells):
+                lab = [0] * self.n
+                for pos, cell in enumerate(leaf):
+                    lab[cell[0]] = pos
+                cert = self._certificate(tuple(lab))
+                assert cert > self.best_cert
+                assert cert != self.first_cert
+        return pruned
+
+
+class _UnprunedSearch(sym._Search):
+    def _worse_below(self, cells):
+        return False
+
+
+def pruning_cases():
+    yield "chang-matching", sym.ColoredGraph.from_graph(
+        chang_graph([(0, 1), (2, 3), (4, 5), (6, 7)])
+    )
+    yield "chang-8-cycle", sym.ColoredGraph.from_graph(
+        chang_graph([(i, (i + 1) % 8) for i in range(8)])
+    )
+    yield "chang-3-and-5-cycles", sym.ColoredGraph.from_graph(
+        chang_graph([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 7), (7, 3)])
+    )
+    perm = list(range(81))
+    random.Random(3).shuffle(perm)
+    relabeled = sym.relabel_incidence(con.build_new(), tuple(perm))
+    yield "relabeled-switched-geometry", sym.colored_incidence_graph(relabeled)
+
+
+@pytest.mark.parametrize(
+    "cg", [pytest.param(cg, id=name) for name, cg in pruning_cases()]
+)
+def test_pruned_subtrees_hold_only_worse_leaves(cg):
+    search = _CheckedSearch(cg)
+    cf = search.run()
+    assert search.checked == cf.pruned > 0
+    ref = _UnprunedSearch(cg).run()
+    assert ref.pruned == 0 and ref.leaves > cf.leaves
+    assert (cf.labeling, cf.certificate, cf.generators, cf.group.order()) == (
+        ref.labeling, ref.certificate, ref.generators, ref.group.order()
+    )
