@@ -75,6 +75,17 @@ def _fail(message: str) -> NoReturn:
     raise SystemExit(2)
 
 
+def _count(text: str) -> int:
+    """Argument type for a count: an integer that is not negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 def _load(path: str) -> IncidenceStructure:
     try:
         return read_incidence(path)
@@ -710,13 +721,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--clique", type=int, default=0,
                    help="index into the non-star 6-cliques of the line graph")
-    p.add_argument("--bound", type=int, default=81)
+    p.add_argument("--bound", type=_count, default=81)
     p.set_defaults(fn=_cmd_mms)
 
     p = sub.add_parser("report", help="run the full claim suite and write JSON reports")
     p.add_argument("--all", action="store_true", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--relabelings", type=int, default=50)
+    p.add_argument("--relabelings", type=_count, default=50)
     p.set_defaults(fn=_cmd_report)
 
     return ap

@@ -3,14 +3,16 @@ and self-duality testing, and permutation-group machinery.
 
 The canonical-labeling engine is an individualization-refinement search:
 refine an ordered partition to equitability, branch on the vertices of the
-first smallest non-singleton cell, and take the smallest leaf certificate
-as the canonical form.  Whenever two explored leaves carry equal
-certificates, the permutation relating them is an automorphism of the
-input graph.  Discovered automorphisms prune sibling branches (orbit
-pruning with the pointwise stabilizer of the individualization prefix,
-available whenever the prefix lies along the first root-to-leaf path) and
-at the end generate the full automorphism group, whose order a
-deterministic Schreier-Sims stabilizer chain certifies.
+first smallest non-singleton cell in ascending vertex order, and take the
+smallest leaf certificate as the canonical form.  Whenever two explored
+leaves carry equal certificates, the permutation relating them is an
+automorphism of the input graph.  Discovered automorphisms prune sibling
+branches (orbit pruning with the pointwise stabilizer of the
+individualization prefix, available whenever the prefix lies along the
+first root-to-leaf path; a node keeps the orbits of its processed children
+and recomputes them only when the group has gained a generator) and at the
+end generate the full automorphism group, whose order a deterministic
+Schreier-Sims stabilizer chain certifies.
 
 Once a first leaf exists, a node is skipped when its equitable partition
 proves that every leaf below it has a certificate above the best one so
@@ -18,6 +20,10 @@ far and unequal to the first one.  Such leaves would change nothing: no
 new best, no automorphism, no backjump.  So the pruning leaves the
 labeling, the certificate and the automorphism generators exactly as the
 full search finds them; it only saves refinements.
+
+An ordered partition is a list of cell masks, and a cell's vertices take
+its positions in ascending vertex order.  A discrete partition is read off
+as the labeling: the vertex of the i-th cell gets position i.
 
 Incidence structures are canonized through their 2-colored bipartite
 incidence graph (points color 0, lines color 1), which yields isomorphism
@@ -35,7 +41,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from . import gf3space as gf3
-from .bits import bits, mask_of
+from .bits import bits
 from .graphs import Graph
 from .incidence import IncidenceStructure, dual
 
@@ -50,7 +56,7 @@ _TAIL = bytes(range(256))
 
 def compose(p: Perm, q: Perm) -> Perm:
     """Left-to-right composition: ``compose(p, q)[i] == q[p[i]]``."""
-    return tuple(q[x] for x in p)
+    return tuple(map(q.__getitem__, p))
 
 
 def inverse(p: Perm) -> Perm:
@@ -280,46 +286,49 @@ def colored_incidence_graph(g: IncidenceStructure) -> ColoredGraph:
     return ColoredGraph(n, tuple(adj), (0,) * g.v + (1,) * g.b)
 
 
-def _initial_cells(cg: ColoredGraph) -> list[tuple[int, ...]]:
-    by_color: dict[int, list[int]] = {}
+def _initial_cells(cg: ColoredGraph) -> list[int]:
+    by_color: dict[int, int] = {}
     for v, c in enumerate(cg.colors):
-        by_color.setdefault(c, []).append(v)
-    return [tuple(by_color[c]) for c in sorted(by_color)]
+        by_color[c] = by_color.get(c, 0) | 1 << v
+    return [by_color[c] for c in sorted(by_color)]
 
 
-def refine(adj, cells, active) -> list[tuple[int, ...]]:
+def refine(adj, cells, active) -> list[int]:
     """Equitable refinement of an ordered partition.
 
-    ``active`` is a list of splitter masks to propagate from.  Each splitter
-    W splits every touched cell by the count |N(v) ∩ W|; fragments replace
-    their cell in place, ordered by ascending count.  Newly created
-    fragments are queued (all of them if the split cell was itself queued,
-    else all but one largest).  Deterministic.
+    A cell is the mask of its vertices, and ``cells`` lists the masks in
+    partition order; the vertices of a cell take its positions in ascending
+    order.  ``active`` is a list of splitter masks to propagate from.  Each
+    splitter W splits every cell it touches by the count |N(v) ∩ W|;
+    fragments replace their cell in place, ordered by ascending count.
+    Newly created fragments are queued (all of them if the split cell was
+    itself queued, else all but one largest).  Deterministic.
 
     Cells are keyed by their start position in the ordered partition, which
-    a split never moves: ``cell_at[s]`` and ``mask_at[s]`` are the cell
-    starting at s and its mask, and ``cell_of[v]`` the start of v's cell,
-    updated only for the vertices that a split moves to a new non-singleton
-    cell.  ``live`` masks the vertices of non-singleton cells, the only
-    ones a splitter can separate.  The counts are bit-sliced: bit j of
-    |N(v) ∩ W| is bit v of ``planes[j]``, and ``adj`` must be symmetric, so
-    adding ``adj[x]`` for each x in W counts every vertex at once.
+    a split never moves: ``mask_at[s]`` is the cell starting at s (0 where
+    no cell starts), and ``cell_of[v]`` the start of v's cell, updated only
+    for the vertices that a split moves to a new non-singleton cell.
+    ``live`` masks the vertices of non-singleton cells, the only ones a
+    splitter can separate.  The counts are bit-sliced: bit j of |N(v) ∩ W|
+    is bit v of ``planes[j]``, and ``adj`` must be symmetric, so adding
+    ``adj[x]`` for each x in W counts every vertex at once; a one-vertex
+    splitter is its one plane ``adj[x]``.  A touched cell is split only if
+    some member lies outside ``hit`` (count 0) or some plane cuts it.
     """
-    cell_at: dict[int, tuple[int, ...]] = {}
-    mask_at: dict[int, int] = {}
+    mask_at = [0] * len(adj)
     cell_of = [0] * len(adj)
     live = 0
     start = 0
     for cell in cells:
-        cell = tuple(cell)
-        cell_at[start] = cell
-        if len(cell) > 1:
-            m = mask_of(cell)
-            mask_at[start] = m
-            live |= m
-            for v in cell:
-                cell_of[v] = start
-        start += len(cell)
+        mask_at[start] = cell
+        size = cell.bit_count()
+        if size > 1:
+            live |= cell
+            while cell:
+                low = cell & -cell
+                cell_of[low.bit_length() - 1] = start
+                cell ^= low
+        start += size
     queue = deque(active)
     queued = set(active)
     while queue and live:
@@ -327,70 +336,81 @@ def refine(adj, cells, active) -> list[tuple[int, ...]]:
         if w not in queued:
             continue
         queued.discard(w)
-        planes: list[int] = []
-        hit = 0
-        for x in bits(w):
-            carry = adj[x]
-            hit |= carry
-            for j, plane in enumerate(planes):
-                if not carry:
-                    break
-                planes[j] = plane ^ carry
-                carry &= plane
-            if carry:
-                planes.append(carry)
-        hit &= live
-        touched = []
-        while hit:
-            s = cell_of[(hit & -hit).bit_length() - 1]
-            touched.append(s)
-            hit &= ~mask_at[s]
-        touched.sort(reverse=True)
-        for s in touched:
-            cell_mask = mask_at[s]
-            parts = [cell_mask]
-            for plane in reversed(planes):  # high bit first: ascending counts
-                if (cell_mask & plane) not in (0, cell_mask):
-                    parts = [q for m in parts for q in (m & ~plane, m & plane) if q]
-            if len(parts) == 1:
-                continue
-            cell = cell_at[s]
+        if w & (w - 1):
+            planes: list[int] = []
+            hit = 0
+            while w:
+                low = w & -w
+                w ^= low
+                carry = adj[low.bit_length() - 1]
+                hit |= carry
+                for j, plane in enumerate(planes):
+                    if not carry:
+                        break
+                    planes[j] = plane ^ carry
+                    carry &= plane
+                if carry:
+                    planes.append(carry)
+        else:
+            hit = adj[w.bit_length() - 1]
+            planes = [hit]
+        # with one plane, that plane is ``hit`` and ``cell & ~hit`` decides
+        multi = len(planes) > 1
+        rest = hit & live
+        split = []
+        while rest:
+            s = cell_of[(rest & -rest).bit_length() - 1]
+            cell = mask_at[s]
+            rest &= ~cell
+            if cell & ~hit:
+                split.append(s)
+            elif multi:
+                for plane in planes:
+                    part = cell & plane
+                    if part and part != cell:
+                        split.append(s)
+                        break
+        split.sort(reverse=True)
+        for s in split:
+            cell = mask_at[s]
+            if multi:
+                parts = [cell]
+                for plane in reversed(planes):  # high bit first: ascending counts
+                    part = cell & plane
+                    if part and part != cell:
+                        parts = [q for m in parts for q in (m & ~plane, m & plane) if q]
+            else:
+                parts = [cell & ~hit, cell & hit]
             skip = big = 0
             t = s
-            for j, fm in enumerate(parts):
-                size = fm.bit_count()
+            for j, frag in enumerate(parts):
+                mask_at[t] = frag
+                size = frag.bit_count()
                 if size == 1:
-                    cell_at[t] = (fm.bit_length() - 1,)
-                    live &= ~fm
-                else:
-                    frag = tuple([v for v in cell if fm >> v & 1])
-                    cell_at[t] = frag
-                    mask_at[t] = fm
-                    if t != s:
-                        for v in frag:
-                            cell_of[v] = t
+                    live &= ~frag
+                elif t != s:
+                    m = frag
+                    while m:
+                        low = m & -m
+                        cell_of[low.bit_length() - 1] = t
+                        m ^= low
                 if size > big:
                     skip, big = j, size
                 t += size
-            if cell_mask in queued:
-                queued.discard(cell_mask)
-                new = parts
+            if cell in queued:
+                queued.discard(cell)
             else:
-                new = parts[:skip] + parts[skip + 1 :]
-            for fm in new:
-                queue.append(fm)
-                queued.add(fm)
-    return [cell_at[s] for s in sorted(cell_at)]
+                del parts[skip]
+            queue.extend(parts)
+            queued.update(parts)
+    return list(filter(None, mask_at))
 
 
 def _target_cell(cells) -> int:
     """Index of the first smallest non-singleton cell, or -1 if discrete."""
-    best = -1
-    best_len = None
-    for i, cell in enumerate(cells):
-        if len(cell) > 1 and (best_len is None or len(cell) < best_len):
-            best, best_len = i, len(cell)
-    return best
+    sizes = list(map(int.bit_count, cells))
+    smallest = min(filter((1).__lt__, sizes), default=0)
+    return sizes.index(smallest) if smallest else -1
 
 
 @dataclass(frozen=True)
@@ -431,7 +451,7 @@ class _Search:
 
     def run(self) -> CanonicalForm:
         initial = _initial_cells(self.cg)
-        cells = refine(self.adj, initial, [mask_of(c) for c in initial])
+        cells = refine(self.adj, initial, initial)
         self._node(cells, [])
         return CanonicalForm(
             labeling=self.best_lab,
@@ -455,20 +475,35 @@ class _Search:
         target = cells[t]
         k = len(prefix)
         processed = 0
-        for v in target:
+        orbits = None
+        for v in bits(target):
             if processed and self.group is not None and self.base[:k] == prefix:
-                gens = self.group.prefix_stabilizer_gens(k)
-                if orbit_closure(processed, gens) >> v & 1:
+                orbits = self._orbits(k, processed, orbits)
+                if orbits[2] >> v & 1:
                     continue
+            bit = 1 << v
             child = list(cells)
-            child[t : t + 1] = [(v,), tuple(u for u in target if u != v)]
-            child = refine(self.adj, child, [1 << v])
-            self._node(child, prefix + [v])
-            processed |= 1 << v
+            child[t : t + 1] = [bit, target & ~bit]
+            self._node(refine(self.adj, child, [bit]), prefix + [v])
+            processed |= bit
             if self.backjump is not None:
                 if self.backjump < k:
                     return  # keep unwinding
                 self.backjump = None
+
+    def _orbits(self, k: int, processed: int, known) -> tuple[int, list[Perm], int]:
+        """The orbits of ``processed`` under the pointwise stabilizer of
+        the first k base points, as ``(generator count, stabilizer
+        generators, mask of the orbits)``.  ``known`` is the node's previous
+        result, or None: while the group has gained no generator since, the
+        orbits of the vertices processed after it are added to its mask;
+        otherwise the mask is computed afresh."""
+        count = len(self.group.generators)
+        if known is None or known[0] != count:
+            gens = self.group.prefix_stabilizer_gens(k)
+            return count, gens, orbit_closure(processed, gens)
+        _, gens, mask = known
+        return count, gens, mask | orbit_closure(processed & ~mask, gens)
 
     def _worse_below(self, cells) -> bool:
         """Whether every leaf below the equitable partition ``cells`` has a
@@ -489,22 +524,24 @@ class _Search:
         size = {}
         s = 0
         for cell in cells:
-            for v in cell:
-                start_of[v] = s
-            size[s] = len(cell)
-            s += len(cell)
+            c = size[s] = cell.bit_count()
+            while cell:
+                low = cell & -cell
+                start_of[low.bit_length() - 1] = s
+                cell ^= low
+            s += c
 
         def rows():
             """The counts k(C, .) and the row ``lo`` at each position."""
             for cell in cells:
                 k: dict[int, int] = {}
-                for u in self.nbrs[cell[0]]:
+                for u in self.nbrs[(cell & -cell).bit_length() - 1]:
                     d = start_of[u]
                     k[d] = k.get(d, 0) + 1
                 lo = 0
                 for d, c in k.items():
                     lo |= (1 << c) - 1 << d
-                for _ in cell:
+                for _ in range(cell.bit_count()):
                     yield k, lo
 
         def fits(row: int, k: dict[int, int]) -> bool:
@@ -528,7 +565,7 @@ class _Search:
         self.leaves += 1
         lab_list = [0] * self.n
         for pos, cell in enumerate(cells):
-            lab_list[cell[0]] = pos
+            lab_list[cell.bit_length() - 1] = pos
         lab = tuple(lab_list)
         cert = self._certificate(lab)
         if self.first_cert is None:
@@ -557,23 +594,25 @@ class _Search:
             self._record_automorphism(self.best_lab, lab)
 
     def _certificate(self, lab: Perm) -> tuple:
+        bit = [1 << pos for pos in lab]
         rows = [0] * self.n
         cols = [0] * self.n
-        for v in range(self.n):
-            pos = lab[v]
-            cols[pos] = self.colors[v]
-            row = 0
-            for u in self.nbrs[v]:
-                row |= 1 << lab[u]
-            rows[pos] = row
+        colors, nbrs = self.colors, self.nbrs
+        for v, pos in enumerate(lab):
+            cols[pos] = colors[v]
+            rows[pos] = sum(map(bit.__getitem__, nbrs[v]))  # distinct bits
         return (tuple(cols), tuple(rows))
 
     def _record_automorphism(self, lab_a: Perm, lab_b: Perm) -> None:
+        # Labelings are bijections, so gamma is one and the images of a
+        # row's bits are distinct bits: their sum is the image row.
         gamma = compose(lab_a, inverse(lab_b))
-        for v in range(self.n):  # a wrong map here would poison the pruning
-            if self.colors[gamma[v]] != self.colors[v]:
+        bit = [1 << image for image in gamma]
+        adj, colors, nbrs = self.adj, self.colors, self.nbrs
+        for v, image in enumerate(gamma):  # a wrong map would poison the pruning
+            if colors[image] != colors[v]:
                 raise AssertionError("discovered map does not preserve colors")
-            if permute_mask(self.adj[v], gamma) != self.adj[gamma[v]]:
+            if sum(map(bit.__getitem__, nbrs[v])) != adj[image]:
                 raise AssertionError("discovered map is not an automorphism")
         self.group.add(gamma)
 

@@ -260,3 +260,27 @@ def test_mms_clique_index_out_of_range_is_one_line_error(new_file, capsys):
     code, err = run_error(capsys, "mms", new_file, "--clique", "27")
     assert code == 2
     assert "out of range 0..26" in err
+
+
+def run_usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as e:
+        cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return e.value.code, captured.err
+
+
+def test_report_negative_relabelings_is_usage_error(tmp_path, capsys):
+    out_dir = tmp_path / "report"
+    code, err = run_usage_error(
+        capsys, "report", "--all", "--out", str(out_dir), "--relabelings", "-3"
+    )
+    assert code == 2
+    assert "--relabelings" in err and "negative" in err
+    assert not out_dir.exists()
+
+
+def test_mms_negative_bound_is_usage_error(new_file, capsys):
+    code, err = run_usage_error(capsys, "mms", new_file, "--bound", "-1")
+    assert code == 2
+    assert "--bound" in err and "negative" in err

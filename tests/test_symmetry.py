@@ -6,6 +6,7 @@ orders by closing the generator set under composition.
 """
 
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -112,8 +113,7 @@ def test_prefix_stabilizer_gens():
 def is_equitable(adj, cells):
     for a in cells:
         for b in cells:
-            wb = mask_of(b)
-            counts = {(adj[v] & wb).bit_count() for v in a}
+            counts = {(adj[v] & b).bit_count() for v in bits(a)}
             if len(counts) != 1:
                 return False
     return True
@@ -129,9 +129,9 @@ def test_refine_reaches_equitable_partition():
                 if rng.random() < 0.4:
                     adj[i] |= 1 << j
                     adj[j] |= 1 << i
-        cells = [tuple(range(n))]
-        out = sym.refine(adj, cells, [mask_of(range(n))])
-        assert sorted(v for c in out for v in c) == list(range(n))
+        cells = [mask_of(range(n))]
+        out = sym.refine(adj, cells, cells)
+        assert sorted(v for c in out for v in bits(c)) == list(range(n))
         assert is_equitable(adj, out)
 
 
@@ -313,20 +313,18 @@ def test_refine_is_equitable_and_finer(cg, data):
     order = data.draw(st.permutations(range(cg.n)))
     cuts = data.draw(st.sets(st.integers(1, cg.n - 1))) if cg.n > 1 else set()
     bounds = [0, *sorted(cuts), cg.n]
-    cells = [tuple(order[a:b]) for a, b in zip(bounds, bounds[1:])]
-    out = sym.refine(cg.adj, cells, [mask_of(c) for c in cells])
+    cells = [mask_of(order[a:b]) for a, b in zip(bounds, bounds[1:])]
+    out = sym.refine(cg.adj, cells, cells)
     assert is_equitable(cg.adj, out)
-    # each input cell is split in place into consecutive output cells, each
-    # keeping the input cell's vertex order
+    # each input cell is split in place into consecutive output cells
     pos = 0
     for cell in cells:
         taken = 0
-        while taken < len(cell):
+        while taken != cell:
             frag = out[pos]
-            assert list(frag) == [v for v in cell if v in frag]
-            taken += len(frag)
+            assert frag and not frag & ~cell and not frag & taken
+            taken |= frag
             pos += 1
-        assert taken == len(cell)
     assert pos == len(out)
 
 
@@ -405,9 +403,9 @@ def subtree_leaves(adj, cells):
         yield cells
         return
     target = cells[t]
-    for v in target:
+    for v in bits(target):
         child = list(cells)
-        child[t : t + 1] = [(v,), tuple(u for u in target if u != v)]
+        child[t : t + 1] = [1 << v, target & ~(1 << v)]
         yield from subtree_leaves(adj, sym.refine(adj, child, [1 << v]))
 
 
@@ -423,7 +421,7 @@ class _CheckedSearch(sym._Search):
             for leaf in subtree_leaves(self.adj, cells):
                 lab = [0] * self.n
                 for pos, cell in enumerate(leaf):
-                    lab[cell[0]] = pos
+                    lab[cell.bit_length() - 1] = pos
                 cert = self._certificate(tuple(lab))
                 assert cert > self.best_cert
                 assert cert != self.first_cert
@@ -463,3 +461,83 @@ def test_pruned_subtrees_hold_only_worse_leaves(cg):
     assert (cf.labeling, cf.certificate, cf.generators, cf.group.order()) == (
         ref.labeling, ref.certificate, ref.generators, ref.group.order()
     )
+
+
+# --- cached pruning orbits --------------------------------------------------
+
+
+class _OrbitCheckedSearch(sym._Search):
+    """Recomputes the pruning orbits from scratch at every candidate vertex
+    and compares them with the node's cached mask."""
+
+    checked = extended = 0
+
+    def _orbits(self, k, processed, known):
+        result = super()._orbits(k, processed, known)
+        gens = self.group.prefix_stabilizer_gens(k)
+        assert result[2] == sym.orbit_closure(processed, gens)
+        self.checked += 1
+        self.extended += known is not None and known[0] == result[0]
+        return result
+
+
+def orbit_cases():
+    yield from pruning_cases()
+    yield "vls", sym.colored_incidence_graph(con.build_vls())
+    yield "switched", sym.colored_incidence_graph(con.build_new())
+
+
+@pytest.mark.parametrize(
+    "cg", [pytest.param(cg, id=name) for name, cg in orbit_cases()]
+)
+def test_cached_pruning_orbits_equal_recomputed_ones(cg):
+    search = _OrbitCheckedSearch(cg)
+    cf = search.run()
+    assert search.checked > 0 and search.extended > 0
+    ref = sym.canonical_form(cg)
+    assert (cf.labeling, cf.certificate, cf.generators) == (
+        ref.labeling, ref.certificate, ref.generators
+    )
+
+
+# --- pinned canonical forms -------------------------------------------------
+
+# sha256 of repr((labeling, certificate, generators, group order, nodes,
+# leaves, pruned)), recorded with the search of commit aa50a1b.  The
+# labelings and generators are what `aut`, `dual` and `report` print, so a
+# change to the search that moves any of them changes their output.
+PINNED_FORMS = {
+    "incidence-vls": (
+        lambda vls, new: sym.colored_incidence_graph(vls),
+        "f049218ab5896046af8180a11cfcb7ac278860c74231f28ffb56f519e2930dcc",
+    ),
+    "incidence-switched": (
+        lambda vls, new: sym.colored_incidence_graph(new),
+        "024fffaa2f97cc69cefba7fec304e3c3b0b7a66db43d384bbc194bfb1e72395b",
+    ),
+    "incidence-dual-vls": (
+        lambda vls, new: sym.colored_incidence_graph(inc.dual(vls)),
+        "b1adf2fe1c7247cbe4bba767bf7213539c679dbe5a38c736a60fb5a60b2ddd05",
+    ),
+    "incidence-dual-switched": (
+        lambda vls, new: sym.colored_incidence_graph(inc.dual(new)),
+        "2fc9962f2a89032fd08b86b8f8af7aedf7ae92750917e90fd1426a9cf5c9af88",
+    ),
+    "point-graph-vls": (
+        lambda vls, new: sym.ColoredGraph.from_graph(inc.point_graph(vls)),
+        "6c43fc1ed8a6e1938072647912e50ee855434c2e1df286e8eb76649f70e532d7",
+    ),
+    "point-graph-switched": (
+        lambda vls, new: sym.ColoredGraph.from_graph(inc.point_graph(new)),
+        "dd712072e90c7e57716b06eed6d99ce6db57fc0a13e4e8d65fdc0e5320147d38",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_FORMS))
+def test_canonical_form_matches_pinned_digest(name, vls, new):
+    build, digest = PINNED_FORMS[name]
+    cf = sym.canonical_form(build(vls, new))
+    key = (cf.labeling, cf.certificate, cf.generators, cf.group.order(),
+           cf.nodes, cf.leaves, cf.pruned)
+    assert hashlib.sha256(repr(key).encode()).hexdigest() == digest
