@@ -9,6 +9,7 @@ stderr so identical invocations stay byte-identical).  Exit codes: 0 pass,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -178,6 +179,8 @@ def _cmd_srg(args) -> int:
 
 def _cmd_local(args) -> int:
     g = _load(args.file)
+    if not (0 <= args.x < g.v and 0 <= args.y < g.v):
+        _fail(f"point index out of range 0..{g.v - 1}")
     try:
         cfg = local_configuration(g, args.x, args.y)
     except ValueError as e:
@@ -268,8 +271,16 @@ def _cmd_dual(args) -> int:
 
 def _cmd_cover(args) -> int:
     g = _load(args.file)
+    graph = point_graph(g)
+    # the search covers the point graph with its maximal 6-cliques, so an
+    # input whose lines are not among them cannot be found again
+    for m in g.lines:
+        common = functools.reduce(int.__and__, (graph.adj[p] for p in bits(m)), -1)
+        if m.bit_count() != 6 or common & ~m:
+            points = " ".join(map(str, bits(m)))
+            _fail(f"input line '{points}' is not a maximal 6-clique of the point graph")
     try:
-        solutions = all_geometries_on(point_graph(g))
+        solutions = all_geometries_on(graph)
         classes: list[IncidenceStructure] = []
         for s in solutions:
             if not any(is_isomorphic(s, rep) for rep in classes):

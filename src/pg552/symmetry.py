@@ -21,9 +21,15 @@ new best, no automorphism, no backjump.  So the pruning leaves the
 labeling, the certificate and the automorphism generators exactly as the
 full search finds them; it only saves refinements.
 
-An ordered partition is a list of cell masks, and a cell's vertices take
-its positions in ascending vertex order.  A discrete partition is read off
-as the labeling: the vertex of the i-th cell gets position i.
+A cell of an ordered partition is the mask of its vertices, which take
+its positions in ascending vertex order.  The search carries each node's
+partition as three position arrays (see ``refine``): the cell starting at
+each position, the start of every vertex's cell, and the mask of the
+vertices in non-singleton cells.  A child copies its parent's two lists,
+rewrites the target cell's entries to split off the individualized vertex,
+and ``refine`` updates them in place, so no node rebuilds them from a cell
+list.  A discrete partition is read off as the labeling: each vertex's
+cell start is its position.
 
 Incidence structures are canonized through their 2-colored bipartite
 incidence graph (points color 0, lines color 1), which yields isomorphism
@@ -31,7 +37,8 @@ testing, self-duality and automorphism groups with one engine.
 
 Permutations are image tuples at the API level.  Inside the stabilizer
 chain they are 256-byte strings padded with the identity, so composition
-is a single ``bytes.translate`` call.
+is a single ``bytes.translate`` call.  A sift translates only at the levels
+whose base point the element moves, and stops once it is the identity.
 """
 
 from __future__ import annotations
@@ -86,6 +93,12 @@ class _Chain:
     processed stay processed when the orbit grows.  ``inverses[p]`` is the
     inverse of ``transversal[p]``, stored when the entry is added, so a sift
     step is one ``bytes.translate`` call.
+
+    A sift visits only the levels whose base point the element moves: the
+    transversal element of the base point itself is the identity, so such a
+    step would change nothing.  It stops once the element is the identity,
+    which every later level leaves as it is.  The residue is the one a walk
+    through every level would give.
     """
 
     def __init__(self, base: tuple[int, ...] = ()):
@@ -101,18 +114,25 @@ class _Chain:
             self.stab = _Chain(base[1:])
 
     def all_gens(self) -> list[bytes]:
-        out = list(self.gens)
-        if self.stab is not None:
-            out += self.stab.all_gens()
+        out: list[bytes] = []
+        level = self
+        while level is not None:
+            out += level.gens
+            level = level.stab
         return out
 
     def sift(self, g: bytes) -> bytes:
         level = self
         while level is not None and level.basepoint is not None:
-            u_inv = level.inverses.get(g[level.basepoint])
-            if u_inv is None:
-                return g
-            g = g.translate(u_inv)  # right-multiply by u^{-1}
+            b = level.basepoint
+            x = g[b]
+            if x != b:  # at x == b the transversal element is the identity
+                u_inv = level.inverses.get(x)
+                if u_inv is None:
+                    return g
+                g = g.translate(u_inv)  # right-multiply by u^{-1}
+                if g == _TAIL:
+                    return g  # every later level fixes the identity
             level = level.stab
         return g
 
@@ -293,42 +313,47 @@ def _initial_cells(cg: ColoredGraph) -> list[int]:
     return [by_color[c] for c in sorted(by_color)]
 
 
-def refine(adj, cells, active) -> list[int]:
-    """Equitable refinement of an ordered partition.
-
-    A cell is the mask of its vertices, and ``cells`` lists the masks in
-    partition order; the vertices of a cell take its positions in ascending
-    order.  ``active`` is a list of splitter masks to propagate from.  Each
-    splitter W splits every cell it touches by the count |N(v) ∩ W|;
-    fragments replace their cell in place, ordered by ascending count.
-    Newly created fragments are queued (all of them if the split cell was
-    itself queued, else all but one largest).  Deterministic.
-
-    Cells are keyed by their start position in the ordered partition, which
-    a split never moves: ``mask_at[s]`` is the cell starting at s (0 where
-    no cell starts), and ``cell_of[v]`` the start of v's cell, updated only
-    for the vertices that a split moves to a new non-singleton cell.
-    ``live`` masks the vertices of non-singleton cells, the only ones a
-    splitter can separate.  The counts are bit-sliced: bit j of |N(v) ∩ W|
-    is bit v of ``planes[j]``, and ``adj`` must be symmetric, so adding
-    ``adj[x]`` for each x in W counts every vertex at once; a one-vertex
-    splitter is its one plane ``adj[x]``.  A touched cell is split only if
-    some member lies outside ``hit`` (count 0) or some plane cuts it.
-    """
-    mask_at = [0] * len(adj)
-    cell_of = [0] * len(adj)
+def _partition(n: int, cells) -> tuple[list[int], list[int], int]:
+    """The position arrays ``(mask_at, cell_of, live)`` of the ordered
+    partition of 0..n-1 into the cell masks ``cells``, listed in order."""
+    mask_at = [0] * n
+    cell_of = [0] * n
     live = 0
     start = 0
     for cell in cells:
         mask_at[start] = cell
-        size = cell.bit_count()
-        if size > 1:
+        if cell & (cell - 1):
             live |= cell
-            while cell:
-                low = cell & -cell
-                cell_of[low.bit_length() - 1] = start
-                cell ^= low
-        start += size
+        for v in bits(cell):
+            cell_of[v] = start
+        start += cell.bit_count()
+    return mask_at, cell_of, live
+
+
+def refine(adj, mask_at, cell_of, live, active) -> int:
+    """Equitable refinement of an ordered partition, in place; returns the
+    new ``live``.
+
+    A cell is the mask of its vertices; its vertices take its positions in
+    ascending order.  The partition is three things: ``mask_at[s]`` is the
+    cell that starts at position s (0 where no cell starts), ``cell_of[v]``
+    is the start of v's cell for every vertex, singletons included, and
+    ``live`` masks the vertices of non-singleton cells, the only ones a
+    splitter can separate.  ``_partition`` builds them from a list of cells.
+    ``active`` is a list of splitter masks to propagate from.  Each splitter
+    W splits every cell it touches by the count |N(v) ∩ W|; fragments
+    replace their cell in place, ordered by ascending count.  Newly created
+    fragments are queued (all of them if the split cell was itself queued,
+    else all but one largest).  Deterministic.
+
+    A split never moves the start of the cell it splits, so only the
+    vertices of fragments that start elsewhere get a new ``cell_of``.  The
+    counts are bit-sliced: bit j of |N(v) ∩ W| is bit v of ``planes[j]``,
+    and ``adj`` must be symmetric, so adding ``adj[x]`` for each x in W
+    counts every vertex at once; a one-vertex splitter is its one plane
+    ``adj[x]``.  A touched cell is split only if some member lies outside
+    ``hit`` (count 0) or some plane cuts it.
+    """
     queue = deque(active)
     queued = set(active)
     while queue and live:
@@ -388,7 +413,7 @@ def refine(adj, cells, active) -> list[int]:
                 size = frag.bit_count()
                 if size == 1:
                     live &= ~frag
-                elif t != s:
+                if t != s:
                     m = frag
                     while m:
                         low = m & -m
@@ -403,14 +428,20 @@ def refine(adj, cells, active) -> list[int]:
                 del parts[skip]
             queue.extend(parts)
             queued.update(parts)
-    return list(filter(None, mask_at))
+    return live
 
 
-def _target_cell(cells) -> int:
-    """Index of the first smallest non-singleton cell, or -1 if discrete."""
-    sizes = list(map(int.bit_count, cells))
-    smallest = min(filter((1).__lt__, sizes), default=0)
-    return sizes.index(smallest) if smallest else -1
+def _target_start(mask_at, cell_of, live) -> int:
+    """Start of the first smallest non-singleton cell; ``live`` is not 0."""
+    best = None
+    while live:
+        s = cell_of[(live & -live).bit_length() - 1]
+        cell = mask_at[s]
+        live &= ~cell
+        key = (cell.bit_count(), s)
+        if best is None or key < best:
+            best = key
+    return best[1]
 
 
 @dataclass(frozen=True)
@@ -451,8 +482,9 @@ class _Search:
 
     def run(self) -> CanonicalForm:
         initial = _initial_cells(self.cg)
-        cells = refine(self.adj, initial, initial)
-        self._node(cells, [])
+        mask_at, cell_of, live = _partition(self.n, initial)
+        live = refine(self.adj, mask_at, cell_of, live, initial)
+        self._node(mask_at, cell_of, live, [])
         return CanonicalForm(
             labeling=self.best_lab,
             certificate=self.best_cert,
@@ -463,16 +495,18 @@ class _Search:
             pruned=self.pruned,
         )
 
-    def _node(self, cells, prefix) -> None:
+    def _node(self, mask_at, cell_of, live, prefix) -> None:
+        """Search below the equitable partition ``(mask_at, cell_of, live)``
+        (see ``refine``), reached by individualizing ``prefix``."""
         self.nodes += 1
-        t = _target_cell(cells)
-        if t < 0:
-            self._leaf(cells, prefix)
+        if not live:
+            self._leaf(cell_of, prefix)
             return
-        if self.first_cert is not None and self._worse_below(cells):
+        if self.first_cert is not None and self._worse_below(mask_at, cell_of):
             self.pruned += 1
             return
-        target = cells[t]
+        s = _target_start(mask_at, cell_of, live)
+        target = mask_at[s]
         k = len(prefix)
         processed = 0
         orbits = None
@@ -481,10 +515,19 @@ class _Search:
                 orbits = self._orbits(k, processed, orbits)
                 if orbits[2] >> v & 1:
                     continue
+            # individualize v: {v} keeps the start s, the rest starts at s + 1
             bit = 1 << v
-            child = list(cells)
-            child[t : t + 1] = [bit, target & ~bit]
-            self._node(refine(self.adj, child, [bit]), prefix + [v])
+            rest = target & ~bit
+            child_at = mask_at.copy()
+            child_at[s] = bit
+            child_at[s + 1] = rest
+            child_of = cell_of.copy()
+            for u in bits(rest):
+                child_of[u] = s + 1
+            # a two-vertex target leaves two singletons
+            child_live = live & ~bit if rest & (rest - 1) else live & ~target
+            child_live = refine(self.adj, child_at, child_of, child_live, [bit])
+            self._node(child_at, child_of, child_live, prefix + [v])
             processed |= bit
             if self.backjump is not None:
                 if self.backjump < k:
@@ -505,10 +548,10 @@ class _Search:
         _, gens, mask = known
         return count, gens, mask | orbit_closure(processed & ~mask, gens)
 
-    def _worse_below(self, cells) -> bool:
-        """Whether every leaf below the equitable partition ``cells`` has a
-        certificate above the best one and unequal to the first one, so
-        that none of those leaves could change the search.
+    def _worse_below(self, mask_at, cell_of) -> bool:
+        """Whether every leaf below the equitable partition ``(mask_at,
+        cell_of)`` has a certificate above the best one and unequal to the
+        first one, so that none of those leaves could change the search.
 
         A leaf below puts a vertex of cell C at each position of C's range,
         and the row there has exactly k(C, D) bits in the range of each
@@ -519,34 +562,29 @@ class _Search:
         below is above the best: where a leaf first leaves the best
         certificate's rows, its row is at least ``lo`` and so above.  If
         some row of the first certificate has other counts than k(C, D),
-        no leaf below equals the first certificate."""
-        start_of = [0] * self.n
-        size = {}
-        s = 0
-        for cell in cells:
-            c = size[s] = cell.bit_count()
-            while cell:
-                low = cell & -cell
-                start_of[low.bit_length() - 1] = s
-                cell ^= low
-            s += c
+        no leaf below equals the first certificate.  A cell is keyed by its
+        start, which ``cell_of`` gives for every vertex."""
 
         def rows():
             """The counts k(C, .) and the row ``lo`` at each position."""
-            for cell in cells:
+            s = 0
+            while s < self.n:
+                cell = mask_at[s]
                 k: dict[int, int] = {}
                 for u in self.nbrs[(cell & -cell).bit_length() - 1]:
-                    d = start_of[u]
+                    d = cell_of[u]
                     k[d] = k.get(d, 0) + 1
                 lo = 0
                 for d, c in k.items():
                     lo |= (1 << c) - 1 << d
-                for _ in range(cell.bit_count()):
+                size = cell.bit_count()
+                for _ in range(size):
                     yield k, lo
+                s += size
 
         def fits(row: int, k: dict[int, int]) -> bool:
             return row.bit_count() == sum(k.values()) and all(
-                (row >> d & (1 << size[d]) - 1).bit_count() == c
+                (row >> d & (1 << mask_at[d].bit_count()) - 1).bit_count() == c
                 for d, c in k.items()
             )
 
@@ -561,12 +599,10 @@ class _Search:
         first = self.first_cert[1]
         return not all(fits(first[q], k) for q, (k, _) in enumerate(rows()))
 
-    def _leaf(self, cells, prefix) -> None:
+    def _leaf(self, cell_of, prefix) -> None:
+        """A discrete partition: each vertex's cell start is its position."""
         self.leaves += 1
-        lab_list = [0] * self.n
-        for pos, cell in enumerate(cells):
-            lab_list[cell.bit_length() - 1] = pos
-        lab = tuple(lab_list)
+        lab = tuple(cell_of)
         cert = self._certificate(lab)
         if self.first_cert is None:
             self.first_cert, self.first_lab = cert, lab

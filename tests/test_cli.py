@@ -242,6 +242,26 @@ def test_cover_of_non_geometry_is_one_line_error(tmp_path, capsys):
     assert "alpha" in err
 
 
+def test_cover_of_geometry_without_6_point_lines_is_one_line_error(tmp_path, capsys):
+    # the Fano plane, a pg(2, 2, 3): its 3-point lines are not 6-cliques
+    fano = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
+    g = inc.IncidenceStructure(7, [sum(1 << p for p in line) for line in fano])
+    assert inc.verify_pg(g).as_tuple() == (2, 2, 3, 7, 7)
+    path = str(tmp_path / "fano.pg")
+    inc.write_incidence(g, path)
+    code, err = run_error(capsys, "cover", path)
+    assert code == 2
+    assert "not a maximal 6-clique" in err
+
+
+@pytest.mark.parametrize("point", ["-1", "81", "200"])
+@pytest.mark.parametrize("option", ["--x", "--y"])
+def test_local_point_out_of_range_is_one_line_error(vls_file, capsys, option, point):
+    code, err = run_error(capsys, "local", vls_file, option, point)
+    assert code == 2
+    assert err == "error: point index out of range 0..80\n"
+
+
 def test_local_bad_pair_is_one_line_error(vls_file, capsys):
     code, err = run_error(capsys, "local", vls_file, "--x", "0", "--y", "0")
     assert code == 2

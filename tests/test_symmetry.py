@@ -110,6 +110,40 @@ def test_prefix_stabilizer_gens():
 # --- refinement and canonical forms ----------------------------------------
 
 
+def refined(adj, cells, active):
+    """``refine`` from freshly built arrays of the cell list ``cells``;
+    returns the refined cell list after checking the arrays it leaves."""
+    n = len(adj)
+    mask_at, cell_of, live = sym._partition(n, cells)
+    live = sym.refine(adj, mask_at, cell_of, live, active)
+    return partition_cells(n, mask_at, cell_of, live)
+
+
+def partition_cells(n, mask_at, cell_of, live):
+    """The cell list of the arrays ``(mask_at, cell_of, live)``, after
+    checking that they describe one ordered partition of 0..n-1: a cell
+    starts at each non-zero ``mask_at`` entry and covers as many positions
+    as it has vertices, ``cell_of[v]`` is the start of v's cell for every
+    vertex, and ``live`` is the union of the non-singleton cells."""
+    cells = []
+    union = nonsingleton = 0
+    s = 0
+    while s < n:
+        cell = mask_at[s]
+        size = cell.bit_count()
+        assert size and not cell & union and not any(mask_at[s + 1 : s + size])
+        for v in bits(cell):
+            assert cell_of[v] == s
+        union |= cell
+        if size > 1:
+            nonsingleton |= cell
+        cells.append(cell)
+        s += size
+    assert union == (1 << n) - 1
+    assert live == nonsingleton
+    return cells
+
+
 def is_equitable(adj, cells):
     for a in cells:
         for b in cells:
@@ -130,7 +164,7 @@ def test_refine_reaches_equitable_partition():
                     adj[i] |= 1 << j
                     adj[j] |= 1 << i
         cells = [mask_of(range(n))]
-        out = sym.refine(adj, cells, cells)
+        out = refined(adj, cells, cells)
         assert sorted(v for c in out for v in bits(c)) == list(range(n))
         assert is_equitable(adj, out)
 
@@ -294,6 +328,85 @@ def test_stored_inverses_invert_transversals(aut_vls, aut_new):
                     assert u.translate(level.inverses[p]) == bytes(range(256))
 
 
+def full_sift(chain, g):
+    """The sift that walks every level of the chain: the residue of the
+    byte-string permutation g, with no level skipped and no early stop."""
+    level = chain
+    while level is not None and level.basepoint is not None:
+        u_inv = level.inverses.get(g[level.basepoint])
+        if u_inv is None:
+            return g
+        g = g.translate(u_inv)
+        level = level.stab
+    return g
+
+
+def full_bases(n):
+    return [tuple(range(n)), tuple(reversed(range(n)))] + [
+        tuple(random.Random(seed).sample(range(n), n)) for seed in (1, 2, 3)
+    ]
+
+
+def word(rng, gens, length=20):
+    p = tuple(range(len(gens[0])))
+    for _ in range(length):
+        p = sym.compose(p, rng.choice(gens))
+    return p
+
+
+# sha256 of repr([(each level's (base point, transversal keys in insertion
+# order)), all_gens()] for the chains under ``full_bases``), recorded with
+# the stabilizer chain of commit 66c27a1, whose sift walked every level.
+PINNED_CHAINS = {
+    "aut-vls": (
+        lambda vls, new: sym.aut_incidence(vls),
+        "bb45b750d3bf68d90b81576e91b28ab51b2013f7106265289167026c9441a9cc",
+    ),
+    "aut-switched": (
+        lambda vls, new: sym.aut_incidence(new),
+        "d24ad86e799587e9f3113d39a9fd0ca8740b2570e38d0e619ba8a536716e8c7c",
+    ),
+    "aut-point-graph-vls": (
+        lambda vls, new: sym.aut_graph(inc.point_graph(vls)),
+        "407ed6cf5391db4a4792d8e7e34040749d585a4dc9e7ae4a38128c4adc4a1f9e",
+    ),
+    "aut-point-graph-switched": (
+        lambda vls, new: sym.aut_graph(inc.point_graph(new)),
+        "d2a797dd6d0714e413ba2555b8880f56f800531f057ba204302c4cdb992765de",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_CHAINS))
+def test_sift_residues_equal_full_walk_and_chains_are_pinned(name, vls, new):
+    build, digest = PINNED_CHAINS[name]
+    grp = build(vls, new)
+    n, gens = grp.degree, grp.generators
+    rng = random.Random(name)
+    inputs = list(gens) + [word(rng, gens) for _ in range(100)]
+    inputs += [tuple(rng.sample(range(n), n)) for _ in range(100)]
+    for _ in range(100):
+        p = list(word(rng, gens))
+        i, j = rng.sample(range(n), 2)
+        p[i], p[j] = p[j], p[i]
+        inputs.append(tuple(p))
+    chains = [sym.PermutationGroup(n, gens, base=b)._chain for b in full_bases(n)]
+    members = 0
+    for chain in chains:
+        for p in inputs:
+            padded = sym._pad(p)
+            residue = chain.sift(padded)
+            assert residue == full_sift(chain, padded)
+            members += residue == bytes(range(256))
+    assert members >= len(chains) * (len(gens) + 100)
+    key = [
+        ([(lvl.basepoint, list(lvl.transversal)) for lvl in chain_levels(c)],
+         c.all_gens())
+        for c in chains
+    ]
+    assert hashlib.sha256(repr(key).encode()).hexdigest() == digest
+
+
 @st.composite
 def colored_graphs(draw, max_n=10):
     n = draw(st.integers(1, max_n))
@@ -314,7 +427,7 @@ def test_refine_is_equitable_and_finer(cg, data):
     cuts = data.draw(st.sets(st.integers(1, cg.n - 1))) if cg.n > 1 else set()
     bounds = [0, *sorted(cuts), cg.n]
     cells = [mask_of(order[a:b]) for a, b in zip(bounds, bounds[1:])]
-    out = sym.refine(cg.adj, cells, cells)
+    out = refined(cg.adj, cells, cells)
     assert is_equitable(cg.adj, out)
     # each input cell is split in place into consecutive output cells
     pos = 0
@@ -397,16 +510,20 @@ def chang_graph(switching_edges):
 
 
 def subtree_leaves(adj, cells):
-    """Every leaf below ``cells``, with no pruning of any kind."""
-    t = sym._target_cell(cells)
-    if t < 0:
+    """Every leaf below the cell list ``cells``, with no pruning of any
+    kind, refining each child from scratch; the search's target rule is
+    the first smallest non-singleton cell."""
+    sizes = [cell.bit_count() for cell in cells]
+    smallest = min((size for size in sizes if size > 1), default=0)
+    if not smallest:
         yield cells
         return
+    t = sizes.index(smallest)
     target = cells[t]
     for v in bits(target):
         child = list(cells)
         child[t : t + 1] = [1 << v, target & ~(1 << v)]
-        yield from subtree_leaves(adj, sym.refine(adj, child, [1 << v]))
+        yield from subtree_leaves(adj, refined(adj, child, [1 << v]))
 
 
 class _CheckedSearch(sym._Search):
@@ -414,11 +531,11 @@ class _CheckedSearch(sym._Search):
 
     checked = 0
 
-    def _worse_below(self, cells):
-        pruned = super()._worse_below(cells)
+    def _worse_below(self, mask_at, cell_of):
+        pruned = super()._worse_below(mask_at, cell_of)
         if pruned:
             self.checked += 1
-            for leaf in subtree_leaves(self.adj, cells):
+            for leaf in subtree_leaves(self.adj, list(filter(None, mask_at))):
                 lab = [0] * self.n
                 for pos, cell in enumerate(leaf):
                     lab[cell.bit_length() - 1] = pos
@@ -429,7 +546,7 @@ class _CheckedSearch(sym._Search):
 
 
 class _UnprunedSearch(sym._Search):
-    def _worse_below(self, cells):
+    def _worse_below(self, mask_at, cell_of):
         return False
 
 
@@ -494,6 +611,50 @@ def test_cached_pruning_orbits_equal_recomputed_ones(cg):
     search = _OrbitCheckedSearch(cg)
     cf = search.run()
     assert search.checked > 0 and search.extended > 0
+    ref = sym.canonical_form(cg)
+    assert (cf.labeling, cf.certificate, cf.generators) == (
+        ref.labeling, ref.certificate, ref.generators
+    )
+
+
+# --- partition arrays carried from node to child ----------------------------
+
+
+class _ArrayCheckedSearch(sym._Search):
+    """At every node, checks the carried arrays against the partition they
+    describe and against a from-scratch refinement of the parent's cell
+    list with the individualized vertex split off, and checks that the
+    children leave the node's arrays as they were."""
+
+    checked = 0
+
+    def __init__(self, cg):
+        super().__init__(cg)
+        self.parents = []  # the cell lists of the nodes on the current path
+
+    def _node(self, mask_at, cell_of, live, prefix):
+        cells = partition_cells(self.n, mask_at, cell_of, live)
+        if prefix:
+            bit = 1 << prefix[-1]
+            child = []
+            for cell in self.parents[-1]:
+                child += [bit, cell & ~bit] if cell & bit else [cell]
+            assert cells == refined(self.adj, child, [bit])
+            self.checked += 1
+        saved = list(mask_at), list(cell_of), live
+        self.parents.append(cells)
+        super()._node(mask_at, cell_of, live, prefix)
+        self.parents.pop()
+        assert (mask_at, cell_of, live) == saved
+
+
+@pytest.mark.parametrize(
+    "cg", [pytest.param(cg, id=name) for name, cg in orbit_cases()]
+)
+def test_carried_partition_arrays_match_refinement_from_scratch(cg):
+    search = _ArrayCheckedSearch(cg)
+    cf = search.run()
+    assert search.checked == cf.nodes - 1 > 0
     ref = sym.canonical_form(cg)
     assert (cf.labeling, cf.certificate, cf.generators) == (
         ref.labeling, ref.certificate, ref.generators
