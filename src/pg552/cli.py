@@ -4,6 +4,11 @@ whole battery of checks as reproducible batch reports.
 Every command prints one key-sorted JSON document to stdout (timing goes to
 stderr so identical invocations stay byte-identical).  Exit codes: 0 pass,
 1 verification or claim failure, 2 usage or I/O error.
+
+The paper's claims are stated once, as the ``_claim_<name>`` functions named
+in ``CLAIMS``.  Each takes the shared objects built by ``_environment`` and
+returns ``{"pass": ..., evidence...}``.  ``report`` writes one JSON file per
+claim, and the acceptance tests run the same functions.
 """
 
 from __future__ import annotations
@@ -22,14 +27,19 @@ from . import __version__
 from . import construction as con
 from . import gf3space as gf3
 from .bits import bits, mask_of
-from .cliques import classify_line_cliques, match_negative_lines, max_cliques
+from .cliques import (
+    classify_line_cliques,
+    match_negative_lines,
+    max_cliques,
+    one_secant_lines,
+)
 from .geometric_search import (
     all_geometries_on,
     count_nonnegative_lines,
     mms_counterexample_search,
     star_weighting,
 )
-from .graphs import SrgViolation, local_configuration, srg_check
+from .graphs import Graph, SrgViolation, isomorphic_small, local_configuration, srg_check
 from .incidence import (
     IncidenceStructure,
     PgViolation,
@@ -87,6 +97,15 @@ def _count(text: str) -> int:
     return value
 
 
+def _expect(text: str) -> str:
+    """Argument type for ``--expect``: three integers ``s,t,alpha``."""
+    try:
+        _s, _t, _alpha = (int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"wants s,t,alpha, not {text!r}") from None
+    return text
+
+
 def _load(path: str) -> IncidenceStructure:
     try:
         return read_incidence(path)
@@ -100,8 +119,7 @@ def _geometry(name: str) -> IncidenceStructure:
     return con.build_vls() if name == "vls" else con.build_new()
 
 
-def _srg_json(g) -> dict:
-    p = srg_check(g)
+def _srg_json(p) -> dict:
     return {
         "v": p.v,
         "k": p.k,
@@ -121,8 +139,7 @@ def _cmd_build(args) -> int:
     try:
         write_incidence(g, args.out)
     except OSError as e:
-        print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
-        return 2
+        _fail(f"cannot write {args.out}: {e}")
     _emit("build", {"geometry": args.geometry, "out": args.out},
           {"v": g.v, "b": g.b})
     return 0
@@ -141,17 +158,13 @@ def _cmd_verify(args) -> int:
         ok = False
     if ok:
         try:
-            results["srg_point"] = _srg_json(point_graph(g))
-            results["srg_line"] = _srg_json(line_graph(g))
+            results["srg_point"] = _srg_json(srg_check(point_graph(g)))
+            results["srg_line"] = _srg_json(srg_check(line_graph(g)))
         except SrgViolation as e:
             results["srg_error"] = {"reason": e.reason, "pair": e.pair, "count": e.count}
             ok = False
     if ok and args.expect:
-        try:
-            s, t, alpha = (int(x) for x in args.expect.split(","))
-        except ValueError:
-            print("error: --expect wants s,t,alpha", file=sys.stderr)
-            return 2
+        s, t, alpha = (int(x) for x in args.expect.split(","))
         results["expect"] = [s, t, alpha]
         if (params.s, params.t, params.alpha) != (s, t, alpha):
             results["expect_match"] = False
@@ -167,7 +180,7 @@ def _cmd_srg(args) -> int:
     g = _load(args.file)
     graph = point_graph(g) if args.graph == "point" else line_graph(g)
     try:
-        results = _srg_json(graph)
+        results = _srg_json(srg_check(graph))
     except SrgViolation as e:
         _emit("srg", {"file": args.file, "graph": args.graph},
               {"error": e.reason, "pair": list(e.pair) if e.pair else None,
@@ -259,12 +272,11 @@ def _cmd_dual(args) -> int:
         try:
             write_incidence(dual(g), args.out)
         except OSError as e:
-            print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
-            return 2
+            _fail(f"cannot write {args.out}: {e}")
     _emit(
         "dual",
         {"file": args.file, "out": args.out},
-        {"self_dual": sd, "witness": list(witness) if witness else None},
+        {"self_dual": sd, "witness": list(witness) if sd else None},
     )
     return 0
 
@@ -340,6 +352,24 @@ def _cmd_mms(args) -> int:
 # ---------------------------------------------------------------------------
 # report --all: the golden suite, one JSON per claim
 
+# names, not functions: each _claim_<name> is looked up when it runs
+CLAIMS = (
+    "pg_parameters", "srg_parameters", "isomorphism_and_duality",
+    "automorphism_orders", "new_geometry_orbits", "clique_census",
+    "subspace_census", "difference_set_identities", "local_configuration",
+    "exact_cover_geometries", "mms_weightings",
+)
+
+
+def _environment(relabelings: int) -> dict:
+    """What the claims share: both geometries, their point and line graphs
+    and automorphism groups, and the relabeling count."""
+    G, Gp = con.build_vls(), con.build_new()
+    P1, P1p, L2, L2p = point_graph(G), point_graph(Gp), line_graph(G), line_graph(Gp)
+    return {"G": G, "Gp": Gp, "P1": P1, "P1p": P1p, "L2": L2, "L2p": L2p,
+            "autG": aut_incidence(G), "autGp": aut_incidence(Gp),
+            "relabelings": relabelings}
+
 
 def _claim_pg_parameters(env) -> dict:
     want = (5, 5, 2, 81, 81)
@@ -356,19 +386,18 @@ def _claim_pg_parameters(env) -> dict:
 
 def _claim_srg_parameters(env) -> dict:
     want = {"v": 81, "k": 30, "lambda": 9, "mu": 12, "complete": False, "empty": False}
-    got = {
-        "point_vls": _srg_json(env["P1"]),
-        "point_new": _srg_json(env["P1p"]),
-        "line_vls": _srg_json(env["L2"]),
-        "line_new": _srg_json(env["L2p"]),
-    }
-    return {"pass": all(v == want for v in got.values()), "got": got}
+    graphs = {"point_vls": "P1", "point_new": "P1p", "line_vls": "L2", "line_new": "L2p"}
+    params = {name: srg_check(env[key]) for name, key in graphs.items()}
+    got = {name: _srg_json(p) for name, p in params.items()}
+    ok = all(v == want and params[k].feasibility_identity() for k, v in got.items())
+    return {"pass": ok, "got": got}
 
 
-def _claim_isomorphism_and_duality(env, relabelings: int) -> dict:
+def _claim_isomorphism_and_duality(env) -> dict:
+    relabelings = env["relabelings"]
     iso = is_isomorphic(env["G"], env["Gp"])
-    sd_vls, _ = is_self_dual(env["G"])
-    sd_new, _ = is_self_dual(env["Gp"])
+    sd_vls, w_vls = is_self_dual(env["G"])
+    sd_new, w_new = is_self_dual(env["Gp"])
     certs = {
         name: incidence_certificate(g)
         for name, g in [("vls", env["G"]), ("new", env["Gp"])]
@@ -385,7 +414,7 @@ def _claim_isomorphism_and_duality(env, relabelings: int) -> dict:
             if c == certs[name]:
                 stable[name] += 1
     return {
-        "pass": (not iso) and sd_vls and sd_new
+        "pass": (not iso) and sd_vls and sd_new and None not in (w_vls, w_new)
         and all(stable[n] == relabelings for n in stable),
         "isomorphic": iso,
         "self_dual": {"vls": sd_vls, "new": sd_new},
@@ -467,13 +496,15 @@ def _claim_clique_census(env) -> dict:
         matching = match_negative_lines(env["G"], non_stars, negs)
         bijection = len(matching) == 81
     except ValueError:
-        bijection = False
+        matching, bijection = {}, False
     ok = (
         len(rep_p.cliques_of_size_6) == 162
         and len(rep_pp.cliques_of_size_6) == 108
         and (len(stars), len(non_stars)) == (81, 81)
         and (len(stars_p), len(non_stars_p)) == (81, 27)
         and bijection
+        and sorted(matching.values()) == sorted(negs)
+        and all(one_secant_lines(env["G"], neg) == c for c, neg in matching.items())
     )
     return {
         "pass": ok,
@@ -501,6 +532,7 @@ def _claim_subspace_census(env) -> dict:
         len(subs) == 40
         and set(sizes) == {1, 2, 3, 4}
         and sorted(ovoids) == two_subs
+        and all(con.secant_profile(env["G"], m) == {2: 81} for m in ovoids)
         and profile == {3: 54, 0: 27}
     )
     return {
@@ -547,14 +579,26 @@ def _claim_local_configuration(env) -> dict:
     e1 = gf3.encode(con.E1)
     cfg = local_configuration(env["G"], 0, e1)
     cfg_p = local_configuration(env["Gp"], 0, e1)
+    k4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    two_k4 = Graph.from_edges(9, k4 + [(i + 4, j + 4) for i, j in k4])
+    k4_star = Graph.from_edges(9, k4 + [(4, 5), (4, 6), (4, 7)])
+    adj = env["P1"].adj
     recurring = True
     for x in range(81):
-        for y in bits(env["P1"].adj[x]):
+        for y in bits(adj[x]):
             if y < x:
                 continue
-            if local_configuration(env["G"], x, y).induced.edge_count() != 12:
+            c = local_configuration(env["G"], x, y)
+            a, b = c.a_mask, c.b_mask
+            cliques = all(adj[u] & m == m & ~(1 << u) for m in (a, b) for u in bits(m))
+            # two disjoint K4 and a ninth vertex z adjacent to neither
+            if c.induced.edge_count() != 12 or not cliques or adj[c.z] & (a | b):
                 recurring = False
-    ok = cfg.induced.edge_count() == 12 and cfg_p.induced.edge_count() == 9 and recurring
+    ok = (
+        cfg.induced.edge_count() == 12 and isomorphic_small(cfg.induced, two_k4)
+        and cfg_p.induced.edge_count() == 9 and isomorphic_small(cfg_p.induced, k4_star)
+        and recurring
+    )
     return {
         "pass": ok,
         "edge_count_vls": cfg.induced.edge_count(),
@@ -609,7 +653,8 @@ def _claim_mms_weightings(env) -> dict:
                 "below_star_size": count < 6,
             }
             ok = ok and count <= 6 and nonneg not in star_masks
-        ok = ok and star_count == 6
+            ok = ok and sum(witness.weights) == 0
+        ok = ok and star_count == 6 and star_mask == g.pencil_mask(0)
         out[name] = entry
     return {"pass": ok, "got": out}
 
@@ -618,35 +663,14 @@ def _cmd_report(args) -> int:
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as e:
-        print(f"error: cannot create {args.out}: {e}", file=sys.stderr)
-        return 2
+        _fail(f"cannot create {args.out}: {e}")
     t0 = time.time()
-    env = {"G": con.build_vls(), "Gp": con.build_new()}
-    env["P1"] = point_graph(env["G"])
-    env["P1p"] = point_graph(env["Gp"])
-    env["L2"] = line_graph(env["G"])
-    env["L2p"] = line_graph(env["Gp"])
-    env["autG"] = aut_incidence(env["G"])
-    env["autGp"] = aut_incidence(env["Gp"])
-    claims = [
-        ("pg_parameters", lambda: _claim_pg_parameters(env)),
-        ("srg_parameters", lambda: _claim_srg_parameters(env)),
-        ("isomorphism_and_duality",
-         lambda: _claim_isomorphism_and_duality(env, args.relabelings)),
-        ("automorphism_orders", lambda: _claim_automorphism_orders(env)),
-        ("new_geometry_orbits", lambda: _claim_new_geometry_orbits(env)),
-        ("clique_census", lambda: _claim_clique_census(env)),
-        ("subspace_census", lambda: _claim_subspace_census(env)),
-        ("difference_set_identities", lambda: _claim_difference_set_identities(env)),
-        ("local_configuration", lambda: _claim_local_configuration(env)),
-        ("exact_cover_geometries", lambda: _claim_exact_cover_geometries(env)),
-        ("mms_weightings", lambda: _claim_mms_weightings(env)),
-    ]
+    env = _environment(args.relabelings)
     summary = {}
     details = {}
-    for name, fn in claims:
+    for name in CLAIMS:
         t1 = time.time()
-        detail = fn()
+        detail = globals()[f"_claim_{name}"](env)
         print(f"{name}: {'ok' if detail['pass'] else 'FAIL'}"
               f" ({time.time() - t1:.1f}s)", file=sys.stderr)
         doc = {"claim": name, **detail}
@@ -689,7 +713,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify the pg axioms of an incidence file")
     p.add_argument("file")
-    p.add_argument("--expect", help="s,t,alpha to require, e.g. 5,5,2")
+    p.add_argument("--expect", type=_expect, help="s,t,alpha to require, e.g. 5,5,2")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("srg", help="certify strong regularity of the point or line graph")

@@ -57,7 +57,6 @@ def vec_scale(c: int, a: Vector) -> Vector:
     return tuple(c * x % 3 for x in a)
 
 
-ZERO: Vector = (0, 0, 0, 0)
 UNIT: tuple[Vector, ...] = tuple(
     tuple(1 if j == i else 0 for j in range(DIM)) for i in range(DIM)
 )

@@ -147,12 +147,6 @@ def srg_check(g: Graph) -> SrgParams:
     )
 
 
-def common_neighbors(g: Graph, x: int, y: int) -> int:
-    if x == y:
-        raise ValueError("x and y must be distinct")
-    return g.adj[x] & g.adj[y]
-
-
 def induced_subgraph(g: Graph, vertices) -> Graph:
     """Induced subgraph with vertices relabelled 0.. in the given order."""
     verts = list(vertices)

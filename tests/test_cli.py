@@ -1,12 +1,16 @@
 """Command-line interface: file round trips, JSON reports, exit codes."""
 
+import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 
 from pg552 import cli
 from pg552 import construction as con
+from pg552 import geometric_search as gs
 from pg552 import gf3space as gf3
+from pg552 import graphs as gr
 from pg552 import incidence as inc
 from pg552.bits import bits
 
@@ -59,10 +63,11 @@ def test_build_bogus_geometry_is_usage_error(tmp_path, capsys):
 
 
 def test_build_unwritable_path_is_io_error(capsys):
-    code = cli.main(
-        ["build", "--geometry", "vls", "--out", "/nonexistent-dir/g.pg"]
+    code, err = run_error(
+        capsys, "build", "--geometry", "vls", "--out", "/nonexistent-dir/g.pg"
     )
     assert code == 2
+    assert "cannot write" in err
 
 
 def test_verify_pass(vls_file, capsys):
@@ -166,6 +171,14 @@ def test_dual(vls_file, tmp_path, capsys):
     assert inc.verify_pg(d).as_tuple() == (5, 5, 2, 81, 81)
 
 
+def test_dual_of_empty_structure_has_empty_witness(tmp_path, capsys):
+    path = str(tmp_path / "empty.pg")
+    inc.write_incidence(inc.IncidenceStructure(0, []), path)
+    code, doc = run(capsys, "dual", path)
+    assert code == 0
+    assert doc["results"] == {"self_dual": True, "witness": []}
+
+
 def test_cover(new_file, capsys):
     code, doc = run(capsys, "cover", new_file)
     assert code == 0
@@ -206,6 +219,7 @@ def test_report_all(tmp_path, capsys):
         summary = json.load(f)
     assert summary["all_pass"] is True
     assert len(summary["claims"]) == 11
+    assert set(doc["results"]["claims"]) == set(cli.CLAIMS)
     with open(f"{out_dir}/automorphism_orders.json") as f:
         orders = json.load(f)
     assert orders["got"]["aut_vls"] == 58320
@@ -304,3 +318,117 @@ def test_mms_negative_bound_is_usage_error(new_file, capsys):
     code, err = run_usage_error(capsys, "mms", new_file, "--bound", "-1")
     assert code == 2
     assert "--bound" in err and "negative" in err
+
+
+def test_dual_unwritable_out_is_one_line_error(vls_file, tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    out = str(tmp_path / "file" / "d.pg")
+    code, err = run_error(capsys, "dual", vls_file, "--out", out)
+    assert code == 2
+    assert "cannot write" in err
+
+
+def test_report_uncreatable_out_is_one_line_error(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    code, err = run_error(capsys, "report", "--all", "--out", str(tmp_path / "file" / "r"))
+    assert code == 2
+    assert "cannot create" in err
+
+
+@pytest.mark.parametrize("expect", ["5,5", "5,5,2,1", "5,x,2"])
+def test_verify_malformed_expect_is_usage_error(tmp_path, capsys, expect):
+    # refused before the file is read, so a missing file does not matter
+    path = str(tmp_path / "no.pg")
+    code, err = run_usage_error(capsys, "verify", path, "--expect", expect)
+    assert code == 2
+    assert "--expect" in err and "s,t,alpha" in err
+
+
+# ---------------------------------------------------------------------------
+# the claim registry behind `report` and the acceptance suite
+
+
+def test_claim_functions_are_exactly_the_registry():
+    # the traced benchmark times every module attribute named _claim_*
+    assert {a for a in vars(cli) if a.startswith("_claim_")} == {
+        f"_claim_{name}" for name in cli.CLAIMS
+    }
+
+
+@pytest.fixture(scope="module")
+def env():
+    return cli._environment(0)
+
+
+def wrap(monkeypatch, owner, name, wrong):
+    """Replace owner.name by ``lambda *args: wrong(real, *args)``."""
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: wrong(real, *args))
+
+
+class Unbalanced(gs.Weighting):
+    def __post_init__(self):
+        pass  # skip the zero-sum check
+
+
+def unbalanced(real, g, clique):
+    weights = list(real(g, clique).weights)
+    weights[0] -= Fraction(1, 10**6)  # no line sum grows, so no new nonnegative line
+    return Unbalanced(tuple(weights))
+
+
+def swap_a_and_b(real, g, x, y):
+    cfg = real(g, x, y)
+    u, v = cfg.a_mask & -cfg.a_mask, cfg.b_mask & -cfg.b_mask
+    return dataclasses.replace(cfg, a_mask=cfg.a_mask ^ u | v, b_mask=cfg.b_mask ^ v | u)
+
+
+def z_in_a(real, g, x, y):
+    cfg = real(g, x, y)
+    return dataclasses.replace(cfg, z=(cfg.a_mask & -cfg.a_mask).bit_length() - 1)
+
+
+def shifted_matching(monkeypatch):
+    # a matching onto other lines, each with the 1-secants of its clique
+    wrap(monkeypatch, cli, "match_negative_lines",
+         lambda real, *args: {c: n ^ 1 for c, n in real(*args).items()})
+    wrap(monkeypatch, cli, "one_secant_lines", lambda real, g, m: real(g, m ^ 1))
+
+
+def wrong_ovoid_profiles(monkeypatch):
+    # find_2_ovoids reads secant_profile too, so it keeps its true answer
+    ovoids = con.find_2_ovoids(con.build_vls())
+    monkeypatch.setattr(con, "find_2_ovoids", lambda g: ovoids)
+    n0 = con.subspace_n0().members
+    wrap(monkeypatch, con, "secant_profile",
+         lambda real, g, m: real(g, m) if m == n0 else {1: 81})
+
+
+# each case breaks one library answer that only a single gate of the claim reads
+BROKEN = {
+    "srg_feasibility": ("srg_parameters", lambda mp: mp.setattr(
+        gr.SrgParams, "feasibility_identity", lambda self: False)),
+    "matched_lines_are_negative": ("clique_census", shifted_matching),
+    "one_secants_of_matched_lines": ("clique_census", lambda mp: mp.setattr(
+        cli, "one_secant_lines", lambda g, m: 0)),
+    "two_ovoid_profiles": ("subspace_census", wrong_ovoid_profiles),
+    "shape_2k4": ("local_configuration", lambda mp: mp.setattr(
+        cli, "isomorphic_small", lambda g, ref: ref.edge_count() != 12)),
+    "shape_k4_star": ("local_configuration", lambda mp: mp.setattr(
+        cli, "isomorphic_small", lambda g, ref: ref.edge_count() != 9)),
+    "a_and_b_cliques": ("local_configuration", lambda mp: wrap(
+        mp, cli, "local_configuration", swap_a_and_b)),
+    "z_sees_neither": ("local_configuration", lambda mp: wrap(
+        mp, cli, "local_configuration", z_in_a)),
+    "witness_sums_to_zero": ("mms_weightings", lambda mp: wrap(
+        mp, cli, "mms_counterexample_search", unbalanced)),
+    "star_is_pencil_of_0": ("mms_weightings", lambda mp: wrap(
+        mp, cli, "star_weighting", lambda real, g, p: real(g, 1))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN))
+def test_tightened_gate_fails_its_claim(env, monkeypatch, case):
+    claim, breaks = BROKEN[case]
+    breaks(monkeypatch)
+    assert getattr(cli, f"_claim_{claim}")(env)["pass"] is False

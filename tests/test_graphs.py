@@ -75,19 +75,12 @@ def test_srg_violation_mu_with_witness():
     assert e.value.count == 0
 
 
-def test_common_neighbors():
-    g = gr.complete_graph(4)
-    assert gr.common_neighbors(g, 0, 1) == 0b1100
-    with pytest.raises(ValueError):
-        gr.common_neighbors(g, 2, 2)
-
-
 def test_common_neighbors_in_point_graph(point_graph_vls):
     # lambda = 9 for collinear pairs, mu = 12 otherwise
     g = point_graph_vls
-    assert gr.common_neighbors(g, 0, gf3.encode(E1)).bit_count() == 9
+    assert (g.adj[0] & g.adj[gf3.encode(E1)]).bit_count() == 9
     non_neighbor = next(y for y in range(1, 81) if not g.adj[0] >> y & 1)
-    assert gr.common_neighbors(g, 0, non_neighbor).bit_count() == 12
+    assert (g.adj[0] & g.adj[non_neighbor]).bit_count() == 12
 
 
 def test_induced_subgraph():
@@ -159,7 +152,7 @@ def test_local_configuration_vls(vls, point_graph_vls):
     assert cfg.induced.edge_count() == 12
     assert gr.isomorphic_small(cfg.induced, two_k4_plus_isolated())
     # A, B and z partition the common neighbourhood
-    commons = gr.common_neighbors(point_graph_vls, 0, gf3.encode(E1))
+    commons = point_graph_vls.adj[0] & point_graph_vls.adj[gf3.encode(E1)]
     assert cfg.a_mask | cfg.b_mask | (1 << cfg.z) == commons
     assert cfg.a_mask.bit_count() == cfg.b_mask.bit_count() == 4
 
