@@ -452,22 +452,16 @@ def _claim_new_geometry_orbits(env) -> dict:
     grp = env["autGp"]
     orbs = grp.orbits()
     orb_masks = sorted(mask_of(o) for o in orbs)
-    n0 = con.subspace_n0().members
-    n12 = con.coset_n1().members | con.coset_n2().members
-    points_ok = orb_masks == sorted([n0, n12])
+    points_ok = orb_masks == sorted([con.N0, con.N1 | con.N2])
     line_group = aut_incidence(env["Gp"], on="lines")
     lorbs = line_group.orbits()
-    sp = con.special_set_s_prime().members
-    sprime_idx = {
-        i
-        for i, m in enumerate(env["Gp"].lines)
-        if m in {gf3.translate_mask(sp, x) for x in bits(con.coset_n1().members)}
-    }
+    translates = {gf3.translate_mask(con.S_PRIME, x) for x in bits(con.N1)}
+    sprime_idx = {i for i, m in enumerate(env["Gp"].lines) if m in translates}
     lines_ok = sorted(len(o) for o in lorbs) == [27, 54] and any(
         set(o) == sprime_idx for o in lorbs
     )
     stab = grp.stabilizer_order(0)
-    trans = translation_check(env["Gp"], con.subspace_n0())
+    trans = translation_check(env["Gp"], con.N0)
     return {
         "pass": points_ok and lines_ok and not grp.is_transitive()
         and stab == 36 and trans,
@@ -520,19 +514,19 @@ def _claim_clique_census(env) -> dict:
 
 def _claim_subspace_census(env) -> dict:
     subs = gf3.enumerate_subspaces(3)
-    s = con.special_set_s().members
     sizes = {}
-    for sub in subs:
-        c = gf3.intersect_count(sub.members, s)
+    for m in subs:
+        c = (m & con.S).bit_count()
         sizes[c] = sizes.get(c, 0) + 1
     ovoids = con.find_2_ovoids(env["G"])
-    two_subs = sorted(sub.members for sub in subs if gf3.intersect_count(sub.members, s) == 2)
-    profile = con.secant_profile(env["G"], con.subspace_n0().members)
+    two_subs = sorted(m for m in subs if (m & con.S).bit_count() == 2)
+    profile = con.secant_profile(env["G"], con.N0)
     ok = (
         len(subs) == 40
         and set(sizes) == {1, 2, 3, 4}
         and sorted(ovoids) == two_subs
-        and all(con.secant_profile(env["G"], m) == {2: 81} for m in ovoids)
+        # recounted here, not by secant_profile, which find_2_ovoids selects by
+        and all((m & line).bit_count() == 2 for m in ovoids for line in env["G"].lines)
         and profile == {3: 54, 0: 27}
     )
     return {
@@ -546,12 +540,8 @@ def _claim_subspace_census(env) -> dict:
 
 
 def _claim_difference_set_identities(env) -> dict:
-    s = con.special_set_s().members
-    sp = con.special_set_s_prime().members
-    ds, dsp = gf3.difference_set(s), gf3.difference_set(sp)
-    n0 = con.subspace_n0().members
-    n1 = con.coset_n1().members
-    n2 = con.coset_n2().members
+    ds, dsp = gf3.difference_set(con.S), gf3.difference_set(con.S_PRIME)
+    n0, n1, n2 = con.N0, con.N1, con.N2
     confined = True
     for x in range(81):
         for y in bits(env["P1"].adj[x] ^ env["P1p"].adj[x]):
@@ -632,10 +622,10 @@ def _claim_exact_cover_geometries(env) -> dict:
 def _claim_mms_weightings(env) -> dict:
     out = {}
     ok = True
-    for name, g in [("vls", env["G"]), ("new", env["Gp"])]:
+    for name, g, lg in [("vls", env["G"], env["L2"]), ("new", env["Gp"], env["L2p"])]:
         w = star_weighting(g, 0)
         star_count, star_mask = count_nonnegative_lines(g, w)
-        rep = max_cliques(line_graph(g))
+        rep = max_cliques(lg)
         _, non_stars = classify_line_cliques(g, rep.cliques_of_size_6)
         witness = mms_counterexample_search(g, non_stars[0])
         star_masks = {g.pencil_mask(p) for p in range(g.v)}

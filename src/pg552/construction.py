@@ -6,16 +6,19 @@ geometry keeps the 54 translates meeting a fixed 3-dimensional subspace N0
 and replaces the 27 lines disjoint from N0 by translates of a second set S'
 built from another basis, chosen so that the partial linear space axiom
 survives the switch.
+
+The point sets are module constants, each an 81-bit mask: the special sets
+``S`` and ``S_PRIME``, the subspace ``N0`` and its cosets ``N1 = e3 + N0``
+and ``N2 = e3 + e4 + N0``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from . import gf3space as gf3
 from .bits import bits, mask_of
-from .gf3space import Coset, Subspace, Vector, encode, span, vec_add, vec_neg
+from .gf3space import Vector, encode, span, vec_add, vec_neg
 from .incidence import IncidenceStructure
 
 E1, E2, E3, E4 = gf3.UNIT
@@ -30,61 +33,36 @@ E4P: Vector = vec_add(vec_add(vec_neg(E2), vec_neg(E3)), E4)
 PRIME_BASIS: tuple[Vector, ...] = (E1P, E2P, E3P, E4P)
 
 
-@dataclass(frozen=True)
-class SpecialSet:
-    """A 6-element line-through-0 prototype: {0, b1..b4, -(b1+..+b4)}."""
-
-    members: int
-    generators: tuple[Vector, ...]
-
-
-def build_special_set(basis) -> SpecialSet:
+def build_special_set(basis) -> int:
+    """The mask of {0, b1..b4, -(b1+..+b4)} for a basis b1..b4 of V."""
     basis = tuple(basis)
-    if len(basis) != 4 or span(basis).dim != 4:
+    if len(basis) != 4 or span(basis) != gf3.FULL_MASK:
         raise ValueError("special set requires 4 linearly independent vectors")
     total = (0, 0, 0, 0)
     for b in basis:
         total = vec_add(total, b)
-    points = [0] + [encode(b) for b in basis] + [encode(vec_neg(total))]
-    return SpecialSet(members=mask_of(points), generators=basis)
+    return mask_of([0] + [encode(b) for b in basis] + [encode(vec_neg(total))])
 
 
-def special_set_s() -> SpecialSet:
-    return build_special_set(STANDARD_BASIS)
-
-
-def special_set_s_prime() -> SpecialSet:
-    return build_special_set(PRIME_BASIS)
-
-
-def subspace_n0() -> Subspace:
-    return span([E1, E2, vec_add(E3, vec_neg(E4))])
-
-
-def coset_n1() -> Coset:
-    return gf3.coset_containing(subspace_n0(), E3)
-
-
-def coset_n2() -> Coset:
-    return gf3.coset_containing(subspace_n0(), vec_add(E3, E4))
+S = build_special_set(STANDARD_BASIS)
+S_PRIME = build_special_set(PRIME_BASIS)
+N0 = span([E1, E2, vec_add(E3, vec_neg(E4))])
+N1 = gf3.translate_mask(N0, encode(E3))
+N2 = gf3.translate_mask(N0, encode(vec_add(E3, E4)))
 
 
 def build_vls(basis=STANDARD_BASIS) -> IncidenceStructure:
     """All 81 translates of the special set of the given basis."""
     s = build_special_set(basis)
     return IncidenceStructure(
-        gf3.NPOINTS, (gf3.translate_mask(s.members, x) for x in range(gf3.NPOINTS))
+        gf3.NPOINTS, (gf3.translate_mask(s, x) for x in range(gf3.NPOINTS))
     )
 
 
 def build_new() -> IncidenceStructure:
     """The switched geometry: S'-translates over N1, S-translates elsewhere."""
-    s = special_set_s().members
-    sp = special_set_s_prime().members
-    n1 = coset_n1().members
-    lines = [gf3.translate_mask(sp, x) for x in bits(n1)]
-    keep = subspace_n0().members | coset_n2().members
-    lines += [gf3.translate_mask(s, x) for x in bits(keep)]
+    lines = [gf3.translate_mask(S_PRIME, x) for x in bits(N1)]
+    lines += [gf3.translate_mask(S, x) for x in bits(N0 | N2)]
     return IncidenceStructure(gf3.NPOINTS, lines)
 
 
@@ -95,11 +73,7 @@ def secant_profile(g: IncidenceStructure, subset: int) -> dict[int, int]:
 
 def find_2_ovoids(g: IncidenceStructure) -> list[int]:
     """All 3-dimensional subspaces meeting every line of g in exactly 2 points."""
-    out = []
-    for sub in gf3.enumerate_subspaces(3):
-        if secant_profile(g, sub.members) == {2: g.b}:
-            out.append(sub.members)
-    return out
+    return [m for m in gf3.enumerate_subspaces(3) if secant_profile(g, m) == {2: g.b}]
 
 
 def negative_lines(g: IncidenceStructure) -> list[int]:

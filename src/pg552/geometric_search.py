@@ -3,7 +3,11 @@ and zero-sum weighting experiments on the lines.
 
 A pg(5,5,2) induces a partition of the 1215 edges of its point graph into
 6-cliques (the lines).  Searching for *all* such partitions among the
-maximal 6-cliques decides whether the graph supports any other geometry.
+maximal 6-cliques decides whether the graph supports any other geometry:
+each candidate clique becomes the mask of its 15 edges, indexed in the
+order of ``Graph.edges``, and an exact cover of the edge indices is a
+partition.
+
 The weighting experiments probe whether stars (the 6 lines through one
 point) are the only zero-sum weightings with a minimum number of
 nonnegative-sum lines.
@@ -19,31 +23,6 @@ from .bits import bits, mask_of
 from .cliques import classify_line_cliques, max_cliques
 from .graphs import Graph
 from .incidence import IncidenceStructure, verify_pg
-
-
-@dataclass(frozen=True)
-class CoverInstance:
-    """Edge universe of a graph and candidate 6-cliques as edge masks."""
-
-    edges: tuple[tuple[int, int], ...]
-    candidates: tuple[int, ...]  # vertex masks of the 6-cliques
-    candidate_edge_masks: tuple[int, ...]
-
-    @classmethod
-    def from_graph(cls, g: Graph) -> "CoverInstance":
-        edges = tuple(g.edges())
-        edge_index = {e: i for i, e in enumerate(edges)}
-        cands = max_cliques(g).cliques_of_size_6
-        edge_masks = []
-        for c in cands:
-            verts = list(bits(c))
-            m = 0
-            for a in range(6):
-                for b in range(a + 1, 6):
-                    m |= 1 << edge_index[(verts[a], verts[b])]
-            edge_masks.append(m)
-        return cls(edges=edges, candidates=cands,
-                   candidate_edge_masks=tuple(edge_masks))
 
 
 def _exact_covers(universe_size: int, sets: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -92,10 +71,17 @@ def _exact_covers(universe_size: int, sets: tuple[int, ...]) -> list[tuple[int, 
 def edge_clique_partitions(g: Graph) -> list[tuple[int, ...]]:
     """Every partition of the edge set of ``g`` into 6-cliques, each
     returned as a tuple of clique vertex masks sorted ascending."""
-    inst = CoverInstance.from_graph(g)
+    edge_index = {e: i for i, e in enumerate(g.edges())}
+    cands = max_cliques(g).cliques_of_size_6
+    edge_masks = []
+    for c in cands:
+        m = 0
+        for e in itertools.combinations(bits(c), 2):
+            m |= 1 << edge_index[e]
+        edge_masks.append(m)
     return [
-        tuple(sorted(inst.candidates[i] for i in sol))
-        for sol in _exact_covers(len(inst.edges), inst.candidate_edge_masks)
+        tuple(sorted(cands[i] for i in sol))
+        for sol in _exact_covers(len(edge_index), tuple(edge_masks))
     ]
 
 

@@ -1,9 +1,12 @@
-"""Arithmetic and subspace machinery for the vector space V = GF(3)^4.
+"""Arithmetic and subspaces of the vector space V = GF(3)^4.
 
 Vectors are 4-tuples of residues mod 3.  Every vector has a canonical index
 in 0..80 (little-endian base 3: the first coordinate is the least
 significant digit), and every subset of V is an 81-bit integer mask indexed
-that way, so set algebra is plain bitwise arithmetic.
+that way, so set algebra is plain bitwise arithmetic.  A subspace is such a
+mask too (``span`` and ``enumerate_subspaces`` return member masks), a coset
+is a ``translate_mask`` of one, and ``(a & b).bit_count()`` counts an
+intersection.
 
 Addition and negation of *indices* are table-driven; the tables are built
 once at import time.
@@ -12,7 +15,6 @@ once at import time.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .bits import bits
 
@@ -85,83 +87,24 @@ def negate_mask(mask: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """A linear subspace of V: echelonized basis plus full member mask."""
-
-    basis: tuple[Vector, ...]
-    members: int
-    dim: int
-
-    def __contains__(self, point: int) -> bool:
-        return bool(self.members >> point & 1)
-
-
-@dataclass(frozen=True)
-class Coset:
-    """A coset ``representative + subspace``."""
-
-    representative: Vector
-    subspace: Subspace
-    members: int
-
-    def __contains__(self, point: int) -> bool:
-        return bool(self.members >> point & 1)
-
-
-def _rref(vectors) -> list[Vector]:
-    """Reduced row echelon form over GF(3); returns the nonzero rows."""
-    rows = [list(v) for v in vectors]
-    basis: list[list[int]] = []
-    pivots: list[int] = []
-    for row in rows:
-        # eliminate against existing pivots
-        for b, p in zip(basis, pivots):
-            if row[p]:
-                c = row[p]
-                row = [(x - c * y) % 3 for x, y in zip(row, b)]
-        try:
-            p = next(j for j, x in enumerate(row) if x)
-        except StopIteration:
-            continue
-        inv = 1 if row[p] == 1 else 2  # 2 = 2^{-1} in GF(3)
-        row = [inv * x % 3 for x in row]
-        # back-substitute into earlier rows
-        for k, (b, bp) in enumerate(zip(basis, pivots)):
-            if b[p]:
-                c = b[p]
-                basis[k] = [(x - c * y) % 3 for x, y in zip(b, row)]
-        basis.append(row)
-        pivots.append(p)
-    order = sorted(range(len(basis)), key=lambda k: pivots[k])
-    return [tuple(basis[k]) for k in order]
-
-
-def _members_of_basis(basis) -> int:
+def span(vectors) -> int:
+    """Member mask of the smallest subspace containing the given vectors
+    (inputs may be dependent): {0} closed under each vector's multiples."""
     mask = 1  # the zero vector
-    for b in basis:
-        bi = encode(b)
-        b2 = ADD[bi][bi]
-        mask = mask | translate_mask(mask, bi) | translate_mask(mask, b2)
+    for v in vectors:
+        i = encode(v)
+        mask |= translate_mask(mask, i) | translate_mask(mask, ADD[i][i])
     return mask
 
 
-def span(vectors) -> Subspace:
-    """Smallest subspace containing the given vectors (inputs may be dependent)."""
-    basis = tuple(_rref(vectors))
-    return Subspace(basis=basis, members=_members_of_basis(basis), dim=len(basis))
-
-
-def enumerate_subspaces(dim: int) -> list[Subspace]:
-    """All subspaces of the given dimension, sorted by member mask.
+def enumerate_subspaces(dim: int) -> list[int]:
+    """Member masks of all subspaces of the given dimension, sorted.
 
     Enumerates reduced-row-echelon bases directly: one RREF matrix per
     subspace, so no deduplication is needed.
     """
     if not 0 <= dim <= DIM:
         raise ValueError(f"dimension out of range 0..{DIM}: {dim}")
-    if dim == 0:
-        return [Subspace(basis=(), members=1, dim=0)]
     out = []
     for pivots in itertools.combinations(range(DIM), dim):
         free = [
@@ -176,34 +119,9 @@ def enumerate_subspaces(dim: int) -> list[Subspace]:
                 rows[i][p] = 1
             for (i, j), val in zip(free, values):
                 rows[i][j] = val
-            basis = tuple(tuple(r) for r in rows)
-            out.append(
-                Subspace(basis=basis, members=_members_of_basis(basis), dim=dim)
-            )
-    out.sort(key=lambda s: s.members)
+            out.append(span(tuple(r) for r in rows))
+    out.sort()
     return out
-
-
-def cosets_of(sub: Subspace) -> list[Coset]:
-    """The cosets of a subspace, a partition of V; the subspace itself comes
-    first and the rest follow in order of their smallest member index."""
-    seen = 0
-    out = []
-    for i in range(NPOINTS):
-        if seen >> i & 1:
-            continue
-        members = translate_mask(sub.members, i)
-        out.append(Coset(representative=decode(i), subspace=sub, members=members))
-        seen |= members
-    return out
-
-
-def coset_containing(sub: Subspace, point: Vector) -> Coset:
-    i = encode(point)
-    for c in cosets_of(sub):
-        if i in c:
-            return c
-    raise AssertionError("cosets_of did not cover V")  # pragma: no cover
 
 
 def difference_set(mask: int) -> int:
@@ -217,6 +135,3 @@ def difference_set(mask: int) -> int:
                 out |= 1 << row[NEG[y]]
     return out
 
-
-def intersect_count(a: int, b: int) -> int:
-    return (a & b).bit_count()

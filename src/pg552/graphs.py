@@ -44,9 +44,6 @@ class Graph:
             adj[v] |= 1 << u
         return cls(n, tuple(adj))
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.n) for j in bits(self.adj[i]) if i < j]
 

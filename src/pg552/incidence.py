@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TextIO
 
 from .bits import bits, mask_of
 from .graphs import Graph, collinearity_graph, intersection_graph
@@ -202,16 +201,11 @@ def from_text(text: str) -> IncidenceStructure:
     return IncidenceStructure(v, masks)
 
 
-def write_incidence(g: IncidenceStructure, f: TextIO | str) -> None:
-    if isinstance(f, str):
-        with open(f, "w") as fh:
-            fh.write(to_text(g))
-    else:
+def write_incidence(g: IncidenceStructure, path: str) -> None:
+    with open(path, "w") as f:
         f.write(to_text(g))
 
 
-def read_incidence(f: TextIO | str) -> IncidenceStructure:
-    if isinstance(f, str):
-        with open(f) as fh:
-            return from_text(fh.read())
-    return from_text(f.read())
+def read_incidence(path: str) -> IncidenceStructure:
+    with open(path) as f:
+        return from_text(f.read())

@@ -188,8 +188,6 @@ class _Chain:
     def level(self, k: int) -> "_Chain":
         lvl = self
         for _ in range(k):
-            if lvl.stab is None:
-                return _Chain()
             lvl = lvl.stab
         return lvl
 
@@ -290,8 +288,8 @@ class ColoredGraph:
             raise ValueError("adjacency/colors length mismatch")
 
     @classmethod
-    def from_graph(cls, g: Graph, colors=None) -> "ColoredGraph":
-        return cls(g.n, g.adj, tuple(colors) if colors else (0,) * g.n)
+    def from_graph(cls, g: Graph) -> "ColoredGraph":
+        return cls(g.n, g.adj, (0,) * g.n)
 
 
 def colored_incidence_graph(g: IncidenceStructure) -> ColoredGraph:
@@ -749,11 +747,11 @@ def relabel_incidence(g: IncidenceStructure, perm: Perm) -> IncidenceStructure:
     return IncidenceStructure(g.v, (permute_mask(m, perm) for m in g.lines))
 
 
-def translation_check(g: IncidenceStructure, subspace) -> bool:
+def translation_check(g: IncidenceStructure, subspace: int) -> bool:
     """True iff x -> x + a preserves the line set for every a in the
-    subspace (g an incidence structure on the 81 points of GF(3)^4)."""
+    subspace mask (g an incidence structure on the 81 points of GF(3)^4)."""
     line_set = set(g.lines)
-    for a in bits(subspace.members):
+    for a in bits(subspace):
         for m in g.lines:
             if gf3.translate_mask(m, a) not in line_set:
                 return False

@@ -51,8 +51,7 @@ def test_build_new_split(tmp_path, capsys):
     code, _ = run(capsys, "build", "--geometry", "new", "--out", out)
     assert code == 0
     g = inc.read_incidence(out)
-    sp = con.special_set_s_prime().members
-    translates = {gf3.translate_mask(sp, x) for x in bits(con.coset_n1().members)}
+    translates = {gf3.translate_mask(con.S_PRIME, x) for x in bits(con.N1)}
     assert sum(1 for m in g.lines if m in translates) == 27
 
 
@@ -388,41 +387,40 @@ def z_in_a(real, g, x, y):
     return dataclasses.replace(cfg, z=(cfg.a_mask & -cfg.a_mask).bit_length() - 1)
 
 
-def shifted_matching(monkeypatch):
+def shifted_matching(mp, env):
     # a matching onto other lines, each with the 1-secants of its clique
-    wrap(monkeypatch, cli, "match_negative_lines",
+    wrap(mp, cli, "match_negative_lines",
          lambda real, *args: {c: n ^ 1 for c, n in real(*args).items()})
-    wrap(monkeypatch, cli, "one_secant_lines", lambda real, g, m: real(g, m ^ 1))
+    wrap(mp, cli, "one_secant_lines", lambda real, g, m: real(g, m ^ 1))
 
 
-def wrong_ovoid_profiles(monkeypatch):
-    # find_2_ovoids reads secant_profile too, so it keeps its true answer
-    ovoids = con.find_2_ovoids(con.build_vls())
-    monkeypatch.setattr(con, "find_2_ovoids", lambda g: ovoids)
-    n0 = con.subspace_n0().members
-    wrap(monkeypatch, con, "secant_profile",
-         lambda real, g, m: real(g, m) if m == n0 else {1: 81})
+def vls_ovoids_on_switched_geometry(mp, env):
+    # 6 of the 15 van Lint-Schrijver 2-ovoids are not ovoids of the switched
+    # geometry, and both geometries give N0 the profile {3: 54, 0: 27}
+    ovoids = con.find_2_ovoids(env["G"])
+    mp.setattr(con, "find_2_ovoids", lambda g: ovoids)
+    mp.setitem(env, "G", env["Gp"])
 
 
 # each case breaks one library answer that only a single gate of the claim reads
 BROKEN = {
-    "srg_feasibility": ("srg_parameters", lambda mp: mp.setattr(
+    "srg_feasibility": ("srg_parameters", lambda mp, env: mp.setattr(
         gr.SrgParams, "feasibility_identity", lambda self: False)),
     "matched_lines_are_negative": ("clique_census", shifted_matching),
-    "one_secants_of_matched_lines": ("clique_census", lambda mp: mp.setattr(
+    "one_secants_of_matched_lines": ("clique_census", lambda mp, env: mp.setattr(
         cli, "one_secant_lines", lambda g, m: 0)),
-    "two_ovoid_profiles": ("subspace_census", wrong_ovoid_profiles),
-    "shape_2k4": ("local_configuration", lambda mp: mp.setattr(
+    "two_ovoid_profiles": ("subspace_census", vls_ovoids_on_switched_geometry),
+    "shape_2k4": ("local_configuration", lambda mp, env: mp.setattr(
         cli, "isomorphic_small", lambda g, ref: ref.edge_count() != 12)),
-    "shape_k4_star": ("local_configuration", lambda mp: mp.setattr(
+    "shape_k4_star": ("local_configuration", lambda mp, env: mp.setattr(
         cli, "isomorphic_small", lambda g, ref: ref.edge_count() != 9)),
-    "a_and_b_cliques": ("local_configuration", lambda mp: wrap(
+    "a_and_b_cliques": ("local_configuration", lambda mp, env: wrap(
         mp, cli, "local_configuration", swap_a_and_b)),
-    "z_sees_neither": ("local_configuration", lambda mp: wrap(
+    "z_sees_neither": ("local_configuration", lambda mp, env: wrap(
         mp, cli, "local_configuration", z_in_a)),
-    "witness_sums_to_zero": ("mms_weightings", lambda mp: wrap(
+    "witness_sums_to_zero": ("mms_weightings", lambda mp, env: wrap(
         mp, cli, "mms_counterexample_search", unbalanced)),
-    "star_is_pencil_of_0": ("mms_weightings", lambda mp: wrap(
+    "star_is_pencil_of_0": ("mms_weightings", lambda mp, env: wrap(
         mp, cli, "star_weighting", lambda real, g, p: real(g, 1))),
 }
 
@@ -430,5 +428,5 @@ BROKEN = {
 @pytest.mark.parametrize("case", sorted(BROKEN))
 def test_tightened_gate_fails_its_claim(env, monkeypatch, case):
     claim, breaks = BROKEN[case]
-    breaks(monkeypatch)
+    breaks(monkeypatch, env)
     assert getattr(cli, f"_claim_{claim}")(env)["pass"] is False

@@ -103,7 +103,7 @@ def test_negative_line_matching(vls, line_graph_vls):
     # the clique for -S consists of the six 1-secants of -S
     import pg552.gf3space as gf3
 
-    minus_s = gf3.negate_mask(con.special_set_s().members)
+    minus_s = gf3.negate_mask(con.S)
     clique = cl.one_secant_lines(vls, minus_s)
     assert matching[clique] == minus_s
     # star cliques never equal a 1-secant line set of any negative line

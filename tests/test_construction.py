@@ -12,16 +12,15 @@ from pg552 import symmetry as sym
 from pg552.bits import bits
 
 
-def test_special_set_standard():
-    s = con.special_set_s()
-    assert sorted(bits(s.members)) == [0, 1, 3, 9, 27, 80]
+def test_s_is_standard_special_set():
+    assert sorted(bits(con.S)) == [0, 1, 3, 9, 27, 80]
 
 
 def test_special_set_prime_shares_e5():
-    sp = con.special_set_s_prime()
-    assert sp.members.bit_count() == 6
-    assert sp.members & 1  # contains 0
-    assert sp.members >> 80 & 1  # same sixth element e5 = (2,2,2,2)
+    sp = con.S_PRIME
+    assert sp.bit_count() == 6
+    assert sp & 1  # contains 0
+    assert sp >> 80 & 1  # same sixth element e5 = (2,2,2,2)
     total = (0, 0, 0, 0)
     for b in con.PRIME_BASIS:
         total = gf3.vec_add(total, b)
@@ -40,8 +39,7 @@ def test_build_vls_line_count(vls):
 
 
 def test_line_through_zero_is_s(vls):
-    s = con.special_set_s().members
-    assert s in set(vls.lines)
+    assert con.S in set(vls.lines)
 
 
 def test_build_vls_any_basis_isomorphic(vls):
@@ -49,7 +47,7 @@ def test_build_vls_any_basis_isomorphic(vls):
     for _ in range(2):
         while True:
             basis = [gf3.decode(rng.randrange(81)) for _ in range(4)]
-            if gf3.span(basis).dim == 4:
+            if gf3.span(basis) == gf3.FULL_MASK:
                 break
         other = con.build_vls(basis)
         assert inc.verify_pg(other).as_tuple() == (5, 5, 2, 81, 81)
@@ -58,9 +56,7 @@ def test_build_vls_any_basis_isomorphic(vls):
 
 def test_build_new_line_split(vls, new):
     assert new.b == 81
-    sp = con.special_set_s_prime().members
-    n1 = con.coset_n1().members
-    sprime_translates = {gf3.translate_mask(sp, x) for x in bits(n1)}
+    sprime_translates = {gf3.translate_mask(con.S_PRIME, x) for x in bits(con.N1)}
     in_new = [m for m in new.lines if m in sprime_translates]
     assert len(in_new) == 27
     shared = set(vls.lines) & set(new.lines)
@@ -70,13 +66,13 @@ def test_build_new_line_split(vls, new):
 
 
 def test_retained_lines_are_the_3_secants(vls, new):
-    n0 = con.subspace_n0().members
+    n0 = con.N0
     three_secants = {m for m in vls.lines if (m & n0).bit_count() == 3}
     assert set(vls.lines) & set(new.lines) == three_secants
 
 
 def test_secant_profiles(vls, new):
-    n0 = con.subspace_n0().members
+    n0 = con.N0
     assert con.secant_profile(vls, n0) == {3: 54, 0: 27}
     # the replacement lines are again disjoint from N0 (recorded histogram)
     assert con.secant_profile(new, n0) == {3: 54, 0: 27}
@@ -86,17 +82,13 @@ def test_secant_profiles(vls, new):
 def test_two_ovoids(vls):
     ovoids = con.find_2_ovoids(vls)
     assert len(ovoids) == 15  # brute-forced count over the 40 subspaces
-    s = con.special_set_s().members
+    s = con.S
     for m in ovoids:
         assert (m & s).bit_count() == 2
         assert con.secant_profile(vls, m) == {2: 81}
-    assert con.subspace_n0().members not in ovoids
+    assert con.N0 not in ovoids
     # every |N ∩ S| = 2 subspace is a 2-ovoid
-    twos = [
-        sub.members
-        for sub in gf3.enumerate_subspaces(3)
-        if gf3.intersect_count(sub.members, s) == 2
-    ]
+    twos = [m for m in gf3.enumerate_subspaces(3) if (m & s).bit_count() == 2]
     assert sorted(ovoids) == sorted(twos)
 
 
@@ -104,14 +96,14 @@ def test_negative_lines(vls):
     negs = con.negative_lines(vls)
     assert len(negs) == 81
     assert len(set(negs)) == 81
-    minus_s = gf3.negate_mask(con.special_set_s().members)
+    minus_s = gf3.negate_mask(con.S)
     assert minus_s in negs
     assert minus_s not in set(vls.lines)
 
 
 def test_negative_line_one_secants(vls, line_graph_vls):
     negs = con.negative_lines(vls)
-    for m in negs[:9] + [gf3.negate_mask(con.special_set_s().members)]:
+    for m in negs[:9] + [gf3.negate_mask(con.S)]:
         one_secants = [i for i, l in enumerate(vls.lines) if (l & m).bit_count() == 1]
         assert len(one_secants) == 6
         for a in one_secants:
@@ -121,8 +113,7 @@ def test_negative_line_one_secants(vls, line_graph_vls):
 
 
 def test_collinearity_difference_confined(point_graph_vls, point_graph_new):
-    n1 = con.coset_n1().members
-    n2 = con.coset_n2().members
+    n1, n2 = con.N1, con.N2
     for x in range(81):
         for y in bits(point_graph_vls.adj[x] ^ point_graph_new.adj[x]):
             assert ((n1 >> x & 1) and (n1 >> y & 1)) or (
@@ -131,7 +122,7 @@ def test_collinearity_difference_confined(point_graph_vls, point_graph_new):
 
 
 def test_collinear_n1_pair_common_neighbours(point_graph_new):
-    n1 = con.coset_n1().members
+    n1 = con.N1
     pts = list(bits(n1))
     checked = 0
     for x in pts:
@@ -146,7 +137,7 @@ def test_collinear_n1_pair_common_neighbours(point_graph_new):
 
 
 def test_collinearity_is_difference_set_membership(vls, point_graph_vls):
-    ds = gf3.difference_set(con.special_set_s().members)
+    ds = gf3.difference_set(con.S)
     for x in range(81):
         for y in range(81):
             if x == y:

@@ -1,6 +1,8 @@
 """Exact-cover geometry reconstruction and zero-sum weighting experiments."""
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -40,11 +42,19 @@ def test_edge_partition_k6_plus_isolated():
     assert gs.edge_clique_partitions(g) == [(k6,)]
 
 
-def test_cover_instance_edge_masks(point_graph_vls):
-    inst = gs.CoverInstance.from_graph(point_graph_vls)
-    assert len(inst.edges) == 1215
-    assert len(inst.candidates) == 162
-    assert all(m.bit_count() == 15 for m in inst.candidate_edge_masks)
+def test_edge_clique_partitions_cover_each_edge_once(point_graph_vls, point_graph_new):
+    for g in (point_graph_vls, point_graph_new):
+        edges = g.edges()
+        assert len(edges) == 1215
+        partitions = gs.edge_clique_partitions(g)
+        assert partitions
+        for cliques in partitions:
+            covered = Counter()
+            for c in cliques:
+                assert c.bit_count() == 6
+                covered.update(itertools.combinations(bits(c), 2))
+            assert sorted(covered) == edges  # each a 15-edge clique of g
+            assert set(covered.values()) == {1}
 
 
 def test_all_geometries_on_vls(vls, point_graph_vls):

@@ -81,32 +81,27 @@ def test_index_tables_match_tuple_arithmetic():
 
 def test_span_empty():
     z = gf3.span([])
-    assert z.dim == 0
-    assert z.members == 1  # just the zero vector
+    assert z == 1  # just the zero vector: dimension 0
 
 
 def test_span_n0():
     n0 = gf3.span([E1, E2, gf3.vec_add(E3, gf3.vec_neg(E4))])
-    assert n0.dim == 3
-    assert n0.members.bit_count() == 27
+    assert n0.bit_count() == 3**3
 
 
 def test_span_dependent_vectors():
     s = gf3.span([E1, gf3.vec_scale(2, E1)])
-    assert s.dim == 1
-    assert s.members.bit_count() == 3
+    assert s.bit_count() == 3**1
 
 
 def test_span_idempotent():
-    n0 = con.subspace_n0()
-    again = gf3.span(n0.basis)
-    assert again.members == n0.members
-    assert again.dim == n0.dim
+    # the span of all 27 members of N0 is N0 again
+    assert gf3.span(gf3.decode(i) for i in bits(con.N0)) == con.N0
 
 
 def test_span_closure():
     sub = gf3.span([E1, gf3.vec_add(E2, E3)])
-    pts = list(bits(sub.members))
+    pts = list(bits(sub))
     for x in pts:
         assert gf3.NEG[x] in set(pts)
         for y in pts:
@@ -126,7 +121,7 @@ def test_enumerate_subspaces_counts(dim, count):
     assert gaussian_binomial(4, dim) == count
     subs = gf3.enumerate_subspaces(dim)
     assert len(subs) == count
-    assert len({s.members for s in subs}) == count
+    assert len(set(subs)) == count
 
 
 def test_enumerate_subspaces_dim1_brute_force():
@@ -139,20 +134,20 @@ def test_enumerate_subspaces_dim1_brute_force():
         lines.add(members)
     assert len(lines) == 40
     subs = gf3.enumerate_subspaces(1)
-    assert {frozenset(bits(s.members)) for s in subs} == lines
+    assert {frozenset(bits(s)) for s in subs} == lines
 
 
 def test_enumerate_subspaces_dim4_is_v():
     (full,) = gf3.enumerate_subspaces(4)
-    assert full.members == gf3.FULL_MASK
+    assert full == gf3.FULL_MASK
 
 
 def test_enumerate_subspaces_sorted_and_valid():
     subs = gf3.enumerate_subspaces(3)
-    assert [s.members for s in subs] == sorted(s.members for s in subs)
+    assert subs == sorted(subs)
     for s in subs:
-        assert s.members.bit_count() == 27
-        assert s.members & 1  # contains 0
+        assert s.bit_count() == 27
+        assert s & 1  # contains 0
 
 
 def test_enumerate_subspaces_rejects_bad_dim():
@@ -161,26 +156,17 @@ def test_enumerate_subspaces_rejects_bad_dim():
 
 
 def test_cosets_partition():
-    n0 = con.subspace_n0()
-    cos = gf3.cosets_of(n0)
-    assert len(cos) == 3
-    assert all(c.members.bit_count() == 27 for c in cos)
+    cos = [con.N0, con.N1, con.N2]
+    assert all(c.bit_count() == 27 for c in cos)
     union = 0
     for c in cos:
-        assert union & c.members == 0
-        union |= c.members
+        assert union & c == 0
+        union |= c
     assert union == gf3.FULL_MASK
-    assert cos[0].members == n0.members  # the subspace itself comes first
-
-
-def test_coset_of_e3_is_n1():
-    n0 = con.subspace_n0()
-    # independent construction of e3 + N0
-    n1 = mask_of(gf3.ADD[gf3.encode(E3)][x] for x in bits(n0.members))
-    assert gf3.coset_containing(n0, E3).members == n1
-    n2 = mask_of(gf3.ADD[gf3.encode(tadd(E3, E4))][x] for x in bits(n0.members))
-    assert gf3.coset_containing(n0, tadd(E3, E4)).members == n2
-    assert n1 != n2
+    # independent construction of e3 + N0 and e3 + e4 + N0 with tuple arithmetic
+    n0 = [gf3.decode(x) for x in bits(con.N0)]
+    assert con.N1 == mask_of(base3(tadd(E3, v)) for v in n0)
+    assert con.N2 == mask_of(base3(tadd(tadd(E3, E4), v)) for v in n0)
 
 
 def test_difference_set_of_singleton_is_empty():
@@ -188,11 +174,10 @@ def test_difference_set_of_singleton_is_empty():
 
 
 def test_difference_set_of_s():
-    s = con.special_set_s()
     # independent brute force over the 30 ordered pairs
-    pts = [gf3.decode(i) for i in bits(s.members)]
+    pts = [gf3.decode(i) for i in bits(con.S)]
     expect = {base3(tadd(x, tneg(y))) for x in pts for y in pts if x != y}
-    ds = gf3.difference_set(s.members)
+    ds = gf3.difference_set(con.S)
     assert set(bits(ds)) == expect
     assert ds.bit_count() == 30  # the point-graph degree s(t+1)
     assert not ds & 1  # never contains 0
@@ -200,31 +185,27 @@ def test_difference_set_of_s():
 
 
 def test_difference_set_identities():
-    ds = gf3.difference_set(con.special_set_s().members)
-    dsp = gf3.difference_set(con.special_set_s_prime().members)
-    n0 = con.subspace_n0().members
-    n12 = con.coset_n1().members | con.coset_n2().members
+    ds = gf3.difference_set(con.S)
+    dsp = gf3.difference_set(con.S_PRIME)
+    n0 = con.N0
+    n12 = con.N1 | con.N2
     assert ds & dsp & n0 == 0
     assert ds & n12 == dsp & n12
     assert dsp.bit_count() == 30
 
 
-def test_intersect_counts_with_cosets():
-    s = con.special_set_s().members
-    sp = con.special_set_s_prime().members
-    n0 = con.subspace_n0().members
-    n1 = con.coset_n1().members
-    n2 = con.coset_n2().members
-    assert [gf3.intersect_count(n, s) for n in (n0, n1, n2)] == [3, 3, 0]
-    assert [gf3.intersect_count(n, sp) for n in (n0, n1, n2)] == [3, 3, 0]
-    assert gf3.intersect_count(s, s) == 6
+def test_intersection_sizes_with_cosets():
+    s, sp = con.S, con.S_PRIME
+    cosets = (con.N0, con.N1, con.N2)
+    assert [(n & s).bit_count() for n in cosets] == [3, 3, 0]
+    assert [(n & sp).bit_count() for n in cosets] == [3, 3, 0]
+    assert s.bit_count() == 6
 
 
 def test_all_3dim_subspaces_meet_s_in_1_to_4():
-    s = con.special_set_s().members
     dist = {}
     for sub in gf3.enumerate_subspaces(3):
-        c = gf3.intersect_count(sub.members, s)
+        c = (sub & con.S).bit_count()
         dist[c] = dist.get(c, 0) + 1
     assert set(dist) == {1, 2, 3, 4}
     # brute-forced distribution, kept as a regression value
@@ -245,7 +226,7 @@ def test_zero_combinations_over_s():
 
 
 def test_translate_and_negate_masks():
-    s = con.special_set_s().members
+    s = con.S
     # translating by x then by -x is the identity
     x = 47
     assert gf3.translate_mask(gf3.translate_mask(s, x), gf3.NEG[x]) == s

@@ -283,7 +283,7 @@ def test_self_dual_with_witness(vls):
 
 def test_translation_checks(vls, new):
     full = gf3.span(gf3.UNIT)
-    assert sym.translation_check(new, con.subspace_n0())
+    assert sym.translation_check(new, con.N0)
     assert sym.translation_check(vls, full)
     assert not sym.translation_check(new, full)
 
