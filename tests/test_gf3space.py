@@ -163,10 +163,14 @@ def test_cosets_partition():
         assert union & c == 0
         union |= c
     assert union == gf3.FULL_MASK
+
+
+def test_coset_of_e3_is_n1():
     # independent construction of e3 + N0 and e3 + e4 + N0 with tuple arithmetic
     n0 = [gf3.decode(x) for x in bits(con.N0)]
     assert con.N1 == mask_of(base3(tadd(E3, v)) for v in n0)
     assert con.N2 == mask_of(base3(tadd(tadd(E3, E4), v)) for v in n0)
+    assert con.N1 != con.N2
 
 
 def test_difference_set_of_singleton_is_empty():
