@@ -1,9 +1,12 @@
 """Command-line front end: build the geometries, verify files, and run the
 whole battery of checks as reproducible batch reports.
 
-Every command prints one key-sorted JSON document to stdout (timing goes to
-stderr so identical invocations stay byte-identical).  Exit codes: 0 pass,
-1 verification or claim failure, 2 usage or I/O error.
+Every command loads its input, computes an answer and prints one key-sorted
+JSON document to stdout: the command, its parsed options as ``inputs``, the
+``results`` and the version (timing goes to stderr so identical invocations
+stay byte-identical).  Exit codes: 0 pass, 1 verification or claim failure,
+2 usage or I/O error or a refused input.  A refusal, including any
+``ValueError`` a command raises, is one ``error:`` line on stderr and no stdout.
 
 The paper's claims are stated once, as the ``_claim_<name>`` functions named
 in ``CLAIMS``.  Each takes the shared objects built by ``_environment`` and
@@ -70,14 +73,20 @@ def _encode_json(obj):
     raise TypeError(f"not JSON serializable: {obj!r}")
 
 
-def _emit(command: str, inputs: dict, results: dict) -> None:
+def _json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, default=_encode_json) + "\n"
+
+
+def _emit(args, results: dict) -> None:
+    """Print the command's JSON document; its inputs are the parsed options."""
+    inputs = {k: v for k, v in vars(args).items() if k not in ("command", "fn", "all")}
     doc = {
-        "command": command,
+        "command": args.command,
         "inputs": inputs,
         "results": results,
         "version": __version__,
     }
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2, default=_encode_json) + "\n")
+    sys.stdout.write(_json(doc))
 
 
 def _fail(message: str) -> NoReturn:
@@ -140,8 +149,7 @@ def _cmd_build(args) -> int:
         write_incidence(g, args.out)
     except OSError as e:
         _fail(f"cannot write {args.out}: {e}")
-    _emit("build", {"geometry": args.geometry, "out": args.out},
-          {"v": g.v, "b": g.b})
+    _emit(args, {"v": g.v, "b": g.b})
     return 0
 
 
@@ -172,7 +180,7 @@ def _cmd_verify(args) -> int:
         else:
             results["expect_match"] = True
     results["pass"] = ok
-    _emit("verify", {"file": args.file, "expect": args.expect}, results)
+    _emit(args, results)
     return 0 if ok else 1
 
 
@@ -182,11 +190,10 @@ def _cmd_srg(args) -> int:
     try:
         results = _srg_json(srg_check(graph))
     except SrgViolation as e:
-        _emit("srg", {"file": args.file, "graph": args.graph},
-              {"error": e.reason, "pair": list(e.pair) if e.pair else None,
-               "count": e.count})
+        _emit(args, {"error": e.reason, "pair": list(e.pair) if e.pair else None,
+                     "count": e.count})
         return 1
-    _emit("srg", {"file": args.file, "graph": args.graph}, results)
+    _emit(args, results)
     return 0
 
 
@@ -194,13 +201,9 @@ def _cmd_local(args) -> int:
     g = _load(args.file)
     if not (0 <= args.x < g.v and 0 <= args.y < g.v):
         _fail(f"point index out of range 0..{g.v - 1}")
-    try:
-        cfg = local_configuration(g, args.x, args.y)
-    except ValueError as e:
-        _fail(str(e))
+    cfg = local_configuration(g, args.x, args.y)
     _emit(
-        "local",
-        {"file": args.file, "x": args.x, "y": args.y},
+        args,
         {
             "a": sorted(bits(cfg.a_mask)),
             "b": sorted(bits(cfg.b_mask)),
@@ -226,21 +229,16 @@ def _cmd_cliques(args) -> int:
         results["non_stars"] = len(non_stars)
     if args.list:
         results["cliques_size_6"] = [sorted(bits(m)) for m in rep.cliques_of_size_6]
-    _emit("cliques", {"file": args.file, "graph": args.graph, "list": args.list},
-          results)
+    _emit(args, results)
     return 0
 
 
 def _cmd_aut(args) -> int:
     g = _load(args.file)
-    try:
-        group = aut_incidence(g, on=args.on)
-    except ValueError as e:
-        _fail(str(e))
+    group = aut_incidence(g, on=args.on)
     orbs = group.orbits()
     _emit(
-        "aut",
-        {"file": args.file, "on": args.on},
+        args,
         {
             "order": group.order(),
             "orbit_sizes": sorted(len(o) for o in orbs),
@@ -254,30 +252,25 @@ def _cmd_aut(args) -> int:
 
 def _cmd_iso(args) -> int:
     g1, g2 = _load(args.file1), _load(args.file2)
-    try:
-        iso = is_isomorphic(g1, g2)
-    except ValueError as e:
-        _fail(str(e))
-    _emit("iso", {"file1": args.file1, "file2": args.file2}, {"isomorphic": iso})
+    _emit(args, {"isomorphic": is_isomorphic(g1, g2)})
     return 0
 
 
 def _cmd_dual(args) -> int:
     g = _load(args.file)
-    try:
-        sd, witness = is_self_dual(g)
-    except ValueError as e:
-        _fail(str(e))
+    sd, witness = is_self_dual(g)
     if args.out:
+        d = dual(g)
+        # the dual's points are g's distinct pencils, and a file has no empty row
+        if 0 in d.lines:
+            _fail("cannot write the dual: a point is on no line")
+        if d.b != g.v:
+            _fail("cannot write the dual: two points are on the same lines")
         try:
-            write_incidence(dual(g), args.out)
+            write_incidence(d, args.out)
         except OSError as e:
             _fail(f"cannot write {args.out}: {e}")
-    _emit(
-        "dual",
-        {"file": args.file, "out": args.out},
-        {"self_dual": sd, "witness": list(witness) if sd else None},
-    )
+    _emit(args, {"self_dual": sd, "witness": list(witness) if sd else None})
     return 0
 
 
@@ -291,23 +284,16 @@ def _cmd_cover(args) -> int:
         if m.bit_count() != 6 or common & ~m:
             points = " ".join(map(str, bits(m)))
             _fail(f"input line '{points}' is not a maximal 6-clique of the point graph")
-    try:
-        solutions = all_geometries_on(graph)
-        classes: list[IncidenceStructure] = []
-        for s in solutions:
-            if not any(is_isomorphic(s, rep) for rep in classes):
-                classes.append(s)
-        all_iso = all(is_isomorphic(s, g) for s in solutions)
-    except ValueError as e:
-        _fail(str(e))
+    solutions = all_geometries_on(graph)
+    # equal certificates iff isomorphic, unequal v or b included
+    certs = [incidence_certificate(s) for s in solutions]
     _emit(
-        "cover",
-        {"file": args.file},
+        args,
         {
             "solutions": len(solutions),
-            "isomorphism_classes": len(classes),
+            "isomorphism_classes": len(set(certs)),
             "contains_input_lines": any(s.lines == g.lines for s in solutions),
-            "all_isomorphic_to_input": all_iso,
+            "all_isomorphic_to_input": all(c == incidence_certificate(g) for c in certs),
         },
     )
     return 0
@@ -323,17 +309,14 @@ def _cmd_mms(args) -> int:
         _fail(f"clique index out of range 0..{len(non_stars) - 1}")
     clique = non_stars[args.clique]
     witness = mms_counterexample_search(g, clique, bound=args.bound)
-    inputs = {"file": args.file, "clique": args.clique, "bound": args.bound}
     if witness is None:
-        _emit("mms", inputs,
-              {"clique_lines": sorted(bits(clique)), "witness": None,
-               "note": "search space exhausted; not a refutation"})
+        _emit(args, {"clique_lines": sorted(bits(clique)), "witness": None,
+                     "note": "search space exhausted; not a refutation"})
         return 0
     count, nonneg = count_nonnegative_lines(g, witness)
     star_masks = {g.pencil_mask(p) for p in range(g.v)}
     _emit(
-        "mms",
-        inputs,
+        args,
         {
             "clique_lines": sorted(bits(clique)),
             "witness": {
@@ -663,10 +646,8 @@ def _cmd_report(args) -> int:
         detail = globals()[f"_claim_{name}"](env)
         print(f"{name}: {'ok' if detail['pass'] else 'FAIL'}"
               f" ({time.time() - t1:.1f}s)", file=sys.stderr)
-        doc = {"claim": name, **detail}
-        path = os.path.join(args.out, f"{name}.json")
-        with open(path, "w") as f:
-            f.write(json.dumps(doc, sort_keys=True, indent=2, default=_encode_json) + "\n")
+        with open(os.path.join(args.out, f"{name}.json"), "w") as f:
+            f.write(_json({"claim": name, **detail}))
         summary[name] = detail["pass"]
         details[name] = detail
     all_pass = all(summary.values())
@@ -676,13 +657,11 @@ def _cmd_report(args) -> int:
         "six_clique_counts": details["clique_census"]["size_6_cliques"],
         "automorphism_orders": details["automorphism_orders"]["got"],
     }
+    results = {"claims": summary, "headline": headline, "all_pass": all_pass}
     with open(os.path.join(args.out, "summary.json"), "w") as f:
-        f.write(json.dumps({"claims": summary, "headline": headline,
-                            "all_pass": all_pass},
-                           sort_keys=True, indent=2) + "\n")
+        f.write(_json(results))
     print(f"total {time.time() - t0:.1f}s", file=sys.stderr)
-    _emit("report", {"out": args.out, "relabelings": args.relabelings},
-          {"claims": summary, "headline": headline, "all_pass": all_pass})
+    _emit(args, results)
     return 0 if all_pass else 1
 
 
@@ -761,7 +740,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     t0 = time.time()
-    code = args.fn(args)
+    try:
+        code = args.fn(args)
+    except ValueError as e:
+        _fail(str(e))
     print(f"elapsed: {time.time() - t0:.2f}s", file=sys.stderr)
     return code
 

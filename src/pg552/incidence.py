@@ -10,6 +10,7 @@ so a failure always comes with a concrete witness.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 
@@ -158,6 +159,11 @@ def line_graph(g: IncidenceStructure) -> Graph:
 # ---------------------------------------------------------------------------
 # incidence file format: "pg <v> <b>" header, then one line of strictly
 # increasing point indices per geometry line, single spaces, trailing newline.
+# Numbers are ASCII decimal without sign or leading zero, as to_text writes them.
+
+_NUMBER = "(?:0|[1-9][0-9]*)"
+_HEADER = re.compile(f"pg ({_NUMBER}) ({_NUMBER})")
+_ROW = re.compile(f"{_NUMBER}(?: {_NUMBER})*")
 
 
 def to_text(g: IncidenceStructure) -> str:
@@ -169,28 +175,19 @@ def to_text(g: IncidenceStructure) -> str:
 
 def from_text(text: str) -> IncidenceStructure:
     lines = text.split("\n")
-    if not lines or not lines[0]:
+    if not lines[0]:
         raise ValueError("missing header")
-    head = lines[0].split(" ")
-    if len(head) != 3 or head[0] != "pg":
+    head = _HEADER.fullmatch(lines[0])
+    if head is None:
         raise ValueError(f"bad header: {lines[0]!r}")
-    try:
-        v, b = int(head[1]), int(head[2])
-    except ValueError:
-        raise ValueError(f"bad header: {lines[0]!r}") from None
-    if v < 0 or b < 0:
-        raise ValueError(f"bad header: {lines[0]!r}")
+    v, b = int(head[1]), int(head[2])
     if len(lines) != b + 2 or lines[-1] != "":
         raise ValueError(f"expected {b} rows plus trailing newline")
     masks = []
     for row in lines[1 : b + 1]:
-        parts = row.split(" ")
-        if not parts or "" in parts:
+        if _ROW.fullmatch(row) is None:
             raise ValueError(f"malformed row: {row!r}")
-        try:
-            pts = [int(p) for p in parts]
-        except ValueError:
-            raise ValueError(f"malformed row: {row!r}") from None
+        pts = [int(p) for p in row.split(" ")]
         if any(not 0 <= p < v for p in pts):
             raise ValueError(f"point index out of range in row: {row!r}")
         if any(x >= y for x, y in zip(pts, pts[1:])):

@@ -686,34 +686,18 @@ def aut_graph(g: Graph) -> PermutationGroup:
     return canonical_form(ColoredGraph.from_graph(g)).group
 
 
-def induced_line_permutation(g: IncidenceStructure, point_perm: Perm) -> Perm:
-    """Action of a point permutation on the line list of an incidence
-    structure; raises if some line image is not a line."""
-    index = {m: i for i, m in enumerate(g.lines)}
-    images = []
-    for m in g.lines:
-        j = index.get(permute_mask(m, point_perm))
-        if j is None:
-            raise ValueError("permutation does not preserve the line set")
-        images.append(j)
-    return tuple(images)
-
-
 def aut_incidence(g: IncidenceStructure, on: str = "points") -> PermutationGroup:
     """Automorphism group of an incidence structure.
 
-    Computed on the 2-colored incidence graph and restricted to the point
-    class; ``on="lines"`` returns the induced action on line indices
-    instead.
+    Computed on the 2-colored incidence graph, whose generators the search
+    has checked, and restricted to the point class; ``on="lines"`` returns
+    the action on line indices instead (line j is vertex v + j).
     """
     _, _, gens = _incidence_form(g)
-    point_gens = [p[: g.v] for p in gens]
     if on == "points":
-        return PermutationGroup(g.v, point_gens)
+        return PermutationGroup(g.v, [p[: g.v] for p in gens])
     if on == "lines":
-        return PermutationGroup(
-            g.b, [induced_line_permutation(g, p) for p in point_gens]
-        )
+        return PermutationGroup(g.b, [tuple(x - g.v for x in p[g.v:]) for p in gens])
     raise ValueError(f"unknown action {on!r}")
 
 

@@ -1,7 +1,9 @@
 """Command-line interface: file round trips, JSON reports, exit codes."""
 
 import dataclasses
+import hashlib
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -327,6 +329,20 @@ def test_dual_unwritable_out_is_one_line_error(vls_file, tmp_path, capsys):
     assert "cannot write" in err
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("pg 3 1\n0 1\n", "a point is on no line"),  # point 2
+    ("pg 4 2\n0 1\n2 3\n", "two points are on the same lines"),  # 0 and 1, 2 and 3
+])
+def test_dual_out_without_faithful_dual_is_one_line_error(tmp_path, capsys, text, reason):
+    path = tmp_path / "g.pg"
+    path.write_text(text)
+    out = tmp_path / "d.pg"
+    code, err = run_error(capsys, "dual", str(path), "--out", str(out))
+    assert code == 2
+    assert reason in err
+    assert not out.exists()
+
+
 def test_report_uncreatable_out_is_one_line_error(tmp_path, capsys):
     (tmp_path / "file").write_text("")
     code, err = run_error(capsys, "report", "--all", "--out", str(tmp_path / "file" / "r"))
@@ -430,3 +446,71 @@ def test_tightened_gate_fails_its_claim(env, monkeypatch, case):
     claim, breaks = BROKEN[case]
     breaks(monkeypatch, env)
     assert getattr(cli, f"_claim_{claim}")(env)["pass"] is False
+
+
+# ---------------------------------------------------------------------------
+# every stdout byte and report file, pinned by sha256: command -> digest
+
+
+PINNED_STDOUT = {
+    "build --geometry vls --out vls.pg": "eab12738c8e5bfec14de4b0114e560cf169da775d9fc84901a7a1cadf57602e9",
+    "build --geometry new --out new.pg": "2cb09d18e805704c8bbdd2c316804ffd9dc537a87b30369a4d6c964cf6bc71b7",
+    "verify vls.pg --expect 5,5,2": "1f12c65369f71d69fd0552ed7761cbc8391c5fdb539579a4618e559691f93fb9",
+    "srg vls.pg": "2190971e62438aa8a4d77dabf29e73a9cd301259c15a282939bec46f372873b3",
+    "srg vls.pg --graph line": "81055a93802ced16e832cd979fb3e500aff19150eccd897518b30d9a1b6b7755",
+    "cliques vls.pg --list": "d18793ecd7e3dc0283d60988cbcea78fe0a04499c9948b6deb52ef4b3de534dc",
+    "cliques vls.pg --graph line --list": "b5e92cc8248bfba0f2d6ec749ad3add4b059bad4f2ffc316c6cd8eb6fdbb6623",
+    "local vls.pg": "03d2d1b3e2706c0b154556e5571686ef296c3d171761b59aff53396626dc4bad",
+    "aut vls.pg": "4e50a7326639b3c7c6d6d71b3099ccce2d57a162457fef760eb131d31d0b87d8",
+    "aut vls.pg --on lines": "e22c67ef998563cca08a8e06088bf627407dc00b7834bdfd17cd1b12f8df691f",
+    "dual vls.pg": "16818a7e0cb8ec6645dc6d3d917e0f1a6239c895c4d0a5a2c1d69561c93903e3",
+    "cover vls.pg": "7db5b19e4efff317040171c2c167ffa7775ac8640c5bd5667cce955033262e35",
+    "mms vls.pg": "521589b551b580d4e783d23f43e0dc283308003524b993b5c0aa64246cf09440",
+    "verify new.pg --expect 5,5,2": "437412428432e2afb7bb49e8a7ead0e801860c268f0c604fe3d29ef8bfe9c93e",
+    "srg new.pg": "643e29f9533d9d352287cb8ea860f5979dd206e4e2775056babd371add48f67b",
+    "srg new.pg --graph line": "efc9401e551fd6216bef8dde7dd35d81ba7a00490ac675ec28b345c9861ca803",
+    "cliques new.pg --list": "95b54034ccb4bdce6d344f0345a5cc3e3edc644aaf71b2eaccf211cd2f0b8b76",
+    "cliques new.pg --graph line --list": "c3ec831de7a232dabf43edc0428d39f5822751067a42fa9fb38c52c77508214c",
+    "local new.pg": "2bddaf6e04461c28455ce2310bfd43a3d2063f36db0ab4c289eb36f77792dbfb",
+    "aut new.pg": "ca6de61bd8473c381098990369543484d4c0db8d9565cad3b6a9a7bc11d52da9",
+    "aut new.pg --on lines": "53f1895765f591cced4f7e7740fb54b4bf0fe8f160a47aebd31ab549966ef967",
+    "dual new.pg": "a3e76b93eb22a40decf83a4d0be21fee435daf61987f575b1da370f0d7987b03",
+    "cover new.pg": "2fa328278c6c07a7d99da71a03cf63de37071cd2ea901f0a94294c2d9a3f051f",
+    "mms new.pg": "36b6a6dea4909fb367f956c78688ce9f532743b71f70ae108e9d66ce2398ce5d",
+    "iso vls.pg new.pg": "1717b6b1104a246ac08b15a32ff78d0918c34599bf405d4e7fdf8b45c824cd91",
+    "report --all --out report --relabelings 2": "90e030b11f0cb249e2522d28bf242408f3eeb5ec7372a3c44ac795c7cf0fbe7e",
+}
+
+PINNED_REPORT_FILES = {
+    "automorphism_orders.json": "43a45159d019ea39a862a74ad9e8de91c7dabe37e02047da6cca667ce2119b15",
+    "clique_census.json": "87e9eb9a5940e70625316b075703f7ae34bc04dcb47b8ff16d1caa8fa3d6cd00",
+    "difference_set_identities.json": "a9121754dcf4aa13d76d045bfc36435ee53d92e8d346756659b1c9b00182b12a",
+    "exact_cover_geometries.json": "2c0a7260831dfafbf3845e276409574ba5a852c4050f5628805a8b48f43feb8c",
+    "isomorphism_and_duality.json": "23fdff64ee6d91e6b9ccfd1aaca7df63f2e00ac331022ab97c98ed28c6d84b2f",
+    "local_configuration.json": "1202dfbed1e6d6b15a6e1b2c62ea6fe4cf2adb4a11d8920dc74a136ab2cf6242",
+    "mms_weightings.json": "ba1f17ffe2f0ead93998db78553cad2a66e61982f4451d4ee75c6c804b62364e",
+    "new_geometry_orbits.json": "c95863ab1768ec52661cad027e8fcd1121e2a53520babbafe3b08a0606af17b4",
+    "pg_parameters.json": "e120867ac48bd26244985f62ca13eb835eb1525204a1acf79bf3f2ec9ca237be",
+    "srg_parameters.json": "ec452e8dd641d34e579e7a36ba14b67f32ff5501e6d3d88c10cd3525b9c4fe66",
+    "subspace_census.json": "7444b75ba4ad6d7cd12f88e569fb50c396ba97a44f848aa1e6affdb7c468a4eb",
+    "summary.json": "9f6b0b202325908415886587368e95359a078e8c9addef26f0223230c0cde80a",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_stdout_and_report_files_are_pinned(tmp_path, monkeypatch, capsys):
+    # relative paths, so the "inputs" echoed in stdout do not name tmp_path
+    monkeypatch.chdir(tmp_path)
+    got = {}
+    for command in PINNED_STDOUT:
+        assert cli.main(command.split()) == 0, command
+        got[command] = sha256(capsys.readouterr().out.encode())
+    assert got == PINNED_STDOUT
+    files = {}
+    for name in sorted(os.listdir("report")):
+        with open(os.path.join("report", name), "rb") as f:
+            files[name] = sha256(f.read())
+    assert files == PINNED_REPORT_FILES

@@ -154,6 +154,16 @@ def test_reader_header_line(vls):
         "pg 4 1\n0  1\n",  # double space
         "pg 4 1\n0 x\n",  # non-integer point
         "pg 4 2\n0 1\n0 1\n",  # duplicate line
+        # numbers are written as to_text writes them, and nothing else is read
+        "pg 4 1\n0 +1\n",  # sign
+        "pg 4 1\n0 01\n",  # leading zero
+        "pg 12 1\n0 1_0\n",  # digit separator
+        "pg 4 1\n0 \u0661\n",  # Arabic-Indic digit one
+        "pg +3 1\n0 1\n",
+        "pg -3 1\n0 1\n",
+        "pg 4 01\n0 1\n",
+        "pg 1_1 1\n0 1\n",
+        "pg \u0664 1\n0 1\n",
     ],
 )
 def test_reader_rejects_malformed(text):

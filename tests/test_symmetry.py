@@ -242,14 +242,25 @@ def test_aut_single_line_on_three_points():
 
 def test_generators_preserve_line_set(aut_vls, vls, aut_new, new):
     for group, g in [(aut_vls, vls), (aut_new, new)]:
-        for p in group.generators:
-            sym.induced_line_permutation(g, p)  # raises if a line image is missing
+        line_group = sym.aut_incidence(g, on="lines")
+        assert len(line_group.generators) == len(group.generators)
+        for p, q in zip(group.generators, line_group.generators):
+            images = [sym.permute_mask(m, p) for m in g.lines]
+            assert sorted(images) == list(g.lines)
+            # line j goes to line q[j]
+            assert images == [g.lines[j] for j in q]
 
 
-def test_induced_line_permutation_rejects_non_automorphism(vls):
-    transposition = tuple([1, 0] + list(range(2, 81)))
-    with pytest.raises(ValueError):
-        sym.induced_line_permutation(vls, transposition)
+def test_record_automorphism_rejects_non_automorphism(vls):
+    search = sym._Search(sym.colored_incidence_graph(vls))
+    n = search.n
+    identity = tuple(range(n))
+    points_swapped = (1, 0) + identity[2:]
+    with pytest.raises(AssertionError, match="not an automorphism"):
+        search._record_automorphism(identity, points_swapped)
+    point_and_line_swapped = (81,) + identity[1:81] + (0,) + identity[82:]
+    with pytest.raises(AssertionError, match="does not preserve colors"):
+        search._record_automorphism(identity, point_and_line_swapped)
 
 
 def test_is_isomorphic_relabeled(vls):
