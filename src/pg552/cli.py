@@ -198,10 +198,7 @@ def _cmd_srg(args) -> int:
 
 
 def _cmd_local(args) -> int:
-    g = _load(args.file)
-    if not (0 <= args.x < g.v and 0 <= args.y < g.v):
-        _fail(f"point index out of range 0..{g.v - 1}")
-    cfg = local_configuration(g, args.x, args.y)
+    cfg = local_configuration(_load(args.file), args.x, args.y)
     _emit(
         args,
         {
@@ -314,7 +311,7 @@ def _cmd_mms(args) -> int:
                      "note": "search space exhausted; not a refutation"})
         return 0
     count, nonneg = count_nonnegative_lines(g, witness)
-    star_masks = {g.pencil_mask(p) for p in range(g.v)}
+    star_masks = set(g.pencils)
     _emit(
         args,
         {
@@ -611,7 +608,7 @@ def _claim_mms_weightings(env) -> dict:
         rep = max_cliques(lg)
         _, non_stars = classify_line_cliques(g, rep.cliques_of_size_6)
         witness = mms_counterexample_search(g, non_stars[0])
-        star_masks = {g.pencil_mask(p) for p in range(g.v)}
+        star_masks = set(g.pencils)
         entry: dict = {"star_weighting_nonnegative": star_count}
         if witness is None:
             entry["witness"] = None
@@ -627,7 +624,7 @@ def _claim_mms_weightings(env) -> dict:
             }
             ok = ok and count <= 6 and nonneg not in star_masks
             ok = ok and sum(witness.weights) == 0
-        ok = ok and star_count == 6 and star_mask == g.pencil_mask(0)
+        ok = ok and star_count == 6 and star_mask == g.pencils[0]
         out[name] = entry
     return {"pass": ok, "got": out}
 

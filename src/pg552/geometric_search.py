@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bits import bits, mask_of
+from .bits import bits
 from .cliques import classify_line_cliques, max_cliques
 from .graphs import Graph
 from .incidence import IncidenceStructure, verify_pg
@@ -136,15 +136,9 @@ def count_nonnegative_lines(g: IncidenceStructure, w: Weighting) -> tuple[int, i
 def _incidence_cells(g: IncidenceStructure, clique: int) -> list[int]:
     """Partition of the points by the clique's incidence pattern: on >= 2 of
     the clique lines, on exactly one, on none.  Empty cells are dropped."""
-    count = [0] * g.v
-    for i in bits(clique):
-        for p in bits(g.lines[i]):
-            count[p] += 1
-    cells = [
-        mask_of(p for p in range(g.v) if count[p] >= 2),
-        mask_of(p for p in range(g.v) if count[p] == 1),
-        mask_of(p for p in range(g.v) if count[p] == 0),
-    ]
+    cells = [0, 0, 0]
+    for p, pencil in enumerate(g.pencils):
+        cells[2 - min((pencil & clique).bit_count(), 2)] |= 1 << p
     return [c for c in cells if c]
 
 
@@ -182,7 +176,7 @@ def mms_counterexample_search(
     line_profiles = [
         tuple((m & c).bit_count() for c in cells) for m in g.lines
     ]
-    star_masks = {g.pencil_mask(p) for p in range(g.v)}
+    star_masks = set(g.pencils)
     last = len(cells) - 1
     for values in _cell_value_grid(len(cells), bound):
         forced = Fraction(-sum(s * x for s, x in zip(sizes, values)), sizes[last])

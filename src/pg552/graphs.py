@@ -67,19 +67,6 @@ def collinearity_graph(v: int, line_masks) -> Graph:
     return Graph(v, tuple(adj))
 
 
-def intersection_graph(line_masks) -> Graph:
-    """Graph on line indices joining pairs of lines that meet."""
-    lines = list(line_masks)
-    b = len(lines)
-    adj = [0] * b
-    for i in range(b):
-        for j in range(i + 1, b):
-            if lines[i] & lines[j]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph(b, tuple(adj))
-
-
 @dataclass(frozen=True)
 class SrgParams:
     """Certified strongly-regular parameters.
@@ -182,27 +169,24 @@ def local_configuration(g, x: int, y: int) -> LocalConfig:
     ``g`` is an incidence structure (81 points, 6-point lines).  A is the
     common line minus {x, y}; z is the unique common neighbour isolated in
     the induced collinearity graph; B is the rest.  Only the collinearity
-    rows of x, y and their common neighbours are built.
+    rows of x, y and their common neighbours are built, from their pencils.
     """
-    xy = 1 << x | 1 << y
-    row_x = row_y = 0
-    common_lines = []
-    for m in g.lines:
-        if m & xy:
-            if m >> x & 1:
-                row_x |= m
-            if m >> y & 1:
-                row_y |= m
-            if m & xy == xy:
-                common_lines.append(m)
-    if len(common_lines) != 1:
+    if not (0 <= x < g.v and 0 <= y < g.v):
+        raise ValueError(f"point index out of range 0..{g.v - 1}")
+    common_line = g.pencils[x] & g.pencils[y]
+    if common_line.bit_count() != 1:
         raise ValueError(f"points {x}, {y} are not collinear on a unique line")
-    commons = row_x & row_y & ~xy
-    rows = dict.fromkeys(bits(commons), 0)
-    for m in g.lines:
-        for p in bits(m & commons):
-            rows[p] |= m
-    a_mask = common_lines[0] & ~xy
+
+    def row(p: int) -> int:
+        r = 0
+        for j in bits(g.pencils[p]):
+            r |= g.lines[j]
+        return r
+
+    xy = 1 << x | 1 << y
+    commons = row(x) & row(y) & ~xy
+    rows = {p: row(p) for p in bits(commons)}
+    a_mask = g.lines[common_line.bit_length() - 1] & ~xy
     rest = commons & ~a_mask
     isolated = [p for p in bits(rest) if not rows[p] & (commons & ~(1 << p))]
     if len(isolated) != 1:

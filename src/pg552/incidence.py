@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .bits import bits, mask_of
-from .graphs import Graph, collinearity_graph, intersection_graph
+from .graphs import Graph, collinearity_graph
 
 
 @dataclass(frozen=True)
@@ -24,30 +24,30 @@ class IncidenceStructure:
 
     Lines are stored deduplicated and sorted by mask value, so line indices
     are deterministic and shared by the dual and the file format.
+    ``pencils[p]`` masks the indices of the lines through p; it is derived
+    from the lines, so equality and hashing ignore it.
     """
 
     v: int
     lines: tuple[int, ...]
+    pencils: tuple[int, ...] = field(compare=False, repr=False)
 
     def __init__(self, v: int, lines):
-        object.__setattr__(self, "v", v)
         normalized = tuple(sorted(set(int(m) for m in lines)))
         full = (1 << v) - 1
-        for m in normalized:
+        pencils = [0] * v
+        for j, m in enumerate(normalized):
             if m & ~full:
                 raise ValueError("line contains a point outside 0..v-1")
+            for p in bits(m):
+                pencils[p] |= 1 << j
+        object.__setattr__(self, "v", v)
         object.__setattr__(self, "lines", normalized)
+        object.__setattr__(self, "pencils", tuple(pencils))
 
     @property
     def b(self) -> int:
         return len(self.lines)
-
-    def lines_through(self, p: int) -> list[int]:
-        return [j for j, m in enumerate(self.lines) if m >> p & 1]
-
-    def pencil_mask(self, p: int) -> int:
-        """Mask over line indices of the lines through p."""
-        return mask_of(self.lines_through(p))
 
 
 @dataclass(frozen=True)
@@ -91,11 +91,7 @@ def validate_partial_linear_space(g: IncidenceStructure):
 
 def degrees(g: IncidenceStructure) -> tuple[Counter, Counter]:
     """Multisets of line sizes and of point degrees."""
-    line_sizes = Counter(m.bit_count() for m in g.lines)
-    point_degrees = Counter()
-    for p in range(g.v):
-        point_degrees[sum(1 for m in g.lines if m >> p & 1)] += 1
-    return line_sizes, point_degrees
+    return Counter(map(int.bit_count, g.lines)), Counter(map(int.bit_count, g.pencils))
 
 
 def verify_pg(g: IncidenceStructure) -> PgParams:
@@ -145,7 +141,7 @@ def verify_pg(g: IncidenceStructure) -> PgParams:
 
 def dual(g: IncidenceStructure) -> IncidenceStructure:
     """Points of the dual are line indices of g; lines are point pencils."""
-    return IncidenceStructure(g.b, (g.pencil_mask(p) for p in range(g.v)))
+    return IncidenceStructure(g.b, g.pencils)
 
 
 def point_graph(g: IncidenceStructure) -> Graph:
@@ -153,13 +149,17 @@ def point_graph(g: IncidenceStructure) -> Graph:
 
 
 def line_graph(g: IncidenceStructure) -> Graph:
-    return intersection_graph(g.lines)
+    return collinearity_graph(g.b, g.pencils)
 
 
 # ---------------------------------------------------------------------------
 # incidence file format: "pg <v> <b>" header, then one line of strictly
 # increasing point indices per geometry line, single spaces, trailing newline.
 # Numbers are ASCII decimal without sign or leading zero, as to_text writes them.
+# A header may declare at most MAX_SIZE points and lines, so every readable
+# file, and the dual of one, gets an answer from each command in seconds.
+
+MAX_SIZE = 4096
 
 _NUMBER = "(?:0|[1-9][0-9]*)"
 _HEADER = re.compile(f"pg ({_NUMBER}) ({_NUMBER})")
@@ -181,6 +181,8 @@ def from_text(text: str) -> IncidenceStructure:
     if head is None:
         raise ValueError(f"bad header: {lines[0]!r}")
     v, b = int(head[1]), int(head[2])
+    if max(v, b) > MAX_SIZE:
+        raise ValueError(f"header declares more than {MAX_SIZE} points or lines")
     if len(lines) != b + 2 or lines[-1] != "":
         raise ValueError(f"expected {b} rows plus trailing newline")
     masks = []

@@ -295,13 +295,8 @@ class ColoredGraph:
 def colored_incidence_graph(g: IncidenceStructure) -> ColoredGraph:
     """Bipartite point/line graph of an incidence structure; points get
     vertex ids 0..v-1 and color 0, lines ids v..v+b-1 and color 1."""
-    n = g.v + g.b
-    adj = [0] * n
-    for j, m in enumerate(g.lines):
-        adj[g.v + j] = m
-        for p in bits(m):
-            adj[p] |= 1 << (g.v + j)
-    return ColoredGraph(n, tuple(adj), (0,) * g.v + (1,) * g.b)
+    adj = tuple(pencil << g.v for pencil in g.pencils) + g.lines
+    return ColoredGraph(g.v + g.b, adj, (0,) * g.v + (1,) * g.b)
 
 
 def _initial_cells(cg: ColoredGraph) -> list[int]:

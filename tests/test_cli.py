@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -245,6 +246,17 @@ def test_more_than_256_vertices_is_one_line_error(tmp_path, capsys, command):
     code, err = run_error(capsys, *argv)
     assert code == 2
     assert "256" in err
+
+
+def test_header_above_cap_is_one_line_error_at_once(tmp_path, capsys):
+    # an 11-byte file once kept srg busy for its 2*10^8 pairs
+    path = tmp_path / "huge.pg"
+    path.write_text("pg 20000 0\n")
+    start = time.perf_counter()
+    code, err = run_error(capsys, "srg", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert "more than 4096" in err
 
 
 def test_cover_of_non_geometry_is_one_line_error(tmp_path, capsys):

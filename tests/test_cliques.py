@@ -8,7 +8,8 @@ import pytest
 from pg552 import cliques as cl
 from pg552 import construction as con
 from pg552 import graphs as gr
-from pg552.bits import mask_of
+from pg552 import incidence as inc
+from pg552.bits import bits, mask_of
 
 
 def brute_maximal_cliques(g):
@@ -83,14 +84,35 @@ def test_classification(vls, new, line_graph_vls, line_graph_new):
     stars_new, non_stars_new = cl.classify_line_cliques(new, rep_new.cliques_of_size_6)
     assert (len(stars_new), len(non_stars_new)) == (81, 27)
     # each point contributes exactly one star: its pencil
-    assert {mask_of(vls.lines_through(p)) for p in range(81)} == set(stars)
-    assert {mask_of(new.lines_through(p)) for p in range(81)} == set(stars_new)
+    assert set(vls.pencils) == set(stars)
+    assert set(new.pencils) == set(stars_new)
+
+
+@pytest.mark.parametrize("name, maximal, six", [("vls", 567, 162), ("new", 837, 108)])
+def test_clique_census_agrees_with_networkx(request, name, maximal, six):
+    nx = pytest.importorskip("networkx")
+    g = request.getfixturevalue(name)
+    point_graph = nx.Graph()
+    point_graph.add_nodes_from(range(g.v))
+    for m in g.lines:
+        point_graph.add_edges_from(itertools.combinations(bits(m), 2))
+    # pairwise intersections, so the pencil-built line graph is checked too
+    line_graph = nx.Graph()
+    line_graph.add_nodes_from(range(g.b))
+    line_graph.add_edges_from(
+        (i, j) for i, j in itertools.combinations(range(g.b), 2) if g.lines[i] & g.lines[j]
+    )
+    for ours, theirs in [(inc.point_graph(g), point_graph), (inc.line_graph(g), line_graph)]:
+        found = sorted(mask_of(c) for c in nx.find_cliques(theirs))
+        assert found == list(cl.max_cliques(ours).all_cliques)
+        assert len(found) == maximal
+        assert sum(m.bit_count() == 6 for m in found) == six
 
 
 def test_star_at_point_zero(vls, line_graph_vls):
     rep = cl.max_cliques(line_graph_vls)
     stars, _ = cl.classify_line_cliques(vls, rep.cliques_of_size_6)
-    assert mask_of(vls.lines_through(0)) in stars
+    assert vls.pencils[0] in stars
 
 
 def test_negative_line_matching(vls, line_graph_vls):

@@ -182,6 +182,12 @@ def test_local_configuration_rejects_non_collinear(vls):
         gr.local_configuration(vls, 0, y)
 
 
+@pytest.mark.parametrize("x, y", [(-1, 1), (0, -1), (81, 1), (0, 81)])
+def test_local_configuration_rejects_out_of_range(vls, x, y):
+    with pytest.raises(ValueError, match="out of range 0..80"):
+        gr.local_configuration(vls, x, y)
+
+
 def test_local_edge_list_matches_induced(vls):
     cfg = gr.local_configuration(vls, 0, 1)
     assert len(cfg.edge_list) == 12

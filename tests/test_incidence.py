@@ -1,7 +1,12 @@
 """Incidence structures, pg verification, duals and the file format."""
 
-import pytest
+import dataclasses
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pg552 import graphs as gr
 from pg552 import incidence as inc
 from pg552 import symmetry as sym
 from pg552.bits import mask_of
@@ -16,6 +21,60 @@ def test_lines_sorted_and_deduplicated():
 def test_rejects_out_of_range_line():
     with pytest.raises(ValueError):
         inc.IncidenceStructure(3, [0b1001])
+
+
+@st.composite
+def incidence_structures(draw, max_v=12):
+    """Structures on up to ``max_v`` points; points on no line occur often."""
+    v = draw(st.integers(0, max_v))
+    return inc.IncidenceStructure(v, draw(st.lists(st.integers(0, (1 << v) - 1), max_size=10)))
+
+
+def pairwise_line_graph(g):
+    """Reference line graph: join two lines iff their point masks meet."""
+    adj = [0] * g.b
+    for i in range(g.b):
+        for j in range(i + 1, g.b):
+            if g.lines[i] & g.lines[j]:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return gr.Graph(g.b, tuple(adj))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(incidence_structures())
+def test_pencils_transpose_lines(g):
+    assert len(g.pencils) == g.v
+    for p in range(g.v):
+        for j, m in enumerate(g.lines):
+            assert (m >> p & 1) == (g.pencils[p] >> j & 1)
+    assert inc.line_graph(g) == pairwise_line_graph(g)
+
+
+def test_pencils_of_isolated_point():
+    g = inc.IncidenceStructure(3, [0b011, 0b001])
+    assert g.pencils == (0b11, 0b10, 0)
+
+
+def test_equality_ignores_pencils():
+    assert [f.name for f in dataclasses.fields(inc.IncidenceStructure) if f.compare] == [
+        "v", "lines"
+    ]
+    assert "pencils" not in repr(inc.IncidenceStructure(2, [0b11]))
+
+
+def test_line_graph_is_pairwise_intersection(vls, new):
+    for g in (vls, new):
+        assert inc.line_graph(g) == pairwise_line_graph(g)
+
+
+def test_double_dual_renames_points_by_pencil_rank(vls, new):
+    # the dual's lines are the pencils sorted by mask value, so the double
+    # dual is g with each point renamed by the rank of its pencil
+    for g in (vls, new):
+        rank = {pencil: r for r, pencil in enumerate(sorted(g.pencils))}
+        renamed = sym.relabel_incidence(g, tuple(rank[pc] for pc in g.pencils))
+        assert inc.dual(inc.dual(g)) == renamed
 
 
 def test_partial_linear_space_vls(vls):
@@ -174,3 +233,15 @@ def test_reader_rejects_malformed(text):
 def test_reader_accepts_empty_structure():
     g = inc.from_text("pg 3 0\n")
     assert (g.v, g.lines) == (3, ())
+
+
+@pytest.mark.parametrize("header", ["pg 4097 0", "pg 3 4097"])
+def test_reader_refuses_header_above_cap(header):
+    # refused before any row is read: these files have no rows at all
+    with pytest.raises(ValueError, match="more than 4096"):
+        inc.from_text(header + "\n")
+
+
+def test_reader_accepts_header_at_cap():
+    g = inc.from_text(f"pg {inc.MAX_SIZE} 0\n")
+    assert (g.v, g.b) == (4096, 0)
