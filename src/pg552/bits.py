@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -18,3 +18,11 @@ def mask_of(indices: Iterable[int]) -> int:
     for i in indices:
         m |= 1 << i
     return m
+
+
+def permute_mask(mask: int, p: Sequence[int]) -> int:
+    """The image ``{p[i] : i in mask}`` as a mask (``p`` an injective table)."""
+    out = 0
+    for i in bits(mask):
+        out |= 1 << p[i]
+    return out

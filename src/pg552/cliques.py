@@ -22,26 +22,31 @@ def max_cliques(g: Graph) -> CliqueReport:
 
     The pivot maximizes |P ∩ N(u)| over u in P ∪ X, ties broken by smallest
     vertex index; output is sorted by mask, so the result is deterministic.
+    The branches run off an explicit stack, so a clique of any size fits.
     """
     adj = g.adj
     found: list[int] = []
-
-    def expand(r: int, p: int, x: int) -> None:
-        if not p and not x:
+    stack: list[tuple[int, int, int, int]] = []  # (R, P, X, branches left)
+    r, p, x = 0, (1 << g.n) - 1, 0
+    while True:
+        if p:
+            pivot, best = -1, -1
+            for u in bits(p | x):
+                c = (p & adj[u]).bit_count()
+                if c > best:
+                    pivot, best = u, c
+            stack.append((r, p, x, p & ~adj[pivot]))
+        elif not x:
             found.append(r)
-            return
-        pivot, best = -1, -1
-        for u in bits(p | x):
-            c = (p & adj[u]).bit_count()
-            if c > best:
-                pivot, best = u, c
-        for v in bits(p & ~adj[pivot]):
-            bv = 1 << v
-            expand(r | bv, p & adj[v], x & adj[v])
-            p &= ~bv
-            x |= bv
-
-    expand(0, (1 << g.n) - 1, 0)
+        while stack and not stack[-1][3]:
+            stack.pop()
+        if not stack:
+            break
+        r, p, x, todo = stack.pop()
+        bv = todo & -todo
+        stack.append((r, p & ~bv, x | bv, todo ^ bv))
+        v = bv.bit_length() - 1
+        r, p, x = r | bv, p & adj[v], x & adj[v]
     found.sort()
     histogram = dict(Counter(m.bit_count() for m in found))
     six = tuple(m for m in found if m.bit_count() == 6)

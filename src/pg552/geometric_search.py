@@ -30,7 +30,8 @@ def _exact_covers(universe_size: int, sets: tuple[int, ...]) -> list[tuple[int, 
 
     Backtracking with least-branching-column selection: always branch on the
     uncovered element contained in the fewest still-usable sets.  Solutions
-    are returned as sorted tuples of set indices, in sorted order.
+    are returned as sorted tuples of set indices, in sorted order.  The
+    branches run off an explicit stack, so a cover of any size fits.
     """
     full = (1 << universe_size) - 1
     containing: list[list[int]] = [[] for _ in range(universe_size)]
@@ -38,20 +39,18 @@ def _exact_covers(universe_size: int, sets: tuple[int, ...]) -> list[tuple[int, 
         for e in bits(s):
             containing[e].append(i)
     solutions: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-
-    def recurse(covered: int, usable: int) -> None:
+    stack = [(0, (1 << len(sets)) - 1, ())]  # (covered, usable, chosen)
+    while stack:
+        covered, usable, chosen = stack.pop()
         if covered == full:
             solutions.append(tuple(sorted(chosen)))
-            return
+            continue
         best_opts = None
         for e in bits(full & ~covered):
             opts = [i for i in containing[e] if usable >> i & 1]
             if best_opts is None or len(opts) < len(best_opts):
                 best_opts = opts
-                if not opts:
-                    return
-                if len(opts) == 1:
+                if len(opts) <= 1:
                     break
         for i in best_opts:
             s = sets[i]
@@ -59,11 +58,7 @@ def _exact_covers(universe_size: int, sets: tuple[int, ...]) -> list[tuple[int, 
             for e in bits(s):
                 for j in containing[e]:
                     blocked |= 1 << j
-            chosen.append(i)
-            recurse(covered | s, usable & ~blocked)
-            chosen.pop()
-
-    recurse(0, (1 << len(sets)) - 1)
+            stack.append((covered | s, usable & ~blocked, chosen + (i,)))
     solutions.sort()
     return solutions
 

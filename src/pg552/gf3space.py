@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 
-from .bits import bits
+from .bits import bits, permute_mask
 
 Q = 3
 DIM = 4
@@ -72,19 +72,12 @@ NEG: tuple[int, ...] = tuple(encode(vec_neg(a)) for a in ALL_VECTORS)
 
 def translate_mask(mask: int, x: int) -> int:
     """The set ``{x + p : p in mask}`` as a mask (``x`` a point index)."""
-    row = ADD[x]
-    out = 0
-    for p in bits(mask):
-        out |= 1 << row[p]
-    return out
+    return permute_mask(mask, ADD[x])
 
 
 def negate_mask(mask: int) -> int:
     """The set ``{-p : p in mask}`` as a mask."""
-    out = 0
-    for p in bits(mask):
-        out |= 1 << NEG[p]
-    return out
+    return permute_mask(mask, NEG)
 
 
 def span(vectors) -> int:

@@ -72,53 +72,45 @@ class PgViolation(ValueError):
         self.witness = witness
 
 
-def validate_partial_linear_space(g: IncidenceStructure):
-    """True iff every pair of distinct points is on at most one common line.
-
-    Returns ``(ok, witness)`` where the witness of a violation is the first
-    quadruple (point, point, line, line) in line-index order.
-    """
-    for i in range(g.b):
-        mi = g.lines[i]
-        for j in range(i + 1, g.b):
-            common = mi & g.lines[j]
-            if common.bit_count() >= 2:
-                it = bits(common)
-                p, q = next(it), next(it)
-                return False, (p, q, i, j)
-    return True, None
-
-
-def degrees(g: IncidenceStructure) -> tuple[Counter, Counter]:
-    """Multisets of line sizes and of point degrees."""
-    return Counter(map(int.bit_count, g.lines)), Counter(map(int.bit_count, g.pencils))
-
-
 def verify_pg(g: IncidenceStructure) -> PgParams:
     """Full partial-geometry verification by direct enumeration.
 
     Checks the partial linear space axiom, uniform line and point degrees,
     and the alpha condition over every non-incident point-line pair, then
     asserts the point and line count formulas.  Raises :class:`PgViolation`
-    with the first witness on any failure.
+    with the first witness on any failure.  Only the lines and the pencils
+    are read: line j shares two points with line i iff j is in the pencils
+    of two points of i, and a point's collinearity row is the union of its
+    lines.
     """
     if g.b == 0:
         raise PgViolation("no lines")
-    ok, witness = validate_partial_linear_space(g)
-    if not ok:
-        raise PgViolation("two points on two common lines", witness)
-    line_sizes, point_degrees = degrees(g)
+    lines, pencils = g.lines, g.pencils
+    for i, m in enumerate(lines):
+        # seen: lines through a point of line i; twice: through two of its points
+        seen = twice = 0
+        for p in bits(m):
+            twice |= seen & pencils[p]
+            seen |= pencils[p]
+        later = twice >> i + 1
+        if later:
+            j = i + (later & -later).bit_length()
+            p, q, *_ = bits(m & lines[j])
+            raise PgViolation("two points on two common lines", (p, q, i, j))
+    line_sizes = Counter(map(int.bit_count, lines))
+    point_degrees = Counter(map(int.bit_count, pencils))
     if len(line_sizes) != 1:
         raise PgViolation("line degree not uniform", dict(line_sizes))
     if len(point_degrees) != 1:
         raise PgViolation("point degree not uniform", dict(point_degrees))
     s = next(iter(line_sizes)) - 1
     t = next(iter(point_degrees)) - 1
-    collin = collinearity_graph(g.v, g.lines)
     alpha = None
-    for p in range(g.v):
-        row = collin.adj[p]
-        for j, m in enumerate(g.lines):
+    for p, pencil in enumerate(pencils):
+        row = 0  # p's own bit is harmless: only lines missing p are counted
+        for j in bits(pencil):
+            row |= lines[j]
+        for j, m in enumerate(lines):
             if m >> p & 1:
                 continue
             c = (row & m).bit_count()

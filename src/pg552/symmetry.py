@@ -48,7 +48,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from . import gf3space as gf3
-from .bits import bits
+from .bits import bits, permute_mask
 from .graphs import Graph
 from .incidence import IncidenceStructure, dual
 
@@ -71,13 +71,6 @@ def inverse(p: Perm) -> Perm:
     for i, x in enumerate(p):
         inv[x] = i
     return tuple(inv)
-
-
-def permute_mask(mask: int, p: Perm) -> int:
-    out = 0
-    for i in bits(mask):
-        out |= 1 << p[i]
-    return out
 
 
 def _pad(p) -> bytes:
@@ -715,8 +708,10 @@ def is_self_dual(g: IncidenceStructure) -> tuple[bool, Perm | None]:
     witness = compose(lab1, inverse(lab2))
     cg = colored_incidence_graph(g)
     cd = colored_incidence_graph(d)
-    for v in range(cg.n):  # hand back only a checked witness
-        if permute_mask(cg.adj[v], witness) != cd.adj[witness[v]]:
+    for v, image in enumerate(witness):  # hand back only a checked witness
+        if cd.colors[image] != cg.colors[v]:
+            raise AssertionError("self-duality witness does not preserve colors")
+        if permute_mask(cg.adj[v], witness) != cd.adj[image]:
             raise AssertionError("self-duality witness failed verification")
     return True, witness
 

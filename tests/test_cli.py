@@ -99,6 +99,24 @@ def test_verify_corrupted_line(tmp_path, capsys):
     assert doc["results"]["pg_error"]["witness"] is not None
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        inc.IncidenceStructure(4096, [1 << i | 1 << (i + 1) % 4096 for i in range(4096)]),
+        inc.IncidenceStructure(4096, [(1 << 4096) - 1]),
+    ],
+    ids=["cycle", "one-line"],
+)
+def test_verify_answers_largest_files_at_once(tmp_path, capsys, g):
+    path = str(tmp_path / "big.pg")
+    inc.write_incidence(g, path)
+    start = time.perf_counter()
+    code, doc = run(capsys, "verify", path)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert doc["results"]["pass"] is False
+
+
 def test_verify_expect_mismatch(vls_file, capsys):
     code, doc = run(capsys, "verify", vls_file, "--expect", "5,5,1")
     assert code == 1
@@ -299,6 +317,27 @@ def test_mms_without_non_star_clique_is_one_line_error(tmp_path, capsys):
     path = str(tmp_path / "line.pg")
     inc.write_incidence(inc.IncidenceStructure(3, [0b111]), path)
     code, err = run_error(capsys, "mms", path)
+    assert code == 2
+    assert "no non-star 6-clique" in err
+
+
+@pytest.fixture()
+def star_file(tmp_path):
+    # point 0 on 1100 two-point lines: the line graph is one 1100-clique
+    path = str(tmp_path / "star.pg")
+    inc.write_incidence(inc.IncidenceStructure(1101, [1 | 1 << i for i in range(1, 1101)]), path)
+    return path
+
+
+def test_line_cliques_of_a_large_star(star_file, capsys):
+    code, doc = run(capsys, "cliques", star_file, "--graph", "line")
+    assert code == 0
+    assert doc["results"]["histogram"] == {"1100": 1}
+    assert doc["results"]["stars"] == 0
+
+
+def test_mms_on_a_large_star_is_one_line_error(star_file, capsys):
+    code, err = run_error(capsys, "mms", star_file)
     assert code == 2
     assert "no non-star 6-clique" in err
 

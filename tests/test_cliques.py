@@ -36,6 +36,13 @@ def test_max_cliques_c5():
     assert rep.size_histogram == {2: 5}
 
 
+def test_max_cliques_beyond_recursion_limit():
+    # one clique of 1100 vertices: a search that recursed once per clique
+    # vertex would exceed Python's 1000-frame limit
+    rep = cl.max_cliques(gr.complete_graph(1100))
+    assert rep.all_cliques == ((1 << 1100) - 1,)
+
+
 def test_max_cliques_against_brute_force():
     rng = random.Random(99)
     for _ in range(25):

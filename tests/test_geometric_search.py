@@ -33,6 +33,13 @@ def test_exact_cover_no_solution():
     assert gs._exact_covers(3, (mask_of([0, 1]), mask_of([1, 2]))) == []
 
 
+def test_exact_cover_beyond_recursion_limit():
+    # 1100 singletons: one solution that chooses 1100 sets in turn
+    assert gs._exact_covers(1100, tuple(1 << i for i in range(1100))) == [
+        tuple(range(1100))
+    ]
+
+
 def test_edge_partition_k6_plus_isolated():
     k6 = mask_of(range(6))
     adj = [0] * 81

@@ -1,6 +1,7 @@
 """Incidence structures, pg verification, duals and the file format."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from pg552 import graphs as gr
 from pg552 import incidence as inc
 from pg552 import symmetry as sym
-from pg552.bits import mask_of
+from pg552.bits import bits, mask_of
 
 
 def test_lines_sorted_and_deduplicated():
@@ -27,7 +28,7 @@ def test_rejects_out_of_range_line():
 def incidence_structures(draw, max_v=12):
     """Structures on up to ``max_v`` points; points on no line occur often."""
     v = draw(st.integers(0, max_v))
-    return inc.IncidenceStructure(v, draw(st.lists(st.integers(0, (1 << v) - 1), max_size=10)))
+    return inc.IncidenceStructure(v, draw(st.lists(st.integers(0, (1 << v) - 1), max_size=12)))
 
 
 def pairwise_line_graph(g):
@@ -78,29 +79,95 @@ def test_double_dual_renames_points_by_pencil_rank(vls, new):
 
 
 def test_partial_linear_space_vls(vls):
-    ok, witness = inc.validate_partial_linear_space(vls)
-    assert ok and witness is None
+    # no two points of vls lie on two common lines: verify_pg finds no witness
+    assert inc.verify_pg(vls).as_tuple() == (5, 5, 2, 81, 81)
 
 
 def test_partial_linear_space_violation():
     # two lines sharing points 0 and 1
     g = inc.IncidenceStructure(10, [mask_of([0, 1, 2, 3, 4, 5]), mask_of([0, 1, 6, 7, 8, 9])])
-    ok, witness = inc.validate_partial_linear_space(g)
-    assert not ok
-    assert witness == (0, 1, 0, 1)
+    with pytest.raises(inc.PgViolation) as e:
+        inc.verify_pg(g)
+    assert e.value.reason == "two points on two common lines"
+    assert e.value.witness == (0, 1, 0, 1)
 
 
 def test_degrees_vls(vls):
-    line_sizes, point_degrees = inc.degrees(vls)
-    assert dict(line_sizes) == {6: 81}
-    assert dict(point_degrees) == {6: 81}
+    params = inc.verify_pg(vls)
+    assert (params.s + 1, params.b) == (6, 81)  # line sizes {6: 81}
+    assert (params.t + 1, params.v) == (6, 81)  # point degrees {6: 81}
 
 
 def test_degrees_single_line():
     g = inc.IncidenceStructure(81, [mask_of(range(6))])
-    line_sizes, point_degrees = inc.degrees(g)
-    assert dict(line_sizes) == {6: 1}
-    assert dict(point_degrees) == {1: 6, 0: 75}
+    with pytest.raises(inc.PgViolation) as e:
+        inc.verify_pg(g)
+    # line sizes {6: 1} are uniform, so the point degrees are what fails
+    assert [m.bit_count() for m in g.lines] == [6]
+    assert e.value.reason == "point degree not uniform"
+    assert e.value.witness == {1: 6, 0: 75}
+
+
+@st.composite
+def uniform_structures(draw):
+    """Unions of up to 12 lines from random parallel classes on up to 12
+    points: degrees are uniform and two lines often share at most one
+    point, so the alpha checks are reached."""
+    size = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 12 // size))
+    classes = draw(st.lists(st.permutations(range(size * m)), min_size=1, max_size=12 // m))
+    lines = [mask_of(c[i * size : (i + 1) * size]) for c in classes for i in range(m)]
+    return inc.IncidenceStructure(size * m, lines)
+
+
+def pairwise_verify(g):
+    """Reference verification: the pairwise line scan that verify_pg once
+    ran, then the degree checks and the alpha check on the collinearity
+    graph.  Returns the parameters, or the reason and witness."""
+    if g.b == 0:
+        return "no lines", None
+    for i in range(g.b):
+        for j in range(i + 1, g.b):
+            common = g.lines[i] & g.lines[j]
+            if common.bit_count() >= 2:
+                p, q, *_ = bits(common)
+                return "two points on two common lines", (p, q, i, j)
+    line_sizes = Counter(m.bit_count() for m in g.lines)
+    point_degrees = Counter(sum(m >> p & 1 for m in g.lines) for p in range(g.v))
+    if len(line_sizes) != 1:
+        return "line degree not uniform", dict(line_sizes)
+    if len(point_degrees) != 1:
+        return "point degree not uniform", dict(point_degrees)
+    s, t = next(iter(line_sizes)) - 1, next(iter(point_degrees)) - 1
+    collin = gr.collinearity_graph(g.v, g.lines)
+    alpha = None
+    for p in range(g.v):
+        for j, m in enumerate(g.lines):
+            if not m >> p & 1:
+                c = (collin.adj[p] & m).bit_count()
+                if alpha is None:
+                    alpha = c
+                elif c != alpha:
+                    return "alpha not constant", (p, j, c, alpha)
+    if alpha is None:
+        return "no non-incident point-line pair; alpha undefined", None
+    if alpha == 0:
+        return "alpha is zero", None
+    if alpha * g.v != (s + 1) * (s * t + alpha):
+        return "point count formula violated", (g.v, s, t, alpha)
+    if alpha * g.b != (t + 1) * (s * t + alpha):
+        return "line count formula violated", (g.b, s, t, alpha)
+    return s, t, alpha, g.v, g.b
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.one_of(incidence_structures(), uniform_structures()))
+def test_verify_pg_matches_pairwise_reference(g):
+    try:
+        got = inc.verify_pg(g).as_tuple()
+    except inc.PgViolation as e:
+        got = e.reason, e.witness
+    assert got == pairwise_verify(g)
 
 
 def test_verify_pg_both_geometries(vls, new):

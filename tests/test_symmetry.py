@@ -274,6 +274,21 @@ def test_not_isomorphic(vls, new):
     assert not sym.is_isomorphic(vls, new)
 
 
+def test_self_dual_witness_must_preserve_colors(new, monkeypatch):
+    # send each point to the dual line that is its pencil and each line j to
+    # dual point j: incidence is kept, but points and lines trade colors
+    d = inc.dual(new)
+    swap = tuple(d.v + d.lines.index(pc) for pc in new.pencils) + tuple(range(new.b))
+    cg, cd = sym.colored_incidence_graph(new), sym.colored_incidence_graph(d)
+    assert all(sym.permute_mask(cg.adj[v], swap) == cd.adj[swap[v]] for v in range(cg.n))
+    # hand that map to is_self_dual as the canonical labelings' quotient
+    identity = tuple(range(cd.n))
+    forms = {new: (swap, "certificate", ()), d: (identity, "certificate", ())}
+    monkeypatch.setattr(sym, "_incidence_form", forms.__getitem__)
+    with pytest.raises(AssertionError, match="colors"):
+        sym.is_self_dual(new)
+
+
 def test_self_dual_with_witness(vls):
     ok, witness = sym.is_self_dual(vls)
     assert ok
