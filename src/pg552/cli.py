@@ -29,7 +29,7 @@ from typing import NoReturn
 from . import __version__
 from . import construction as con
 from . import gf3space as gf3
-from .bits import bits, mask_of
+from .bits import bits, mask_of, permute_mask
 from .cliques import (
     classify_line_cliques,
     match_negative_lines,
@@ -57,9 +57,12 @@ from .symmetry import (
     PermutationGroup,
     aut_graph,
     aut_incidence,
-    canonical_form,
+    canonical_certificate,
     colored_incidence_graph,
+    compose,
+    incidence_automorphisms,
     incidence_certificate,
+    inverse,
     is_isomorphic,
     is_self_dual,
     relabel_incidence,
@@ -374,6 +377,15 @@ def _claim_srg_parameters(env) -> dict:
 
 
 def _claim_isomorphism_and_duality(env) -> dict:
+    """The geometries are not isomorphic, each is self-dual with a checked
+    witness, and each one's certificate is stable under random relabelings.
+
+    Each relabeling h of g gets its own certificate-only search.  It is
+    seeded with g's incidence-graph automorphisms carried over to h; the
+    search checks each one as an automorphism of h, and uses them only to
+    skip subtrees whose certificates it has already seen.  The certificate
+    is the smallest leaf certificate of h's search tree whatever the seed,
+    so the original's group serves only as a source of checked pruning."""
     relabelings = env["relabelings"]
     iso = is_isomorphic(env["G"], env["Gp"])
     sd_vls, w_vls = is_self_dual(env["G"])
@@ -385,12 +397,18 @@ def _claim_isomorphism_and_duality(env) -> dict:
     rng = random.Random(20210522)
     stable = {"vls": 0, "new": 0}
     for name, g in [("vls", env["G"]), ("new", env["Gp"])]:
+        gens = incidence_automorphisms(g)
         for _ in range(relabelings):
             perm = list(range(g.v))
             rng.shuffle(perm)
             h = relabel_incidence(g, tuple(perm))
+            # vertex x of g's incidence graph is vertex phi[x] of h's
+            line_of = {m: j for j, m in enumerate(h.lines)}
+            phi = tuple(perm) + tuple(g.v + line_of[permute_mask(m, perm)] for m in g.lines)
+            phi_inv = inverse(phi)
+            known = [compose(compose(phi_inv, a), phi) for a in gens]
             # one search per relabeling, outside the cache of shared forms
-            c = canonical_form(colored_incidence_graph(h)).certificate
+            c = canonical_certificate(colored_incidence_graph(h), known)
             if c == certs[name]:
                 stable[name] += 1
     return {

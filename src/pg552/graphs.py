@@ -29,6 +29,13 @@ class Graph:
                 raise ValueError(f"vertex {i}: neighbour out of range")
             if row >> i & 1:
                 raise ValueError(f"vertex {i}: self-loop")
+        # The rows, written low bit first, equal their transpose iff every
+        # edge (i, j) has its (j, i).  Above 16 vertices that test is faster
+        # than the loop below, which also names the first asymmetric edge.
+        if self.n > 16:
+            rows = [format(row, f"0{self.n}b")[::-1] for row in self.adj]
+            if rows == list(map("".join, zip(*rows))):
+                return
         for i, row in enumerate(self.adj):
             for j in bits(row):
                 if not self.adj[j] >> i & 1:
@@ -106,6 +113,8 @@ def srg_check(g: Graph) -> SrgParams:
     for v in range(g.n):
         if g.adj[v].bit_count() != k:
             raise SrgViolation("not regular", (0, v), g.adj[v].bit_count())
+    if k == g.n - 1:  # complete: every pair is adjacent with n - 2 common neighbours
+        return SrgParams(v=g.n, k=k, lam=g.n - 2, mu=0, complete=True)
     lam = mu = None
     for x in range(g.n):
         ax = g.adj[x]

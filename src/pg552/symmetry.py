@@ -21,6 +21,18 @@ new best, no automorphism, no backjump.  So the pruning leaves the
 labeling, the certificate and the automorphism generators exactly as the
 full search finds them; it only saves refinements.
 
+``canonical_certificate`` runs the same search for the certificate alone,
+which lets it prune with more automorphisms (nauty's rules, McKay and
+Piperno 2014, section 3).  Off the first path it skips a child in the orbit
+of a processed sibling under the found strong generators that fix the
+prefix pointwise; a leaf equal to the best one, not only to the first,
+unwinds to where the two paths fork; and the group it starts at the first
+leaf is seeded with caller-supplied automorphisms, each checked first.  A
+verified automorphism maps a processed subtree onto the one it skips, so
+these leaves' certificates were all seen: the certificate is still the
+smallest leaf certificate, whatever the seed.  The labeling and group of
+such a search are not those of ``canonical_form``.
+
 A cell of an ordered partition is the mask of its vertices, which take
 its positions in ascending vertex order.  The search carries each node's
 partition as three position arrays (see ``refine``): the cell starting at
@@ -451,18 +463,33 @@ class CanonicalForm:
 
 
 class _Search:
-    def __init__(self, cg: ColoredGraph):
+    """The search tree of ``cg``.  With ``certificate_only`` it finds only
+    the certificate: it also prunes off the first path, backjumps from
+    leaves equal to the best one and seeds its group with ``known``, a list
+    of automorphisms of ``cg`` that it checks first."""
+
+    def __init__(self, cg: ColoredGraph, certificate_only: bool = False, known=()):
+        if cg.n > 256:  # the stabilizer chain's byte strings hold 256 points
+            raise ValueError(f"graph has {cg.n} vertices; at most 256 are supported")
         self.cg = cg
         self.adj = cg.adj
         self.nbrs = [tuple(bits(row)) for row in cg.adj]
         self.n = cg.n
         self.colors = cg.colors
+        self.certificate_only = certificate_only
+        self.known = [tuple(g) for g in known]
+        for i, g in enumerate(self.known):
+            fault = ("is not a permutation of the vertices" if sorted(g) != list(range(self.n))
+                     else self._fault(g))
+            if fault:
+                raise ValueError(f"known map {i} {fault}")
         self.first_cert = None
         self.first_lab: Perm | None = None
         self.base: list[int] = []
         self.group: PermutationGroup | None = None
         self.best_cert = None
         self.best_lab: Perm | None = None
+        self.best_path: list[int] = []
         self.backjump: int | None = None
         self.nodes = self.leaves = self.pruned = 0
 
@@ -497,8 +524,11 @@ class _Search:
         processed = 0
         orbits = None
         for v in bits(target):
-            if processed and self.group is not None and self.base[:k] == prefix:
-                orbits = self._orbits(k, processed, orbits)
+            # off the first path only the certificate-only search prunes
+            if processed and self.group is not None and (
+                self.certificate_only or self.base[:k] == prefix
+            ):
+                orbits = self._orbits(prefix, processed, orbits)
                 if orbits[2] >> v & 1:
                     continue
             # individualize v: {v} keeps the start s, the rest starts at s + 1
@@ -520,16 +550,19 @@ class _Search:
                     return  # keep unwinding
                 self.backjump = None
 
-    def _orbits(self, k: int, processed: int, known) -> tuple[int, list[Perm], int]:
-        """The orbits of ``processed`` under the pointwise stabilizer of
-        the first k base points, as ``(generator count, stabilizer
-        generators, mask of the orbits)``.  ``known`` is the node's previous
+    def _orbits(self, prefix, processed: int, known) -> tuple[int, list[Perm], int]:
+        """The orbits of ``processed`` under the found strong generators
+        that fix ``prefix`` pointwise, as ``(generator count, those
+        generators, mask of the orbits)``.  On the first path the prefix is
+        a prefix of the chain's base, and these are the strong generators
+        of its pointwise stabilizer.  ``known`` is the node's previous
         result, or None: while the group has gained no generator since, the
         orbits of the vertices processed after it are added to its mask;
         otherwise the mask is computed afresh."""
         count = len(self.group.generators)
         if known is None or known[0] != count:
-            gens = self.group.prefix_stabilizer_gens(k)
+            gens = [g for g in self.group.prefix_stabilizer_gens(0)
+                    if all(g[p] == p for p in prefix)]
             return count, gens, orbit_closure(processed, gens)
         _, gens, mask = known
         return count, gens, mask | orbit_closure(processed & ~mask, gens)
@@ -593,8 +626,10 @@ class _Search:
         if self.first_cert is None:
             self.first_cert, self.first_lab = cert, lab
             self.best_cert, self.best_lab = cert, lab
-            self.base = list(prefix)
+            self.base = self.best_path = list(prefix)
             self.group = PermutationGroup(self.n, base=tuple(prefix))
+            for g in self.known:
+                self.group.add(g)
             return
         if cert == self.first_cert:
             self._record_automorphism(self.first_lab, lab)
@@ -603,17 +638,17 @@ class _Search:
             # explored) first-path subtree below the fork onto this leaf's
             # subtree, so nothing above the fork level is left to learn
             # here: unwind to the fork and continue with its next sibling.
-            fork = 0
-            for a, b in zip(self.base, prefix):
-                if a != b:
-                    break
-                fork += 1
-            self.backjump = fork
+            self.backjump = _fork(self.base, prefix)
             return
         if cert < self.best_cert:
-            self.best_cert, self.best_lab = cert, lab
-        elif cert == self.best_cert and cert != self.first_cert:
+            self.best_cert, self.best_lab, self.best_path = cert, lab, list(prefix)
+        elif cert == self.best_cert:
             self._record_automorphism(self.best_lab, lab)
+            if self.certificate_only:
+                # The same holds for the best path, whose subtree below the
+                # fork was left before this one: its leaves' certificates
+                # are those of this subtree, so none of them is smaller.
+                self.backjump = _fork(self.best_path, prefix)
 
     def _certificate(self, lab: Perm) -> tuple:
         bit = [1 << pos for pos in lab]
@@ -626,25 +661,48 @@ class _Search:
         return (tuple(cols), tuple(rows))
 
     def _record_automorphism(self, lab_a: Perm, lab_b: Perm) -> None:
-        # Labelings are bijections, so gamma is one and the images of a
-        # row's bits are distinct bits: their sum is the image row.
         gamma = compose(lab_a, inverse(lab_b))
+        fault = self._fault(gamma)  # a wrong map would poison the pruning
+        if fault:
+            raise AssertionError(f"discovered map {fault}")
+        self.group.add(gamma)
+
+    def _fault(self, gamma: Perm) -> str | None:
+        """Why the permutation ``gamma`` is no automorphism, or None."""
+        # gamma is a bijection, so the images of a row's bits are distinct
+        # bits: their sum is the image row.
         bit = [1 << image for image in gamma]
         adj, colors, nbrs = self.adj, self.colors, self.nbrs
-        for v, image in enumerate(gamma):  # a wrong map would poison the pruning
+        for v, image in enumerate(gamma):
             if colors[image] != colors[v]:
-                raise AssertionError("discovered map does not preserve colors")
+                return "does not preserve colors"
             if sum(map(bit.__getitem__, nbrs[v])) != adj[image]:
-                raise AssertionError("discovered map is not an automorphism")
-        self.group.add(gamma)
+                return "is not an automorphism"
+        return None
+
+
+def _fork(path_a, path_b) -> int:
+    """The length of the common prefix of two paths."""
+    fork = 0
+    for a, b in zip(path_a, path_b):
+        if a != b:
+            break
+        fork += 1
+    return fork
 
 
 def canonical_form(cg: ColoredGraph) -> CanonicalForm:
     """Canonical form of a colored graph on at most 256 vertices (the
     degree the stabilizer chain's byte-string permutations can hold)."""
-    if cg.n > 256:
-        raise ValueError(f"graph has {cg.n} vertices; at most 256 are supported")
     return _Search(cg).run()
+
+
+def canonical_certificate(cg: ColoredGraph, known=()) -> tuple:
+    """``canonical_form(cg).certificate``, from a search that finds only
+    the certificate and prunes with ``known`` as well, a list of
+    automorphisms of ``cg`` (image tuples).  Each one is checked first; a
+    permutation that is no automorphism raises ``ValueError``."""
+    return _Search(cg, certificate_only=True, known=known).run().certificate
 
 
 # ---------------------------------------------------------------------------
@@ -669,6 +727,12 @@ def incidence_certificate(g: IncidenceStructure) -> tuple:
     return _incidence_form(g)[1]
 
 
+def incidence_automorphisms(g: IncidenceStructure) -> tuple[Perm, ...]:
+    """Checked generators of the automorphism group of g's colored
+    incidence graph (points 0..v-1, line j as vertex v + j)."""
+    return _incidence_form(g)[2]
+
+
 def aut_graph(g: Graph) -> PermutationGroup:
     """Automorphism group of an uncolored graph."""
     return canonical_form(ColoredGraph.from_graph(g)).group
@@ -681,7 +745,7 @@ def aut_incidence(g: IncidenceStructure, on: str = "points") -> PermutationGroup
     has checked, and restricted to the point class; ``on="lines"`` returns
     the action on line indices instead (line j is vertex v + j).
     """
-    _, _, gens = _incidence_form(g)
+    gens = incidence_automorphisms(g)
     if on == "points":
         return PermutationGroup(g.v, [p[: g.v] for p in gens])
     if on == "lines":

@@ -117,6 +117,18 @@ def test_verify_answers_largest_files_at_once(tmp_path, capsys, g):
     assert doc["results"]["pass"] is False
 
 
+def test_srg_answers_one_largest_line_at_once(tmp_path, capsys):
+    path = str(tmp_path / "line.pg")
+    inc.write_incidence(inc.IncidenceStructure(4096, [(1 << 4096) - 1]), path)
+    start = time.perf_counter()
+    code, doc = run(capsys, "srg", path)
+    assert time.perf_counter() - start < 3
+    assert code == 0
+    assert doc["results"] == {
+        "v": 4096, "k": 4095, "lambda": 4094, "mu": 0, "complete": True, "empty": False,
+    }
+
+
 def test_verify_expect_mismatch(vls_file, capsys):
     code, doc = run(capsys, "verify", vls_file, "--expect", "5,5,1")
     assert code == 1

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pg552 import gf3space as gf3
 from pg552 import construction as con
@@ -17,6 +19,43 @@ def cycle(n):
 def test_graph_rejects_asymmetric():
     with pytest.raises(ValueError):
         gr.Graph(2, (0b10, 0b00))
+
+
+def first_asymmetric_edge(adj):
+    """The message of the symmetry check as a loop over every neighbour
+    entry: the first edge (i, j), i ascending and then j, without (j, i)."""
+    for i, row in enumerate(adj):
+        for j in bits(row):
+            if not adj[j] >> i & 1:
+                return f"asymmetric edge ({i}, {j})"
+    return None
+
+
+@st.composite
+def loopless_rows(draw):
+    """Adjacency rows with no self-loop, symmetric about half of the time."""
+    n = draw(st.integers(0, 40))
+    rows = [draw(st.integers(0, (1 << n) - 1)) & ~(1 << i) for i in range(n)]
+    if draw(st.booleans()):
+        rows = [row | sum(1 << j for j in range(n) if rows[j] >> i & 1)
+                for i, row in enumerate(rows)]
+        for _ in range(draw(st.integers(0, 2)) if n > 1 else 0):
+            i, j = draw(st.permutations(range(n)))[:2]
+            rows[i] ^= 1 << j
+    return n, tuple(rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(loopless_rows())
+def test_symmetry_check_names_the_first_asymmetric_edge(case):
+    n, adj = case
+    want = first_asymmetric_edge(adj)
+    if want is None:
+        assert gr.Graph(n, adj).adj == adj
+    else:
+        with pytest.raises(ValueError) as e:
+            gr.Graph(n, adj)
+        assert str(e.value) == want
 
 
 def test_graph_rejects_self_loop():
@@ -52,6 +91,25 @@ def test_srg_complete_graph_flag():
     p = gr.srg_check(gr.complete_graph(4))
     assert (p.v, p.k, p.lam, p.mu) == (4, 3, 2, 0)
     assert p.complete and not p.empty
+
+
+def pair_loop_params(g):
+    """The parameters of a strongly regular graph g from the common
+    neighbours of every pair, as ``srg_check`` counts them for every graph
+    that is not complete."""
+    counts = {True: set(), False: set()}
+    for x, y in itertools.combinations(range(g.n), 2):
+        counts[bool(g.adj[x] >> y & 1)].add((g.adj[x] & g.adj[y]).bit_count())
+    (lam,) = counts[True] or {0}
+    (mu,) = counts[False] or {0}
+    return gr.SrgParams(g.n, g.adj[0].bit_count(), lam, mu,
+                        complete=not counts[False], empty=not counts[True])
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_srg_complete_graphs_match_the_pair_loop(n):
+    g = gr.complete_graph(n)
+    assert gr.srg_check(g) == pair_loop_params(g)
 
 
 def test_srg_empty_graph_flag():

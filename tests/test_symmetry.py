@@ -615,9 +615,9 @@ class _OrbitCheckedSearch(sym._Search):
 
     checked = extended = 0
 
-    def _orbits(self, k, processed, known):
-        result = super()._orbits(k, processed, known)
-        gens = self.group.prefix_stabilizer_gens(k)
+    def _orbits(self, prefix, processed, known):
+        result = super()._orbits(prefix, processed, known)
+        gens = self.group.prefix_stabilizer_gens(len(prefix))
         assert result[2] == sym.orbit_closure(processed, gens)
         self.checked += 1
         self.extended += known is not None and known[0] == result[0]
@@ -728,3 +728,140 @@ def test_canonical_form_matches_pinned_digest(name, vls, new):
     key = (cf.labeling, cf.certificate, cf.generators, cf.group.order(),
            cf.nodes, cf.leaves, cf.pruned)
     assert hashlib.sha256(repr(key).encode()).hexdigest() == digest
+
+
+# --- certificate-only search ------------------------------------------------
+
+
+def carried(g, h, perm):
+    """The incidence-graph automorphisms of g carried over to
+    ``h = relabel_incidence(g, perm)``, built from g's point action alone:
+    the point map ``points`` sends line m of h to ``permute_mask(m, points)``."""
+    inv = sym.inverse(perm)
+    line_of = {m: j for j, m in enumerate(h.lines)}
+    out = []
+    for a in sym.aut_incidence(g).generators:
+        points = tuple(perm[a[inv[x]]] for x in range(g.v))
+        lines = tuple(h.v + line_of[sym.permute_mask(m, points)] for m in h.lines)
+        out.append(points + lines)
+    return out
+
+
+def relabeled_geometries(count):
+    for name, g in [("vls", con.build_vls()), ("switched", con.build_new())]:
+        rng = random.Random(name)
+        for i in range(count):
+            perm = tuple(rng.sample(range(g.v), g.v))
+            yield f"{name}-{i}", g, sym.relabel_incidence(g, perm), perm
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(colored_graphs(), st.data())
+def test_certificate_only_search_finds_the_canonical_certificate(cg, data):
+    perm = tuple(data.draw(st.permutations(range(cg.n))))
+    h = relabel(cg, perm)
+    inv = sym.inverse(perm)
+    known = [sym.compose(sym.compose(inv, a), perm) for a in sym.canonical_form(cg).generators]
+    want = sym.canonical_form(h).certificate
+    assert sym.canonical_certificate(h) == want
+    assert sym.canonical_certificate(h, known) == want
+
+
+@pytest.mark.parametrize("name", list(PINNED_FORMS))
+def test_certificate_only_search_on_pinned_graphs(name, vls, new):
+    cg = PINNED_FORMS[name][0](vls, new)
+    cf = sym.canonical_form(cg)
+    assert sym.canonical_certificate(cg) == cf.certificate
+    assert sym.canonical_certificate(cg, cf.generators) == cf.certificate
+
+
+@pytest.mark.parametrize(
+    "case", [pytest.param(c, id=c[0]) for c in relabeled_geometries(2)]
+)
+def test_certificate_only_search_on_relabeled_geometries(case):
+    _, g, h, perm = case
+    cg = sym.colored_incidence_graph(h)
+    want = sym.incidence_certificate(g)
+    full = sym.canonical_form(cg)
+    assert full.certificate == want
+    for known in ((), carried(g, h, perm)):
+        cf = sym._Search(cg, certificate_only=True, known=known).run()
+        assert cf.certificate == want
+        assert cf.leaves <= full.leaves
+
+
+class _SkipCheckedSearch(sym._Search):
+    """A certificate-only search that, wherever it takes pruning orbits,
+    checks each generator it uses afresh as an automorphism of the graph,
+    and rebuilds each vertex of the orbits as the image of a processed
+    sibling under a product of those generators that fixes the prefix
+    pointwise."""
+
+    off_path = best_backjumps = 0
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.checked = set()
+
+    def _orbits(self, prefix, processed, known):
+        result = super()._orbits(prefix, processed, known)
+        _, gens, mask = result
+        for g in set(gens) - self.checked:
+            assert all(
+                self.colors[g[v]] == self.colors[v]
+                and sym.permute_mask(self.adj[v], g) == self.adj[g[v]]
+                for v in range(self.n)
+            )
+            self.checked.add(g)
+        identity = tuple(range(self.n))
+        maps = {p: identity for p in bits(processed)}
+        queue = list(maps)
+        while queue:
+            u = queue.pop()
+            for g in gens:
+                if g[u] not in maps:
+                    maps[g[u]] = sym.compose(maps[u], g)
+                    queue.append(g[u])
+        assert mask_of(maps) == mask
+        for image, gamma in maps.items():
+            assert any(gamma[p] == image for p in bits(processed))
+            assert all(gamma[p] == p for p in prefix)
+        if self.base[: len(prefix)] != prefix and mask & ~processed:
+            self.off_path += 1
+        return result
+
+    def _record_automorphism(self, lab_a, lab_b):
+        super()._record_automorphism(lab_a, lab_b)
+        self.best_backjumps += lab_a is self.best_lab is not self.first_lab
+
+
+def skip_cases():
+    for name, cg in pruning_cases():
+        yield name, cg, ()
+    for name, g, h, perm in relabeled_geometries(2):
+        cg = sym.colored_incidence_graph(h)
+        yield name, cg, ()
+        yield f"{name}-seeded", cg, carried(g, h, perm)
+
+
+def test_off_path_skips_are_images_under_checked_automorphisms():
+    off_path = best_backjumps = 0
+    for name, cg, known in skip_cases():
+        search = _SkipCheckedSearch(cg, certificate_only=True, known=known)
+        assert search.run().certificate == sym.canonical_form(cg).certificate, name
+        off_path += search.off_path
+        best_backjumps += search.best_backjumps
+    assert off_path > 0 and best_backjumps > 0
+
+
+def test_known_map_must_be_an_automorphism(vls):
+    cg = sym.colored_incidence_graph(vls)
+    identity = tuple(range(cg.n))
+    points_swapped = (1, 0) + identity[2:]
+    with pytest.raises(ValueError, match="known map 1 is not an automorphism"):
+        sym.canonical_certificate(cg, [identity, points_swapped])
+    point_and_line_swapped = (81,) + identity[1:81] + (0,) + identity[82:]
+    with pytest.raises(ValueError, match="does not preserve colors"):
+        sym.canonical_certificate(cg, [point_and_line_swapped])
+    with pytest.raises(ValueError, match="not a permutation"):
+        sym.canonical_certificate(cg, [identity[1:]])
