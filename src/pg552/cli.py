@@ -57,7 +57,7 @@ from .symmetry import (
     PermutationGroup,
     aut_graph,
     aut_incidence,
-    canonical_certificate,
+    canonical_form,
     colored_incidence_graph,
     compose,
     incidence_automorphisms,
@@ -380,12 +380,12 @@ def _claim_isomorphism_and_duality(env) -> dict:
     """The geometries are not isomorphic, each is self-dual with a checked
     witness, and each one's certificate is stable under random relabelings.
 
-    Each relabeling h of g gets its own certificate-only search.  It is
-    seeded with g's incidence-graph automorphisms carried over to h; the
-    search checks each one as an automorphism of h, and uses them only to
-    skip subtrees whose certificates it has already seen.  The certificate
-    is the smallest leaf certificate of h's search tree whatever the seed,
-    so the original's group serves only as a source of checked pruning."""
+    Each relabeling h of g gets its own canonical search, seeded with g's
+    incidence-graph automorphisms carried over to h; the search checks each
+    one as an automorphism of h, and uses them only to skip subtrees whose
+    certificates it has already seen.  The certificate is the smallest leaf
+    certificate of h's search tree whatever the seed, so the original's
+    group serves only as a source of checked pruning."""
     relabelings = env["relabelings"]
     iso = is_isomorphic(env["G"], env["Gp"])
     sd_vls, w_vls = is_self_dual(env["G"])
@@ -408,7 +408,7 @@ def _claim_isomorphism_and_duality(env) -> dict:
             phi_inv = inverse(phi)
             known = [compose(compose(phi_inv, a), phi) for a in gens]
             # one search per relabeling, outside the cache of shared forms
-            c = canonical_certificate(colored_incidence_graph(h), known)
+            c = canonical_form(colored_incidence_graph(h), known).certificate
             if c == certs[name]:
                 stable[name] += 1
     return {

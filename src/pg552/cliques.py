@@ -21,8 +21,11 @@ def max_cliques(g: Graph) -> CliqueReport:
     """All maximal cliques via Bron-Kerbosch with pivoting.
 
     The pivot maximizes |P ∩ N(u)| over u in P ∪ X, ties broken by smallest
-    vertex index; output is sorted by mask, so the result is deterministic.
-    The branches run off an explicit stack, so a clique of any size fits.
+    vertex index, except that the scan stops at the first u with
+    |P ∩ N(u)| ≥ |P| − 1, as no vertex of P sees more.  Any pivot yields
+    every maximal clique once.  Output is sorted by mask, so the result is
+    deterministic.  The branches run off an explicit stack, so a clique of
+    any size fits.
     """
     adj = g.adj
     found: list[int] = []
@@ -31,10 +34,13 @@ def max_cliques(g: Graph) -> CliqueReport:
     while True:
         if p:
             pivot, best = -1, -1
+            enough = p.bit_count() - 1
             for u in bits(p | x):
                 c = (p & adj[u]).bit_count()
                 if c > best:
                     pivot, best = u, c
+                    if c >= enough:
+                        break
             stack.append((r, p, x, p & ~adj[pivot]))
         elif not x:
             found.append(r)

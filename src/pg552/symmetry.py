@@ -4,34 +4,32 @@ and self-duality testing, and permutation-group machinery.
 The canonical-labeling engine is an individualization-refinement search:
 refine an ordered partition to equitability, branch on the vertices of the
 first smallest non-singleton cell in ascending vertex order, and take the
-smallest leaf certificate as the canonical form.  Whenever two explored
-leaves carry equal certificates, the permutation relating them is an
-automorphism of the input graph.  Discovered automorphisms prune sibling
-branches (orbit pruning with the pointwise stabilizer of the
-individualization prefix, available whenever the prefix lies along the
-first root-to-leaf path; a node keeps the orbits of its processed children
-and recomputes them only when the group has gained a generator) and at the
-end generate the full automorphism group, whose order a deterministic
-Schreier-Sims stabilizer chain certifies.
+first smallest leaf certificate in that depth-first order as the canonical
+form.  Whenever two explored leaves carry equal certificates, the
+permutation relating them is an automorphism of the input graph; the
+search checks it and adds it to a group whose stabilizer chain has the
+first leaf's path as its base.  At the end the group's generators generate
+the full automorphism group, whose order the chain certifies.
 
-Once a first leaf exists, a node is skipped when its equitable partition
-proves that every leaf below it has a certificate above the best one so
-far and unequal to the first one.  Such leaves would change nothing: no
-new best, no automorphism, no backjump.  So the pruning leaves the
-labeling, the certificate and the automorphism generators exactly as the
-full search finds them; it only saves refinements.
+Three rules prune the tree (nauty's, McKay and Piperno 2014, section 3):
 
-``canonical_certificate`` runs the same search for the certificate alone,
-which lets it prune with more automorphisms (nauty's rules, McKay and
-Piperno 2014, section 3).  Off the first path it skips a child in the orbit
-of a processed sibling under the found strong generators that fix the
-prefix pointwise; a leaf equal to the best one, not only to the first,
-unwinds to where the two paths fork; and the group it starts at the first
-leaf is seeded with caller-supplied automorphisms, each checked first.  A
-verified automorphism maps a processed subtree onto the one it skips, so
-these leaves' certificates were all seen: the certificate is still the
-smallest leaf certificate, whatever the seed.  The labeling and group of
-such a search are not those of ``canonical_form``.
+- Orbit pruning: a node skips a child in the orbit of a processed sibling
+  under the found strong generators that fix the node's prefix pointwise.
+  The node keeps the orbits of its processed children and recomputes them
+  only when the group has gained a generator.
+- Backjump: a leaf equal to the first or to the best leaf so far yields an
+  automorphism that maps that leaf's subtree below the fork of their two
+  paths onto the current one, so the search unwinds to the fork.
+- Certificate bound: once a first leaf exists, a node is skipped when its
+  equitable partition proves that every leaf below it has a certificate
+  above the best one so far and unequal to the first one.
+
+The group may be seeded with caller-supplied automorphisms, each checked
+first.  A verified automorphism maps a processed subtree onto the subtree
+it skips, so every skipped leaf has an equal leaf earlier in depth-first
+order: the pruning never skips the first smallest leaf.  The labeling and
+the certificate are therefore those of the full search whatever the seed;
+the generators and the work counters may differ.
 
 A cell of an ordered partition is the mask of its vertices, which take
 its positions in ascending vertex order.  The search carries each node's
@@ -190,29 +188,22 @@ class _Chain:
             return 1
         return len(self.transversal) * self.stab.order()
 
-    def level(self, k: int) -> "_Chain":
-        lvl = self
-        for _ in range(k):
-            lvl = lvl.stab
-        return lvl
-
 
 class PermutationGroup:
     """Permutation group given by generators, with a stabilizer chain for
     order, membership and orbit queries.
 
-    ``base`` fixes a prefix of the chain's base points (useful both for
-    prefix-stabilizer queries and for reproducing the order with a second,
-    independent base).
+    ``base`` fixes a prefix of the chain's base points (the canonical
+    search's first path, or a second, independent base that reproduces the
+    order).
     """
 
     def __init__(self, degree: int, generators=(), base: tuple[int, ...] = ()):
         if degree > 256:
             raise ValueError("degree > 256 not supported")
         self.degree = degree
-        self.base = tuple(base)
         self.generators: list[Perm] = []
-        self._chain = _Chain(self.base)
+        self._chain = _Chain(tuple(base))
         for g in generators:
             self.add(g)
 
@@ -257,16 +248,9 @@ class PermutationGroup:
     def stabilizer_order(self, point: int) -> int:
         return self.order() // len(self.orbit_of(point))
 
-    def prefix_stabilizer_gens(self, k: int) -> list[Perm]:
-        """Strong generators of the pointwise stabilizer of base[:k]."""
-        if k > len(self.base):
-            raise ValueError("k exceeds the fixed base prefix")
-        n = self.degree
-        return [tuple(g[:n]) for g in self._chain.level(k).all_gens()]
-
 
 def orbit_closure(mask: int, gens) -> int:
-    """Closure of a point set under a list of permutations (image tuples)."""
+    """Closure of a point set under a list of permutations (image sequences)."""
     queue = list(bits(mask))
     while queue:
         p = queue.pop()
@@ -463,12 +447,11 @@ class CanonicalForm:
 
 
 class _Search:
-    """The search tree of ``cg``.  With ``certificate_only`` it finds only
-    the certificate: it also prunes off the first path, backjumps from
-    leaves equal to the best one and seeds its group with ``known``, a list
+    """The search tree of ``cg``, pruned by the three rules of the module
+    docstring; its group is seeded at the first leaf with ``known``, a list
     of automorphisms of ``cg`` that it checks first."""
 
-    def __init__(self, cg: ColoredGraph, certificate_only: bool = False, known=()):
+    def __init__(self, cg: ColoredGraph, known=()):
         if cg.n > 256:  # the stabilizer chain's byte strings hold 256 points
             raise ValueError(f"graph has {cg.n} vertices; at most 256 are supported")
         self.cg = cg
@@ -476,7 +459,6 @@ class _Search:
         self.nbrs = [tuple(bits(row)) for row in cg.adj]
         self.n = cg.n
         self.colors = cg.colors
-        self.certificate_only = certificate_only
         self.known = [tuple(g) for g in known]
         for i, g in enumerate(self.known):
             fault = ("is not a permutation of the vertices" if sorted(g) != list(range(self.n))
@@ -524,10 +506,7 @@ class _Search:
         processed = 0
         orbits = None
         for v in bits(target):
-            # off the first path only the certificate-only search prunes
-            if processed and self.group is not None and (
-                self.certificate_only or self.base[:k] == prefix
-            ):
+            if processed:  # so the first leaf, and the group, exist
                 orbits = self._orbits(prefix, processed, orbits)
                 if orbits[2] >> v & 1:
                     continue
@@ -550,21 +529,20 @@ class _Search:
                     return  # keep unwinding
                 self.backjump = None
 
-    def _orbits(self, prefix, processed: int, known) -> tuple[int, list[Perm], int]:
-        """The orbits of ``processed`` under the found strong generators
-        that fix ``prefix`` pointwise, as ``(generator count, those
-        generators, mask of the orbits)``.  On the first path the prefix is
-        a prefix of the chain's base, and these are the strong generators
-        of its pointwise stabilizer.  ``known`` is the node's previous
-        result, or None: while the group has gained no generator since, the
-        orbits of the vertices processed after it are added to its mask;
-        otherwise the mask is computed afresh."""
+    def _orbits(self, prefix, processed: int, cached) -> tuple[int, list[bytes], int]:
+        """The orbits of ``processed`` under the chain's strong generators
+        (identity-padded byte strings) that fix ``prefix`` pointwise, as
+        ``(generator count, those generators, mask of the orbits)``.  On the
+        first path the prefix is a prefix of the chain's base, and these
+        generate its pointwise stabilizer.  ``cached`` is the node's
+        previous result, or None: while the group has gained no generator
+        since, the orbits of the vertices processed after it are added to
+        its mask; otherwise the mask is computed afresh."""
         count = len(self.group.generators)
-        if known is None or known[0] != count:
-            gens = [g for g in self.group.prefix_stabilizer_gens(0)
-                    if all(g[p] == p for p in prefix)]
+        if cached is None or cached[0] != count:
+            gens = [g for g in self.group._chain.all_gens() if all(g[p] == p for p in prefix)]
             return count, gens, orbit_closure(processed, gens)
-        _, gens, mask = known
+        _, gens, mask = cached
         return count, gens, mask | orbit_closure(processed & ~mask, gens)
 
     def _worse_below(self, mask_at, cell_of) -> bool:
@@ -627,28 +605,23 @@ class _Search:
             self.first_cert, self.first_lab = cert, lab
             self.best_cert, self.best_lab = cert, lab
             self.base = self.best_path = list(prefix)
-            self.group = PermutationGroup(self.n, base=tuple(prefix))
-            for g in self.known:
-                self.group.add(g)
+            self.group = PermutationGroup(self.n, self.known, base=tuple(prefix))
             return
         if cert == self.first_cert:
-            self._record_automorphism(self.first_lab, lab)
-            # The new automorphism fixes the common prefix of this leaf's
-            # path and the first path pointwise and maps the (already fully
-            # explored) first-path subtree below the fork onto this leaf's
-            # subtree, so nothing above the fork level is left to learn
-            # here: unwind to the fork and continue with its next sibling.
-            self.backjump = _fork(self.base, prefix)
-            return
-        if cert < self.best_cert:
-            self.best_cert, self.best_lab, self.best_path = cert, lab, list(prefix)
+            seen_lab, seen_path = self.first_lab, self.base
         elif cert == self.best_cert:
-            self._record_automorphism(self.best_lab, lab)
-            if self.certificate_only:
-                # The same holds for the best path, whose subtree below the
-                # fork was left before this one: its leaves' certificates
-                # are those of this subtree, so none of them is smaller.
-                self.backjump = _fork(self.best_path, prefix)
+            seen_lab, seen_path = self.best_lab, self.best_path
+        else:
+            if cert < self.best_cert:
+                self.best_cert, self.best_lab, self.best_path = cert, lab, list(prefix)
+            return
+        self._record_automorphism(seen_lab, lab)
+        # The new automorphism fixes the common prefix of this leaf's path
+        # and the earlier leaf's pointwise, and maps the earlier leaf's
+        # subtree below their fork, left before this one, onto this leaf's
+        # subtree: every leaf certificate left below the fork has been seen.
+        # So unwind to the fork and continue with its next sibling.
+        self.backjump = _fork(seen_path, prefix)
 
     def _certificate(self, lab: Perm) -> tuple:
         bit = [1 << pos for pos in lab]
@@ -691,18 +664,15 @@ def _fork(path_a, path_b) -> int:
     return fork
 
 
-def canonical_form(cg: ColoredGraph) -> CanonicalForm:
+def canonical_form(cg: ColoredGraph, known=()) -> CanonicalForm:
     """Canonical form of a colored graph on at most 256 vertices (the
-    degree the stabilizer chain's byte-string permutations can hold)."""
-    return _Search(cg).run()
+    degree the stabilizer chain's byte-string permutations can hold).
 
-
-def canonical_certificate(cg: ColoredGraph, known=()) -> tuple:
-    """``canonical_form(cg).certificate``, from a search that finds only
-    the certificate and prunes with ``known`` as well, a list of
-    automorphisms of ``cg`` (image tuples).  Each one is checked first; a
-    permutation that is no automorphism raises ``ValueError``."""
-    return _Search(cg, certificate_only=True, known=known).run().certificate
+    ``known`` is a list of automorphisms of ``cg`` (image tuples) that seed
+    the pruning group; each one is checked first, and a permutation that is
+    no automorphism raises ``ValueError``.  The labeling and the certificate
+    do not depend on ``known``; the generators and the counters may."""
+    return _Search(cg, known).run()
 
 
 # ---------------------------------------------------------------------------

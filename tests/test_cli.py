@@ -129,6 +129,16 @@ def test_srg_answers_one_largest_line_at_once(tmp_path, capsys):
     }
 
 
+def test_cliques_answers_one_largest_line_at_once(tmp_path, capsys):
+    path = str(tmp_path / "line.pg")
+    inc.write_incidence(inc.IncidenceStructure(4096, [(1 << 4096) - 1]), path)
+    start = time.perf_counter()
+    code, doc = run(capsys, "cliques", path)
+    assert time.perf_counter() - start < 3
+    assert code == 0
+    assert doc["results"] == {"count_size_6": 0, "histogram": {"4096": 1}}
+
+
 def test_verify_expect_mismatch(vls_file, capsys):
     code, doc = run(capsys, "verify", vls_file, "--expect", "5,5,1")
     assert code == 1

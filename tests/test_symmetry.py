@@ -100,13 +100,6 @@ def test_orbits_and_stabilizer():
     assert g.stabilizer_order(2) == 2
 
 
-def test_prefix_stabilizer_gens():
-    g = sym.PermutationGroup(4, [(1, 2, 3, 0)], base=(0,))
-    fixing_zero = g.prefix_stabilizer_gens(1)
-    for p in fixing_zero:
-        assert p[0] == 0
-
-
 # --- refinement and canonical forms ----------------------------------------
 
 
@@ -610,17 +603,18 @@ def test_pruned_subtrees_hold_only_worse_leaves(cg):
 
 
 class _OrbitCheckedSearch(sym._Search):
-    """Recomputes the pruning orbits from scratch at every candidate vertex
-    and compares them with the node's cached mask."""
+    """Recomputes the pruning orbits from scratch at every candidate vertex,
+    under the chain's strong generators that fix the prefix pointwise, and
+    compares them with the node's cached mask."""
 
     checked = extended = 0
 
-    def _orbits(self, prefix, processed, known):
-        result = super()._orbits(prefix, processed, known)
-        gens = self.group.prefix_stabilizer_gens(len(prefix))
+    def _orbits(self, prefix, processed, cached):
+        result = super()._orbits(prefix, processed, cached)
+        gens = [g for g in self.group._chain.all_gens() if all(g[p] == p for p in prefix)]
         assert result[2] == sym.orbit_closure(processed, gens)
         self.checked += 1
-        self.extended += known is not None and known[0] == result[0]
+        self.extended += cached is not None and cached[0] == result[0]
         return result
 
 
@@ -689,48 +683,123 @@ def test_carried_partition_arrays_match_refinement_from_scratch(cg):
 
 # --- pinned canonical forms -------------------------------------------------
 
-# sha256 of repr((labeling, certificate, generators, group order, nodes,
-# leaves, pruned)), recorded with the search of commit aa50a1b.  The
+# sha256 of repr((labeling, certificate, generators, group order)), recorded
+# with the search of commit 4ffabe0, which pruned on orbits only along the
+# first path and backjumped only from leaves equal to the first one.  The
 # labelings and generators are what `aut`, `dual` and `report` print, so a
-# change to the search that moves any of them changes their output.
+# change to the search that moves any of them changes their output.  Then
+# the work counters (nodes, leaves, pruned) of the search, recorded after
+# the pruning became nauty's, and those of the older rules at 4ffabe0.
 PINNED_FORMS = {
     "incidence-vls": (
         lambda vls, new: sym.colored_incidence_graph(vls),
-        "f049218ab5896046af8180a11cfcb7ac278860c74231f28ffb56f519e2930dcc",
+        "d39bfe46a52199c414303559182515432ce5ab23d10d8b6b215a595aeafd11b9",
+        (28, 7, 0),
+        (28, 7, 0),
     ),
     "incidence-switched": (
         lambda vls, new: sym.colored_incidence_graph(new),
-        "024fffaa2f97cc69cefba7fec304e3c3b0b7a66db43d384bbc194bfb1e72395b",
+        "7cfa310cbb1af0d7fc02d5f5f0313d90f66437fb9100a32cc2999226b2fd249a",
+        (41, 16, 5),
+        (101, 49, 15),
     ),
     "incidence-dual-vls": (
         lambda vls, new: sym.colored_incidence_graph(inc.dual(vls)),
-        "b1adf2fe1c7247cbe4bba767bf7213539c679dbe5a38c736a60fb5a60b2ddd05",
+        "485187e6e820ea2d3fc2875cf1afd9eea7425e5a8f3abd01a0f53c0afd331efe",
+        (28, 7, 0),
+        (28, 7, 0),
     ),
     "incidence-dual-switched": (
         lambda vls, new: sym.colored_incidence_graph(inc.dual(new)),
-        "2fc9962f2a89032fd08b86b8f8af7aedf7ae92750917e90fd1426a9cf5c9af88",
+        "32e7eb80345169569da735161150f54b1c1b5165efc991002faa034073bb0924",
+        (72, 29, 12),
+        (126, 57, 25),
     ),
     "point-graph-vls": (
         lambda vls, new: sym.ColoredGraph.from_graph(inc.point_graph(vls)),
-        "6c43fc1ed8a6e1938072647912e50ee855434c2e1df286e8eb76649f70e532d7",
+        "597c7f660918a1fb2bd1dfdcbd77e94f4eccc4f558f718681e19f0681b6ca070",
+        (28, 8, 0),
+        (28, 8, 0),
     ),
     "point-graph-switched": (
         lambda vls, new: sym.ColoredGraph.from_graph(inc.point_graph(new)),
-        "dd712072e90c7e57716b06eed6d99ce6db57fc0a13e4e8d65fdc0e5320147d38",
+        "123305a36888d81a3ed7e121e100d482f6c95bda9810ba5a3e0a63ada19e6dd3",
+        (54, 29, 10),
+        (131, 78, 23),
     ),
 }
 
 
+def form_key(cf):
+    return cf.labeling, cf.certificate, cf.generators, cf.group.order()
+
+
+def digest(cf):
+    return hashlib.sha256(repr(form_key(cf)).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", list(PINNED_FORMS))
 def test_canonical_form_matches_pinned_digest(name, vls, new):
-    build, digest = PINNED_FORMS[name]
+    build, want, counters, _ = PINNED_FORMS[name]
     cf = sym.canonical_form(build(vls, new))
-    key = (cf.labeling, cf.certificate, cf.generators, cf.group.order(),
-           cf.nodes, cf.leaves, cf.pruned)
-    assert hashlib.sha256(repr(key).encode()).hexdigest() == digest
+    assert digest(cf) == want
+    assert (cf.nodes, cf.leaves, cf.pruned) == counters
 
 
-# --- certificate-only search ------------------------------------------------
+# --- the search against its older, first-path-only rules --------------------
+
+
+class _FirstPathSearch(sym._Search):
+    """The search under its older rules: orbit pruning only along the first
+    path, and a backjump only from a leaf equal to the first one."""
+
+    def _orbits(self, prefix, processed, cached):
+        if self.base[: len(prefix)] == prefix:
+            return super()._orbits(prefix, processed, cached)
+        return len(self.group.generators), [], processed
+
+    def _leaf(self, cell_of, prefix):
+        super()._leaf(cell_of, prefix)
+        if self.backjump is not None and self._certificate(tuple(cell_of)) != self.first_cert:
+            self.backjump = None  # set by a leaf equal to the best one only
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(colored_graphs())
+def test_search_equals_first_path_search(cg):
+    assert form_key(sym.canonical_form(cg)) == form_key(_FirstPathSearch(cg).run())
+
+
+def relabeled_geometries(count):
+    for name, g in [("vls", con.build_vls()), ("switched", con.build_new())]:
+        rng = random.Random(name)
+        for i in range(count):
+            perm = tuple(rng.sample(range(g.v), g.v))
+            yield f"{name}-{i}", g, sym.relabel_incidence(g, perm), perm
+
+
+def first_path_cases():
+    yield from pruning_cases()
+    for name, _, h, _ in relabeled_geometries(2):
+        yield name, sym.colored_incidence_graph(h)
+
+
+@pytest.mark.parametrize(
+    "cg", [pytest.param(cg, id=name) for name, cg in first_path_cases()]
+)
+def test_search_equals_first_path_search_on_fixed_graphs(cg):
+    assert form_key(sym.canonical_form(cg)) == form_key(_FirstPathSearch(cg).run())
+
+
+@pytest.mark.parametrize("name", list(PINNED_FORMS))
+def test_first_path_search_keeps_the_pinned_form_and_old_counters(name, vls, new):
+    build, want, _, counters = PINNED_FORMS[name]
+    cf = _FirstPathSearch(build(vls, new)).run()
+    assert digest(cf) == want
+    assert (cf.nodes, cf.leaves, cf.pruned) == counters
+
+
+# --- seeded search ----------------------------------------------------------
 
 
 def carried(g, h, perm):
@@ -747,55 +816,53 @@ def carried(g, h, perm):
     return out
 
 
-def relabeled_geometries(count):
-    for name, g in [("vls", con.build_vls()), ("switched", con.build_new())]:
-        rng = random.Random(name)
-        for i in range(count):
-            perm = tuple(rng.sample(range(g.v), g.v))
-            yield f"{name}-{i}", g, sym.relabel_incidence(g, perm), perm
+def seed_free(cf):
+    """What a seed may not change: the labeling, the certificate and the
+    group order."""
+    return cf.labeling, cf.certificate, cf.group.order()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(colored_graphs(), st.data())
-def test_certificate_only_search_finds_the_canonical_certificate(cg, data):
+def test_seeded_search_finds_the_canonical_form(cg, data):
     perm = tuple(data.draw(st.permutations(range(cg.n))))
     h = relabel(cg, perm)
     inv = sym.inverse(perm)
     known = [sym.compose(sym.compose(inv, a), perm) for a in sym.canonical_form(cg).generators]
-    want = sym.canonical_form(h).certificate
-    assert sym.canonical_certificate(h) == want
-    assert sym.canonical_certificate(h, known) == want
+    want = seed_free(_FirstPathSearch(h).run())
+    assert seed_free(sym.canonical_form(h)) == want
+    assert seed_free(sym.canonical_form(h, known)) == want
 
 
 @pytest.mark.parametrize("name", list(PINNED_FORMS))
-def test_certificate_only_search_on_pinned_graphs(name, vls, new):
+def test_seeded_search_on_pinned_graphs(name, vls, new):
     cg = PINNED_FORMS[name][0](vls, new)
     cf = sym.canonical_form(cg)
-    assert sym.canonical_certificate(cg) == cf.certificate
-    assert sym.canonical_certificate(cg, cf.generators) == cf.certificate
+    seeded = sym.canonical_form(cg, cf.generators)
+    assert seed_free(seeded) == seed_free(cf)
+    assert seeded.leaves <= cf.leaves
 
 
 @pytest.mark.parametrize(
     "case", [pytest.param(c, id=c[0]) for c in relabeled_geometries(2)]
 )
-def test_certificate_only_search_on_relabeled_geometries(case):
+def test_seeded_search_on_relabeled_geometries(case):
     _, g, h, perm = case
     cg = sym.colored_incidence_graph(h)
     want = sym.incidence_certificate(g)
-    full = sym.canonical_form(cg)
-    assert full.certificate == want
+    old = _FirstPathSearch(cg).run()
+    assert old.certificate == want
     for known in ((), carried(g, h, perm)):
-        cf = sym._Search(cg, certificate_only=True, known=known).run()
-        assert cf.certificate == want
-        assert cf.leaves <= full.leaves
+        cf = sym.canonical_form(cg, known)
+        assert seed_free(cf) == seed_free(old)
+        assert cf.leaves <= old.leaves
 
 
 class _SkipCheckedSearch(sym._Search):
-    """A certificate-only search that, wherever it takes pruning orbits,
-    checks each generator it uses afresh as an automorphism of the graph,
-    and rebuilds each vertex of the orbits as the image of a processed
-    sibling under a product of those generators that fixes the prefix
-    pointwise."""
+    """A search that, wherever it takes pruning orbits, checks each
+    generator it uses afresh as an automorphism of the graph, and rebuilds
+    each vertex of the orbits as the image of a processed sibling under a
+    product of those generators that fixes the prefix pointwise."""
 
     off_path = best_backjumps = 0
 
@@ -803,8 +870,8 @@ class _SkipCheckedSearch(sym._Search):
         super().__init__(*args, **kwargs)
         self.checked = set()
 
-    def _orbits(self, prefix, processed, known):
-        result = super()._orbits(prefix, processed, known)
+    def _orbits(self, prefix, processed, cached):
+        result = super()._orbits(prefix, processed, cached)
         _, gens, mask = result
         for g in set(gens) - self.checked:
             assert all(
@@ -847,8 +914,8 @@ def skip_cases():
 def test_off_path_skips_are_images_under_checked_automorphisms():
     off_path = best_backjumps = 0
     for name, cg, known in skip_cases():
-        search = _SkipCheckedSearch(cg, certificate_only=True, known=known)
-        assert search.run().certificate == sym.canonical_form(cg).certificate, name
+        search = _SkipCheckedSearch(cg, known)
+        assert seed_free(search.run()) == seed_free(_FirstPathSearch(cg).run()), name
         off_path += search.off_path
         best_backjumps += search.best_backjumps
     assert off_path > 0 and best_backjumps > 0
@@ -859,9 +926,9 @@ def test_known_map_must_be_an_automorphism(vls):
     identity = tuple(range(cg.n))
     points_swapped = (1, 0) + identity[2:]
     with pytest.raises(ValueError, match="known map 1 is not an automorphism"):
-        sym.canonical_certificate(cg, [identity, points_swapped])
+        sym.canonical_form(cg, [identity, points_swapped])
     point_and_line_swapped = (81,) + identity[1:81] + (0,) + identity[82:]
     with pytest.raises(ValueError, match="does not preserve colors"):
-        sym.canonical_certificate(cg, [point_and_line_swapped])
+        sym.canonical_form(cg, [point_and_line_swapped])
     with pytest.raises(ValueError, match="not a permutation"):
-        sym.canonical_certificate(cg, [identity[1:]])
+        sym.canonical_form(cg, [identity[1:]])
