@@ -14,9 +14,11 @@ the full automorphism group, whose order the chain certifies.
 Three rules prune the tree (nauty's, McKay and Piperno 2014, section 3):
 
 - Orbit pruning: a node skips a child in the orbit of a processed sibling
-  under the found strong generators that fix the node's prefix pointwise.
-  The node keeps the orbits of its processed children and recomputes them
-  only when the group has gained a generator.
+  under the pointwise stabilizer of the node's prefix in the group found so
+  far.  On the first path the main chain holds that stabilizer as a level;
+  off it, a chain whose base starts with the prefix does.  The node keeps
+  the orbits of its processed children and recomputes the stabilizer and
+  the orbits only when the group has gained a generator.
 - Backjump: a leaf equal to the first or to the best leaf so far yields an
   automorphism that maps that leaf's subtree below the fork of their two
   paths onto the current one, so the search unwinds to the fork.
@@ -195,15 +197,19 @@ class PermutationGroup:
 
     ``base`` fixes a prefix of the chain's base points (the canonical
     search's first path, or a second, independent base that reproduces the
-    order).
+    order); each must be one of the points 0..degree-1.
     """
 
     def __init__(self, degree: int, generators=(), base: tuple[int, ...] = ()):
         if degree > 256:
             raise ValueError("degree > 256 not supported")
+        base = tuple(base)
+        for b in base:
+            if not 0 <= b < degree:
+                raise ValueError(f"base point {b} out of range 0..{degree - 1}")
         self.degree = degree
         self.generators: list[Perm] = []
-        self._chain = _Chain(tuple(base))
+        self._chain = _Chain(base)
         for g in generators:
             self.add(g)
 
@@ -530,20 +536,41 @@ class _Search:
                 self.backjump = None
 
     def _orbits(self, prefix, processed: int, cached) -> tuple[int, list[bytes], int]:
-        """The orbits of ``processed`` under the chain's strong generators
-        (identity-padded byte strings) that fix ``prefix`` pointwise, as
-        ``(generator count, those generators, mask of the orbits)``.  On the
-        first path the prefix is a prefix of the chain's base, and these
-        generate its pointwise stabilizer.  ``cached`` is the node's
-        previous result, or None: while the group has gained no generator
-        since, the orbits of the vertices processed after it are added to
-        its mask; otherwise the mask is computed afresh."""
+        """The orbits of ``processed`` under the pointwise stabilizer of
+        ``prefix`` in the group found so far, as ``(generator count, strong
+        generators of that stabilizer as identity-padded byte strings, mask
+        of the orbits)``.  ``cached`` is the node's previous result, or
+        None: while the group has gained no generator since, the orbits of
+        the vertices processed after it are added to its mask; otherwise
+        the stabilizer and the mask are computed afresh."""
         count = len(self.group.generators)
         if cached is None or cached[0] != count:
-            gens = [g for g in self.group._chain.all_gens() if all(g[p] == p for p in prefix)]
+            gens = self._stabilizer_gens(prefix)
             return count, gens, orbit_closure(processed, gens)
         _, gens, mask = cached
         return count, gens, mask | orbit_closure(processed & ~mask, gens)
+
+    def _stabilizer_gens(self, prefix) -> list[bytes]:
+        """Strong generators of the pointwise stabilizer of ``prefix`` in
+        the group found so far.  The main chain's base is the first path,
+        so its level at the fork of ``prefix`` with that path is the
+        stabilizer of their common part.  On the first path that level is
+        the answer; off it, a chain of that level's group with the rest of
+        ``prefix`` as its base stabilizes the rest."""
+        fork = _fork(self.base, prefix)
+        level = self.group._chain
+        for _ in range(fork):
+            level = level.stab
+        rest = tuple(prefix[fork:])
+        if rest:
+            gens = level.all_gens()
+            level = _Chain(rest)
+            for g in gens:
+                if level.sift(g) != _TAIL:
+                    level.insert(g)
+            for _ in rest:
+                level = level.stab
+        return level.all_gens()
 
     def _worse_below(self, mask_at, cell_of) -> bool:
         """Whether every leaf below the equitable partition ``(mask_at,

@@ -129,6 +129,31 @@ def test_srg_answers_one_largest_line_at_once(tmp_path, capsys):
     }
 
 
+def grid_64():
+    """The 64×64 grid as a partial geometry, the net pg(63, 1, 1): its point
+    graph is srg(4096, 126, 62, 2)."""
+    rows = [((1 << 64) - 1) << 64 * i for i in range(64)]
+    column = sum(1 << 64 * i for i in range(64))
+    return inc.IncidenceStructure(4096, rows + [column << j for j in range(64)])
+
+
+@pytest.mark.parametrize("command", ["verify", "srg"])
+def test_grid_is_answered_at_once(tmp_path, capsys, command):
+    path = str(tmp_path / "grid.pg")
+    inc.write_incidence(grid_64(), path)
+    start = time.perf_counter()
+    code, doc = run(capsys, command, path)
+    assert time.perf_counter() - start < 3
+    assert code == 0
+    point = {"v": 4096, "k": 126, "lambda": 62, "mu": 2, "complete": False, "empty": False}
+    if command == "srg":
+        assert doc["results"] == point
+    else:
+        assert doc["results"]["pg"] == [63, 1, 1, 4096, 128]
+        assert doc["results"]["srg_point"] == point
+        assert doc["results"]["pass"] is True
+
+
 def test_cliques_answers_one_largest_line_at_once(tmp_path, capsys):
     path = str(tmp_path / "line.pg")
     inc.write_incidence(inc.IncidenceStructure(4096, [(1 << 4096) - 1]), path)

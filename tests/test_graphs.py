@@ -133,6 +133,64 @@ def test_srg_violation_mu_with_witness():
     assert e.value.count == 0
 
 
+def rook_graph(rows, cols):
+    """The rows × cols grid, two cells adjacent when they share a row or a
+    column: srg(m², 2m − 2, m − 2, 2) when rows = cols = m."""
+    return gr.Graph.from_edges(rows * cols, [
+        (a, b) for a, b in itertools.combinations(range(rows * cols), 2)
+        if a // cols == b // cols or a % cols == b % cols
+    ])
+
+
+@st.composite
+def pair_count_graphs(draw):
+    """Random graphs, and grids with at most two pairs flipped, so that a
+    violation may come late in x-major order or not at all."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 12))
+        pairs = list(itertools.combinations(range(n), 2))
+        return gr.Graph.from_edges(n, draw(st.lists(st.sampled_from(pairs), unique=True)))
+    g = rook_graph(draw(st.integers(1, 6)), draw(st.integers(2, 6)))
+    adj = list(g.adj)
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
+        adj[a] ^= 1 << b
+        adj[b] ^= 1 << a
+    return gr.Graph(g.n, tuple(adj))
+
+
+def counts_or_violation(count, g):
+    try:
+        return count(g)
+    except gr.SrgViolation as e:
+        return e.reason, e.pair, e.count
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pair_count_graphs())
+def test_row_counts_equal_the_pair_loop(g):
+    assert counts_or_violation(gr._row_counts, g) == counts_or_violation(gr._pair_counts, g)
+
+
+@pytest.mark.parametrize("m", [19, 24])
+def test_srg_check_counts_large_sparse_graphs_by_rows(m, monkeypatch):
+    # n = m² is above 10k = 20(m − 1), so srg_check counts by rows.  Trading
+    # the edges ab (a row) and cd (a column) for ac and bd keeps the graph
+    # regular; srg_check must then name the pair loop's first violation.
+    g = rook_graph(m, m)
+    a, b, c, d = m + 2, m + 3, 5 * m + 4, 6 * m + 4
+    adj = list(g.adj)
+    for u, v in [(a, b), (c, d), (a, c), (b, d)]:
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+    flipped = gr.Graph(g.n, tuple(adj))
+    want = counts_or_violation(gr._pair_counts, flipped)
+    assert want[0] == "mu not constant"
+    monkeypatch.delattr(gr, "_pair_counts")
+    assert gr.srg_check(g) == gr.SrgParams(m * m, 2 * m - 2, m - 2, 2)
+    assert counts_or_violation(gr.srg_check, flipped) == want
+
+
 def test_common_neighbors_in_point_graph(point_graph_vls):
     # lambda = 9 for collinear pairs, mu = 12 otherwise
     g = point_graph_vls

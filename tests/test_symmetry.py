@@ -90,6 +90,15 @@ def test_group_two_bases_agree():
         assert o1 == o2 == brute_order(degree, gens)
 
 
+@pytest.mark.parametrize("base", [(-1,), (300,), (3,), (0, 3)])
+def test_group_refuses_base_points_out_of_range(base):
+    # -1 once indexed from the end of the padded chain (order 12 for S3),
+    # and 300 ran past it (IndexError)
+    with pytest.raises(ValueError, match="out of range 0..2"):
+        sym.PermutationGroup(3, [(1, 0, 2), (0, 2, 1)], base=base)
+    assert sym.PermutationGroup(3, [(1, 0, 2), (0, 2, 1)], base=(2, 0)).order() == 6
+
+
 def test_orbits_and_stabilizer():
     # <(0 1), (2 3 4)> on 5 points
     g = sym.PermutationGroup(5, [(1, 0, 2, 3, 4), (0, 1, 3, 4, 2)])
@@ -602,19 +611,69 @@ def test_pruned_subtrees_hold_only_worse_leaves(cg):
 # --- cached pruning orbits --------------------------------------------------
 
 
-class _OrbitCheckedSearch(sym._Search):
-    """Recomputes the pruning orbits from scratch at every candidate vertex,
-    under the chain's strong generators that fix the prefix pointwise, and
-    compares them with the node's cached mask."""
+def is_automorphism(cg, g):
+    return all(
+        cg.colors[g[v]] == cg.colors[v] and sym.permute_mask(cg.adj[v], g) == cg.adj[g[v]]
+        for v in range(cg.n)
+    )
 
-    checked = extended = 0
+
+def group_elements(degree, gens, limit):
+    """Every element of the group generated by ``gens`` (image tuples on
+    0..degree-1), by closure under composition, or None if it has more than
+    ``limit``."""
+    identity = tuple(range(degree))
+    elements = {identity}
+    queue = [identity]
+    while queue:
+        e = queue.pop()
+        for g in gens:
+            h = sym.compose(e, g)
+            if h not in elements:
+                if len(elements) == limit:
+                    return None
+                elements.add(h)
+                queue.append(h)
+    return elements
+
+
+# the largest group listed element by element: the switched geometry's
+ELEMENT_LIMIT = 972
+
+
+class _OrbitCheckedSearch(sym._Search):
+    """Checks each node's pruning orbits against a reference that uses no
+    stabilizer chain.  While the group found so far has at most
+    ``ELEMENT_LIMIT`` elements, it lists them by closing the search's
+    generators, each checked as an automorphism, under composition; the
+    mask must then be the images of the processed siblings under the
+    elements that fix the prefix pointwise.  Everywhere, the node's cached
+    mask must equal one computed afresh."""
+
+    checked = extended = listed = 0
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.elements = (None, None)  # (generator count, elements or None)
 
     def _orbits(self, prefix, processed, cached):
         result = super()._orbits(prefix, processed, cached)
-        gens = [g for g in self.group._chain.all_gens() if all(g[p] == p for p in prefix)]
-        assert result[2] == sym.orbit_closure(processed, gens)
+        assert result[2] == super()._orbits(prefix, processed, None)[2]
         self.checked += 1
         self.extended += cached is not None and cached[0] == result[0]
+        gens = self.group.generators
+        if self.elements[0] != len(gens):
+            assert all(is_automorphism(self.cg, g) for g in gens)
+            self.elements = len(gens), group_elements(self.n, gens, ELEMENT_LIMIT)
+        elements = self.elements[1]
+        if elements is not None:
+            images = 0
+            for a in elements:
+                if all(a[p] == p for p in prefix):
+                    for u in bits(processed):
+                        images |= 1 << a[u]
+            assert result[2] == images
+            self.listed += 1
         return result
 
 
@@ -631,6 +690,7 @@ def test_cached_pruning_orbits_equal_recomputed_ones(cg):
     search = _OrbitCheckedSearch(cg)
     cf = search.run()
     assert search.checked > 0 and search.extended > 0
+    assert search.listed > 0 or cf.group.order() > ELEMENT_LIMIT
     ref = sym.canonical_form(cg)
     assert (cf.labeling, cf.certificate, cf.generators) == (
         ref.labeling, ref.certificate, ref.generators
@@ -689,7 +749,8 @@ def test_carried_partition_arrays_match_refinement_from_scratch(cg):
 # labelings and generators are what `aut`, `dual` and `report` print, so a
 # change to the search that moves any of them changes their output.  Then
 # the work counters (nodes, leaves, pruned) of the search, recorded after
-# the pruning became nauty's, and those of the older rules at 4ffabe0.
+# off-path orbit pruning took the whole pointwise stabilizer of the prefix,
+# and those of the older rules at 4ffabe0.
 PINNED_FORMS = {
     "incidence-vls": (
         lambda vls, new: sym.colored_incidence_graph(vls),
@@ -700,7 +761,7 @@ PINNED_FORMS = {
     "incidence-switched": (
         lambda vls, new: sym.colored_incidence_graph(new),
         "7cfa310cbb1af0d7fc02d5f5f0313d90f66437fb9100a32cc2999226b2fd249a",
-        (41, 16, 5),
+        (28, 9, 2),
         (101, 49, 15),
     ),
     "incidence-dual-vls": (
@@ -712,7 +773,7 @@ PINNED_FORMS = {
     "incidence-dual-switched": (
         lambda vls, new: sym.colored_incidence_graph(inc.dual(new)),
         "32e7eb80345169569da735161150f54b1c1b5165efc991002faa034073bb0924",
-        (72, 29, 12),
+        (35, 10, 3),
         (126, 57, 25),
     ),
     "point-graph-vls": (
@@ -724,7 +785,7 @@ PINNED_FORMS = {
     "point-graph-switched": (
         lambda vls, new: sym.ColoredGraph.from_graph(inc.point_graph(new)),
         "123305a36888d81a3ed7e121e100d482f6c95bda9810ba5a3e0a63ada19e6dd3",
-        (54, 29, 10),
+        (27, 10, 5),
         (131, 78, 23),
     ),
 }
@@ -856,6 +917,39 @@ def test_seeded_search_on_relabeled_geometries(case):
         cf = sym.canonical_form(cg, known)
         assert seed_free(cf) == seed_free(old)
         assert cf.leaves <= old.leaves
+
+
+class _PrefixRecordingSearch(sym._Search):
+    """Records the prefix of every node it enters."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.prefixes = []
+
+    def _node(self, mask_at, cell_of, live, prefix):
+        self.prefixes.append(tuple(prefix))
+        super()._node(mask_at, cell_of, live, prefix)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [pytest.param(c, id=c[0]) for c in relabeled_geometries(2) if c[0].startswith("switched")],
+)
+def test_seeded_search_enters_one_prefix_per_orbit(case):
+    # Seeded with the whole group, off-path pruning under the prefix's
+    # pointwise stabilizer enters a node only if its prefix is the least
+    # of its orbit: no two entered sibling subtrees are equivalent.
+    _, g, h, perm = case
+    cg = sym.colored_incidence_graph(h)
+    known = carried(g, h, perm)
+    assert all(is_automorphism(cg, a) for a in known)
+    elements = group_elements(cg.n, known, ELEMENT_LIMIT)
+    assert elements is not None and len(elements) == 972
+    search = _PrefixRecordingSearch(cg, known)
+    cf = search.run()
+    assert len(search.prefixes) == cf.nodes
+    for prefix in search.prefixes:
+        assert min(tuple(a[p] for p in prefix) for a in elements) == prefix
 
 
 class _SkipCheckedSearch(sym._Search):
