@@ -59,13 +59,10 @@ from .symmetry import (
     aut_incidence,
     canonical_form,
     colored_incidence_graph,
-    compose,
-    incidence_automorphisms,
     incidence_certificate,
-    inverse,
+    incidence_group,
     is_isomorphic,
     is_self_dual,
-    relabel_incidence,
     translation_check,
 )
 
@@ -381,11 +378,12 @@ def _claim_isomorphism_and_duality(env) -> dict:
     witness, and each one's certificate is stable under random relabelings.
 
     Each relabeling h of g gets its own canonical search, seeded with g's
-    incidence-graph automorphisms carried over to h; the search checks each
-    one as an automorphism of h, and uses them only to skip subtrees whose
-    certificates it has already seen.  The certificate is the smallest leaf
-    certificate of h's search tree whatever the seed, so the original's
-    group serves only as a source of checked pruning."""
+    incidence-graph automorphism group carried over to h, stabilizer chain
+    and all; the search checks each generator as an automorphism of h, and
+    uses the group only to skip subtrees whose certificates it has already
+    seen.  The certificate is the smallest leaf certificate of h's search
+    tree whatever the seed, so the original's group serves only as a source
+    of checked pruning."""
     relabelings = env["relabelings"]
     iso = is_isomorphic(env["G"], env["Gp"])
     sd_vls, w_vls = is_self_dual(env["G"])
@@ -397,16 +395,16 @@ def _claim_isomorphism_and_duality(env) -> dict:
     rng = random.Random(20210522)
     stable = {"vls": 0, "new": 0}
     for name, g in [("vls", env["G"]), ("new", env["Gp"])]:
-        gens = incidence_automorphisms(g)
+        group = incidence_group(g)
         for _ in range(relabelings):
             perm = list(range(g.v))
             rng.shuffle(perm)
-            h = relabel_incidence(g, tuple(perm))
+            masks = [permute_mask(m, perm) for m in g.lines]
+            h = IncidenceStructure(g.v, masks)
             # vertex x of g's incidence graph is vertex phi[x] of h's
             line_of = {m: j for j, m in enumerate(h.lines)}
-            phi = tuple(perm) + tuple(g.v + line_of[permute_mask(m, perm)] for m in g.lines)
-            phi_inv = inverse(phi)
-            known = [compose(compose(phi_inv, a), phi) for a in gens]
+            phi = tuple(perm) + tuple(g.v + line_of[m] for m in masks)
+            known = group.conjugate(phi)
             # one search per relabeling, outside the cache of shared forms
             c = canonical_form(colored_incidence_graph(h), known).certificate
             if c == certs[name]:

@@ -63,10 +63,23 @@ UNIT: tuple[Vector, ...] = tuple(
     tuple(1 if j == i else 0 for j in range(DIM)) for i in range(DIM)
 )
 
+
+
+def _addition_table() -> tuple[tuple[int, ...], ...]:
+    """``ADD[a][b]`` is the index of a + b.  Row 0 is the identity, and row
+    a is row a - 3^d with digit d of every entry raised by 1 mod 3, where d
+    is a's lowest nonzero base-3 digit."""
+    step = [tuple(i - 2 * 3**d if i // 3**d % 3 == 2 else i + 3**d for i in range(NPOINTS))
+            for d in range(DIM)]
+    rows = [tuple(range(NPOINTS))]
+    for a in range(1, NPOINTS):
+        d = next(d for d in range(DIM) if a // 3**d % 3)
+        rows.append(tuple(map(step[d].__getitem__, rows[a - 3**d])))
+    return tuple(rows)
+
+
 # index-level arithmetic tables
-ADD: tuple[tuple[int, ...], ...] = tuple(
-    tuple(encode(vec_add(a, b)) for b in ALL_VECTORS) for a in ALL_VECTORS
-)
+ADD: tuple[tuple[int, ...], ...] = _addition_table()
 NEG: tuple[int, ...] = tuple(encode(vec_neg(a)) for a in ALL_VECTORS)
 
 

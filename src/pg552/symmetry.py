@@ -26,12 +26,20 @@ Three rules prune the tree (nauty's, McKay and Piperno 2014, section 3):
   equitable partition proves that every leaf below it has a certificate
   above the best one so far and unequal to the first one.
 
-The group may be seeded with caller-supplied automorphisms, each checked
-first.  A verified automorphism maps a processed subtree onto the subtree
-it skips, so every skipped leaf has an equal leaf earlier in depth-first
-order: the pruning never skips the first smallest leaf.  The labeling and
-the certificate are therefore those of the full search whatever the seed;
-the generators and the work counters may differ.
+The group may be seeded with a caller's group of automorphisms, such as
+an isomorphic graph's group conjugated onto this one, chain and all; its
+generators are checked first.  At the first leaf the seed's chain is
+re-based onto the first path by known-order sifting (``_rebase``), and off
+the first path the main chain's level at the fork is re-based onto the
+rest of the prefix the same way: random group elements are sifted and
+their residues placed without Schreier generators until the product of the
+orbit lengths reaches the known order.  That is exact, because each level
+holds only elements fixing the earlier base points, so no orbit exceeds
+the true one.  A verified automorphism maps a processed subtree onto the
+subtree it skips, so every skipped leaf has an equal leaf earlier in
+depth-first order: the pruning never skips the first smallest leaf.  The
+labeling and the certificate are therefore those of the full search
+whatever the seed; the generators and the work counters may differ.
 
 A cell of an ordered partition is the mask of its vertices, which take
 its positions in ascending vertex order.  The search carries each node's
@@ -56,6 +64,7 @@ whose base point the element moves, and stops once it is the identity.
 from __future__ import annotations
 
 import functools
+import random
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -190,6 +199,74 @@ class _Chain:
             return 1
         return len(self.transversal) * self.stab.order()
 
+    def _place(self, g: bytes) -> None:
+        """Put a non-identity sift residue at the first level whose base
+        point it moves, and grow the orbits of that level and the levels
+        above it; no Schreier generator is processed."""
+        level, path = self, []
+        while level.basepoint is not None and g[level.basepoint] == level.basepoint:
+            path.append(level)
+            level = level.stab
+        if level.basepoint is None:
+            level.basepoint = next(i for i in range(256) if g[i] != i)
+            level.transversal = {level.basepoint: _TAIL}
+            level.inverses = {level.basepoint: _TAIL}
+            level.stab = _Chain()
+        level.gens.append(g)
+        for changed in path + [level]:
+            changed._grow_orbit()
+
+    def _conjugate(self, p: bytes, p_inv: bytes) -> _Chain:
+        """The chain with each point x renamed ``p[x]``: every stored
+        element g becomes p^-1 g p, and every base point and orbit point
+        its image.  The Schreier generators processed are not carried."""
+        def conj(g: bytes) -> bytes:
+            return p_inv.translate(g).translate(p)
+
+        out = level = _Chain()
+        src = self
+        while src.basepoint is not None:
+            level.basepoint = p[src.basepoint]
+            level.gens = [conj(g) for g in src.gens]
+            level.transversal = {p[x]: conj(u) for x, u in src.transversal.items()}
+            level.inverses = {p[x]: conj(u) for x, u in src.inverses.items()}
+            level.stab = _Chain()
+            level, src = level.stab, src.stab
+        return out
+
+
+def _rebase(chain: _Chain, base: tuple[int, ...]) -> _Chain:
+    """A stabilizer chain of the group of the complete chain ``chain``
+    whose base starts with ``base``: randomized Schreier-Sims with the
+    order known (Seress, *Permutation Group Algorithms*, 2003).
+
+    Each element sifted is uniform in the group: one random transversal
+    element per level of ``chain``, composed from the deepest level up.  Its
+    residue in the new chain, if any, is placed there without Schreier
+    generators.  Every level then holds only elements fixing the earlier
+    base points, so each of its orbits is at most the true one; once the
+    product of the orbit lengths reaches the group's order, every orbit is
+    the true one and every level generates the full pointwise stabilizer.
+    The random source has a fixed seed, so the same input gives the same
+    chain."""
+    order = chain.order()
+    levels = []
+    level = chain
+    while level.basepoint is not None:
+        levels.append(list(level.transversal.values()))
+        level = level.stab
+    levels.reverse()
+    rng = random.Random(0)
+    out = _Chain(base)
+    while out.order() < order:
+        g = _TAIL
+        for transversal in levels:
+            g = g.translate(rng.choice(transversal))
+        residue = out.sift(g)
+        if residue != _TAIL:
+            out._place(residue)
+    return out
+
 
 class PermutationGroup:
     """Permutation group given by generators, with a stabilizer chain for
@@ -227,6 +304,26 @@ class PermutationGroup:
 
     def order(self) -> int:
         return self._chain.order()
+
+    def conjugate(self, phi) -> PermutationGroup:
+        """The group with each point x renamed ``phi[x]``: generators and
+        stabilizer chain are carried over, each element g as phi^-1 g phi,
+        with no sifting."""
+        phi = tuple(phi)
+        if sorted(phi) != list(range(self.degree)):
+            raise ValueError("not a permutation of the right degree")
+        phi_inv = inverse(phi)
+        out = PermutationGroup(self.degree)
+        out.generators = [tuple(phi[g[x]] for x in phi_inv) for g in self.generators]
+        out._chain = self._chain._conjugate(_pad(phi), _pad(phi_inv))
+        return out
+
+    def _with_base(self, base: tuple[int, ...]) -> PermutationGroup:
+        """The same group and generators, its chain re-based onto ``base``."""
+        out = PermutationGroup(self.degree)
+        out.generators = list(self.generators)
+        out._chain = _rebase(self._chain, base)
+        return out
 
     def contains(self, g) -> bool:
         return self._chain.sift(_pad(tuple(g))) == _TAIL
@@ -454,8 +551,9 @@ class CanonicalForm:
 
 class _Search:
     """The search tree of ``cg``, pruned by the three rules of the module
-    docstring; its group is seeded at the first leaf with ``known``, a list
-    of automorphisms of ``cg`` that it checks first."""
+    docstring; its group is seeded at the first leaf with ``known``, a
+    group of automorphisms of ``cg`` or a list of them, whose generators it
+    checks first."""
 
     def __init__(self, cg: ColoredGraph, known=()):
         if cg.n > 256:  # the stabilizer chain's byte strings hold 256 points
@@ -465,12 +563,16 @@ class _Search:
         self.nbrs = [tuple(bits(row)) for row in cg.adj]
         self.n = cg.n
         self.colors = cg.colors
-        self.known = [tuple(g) for g in known]
-        for i, g in enumerate(self.known):
+        group = known if isinstance(known, PermutationGroup) else None
+        if group is not None and group.degree != self.n:
+            raise ValueError(f"known group acts on {group.degree} points, not {self.n}")
+        gens = group.generators if group is not None else [tuple(g) for g in known]
+        for i, g in enumerate(gens):
             fault = ("is not a permutation of the vertices" if sorted(g) != list(range(self.n))
                      else self._fault(g))
             if fault:
                 raise ValueError(f"known map {i} {fault}")
+        self.seed = group if group is not None else PermutationGroup(self.n, gens)
         self.first_cert = None
         self.first_lab: Perm | None = None
         self.base: list[int] = []
@@ -555,19 +657,15 @@ class _Search:
         the group found so far.  The main chain's base is the first path,
         so its level at the fork of ``prefix`` with that path is the
         stabilizer of their common part.  On the first path that level is
-        the answer; off it, a chain of that level's group with the rest of
-        ``prefix`` as its base stabilizes the rest."""
+        the answer; off it, that level re-based onto the rest of ``prefix``
+        stabilizes the rest."""
         fork = _fork(self.base, prefix)
         level = self.group._chain
         for _ in range(fork):
             level = level.stab
         rest = tuple(prefix[fork:])
         if rest:
-            gens = level.all_gens()
-            level = _Chain(rest)
-            for g in gens:
-                if level.sift(g) != _TAIL:
-                    level.insert(g)
+            level = _rebase(level, rest)
             for _ in rest:
                 level = level.stab
         return level.all_gens()
@@ -632,7 +730,7 @@ class _Search:
             self.first_cert, self.first_lab = cert, lab
             self.best_cert, self.best_lab = cert, lab
             self.base = self.best_path = list(prefix)
-            self.group = PermutationGroup(self.n, self.known, base=tuple(prefix))
+            self.group = self.seed._with_base(tuple(prefix))
             return
         if cert == self.first_cert:
             seen_lab, seen_path = self.first_lab, self.base
@@ -695,10 +793,12 @@ def canonical_form(cg: ColoredGraph, known=()) -> CanonicalForm:
     """Canonical form of a colored graph on at most 256 vertices (the
     degree the stabilizer chain's byte-string permutations can hold).
 
-    ``known`` is a list of automorphisms of ``cg`` (image tuples) that seed
-    the pruning group; each one is checked first, and a permutation that is
-    no automorphism raises ``ValueError``.  The labeling and the certificate
-    do not depend on ``known``; the generators and the counters may."""
+    ``known`` seeds the pruning group: a ``PermutationGroup`` of
+    automorphisms of ``cg``, whose stabilizer chain is re-based rather than
+    rebuilt, or a list of automorphisms (image tuples).  Each generator is
+    checked first, and a permutation that is no automorphism raises
+    ``ValueError``.  The labeling and the certificate do not depend on
+    ``known``; the generators and the counters may."""
     return _Search(cg, known).run()
 
 
@@ -707,15 +807,21 @@ def canonical_form(cg: ColoredGraph, known=()) -> CanonicalForm:
 
 
 @functools.lru_cache(maxsize=8)
-def _incidence_form(g: IncidenceStructure) -> tuple[Perm, tuple, tuple[Perm, ...]]:
-    """Labeling, certificate and automorphism generators of the canonical
-    form of g's colored incidence graph.  Isomorphism, self-duality and
+def _incidence_form(g: IncidenceStructure) -> tuple[Perm, tuple, PermutationGroup]:
+    """Labeling, certificate and automorphism group of the canonical form
+    of g's colored incidence graph.  Isomorphism, self-duality and
     automorphism queries about the same few structures share one search;
     eight entries hold the five structures a report asks about (both
     geometries, their duals and the second geometry on the van
-    Lint-Schrijver point graph).  The stabilizer chain is not kept."""
+    Lint-Schrijver point graph)."""
     cf = canonical_form(colored_incidence_graph(g))
-    return cf.labeling, cf.certificate, cf.generators
+    # the shared group is never extended, so the record of processed
+    # Schreier generators, which only an extension reads, is dropped
+    level = cf.group._chain
+    while level is not None:
+        level._done.clear()
+        level = level.stab
+    return cf.labeling, cf.certificate, cf.group
 
 
 def incidence_certificate(g: IncidenceStructure) -> tuple:
@@ -724,10 +830,17 @@ def incidence_certificate(g: IncidenceStructure) -> tuple:
     return _incidence_form(g)[1]
 
 
+def incidence_group(g: IncidenceStructure) -> PermutationGroup:
+    """The automorphism group of g's colored incidence graph (points
+    0..v-1, line j as vertex v + j), with the search's stabilizer chain;
+    shared between callers, so it must not be changed."""
+    return _incidence_form(g)[2]
+
+
 def incidence_automorphisms(g: IncidenceStructure) -> tuple[Perm, ...]:
     """Checked generators of the automorphism group of g's colored
     incidence graph (points 0..v-1, line j as vertex v + j)."""
-    return _incidence_form(g)[2]
+    return tuple(incidence_group(g).generators)
 
 
 def aut_graph(g: Graph) -> PermutationGroup:

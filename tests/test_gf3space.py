@@ -73,10 +73,13 @@ def test_vec_add_neg():
 
 
 def test_index_tables_match_tuple_arithmetic():
-    for i in range(0, 81, 7):
-        for j in range(0, 81, 5):
+    # every entry, against this file's arithmetic and the module's vectors
+    for i, a in enumerate(gf3.ALL_VECTORS):
+        for j, b in enumerate(gf3.ALL_VECTORS):
             assert gf3.ADD[i][j] == base3(tadd(gf3.decode(i), gf3.decode(j)))
-        assert gf3.NEG[i] == base3(tneg(gf3.decode(i)))
+            assert gf3.ADD[i][j] == gf3.encode(gf3.vec_add(a, b))
+        assert gf3.NEG[i] == base3(tneg(gf3.decode(i))) == gf3.encode(gf3.vec_neg(a))
+    assert len(gf3.ADD) == len(gf3.NEG) == 81
 
 
 def test_span_empty():

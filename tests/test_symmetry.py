@@ -340,6 +340,21 @@ def chain_levels(chain):
         chain = chain.stab
 
 
+def check_stored_elements(chain):
+    """Each level's transversal element maps the base point to its key,
+    its stored inverse inverts it, and its strong generators fix the
+    earlier base points."""
+    fixed = []
+    for level in chain_levels(chain):
+        assert level.inverses.keys() == level.transversal.keys()
+        for p, u in level.transversal.items():
+            assert u[level.basepoint] == p
+            assert u.translate(level.inverses[p]) == bytes(range(256))
+        for g in level.gens:
+            assert all(g[b] == b for b in fixed)
+        fixed.append(level.basepoint)
+
+
 def test_stored_inverses_invert_transversals(aut_vls, aut_new):
     n = aut_vls.degree
     for grp in (aut_vls, aut_new):
@@ -349,11 +364,7 @@ def test_stored_inverses_invert_transversals(aut_vls, aut_new):
             for b in (tuple(range(n)), tuple(reversed(range(n))))
         ]
         for chain in chains:
-            for level in chain_levels(chain):
-                assert level.inverses.keys() == level.transversal.keys()
-                for p, u in level.transversal.items():
-                    assert u[level.basepoint] == p
-                    assert u.translate(level.inverses[p]) == bytes(range(256))
+            check_stored_elements(chain)
 
 
 def full_sift(chain, g):
@@ -433,6 +444,75 @@ def test_sift_residues_equal_full_walk_and_chains_are_pinned(name, vls, new):
         for c in chains
     ]
     assert hashlib.sha256(repr(key).encode()).hexdigest() == digest
+
+
+# --- known-order base change and conjugation --------------------------------
+
+
+def check_rebased(source, n, gens, base):
+    """``_rebase`` of the complete chain ``source`` onto ``base``, against
+    the deterministic chain of ``PermutationGroup(n, gens, base)``: the same
+    order at every level of the base and the same orbit at every base
+    point."""
+    rebased = sym._rebase(source, base)
+    want = sym.PermutationGroup(n, gens, base=base)._chain
+    assert rebased.order() == source.order() == want.order()
+    check_stored_elements(rebased)
+    got_level, want_level = rebased, want
+    for b in base:
+        assert got_level.basepoint == want_level.basepoint == b
+        assert got_level.transversal.keys() == want_level.transversal.keys()
+        got_level, want_level = got_level.stab, want_level.stab
+        assert got_level.order() == want_level.order()
+    return rebased
+
+
+@st.composite
+def permutation_groups(draw, max_n=12):
+    """(degree, generators, base prefix) of a random permutation group."""
+    n = draw(st.integers(1, max_n))
+    gens = draw(st.lists(st.permutations(range(n)).map(tuple), max_size=3))
+    base = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    return n, gens, tuple(base)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(permutation_groups(), st.data())
+def test_rebase_keeps_the_order_and_every_orbit(group, data):
+    n, gens, base = group
+    source_base = tuple(data.draw(st.permutations(range(n))))
+    source = sym.PermutationGroup(n, gens, base=source_base)._chain
+    rebased = check_rebased(source, n, gens, base)
+    assert sym._rebase(source, base).all_gens() == rebased.all_gens()  # seeded
+
+
+@pytest.mark.parametrize("name", list(PINNED_CHAINS))
+def test_rebase_of_pg552_groups_under_random_bases(name, vls, new):
+    grp = PINNED_CHAINS[name][0](vls, new)
+    n = grp.degree
+    for seed in (1, 2):
+        base = tuple(random.Random(seed).sample(range(n), n))
+        check_rebased(grp._chain, n, grp.generators, base)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(permutation_groups(), st.data())
+def test_conjugate_group_equals_the_group_of_conjugated_generators(group, data):
+    n, gens, base = group
+    phi = tuple(data.draw(st.permutations(range(n))))
+    inv = sym.inverse(phi)
+    conjugated = [sym.compose(sym.compose(inv, g), phi) for g in gens]
+    got = sym.PermutationGroup(n, gens, base=base).conjugate(phi)
+    want = sym.PermutationGroup(n, conjugated)
+    assert got.generators == want.generators  # accepted at the same positions
+    assert got.order() == want.order()
+    check_stored_elements(got._chain)
+    rng = random.Random(repr(group))
+    tests = [tuple(rng.sample(range(n), n)) for _ in range(20)]
+    if conjugated:
+        tests += [word(rng, conjugated, 5) for _ in range(20)]
+    for p in tests:
+        assert got.contains(p) == want.contains(p)
 
 
 @st.composite
@@ -877,6 +957,14 @@ def carried(g, h, perm):
     return out
 
 
+def carried_group(g, h, perm):
+    """g's incidence-graph automorphism group, stabilizer chain and all,
+    carried over to ``h = relabel_incidence(g, perm)`` by conjugation."""
+    line_of = {m: j for j, m in enumerate(h.lines)}
+    phi = perm + tuple(h.v + line_of[sym.permute_mask(m, perm)] for m in g.lines)
+    return sym.incidence_group(g).conjugate(phi)
+
+
 def seed_free(cf):
     """What a seed may not change: the labeling, the certificate and the
     group order."""
@@ -893,6 +981,8 @@ def test_seeded_search_finds_the_canonical_form(cg, data):
     want = seed_free(_FirstPathSearch(h).run())
     assert seed_free(sym.canonical_form(h)) == want
     assert seed_free(sym.canonical_form(h, known)) == want
+    group = sym.canonical_form(cg).group.conjugate(perm)
+    assert seed_free(sym.canonical_form(h, group)) == want
 
 
 @pytest.mark.parametrize("name", list(PINNED_FORMS))
@@ -917,6 +1007,35 @@ def test_seeded_search_on_relabeled_geometries(case):
         cf = sym.canonical_form(cg, known)
         assert seed_free(cf) == seed_free(old)
         assert cf.leaves <= old.leaves
+
+
+def search_key(cf):
+    return form_key(cf) + (cf.nodes, cf.leaves, cf.pruned)
+
+
+@pytest.mark.parametrize(
+    "case", [pytest.param(c, id=c[0]) for c in relabeled_geometries(2)]
+)
+def test_seeding_with_a_carried_group(case):
+    # The carried chain is re-based, not rebuilt: the search must be the
+    # one seeded with the same generators as a list, counters included.
+    _, g, h, perm = case
+    cg = sym.colored_incidence_graph(h)
+    group = carried_group(g, h, perm)
+    assert group.generators == carried(g, h, perm)
+    by_group = sym.canonical_form(cg, group)
+    assert search_key(by_group) == search_key(sym.canonical_form(cg, group.generators))
+    assert seed_free(by_group) == seed_free(sym.canonical_form(cg))
+    assert by_group.group is not group and group.order() == by_group.group.order()
+    identity = tuple(range(cg.n))
+    points_swapped = (1, 0) + identity[2:]
+    assert not is_automorphism(cg, points_swapped)
+    bad = carried_group(g, h, perm)
+    bad.generators[1] = points_swapped  # its chain still holds the true group
+    with pytest.raises(ValueError, match="known map 1 is not an automorphism"):
+        sym.canonical_form(cg, bad)
+    with pytest.raises(ValueError, match="acts on 80 points"):
+        sym.canonical_form(cg, sym.PermutationGroup(80))
 
 
 class _PrefixRecordingSearch(sym._Search):
