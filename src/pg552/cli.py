@@ -54,6 +54,7 @@ from .incidence import (
     write_incidence,
 )
 from .symmetry import (
+    Carried,
     PermutationGroup,
     aut_graph,
     aut_incidence,
@@ -377,13 +378,16 @@ def _claim_isomorphism_and_duality(env) -> dict:
     """The geometries are not isomorphic, each is self-dual with a checked
     witness, and each one's certificate is stable under random relabelings.
 
-    Each relabeling h of g gets its own canonical search, seeded with g's
-    incidence-graph automorphism group carried over to h, stabilizer chain
-    and all; the search checks each generator as an automorphism of h, and
-    uses the group only to skip subtrees whose certificates it has already
-    seen.  The certificate is the smallest leaf certificate of h's search
-    tree whatever the seed, so the original's group serves only as a source
-    of checked pruning."""
+    Each relabeling h of g gets its own canonical search, seeded with the
+    automorphism group of g's incidence graph that g's own search returned
+    and the relabeling phi of that graph onto h's.  The chain of trust: g's
+    search checked each generator on g's incidence graph when it recorded
+    it, and h's search checks phi as an isomorphism onto h's incidence
+    graph, so every generator carried through phi is an automorphism of h.
+    The search uses the group only to skip subtrees whose certificates it
+    has already seen.  The certificate is the smallest leaf certificate of
+    h's search tree whatever the seed, so the original's group serves only
+    as a source of checked pruning."""
     relabelings = env["relabelings"]
     iso = is_isomorphic(env["G"], env["Gp"])
     sd_vls, w_vls = is_self_dual(env["G"])
@@ -395,7 +399,7 @@ def _claim_isomorphism_and_duality(env) -> dict:
     rng = random.Random(20210522)
     stable = {"vls": 0, "new": 0}
     for name, g in [("vls", env["G"]), ("new", env["Gp"])]:
-        group = incidence_group(g)
+        source, group = colored_incidence_graph(g), incidence_group(g)
         for _ in range(relabelings):
             perm = list(range(g.v))
             rng.shuffle(perm)
@@ -404,9 +408,9 @@ def _claim_isomorphism_and_duality(env) -> dict:
             # vertex x of g's incidence graph is vertex phi[x] of h's
             line_of = {m: j for j, m in enumerate(h.lines)}
             phi = tuple(perm) + tuple(g.v + line_of[m] for m in masks)
-            known = group.conjugate(phi)
             # one search per relabeling, outside the cache of shared forms
-            c = canonical_form(colored_incidence_graph(h), known).certificate
+            seed = Carried(source, group, phi)
+            c = canonical_form(colored_incidence_graph(h), seed).certificate
             if c == certs[name]:
                 stable[name] += 1
     return {

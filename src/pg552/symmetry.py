@@ -26,20 +26,25 @@ Three rules prune the tree (nauty's, McKay and Piperno 2014, section 3):
   equitable partition proves that every leaf below it has a certificate
   above the best one so far and unequal to the first one.
 
-The group may be seeded with a caller's group of automorphisms, such as
-an isomorphic graph's group conjugated onto this one, chain and all; its
-generators are checked first.  At the first leaf the seed's chain is
-re-based onto the first path by known-order sifting (``_rebase``), and off
-the first path the main chain's level at the fork is re-based onto the
-rest of the prefix the same way: random group elements are sifted and
-their residues placed without Schreier generators until the product of the
-orbit lengths reaches the known order.  That is exact, because each level
-holds only elements fixing the earlier base points, so no orbit exceeds
-the true one.  A verified automorphism maps a processed subtree onto the
-subtree it skips, so every skipped leaf has an equal leaf earlier in
-depth-first order: the pruning never skips the first smallest leaf.  The
-labeling and the certificate are therefore those of the full search
-whatever the seed; the generators and the work counters may differ.
+The group may be seeded with a caller's list of automorphisms, each
+checked first, or with the group an isomorphic graph's own search returned
+together with a relabeling φ onto this graph (``Carried``).  The search
+checks φ once as an isomorphism; that search checked each of the group's
+generators on its own graph, so each generator conjugated by φ is an
+automorphism of this one, and no map is checked twice.  At the first leaf
+the seed's chain is re-based onto the first path by known-order sifting
+(``_rebase``), each element drawn from the source's chain conjugated by φ
+on the way, so no conjugated chain is built.  Off the first path the main
+chain's level at the fork is re-based onto the rest of the prefix the same
+way: random group elements are sifted and their residues placed without
+Schreier generators until the product of the orbit lengths reaches the
+known order.  That is exact, because each level holds only elements
+fixing the earlier base points, so no orbit exceeds the true one.  A
+verified automorphism maps a processed subtree onto the subtree it skips,
+so every skipped leaf has an equal leaf earlier in depth-first order: the
+pruning never skips the first smallest leaf.  The labeling and the
+certificate are therefore those of the full search whatever the seed; the
+generators and the work counters may differ.
 
 A cell of an ordered partition is the mask of its vertices, which take
 its positions in ascending vertex order.  The search carries each node's
@@ -216,29 +221,13 @@ class _Chain:
         for changed in path + [level]:
             changed._grow_orbit()
 
-    def _conjugate(self, p: bytes, p_inv: bytes) -> _Chain:
-        """The chain with each point x renamed ``p[x]``: every stored
-        element g becomes p^-1 g p, and every base point and orbit point
-        its image.  The Schreier generators processed are not carried."""
-        def conj(g: bytes) -> bytes:
-            return p_inv.translate(g).translate(p)
 
-        out = level = _Chain()
-        src = self
-        while src.basepoint is not None:
-            level.basepoint = p[src.basepoint]
-            level.gens = [conj(g) for g in src.gens]
-            level.transversal = {p[x]: conj(u) for x, u in src.transversal.items()}
-            level.inverses = {p[x]: conj(u) for x, u in src.inverses.items()}
-            level.stab = _Chain()
-            level, src = level.stab, src.stab
-        return out
-
-
-def _rebase(chain: _Chain, base: tuple[int, ...]) -> _Chain:
+def _rebase(chain: _Chain, base: tuple[int, ...], phi: bytes | None = None) -> _Chain:
     """A stabilizer chain of the group of the complete chain ``chain``
     whose base starts with ``base``: randomized Schreier-Sims with the
-    order known (Seress, *Permutation Group Algorithms*, 2003).
+    order known (Seress, *Permutation Group Algorithms*, 2003).  With
+    ``phi``, an identity-padded permutation, the group is the one with each
+    point x renamed ``phi[x]``, and ``base`` names renamed points.
 
     Each element sifted is uniform in the group: one random transversal
     element per level of ``chain``, composed from the deepest level up.  Its
@@ -248,7 +237,10 @@ def _rebase(chain: _Chain, base: tuple[int, ...]) -> _Chain:
     product of the orbit lengths reaches the group's order, every orbit is
     the true one and every level generates the full pointwise stabilizer.
     The random source has a fixed seed, so the same input gives the same
-    chain."""
+    chain.  Each element drawn with ``phi`` is conjugated, g -> phi^-1 g phi,
+    before it is sifted: the draws see ``chain``'s transversals in their
+    order, so the result holds the elements that re-basing a conjugated copy
+    of ``chain`` would, and no such copy is built."""
     order = chain.order()
     levels = []
     level = chain
@@ -257,11 +249,14 @@ def _rebase(chain: _Chain, base: tuple[int, ...]) -> _Chain:
         level = level.stab
     levels.reverse()
     rng = random.Random(0)
+    phi_inv = None if phi is None else bytes.maketrans(phi, _TAIL)
     out = _Chain(base)
     while out.order() < order:
         g = _TAIL
         for transversal in levels:
             g = g.translate(rng.choice(transversal))
+        if phi is not None:
+            g = phi_inv.translate(g).translate(phi)
         residue = out.sift(g)
         if residue != _TAIL:
             out._place(residue)
@@ -305,24 +300,19 @@ class PermutationGroup:
     def order(self) -> int:
         return self._chain.order()
 
-    def conjugate(self, phi) -> PermutationGroup:
-        """The group with each point x renamed ``phi[x]``: generators and
-        stabilizer chain are carried over, each element g as phi^-1 g phi,
-        with no sifting."""
-        phi = tuple(phi)
-        if sorted(phi) != list(range(self.degree)):
-            raise ValueError("not a permutation of the right degree")
-        phi_inv = inverse(phi)
+    def _with_base(self, base: tuple[int, ...], phi: Perm | None = None) -> PermutationGroup:
+        """The same group and generators, its chain re-based onto ``base``.
+        With ``phi``, the group with each point x renamed ``phi[x]``: each
+        generator g becomes phi^-1 g phi, and so does each element the
+        re-base draws (see ``_rebase``)."""
         out = PermutationGroup(self.degree)
-        out.generators = [tuple(phi[g[x]] for x in phi_inv) for g in self.generators]
-        out._chain = self._chain._conjugate(_pad(phi), _pad(phi_inv))
-        return out
-
-    def _with_base(self, base: tuple[int, ...]) -> PermutationGroup:
-        """The same group and generators, its chain re-based onto ``base``."""
-        out = PermutationGroup(self.degree)
-        out.generators = list(self.generators)
-        out._chain = _rebase(self._chain, base)
+        if phi is None:
+            out.generators = list(self.generators)
+            out._chain = _rebase(self._chain, base)
+        else:
+            phi_inv = inverse(phi)
+            out.generators = [tuple(phi[g[x]] for x in phi_inv) for g in self.generators]
+            out._chain = _rebase(self._chain, base, _pad(phi))
         return out
 
     def contains(self, g) -> bool:
@@ -549,11 +539,26 @@ class CanonicalForm:
     pruned: int = field(default=0, compare=False)
 
 
+@dataclass(frozen=True)
+class Carried:
+    """A seed for the search of a graph isomorphic to ``source``: vertex x
+    of ``source`` is vertex ``phi[x]`` of the graph searched, and ``group``
+    is the automorphism group that ``source``'s own search returned, each
+    of whose generators that search checked on ``source`` when it recorded
+    it.  The search checks ``phi`` as an isomorphism from ``source`` onto
+    its graph, so every map it carries through ``phi`` is an automorphism
+    there."""
+
+    source: ColoredGraph
+    group: PermutationGroup
+    phi: Perm
+
+
 class _Search:
     """The search tree of ``cg``, pruned by the three rules of the module
-    docstring; its group is seeded at the first leaf with ``known``, a
-    group of automorphisms of ``cg`` or a list of them, whose generators it
-    checks first."""
+    docstring; its group is seeded at the first leaf with ``known``: a list
+    of automorphisms of ``cg``, each of which it checks first, or a
+    ``Carried`` group, whose relabeling it checks first."""
 
     def __init__(self, cg: ColoredGraph, known=()):
         if cg.n > 256:  # the stabilizer chain's byte strings hold 256 points
@@ -563,16 +568,26 @@ class _Search:
         self.nbrs = [tuple(bits(row)) for row in cg.adj]
         self.n = cg.n
         self.colors = cg.colors
-        group = known if isinstance(known, PermutationGroup) else None
-        if group is not None and group.degree != self.n:
-            raise ValueError(f"known group acts on {group.degree} points, not {self.n}")
-        gens = group.generators if group is not None else [tuple(g) for g in known]
-        for i, g in enumerate(gens):
-            fault = ("is not a permutation of the vertices" if sorted(g) != list(range(self.n))
-                     else self._fault(g))
+        self.phi: Perm | None = None
+        if isinstance(known, Carried):
+            if known.source.n != self.n or known.group.degree != self.n:
+                raise ValueError(f"carried group acts on {known.group.degree} points "
+                                 f"of a {known.source.n}-vertex graph, not {self.n}")
+            self.phi = tuple(known.phi)
+            fault = ("is not a permutation of the vertices"
+                     if sorted(self.phi) != list(range(self.n))
+                     else self._fault(inverse(self.phi), known.source))
             if fault:
-                raise ValueError(f"known map {i} {fault}")
-        self.seed = group if group is not None else PermutationGroup(self.n, gens)
+                raise ValueError(f"relabeling {fault}")
+            self.seed = known.group
+        else:
+            gens = [tuple(g) for g in known]
+            for i, g in enumerate(gens):
+                fault = ("is not a permutation of the vertices"
+                         if sorted(g) != list(range(self.n)) else self._fault(g))
+                if fault:
+                    raise ValueError(f"known map {i} {fault}")
+            self.seed = PermutationGroup(self.n, gens)
         self.first_cert = None
         self.first_lab: Perm | None = None
         self.base: list[int] = []
@@ -730,7 +745,7 @@ class _Search:
             self.first_cert, self.first_lab = cert, lab
             self.best_cert, self.best_lab = cert, lab
             self.base = self.best_path = list(prefix)
-            self.group = self.seed._with_base(tuple(prefix))
+            self.group = self.seed._with_base(tuple(prefix), self.phi)
             return
         if cert == self.first_cert:
             seen_lab, seen_path = self.first_lab, self.base
@@ -765,17 +780,20 @@ class _Search:
             raise AssertionError(f"discovered map {fault}")
         self.group.add(gamma)
 
-    def _fault(self, gamma: Perm) -> str | None:
-        """Why the permutation ``gamma`` is no automorphism, or None."""
+    def _fault(self, gamma: Perm, onto: ColoredGraph | None = None) -> str | None:
+        """Why the permutation ``gamma`` is no automorphism, or None; with
+        ``onto``, why it is no isomorphism from the graph onto ``onto``.
+        One pass over the graph's rows and colours."""
         # gamma is a bijection, so the images of a row's bits are distinct
         # bits: their sum is the image row.
         bit = [1 << image for image in gamma]
-        adj, colors, nbrs = self.adj, self.colors, self.nbrs
+        target = self.cg if onto is None else onto
+        adj, colors, nbrs = target.adj, target.colors, self.nbrs
         for v, image in enumerate(gamma):
-            if colors[image] != colors[v]:
+            if colors[image] != self.colors[v]:
                 return "does not preserve colors"
             if sum(map(bit.__getitem__, nbrs[v])) != adj[image]:
-                return "is not an automorphism"
+                return "is not an automorphism" if onto is None else "is not an isomorphism"
         return None
 
 
@@ -793,12 +811,13 @@ def canonical_form(cg: ColoredGraph, known=()) -> CanonicalForm:
     """Canonical form of a colored graph on at most 256 vertices (the
     degree the stabilizer chain's byte-string permutations can hold).
 
-    ``known`` seeds the pruning group: a ``PermutationGroup`` of
-    automorphisms of ``cg``, whose stabilizer chain is re-based rather than
-    rebuilt, or a list of automorphisms (image tuples).  Each generator is
-    checked first, and a permutation that is no automorphism raises
-    ``ValueError``.  The labeling and the certificate do not depend on
-    ``known``; the generators and the counters may."""
+    ``known`` seeds the pruning group: a list of automorphisms (image
+    tuples), each checked first, or a ``Carried`` group of an isomorphic
+    graph, whose relabeling is checked first as an isomorphism onto ``cg``
+    and whose stabilizer chain is re-based through it rather than rebuilt.
+    A map that fails its check raises ``ValueError``.  The labeling and the
+    certificate do not depend on ``known``; the generators and the
+    counters may."""
     return _Search(cg, known).run()
 
 

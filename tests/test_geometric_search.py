@@ -81,6 +81,40 @@ def test_all_geometries_on_new(new, point_graph_new):
     assert sym.is_isomorphic(sols[0], new)
 
 
+def covers_by_lowest_edge(g):
+    """Every partition of the edges of ``g`` into 6-cliques, by a second
+    rule that shares no code with ``_exact_covers``: branch on the lowest
+    uncovered edge (x, y), over every 6-clique through it whose 15 edges
+    are all uncovered, found among the common neighbours of x and y
+    without ``max_cliques``.  ``free[v]`` masks the neighbours u of v whose
+    edge uv is uncovered.  Returns sorted tuples of clique masks, sorted."""
+    solutions = []
+
+    def search(free, chosen):
+        x = next((v for v in range(g.n) if free[v]), None)
+        if x is None:
+            solutions.append(tuple(sorted(chosen)))
+            return
+        y = (free[x] & -free[x]).bit_length() - 1
+        for rest in itertools.combinations(bits(free[x] & free[y]), 4):
+            if all(free[a] >> b & 1 for a, b in itertools.combinations(rest, 2)):
+                clique = mask_of((x, y) + rest)
+                child = list(free)
+                for v in bits(clique):
+                    child[v] &= ~clique
+                search(child, chosen + [clique])
+
+    search(list(g.adj), [])
+    return sorted(solutions)
+
+
+def test_second_enumerator_recounts_the_geometries(point_graph_vls, point_graph_new):
+    for g, count in ((point_graph_vls, 2), (point_graph_new, 1)):
+        covers = covers_by_lowest_edge(g)
+        assert len(covers) == count
+        assert covers == sorted(gs.edge_clique_partitions(g))
+
+
 def test_weighting_requires_zero_sum():
     with pytest.raises(ValueError):
         gs.Weighting((Fraction(1),) * 3)

@@ -449,12 +449,12 @@ def test_sift_residues_equal_full_walk_and_chains_are_pinned(name, vls, new):
 # --- known-order base change and conjugation --------------------------------
 
 
-def check_rebased(source, n, gens, base):
-    """``_rebase`` of the complete chain ``source`` onto ``base``, against
-    the deterministic chain of ``PermutationGroup(n, gens, base)``: the same
-    order at every level of the base and the same orbit at every base
-    point."""
-    rebased = sym._rebase(source, base)
+def check_rebased(source, n, gens, base, phi=None):
+    """``_rebase`` of the complete chain ``source`` onto ``base``, through
+    the relabeling ``phi`` if given, against the deterministic chain of
+    ``PermutationGroup(n, gens, base)``: the same order at every level of
+    the base and the same orbit at every base point."""
+    rebased = sym._rebase(source, base, None if phi is None else sym._pad(phi))
     want = sym.PermutationGroup(n, gens, base=base)._chain
     assert rebased.order() == source.order() == want.order()
     check_stored_elements(rebased)
@@ -495,6 +495,35 @@ def test_rebase_of_pg552_groups_under_random_bases(name, vls, new):
         check_rebased(grp._chain, n, grp.generators, base)
 
 
+def conjugated_chain(chain, phi):
+    """The chain with each point x renamed ``phi[x]``, built explicitly:
+    every stored element g becomes phi^-1 g phi, and every base point and
+    orbit point its image, in the same order."""
+    p = sym._pad(phi)
+    p_inv = bytes.maketrans(p, bytes(range(256)))
+
+    def conj(g):
+        return p_inv.translate(g).translate(p)
+
+    out = level = sym._Chain()
+    for src in chain_levels(chain):
+        level.basepoint = p[src.basepoint]
+        level.gens = [conj(g) for g in src.gens]
+        level.transversal = {p[x]: conj(u) for x, u in src.transversal.items()}
+        level.inverses = {p[x]: conj(u) for x, u in src.inverses.items()}
+        level.stab = sym._Chain()
+        level = level.stab
+    return out
+
+
+def chain_contents(chain):
+    """Every stored element of a chain, level by level, in stored order."""
+    return [
+        (lvl.basepoint, lvl.gens, list(lvl.transversal.items()), list(lvl.inverses.items()))
+        for lvl in chain_levels(chain)
+    ]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(permutation_groups(), st.data())
 def test_conjugate_group_equals_the_group_of_conjugated_generators(group, data):
@@ -502,11 +531,16 @@ def test_conjugate_group_equals_the_group_of_conjugated_generators(group, data):
     phi = tuple(data.draw(st.permutations(range(n))))
     inv = sym.inverse(phi)
     conjugated = [sym.compose(sym.compose(inv, g), phi) for g in gens]
-    got = sym.PermutationGroup(n, gens, base=base).conjugate(phi)
+    source = sym.PermutationGroup(n, gens, base=tuple(data.draw(st.permutations(range(n)))))
+    explicit = conjugated_chain(source._chain, phi)
+    check_stored_elements(explicit)
+    rebased = check_rebased(source._chain, n, conjugated, base, phi)
+    assert chain_contents(rebased) == chain_contents(sym._rebase(explicit, base))
+    got = source._with_base(base, phi)
+    assert chain_contents(got._chain) == chain_contents(rebased)
     want = sym.PermutationGroup(n, conjugated)
     assert got.generators == want.generators  # accepted at the same positions
     assert got.order() == want.order()
-    check_stored_elements(got._chain)
     rng = random.Random(repr(group))
     tests = [tuple(rng.sample(range(n), n)) for _ in range(20)]
     if conjugated:
@@ -957,12 +991,18 @@ def carried(g, h, perm):
     return out
 
 
-def carried_group(g, h, perm):
-    """g's incidence-graph automorphism group, stabilizer chain and all,
-    carried over to ``h = relabel_incidence(g, perm)`` by conjugation."""
+def carried_seed(g, h, perm):
+    """g's incidence-graph automorphism group, as g's own search returned
+    it, carried to ``h = relabel_incidence(g, perm)`` through the
+    relabeling of g's incidence graph onto h's."""
     line_of = {m: j for j, m in enumerate(h.lines)}
     phi = perm + tuple(h.v + line_of[sym.permute_mask(m, perm)] for m in g.lines)
-    return sym.incidence_group(g).conjugate(phi)
+    return sym.Carried(sym.colored_incidence_graph(g), sym.incidence_group(g), phi)
+
+
+def conjugated_generators(seed):
+    inv = sym.inverse(seed.phi)
+    return [sym.compose(sym.compose(inv, a), seed.phi) for a in seed.group.generators]
 
 
 def seed_free(cf):
@@ -971,18 +1011,24 @@ def seed_free(cf):
     return cf.labeling, cf.certificate, cf.group.order()
 
 
+def search_key(cf):
+    return form_key(cf) + (cf.nodes, cf.leaves, cf.pruned)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(colored_graphs(), st.data())
 def test_seeded_search_finds_the_canonical_form(cg, data):
     perm = tuple(data.draw(st.permutations(range(cg.n))))
     h = relabel(cg, perm)
     inv = sym.inverse(perm)
-    known = [sym.compose(sym.compose(inv, a), perm) for a in sym.canonical_form(cg).generators]
+    cf = sym.canonical_form(cg)
+    known = [sym.compose(sym.compose(inv, a), perm) for a in cf.generators]
     want = seed_free(_FirstPathSearch(h).run())
     assert seed_free(sym.canonical_form(h)) == want
-    assert seed_free(sym.canonical_form(h, known)) == want
-    group = sym.canonical_form(cg).group.conjugate(perm)
-    assert seed_free(sym.canonical_form(h, group)) == want
+    by_list = sym.canonical_form(h, known)
+    assert seed_free(by_list) == want
+    by_seed = sym.canonical_form(h, sym.Carried(cg, cf.group, perm))
+    assert search_key(by_seed) == search_key(by_list)
 
 
 @pytest.mark.parametrize("name", list(PINNED_FORMS))
@@ -1009,33 +1055,86 @@ def test_seeded_search_on_relabeled_geometries(case):
         assert cf.leaves <= old.leaves
 
 
-def search_key(cf):
-    return form_key(cf) + (cf.nodes, cf.leaves, cf.pruned)
+class _FirstPathRecordingSearch(sym._Search):
+    """Records the group its first leaf seeds, before any map is added."""
+
+    def _leaf(self, cell_of, prefix):
+        first = self.first_cert is None
+        super()._leaf(cell_of, prefix)
+        if first:
+            self.seeded = chain_contents(self.group._chain)
 
 
 @pytest.mark.parametrize(
     "case", [pytest.param(c, id=c[0]) for c in relabeled_geometries(2)]
 )
 def test_seeding_with_a_carried_group(case):
-    # The carried chain is re-based, not rebuilt: the search must be the
-    # one seeded with the same generators as a list, counters included.
+    # The source's chain is re-based through phi, not conjugated and then
+    # re-based: the search must be the one seeded with the conjugated
+    # generators as a list, counters included, and its first group must
+    # hold the elements that re-basing an explicitly conjugated chain would.
     _, g, h, perm = case
     cg = sym.colored_incidence_graph(h)
-    group = carried_group(g, h, perm)
-    assert group.generators == carried(g, h, perm)
-    by_group = sym.canonical_form(cg, group)
-    assert search_key(by_group) == search_key(sym.canonical_form(cg, group.generators))
-    assert seed_free(by_group) == seed_free(sym.canonical_form(cg))
-    assert by_group.group is not group and group.order() == by_group.group.order()
+    seed = carried_seed(g, h, perm)
+    known = conjugated_generators(seed)
+    assert known == carried(g, h, perm)
+    search = _FirstPathRecordingSearch(cg, seed)
+    by_seed = search.run()
+    assert search_key(by_seed) == search_key(sym.canonical_form(cg, known))
+    assert seed_free(by_seed) == seed_free(sym.canonical_form(cg))
+    assert by_seed.group is not seed.group and seed.group.order() == by_seed.group.order()
+    explicit = conjugated_chain(seed.group._chain, seed.phi)
+    assert search.seeded == chain_contents(sym._rebase(explicit, tuple(search.base)))
+
+
+@pytest.mark.parametrize(
+    "case", [pytest.param(c, id=c[0]) for c in relabeled_geometries(1)]
+)
+def test_carried_relabeling_must_be_an_isomorphism(case):
+    _, g, h, perm = case
+    cg = sym.colored_incidence_graph(h)
+    seed = carried_seed(g, h, perm)
     identity = tuple(range(cg.n))
-    points_swapped = (1, 0) + identity[2:]
-    assert not is_automorphism(cg, points_swapped)
-    bad = carried_group(g, h, perm)
-    bad.generators[1] = points_swapped  # its chain still holds the true group
-    with pytest.raises(ValueError, match="known map 1 is not an automorphism"):
-        sym.canonical_form(cg, bad)
-    with pytest.raises(ValueError, match="acts on 80 points"):
-        sym.canonical_form(cg, sym.PermutationGroup(80))
+    assert not is_automorphism(seed.source, (1, 0) + identity[2:])
+    swapped = (seed.phi[1], seed.phi[0]) + seed.phi[2:]
+    with pytest.raises(ValueError, match="relabeling is not an isomorphism"):
+        sym.canonical_form(cg, dataclasses.replace(seed, phi=swapped))
+    # the point and the line that phi sends to h's vertices 0 and 81 trade
+    # images, so the check meets the wrong colour at vertex 0 first
+    point, line = seed.phi.index(0), seed.phi.index(81)
+    recoloured = list(seed.phi)
+    recoloured[point], recoloured[line] = 81, 0
+    with pytest.raises(ValueError, match="relabeling does not preserve colors"):
+        sym.canonical_form(cg, dataclasses.replace(seed, phi=tuple(recoloured)))
+    with pytest.raises(ValueError, match="relabeling is not a permutation"):
+        sym.canonical_form(cg, dataclasses.replace(seed, phi=seed.phi[:-1]))
+    with pytest.raises(ValueError, match="carried group acts on 80 points"):
+        sym.canonical_form(cg, dataclasses.replace(seed, group=sym.PermutationGroup(80)))
+
+
+# summed (nodes, leaves, pruned) of the first five seeded relabeled searches
+# per geometry of the certificate-stability claim, recorded with the
+# searches seeded by explicitly conjugated groups at commit 3ef1bc9
+PINNED_CLAIM_WORK = {"vls": (35, 5, 0), "new": (76, 15, 16)}
+
+
+def test_claim_search_work_is_pinned(vls, new):
+    # the loop of cli._claim_isomorphism_and_duality with 5 relabelings
+    rng = random.Random(20210522)
+    for name, g in [("vls", vls), ("new", new)]:
+        source, group = sym.colored_incidence_graph(g), sym.incidence_group(g)
+        work = [0, 0, 0]
+        for _ in range(5):
+            perm = list(range(g.v))
+            rng.shuffle(perm)
+            masks = [sym.permute_mask(m, perm) for m in g.lines]
+            h = inc.IncidenceStructure(g.v, masks)
+            line_of = {m: j for j, m in enumerate(h.lines)}
+            phi = tuple(perm) + tuple(g.v + line_of[m] for m in masks)
+            cf = sym.canonical_form(sym.colored_incidence_graph(h), sym.Carried(source, group, phi))
+            assert cf.certificate == sym.incidence_certificate(g)
+            work = [a + b for a, b in zip(work, (cf.nodes, cf.leaves, cf.pruned))]
+        assert tuple(work) == PINNED_CLAIM_WORK[name], name
 
 
 class _PrefixRecordingSearch(sym._Search):
