@@ -3,8 +3,10 @@ of 6-cliques of a line graph into stars and non-stars."""
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .bits import bits
 from .graphs import Graph
@@ -12,11 +14,15 @@ from .graphs import Graph
 
 @dataclass(frozen=True)
 class CliqueReport:
-    size_histogram: dict[int, int]
+    """The census of one graph; shared by every caller that asks about an
+    equal graph, so its histogram is a read-only mapping."""
+
+    size_histogram: MappingProxyType  # clique size -> count
     cliques_of_size_6: tuple[int, ...]  # vertex masks, sorted
     all_cliques: tuple[int, ...]  # every maximal clique, sorted by mask
 
 
+@functools.lru_cache(maxsize=8)
 def max_cliques(g: Graph) -> CliqueReport:
     """All maximal cliques via Bron-Kerbosch with pivoting.
 
@@ -25,7 +31,9 @@ def max_cliques(g: Graph) -> CliqueReport:
     |P ∩ N(u)| ≥ |P| − 1, as no vertex of P sees more.  Any pivot yields
     every maximal clique once.  Output is sorted by mask, so the result is
     deterministic.  The branches run off an explicit stack, so a clique of
-    any size fits.
+    any size fits.  Equal graphs share one census: a point graph is
+    enumerated once though both the clique census and the exact-cover
+    search (``geometric_search.all_geometries_on``) ask for its cliques.
     """
     adj = g.adj
     found: list[int] = []
@@ -54,7 +62,7 @@ def max_cliques(g: Graph) -> CliqueReport:
         v = bv.bit_length() - 1
         r, p, x = r | bv, p & adj[v], x & adj[v]
     found.sort()
-    histogram = dict(Counter(m.bit_count() for m in found))
+    histogram = MappingProxyType(dict(Counter(m.bit_count() for m in found)))
     six = tuple(m for m in found if m.bit_count() == 6)
     return CliqueReport(
         size_histogram=histogram, cliques_of_size_6=six, all_cliques=tuple(found)

@@ -58,11 +58,6 @@ class Graph:
         return sum(row.bit_count() for row in self.adj) // 2
 
 
-def complete_graph(n: int) -> Graph:
-    full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << i) for i in range(n)))
-
-
 def collinearity_graph(v: int, line_masks) -> Graph:
     """Graph on ``v`` points joining pairs that share a line."""
     adj = [0] * v
@@ -205,19 +200,6 @@ def _count_is(planes: list[int], c: int, full: int) -> int:
     return eq
 
 
-def induced_subgraph(g: Graph, vertices) -> Graph:
-    """Induced subgraph with vertices relabelled 0.. in the given order."""
-    verts = list(vertices)
-    pos = {v: i for i, v in enumerate(verts)}
-    adj = [0] * len(verts)
-    for i, v in enumerate(verts):
-        for u in bits(g.adj[v]):
-            j = pos.get(u)
-            if j is not None:
-                adj[i] |= 1 << j
-    return Graph(len(verts), tuple(adj))
-
-
 @dataclass(frozen=True)
 class LocalConfig:
     """Common neighbourhood of a collinear pair, split into the four points
@@ -242,27 +224,20 @@ def local_configuration(g, x: int, y: int) -> LocalConfig:
 
     ``g`` is an incidence structure (81 points, 6-point lines).  A is the
     common line minus {x, y}; z is the unique common neighbour isolated in
-    the induced collinearity graph; B is the rest.  Only the collinearity
-    rows of x, y and their common neighbours are built, from their pencils.
+    the induced collinearity graph; B is the rest.  The collinearity rows
+    are read from ``g.collinearity``, built once per structure, so the
+    calls over all collinear pairs of one structure share them.
     """
     if not (0 <= x < g.v and 0 <= y < g.v):
         raise ValueError(f"point index out of range 0..{g.v - 1}")
     common_line = g.pencils[x] & g.pencils[y]
     if common_line.bit_count() != 1:
         raise ValueError(f"points {x}, {y} are not collinear on a unique line")
-
-    def row(p: int) -> int:
-        r = 0
-        for j in bits(g.pencils[p]):
-            r |= g.lines[j]
-        return r
-
-    xy = 1 << x | 1 << y
-    commons = row(x) & row(y) & ~xy
-    rows = {p: row(p) for p in bits(commons)}
-    a_mask = g.lines[common_line.bit_length() - 1] & ~xy
+    rows = g.collinearity
+    commons = rows[x] & rows[y]  # rows omit their own point, so x, y are out
+    a_mask = g.lines[common_line.bit_length() - 1] & commons
     rest = commons & ~a_mask
-    isolated = [p for p in bits(rest) if not rows[p] & (commons & ~(1 << p))]
+    isolated = [p for p in bits(rest) if not rows[p] & commons]
     if len(isolated) != 1:
         raise ValueError(
             f"expected a unique isolated common neighbour, got {isolated}"
@@ -273,7 +248,7 @@ def local_configuration(g, x: int, y: int) -> LocalConfig:
     pos = {v: i for i, v in enumerate(verts)}
     induced = [0] * len(verts)
     for i, v in enumerate(verts):
-        for u in bits(rows[v] & commons & ~(1 << v)):
+        for u in bits(rows[v] & commons):
             induced[i] |= 1 << pos[u]
     return LocalConfig(
         a_mask=a_mask,

@@ -10,6 +10,7 @@ so a failure always comes with a concrete witness.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -25,7 +26,9 @@ class IncidenceStructure:
     Lines are stored deduplicated and sorted by mask value, so line indices
     are deterministic and shared by the dual and the file format.
     ``pencils[p]`` masks the indices of the lines through p; it is derived
-    from the lines, so equality and hashing ignore it.
+    from the lines, so equality and hashing ignore it.  ``collinearity[p]``
+    masks the points other than p on a line through p; it is built on first
+    read, so structures that never ask for it do not pay for it.
     """
 
     v: int
@@ -48,6 +51,19 @@ class IncidenceStructure:
     @property
     def b(self) -> int:
         return len(self.lines)
+
+    @functools.cached_property
+    def collinearity(self) -> tuple[int, ...]:
+        """Each point's collinearity row without its own bit: the rows of
+        ``point_graph(self)``, which recounts them from the lines alone."""
+        lines = self.lines
+        rows = []
+        for p, pencil in enumerate(self.pencils):
+            row = 0
+            for j in bits(pencil):
+                row |= lines[j]
+            rows.append(row & ~(1 << p))
+        return tuple(rows)
 
 
 @dataclass(frozen=True)

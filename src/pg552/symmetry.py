@@ -909,11 +909,6 @@ def is_self_dual(g: IncidenceStructure) -> tuple[bool, Perm | None]:
     return True, witness
 
 
-def relabel_incidence(g: IncidenceStructure, perm: Perm) -> IncidenceStructure:
-    """The incidence structure with points renamed by ``perm``."""
-    return IncidenceStructure(g.v, (permute_mask(m, perm) for m in g.lines))
-
-
 def translation_check(g: IncidenceStructure, subspace: int) -> bool:
     """True iff x -> x + a preserves the line set for every a in the
     subspace mask (g an incidence structure on the 81 points of GF(3)^4)."""

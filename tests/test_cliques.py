@@ -12,6 +12,11 @@ from pg552 import incidence as inc
 from pg552.bits import bits, mask_of
 
 
+def complete_graph(n):
+    full = (1 << n) - 1
+    return gr.Graph(n, tuple(full ^ (1 << i) for i in range(n)))
+
+
 def brute_maximal_cliques(g):
     """Oracle: test every vertex subset for being a maximal clique."""
     found = []
@@ -26,7 +31,7 @@ def brute_maximal_cliques(g):
 
 
 def test_max_cliques_k4():
-    rep = cl.max_cliques(gr.complete_graph(4))
+    rep = cl.max_cliques(complete_graph(4))
     assert rep.size_histogram == {4: 1}
 
 
@@ -39,7 +44,7 @@ def test_max_cliques_c5():
 def test_max_cliques_beyond_recursion_limit():
     # one clique of 1100 vertices: a search that recursed once per clique
     # vertex would exceed Python's 1000-frame limit
-    rep = cl.max_cliques(gr.complete_graph(1100))
+    rep = cl.max_cliques(complete_graph(1100))
     assert rep.all_cliques == ((1 << 1100) - 1,)
 
 
@@ -65,6 +70,15 @@ def test_census_point_graphs(point_graph_vls, point_graph_new):
     # lines are maximum cliques: nothing bigger than 6 in either histogram
     assert max(rep.size_histogram) == 6
     assert max(rep_new.size_histogram) == 6
+
+
+def test_equal_graphs_share_one_read_only_census(point_graph_vls):
+    g = point_graph_vls
+    rep = cl.max_cliques(g)
+    assert cl.max_cliques(gr.Graph(g.n, g.adj)) is rep
+    with pytest.raises(TypeError):
+        rep.size_histogram[6] = 0
+    assert rep.size_histogram == {3: 405, 6: 162}
 
 
 def test_census_invariant_under_relabeling(point_graph_vls):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from pg552 import graphs as gr
 from pg552 import incidence as inc
 from pg552 import symmetry as sym
-from pg552.bits import bits, mask_of
+from pg552.bits import bits, mask_of, permute_mask
 
 
 def test_lines_sorted_and_deduplicated():
@@ -52,6 +52,14 @@ def test_pencils_transpose_lines(g):
     assert inc.line_graph(g) == pairwise_line_graph(g)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(incidence_structures())
+def test_collinearity_rows_are_built_on_first_read(g):
+    assert "collinearity" not in vars(g)
+    assert g.collinearity == gr.collinearity_graph(g.v, g.lines).adj
+    assert "collinearity" in vars(g)
+
+
 def test_pencils_of_isolated_point():
     g = inc.IncidenceStructure(3, [0b011, 0b001])
     assert g.pencils == (0b11, 0b10, 0)
@@ -62,6 +70,12 @@ def test_equality_ignores_pencils():
         "v", "lines"
     ]
     assert "pencils" not in repr(inc.IncidenceStructure(2, [0b11]))
+    # the cached collinearity rows are no field either: reading them
+    # changes neither equality, nor the hash, nor the repr
+    g, h = inc.IncidenceStructure(3, [0b011, 0b110]), inc.IncidenceStructure(3, [0b110, 0b011])
+    assert g.collinearity == (0b010, 0b101, 0b010)
+    assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+    assert "collinearity" in vars(g) and "collinearity" not in vars(h)
 
 
 def test_line_graph_is_pairwise_intersection(vls, new):
@@ -74,7 +88,8 @@ def test_double_dual_renames_points_by_pencil_rank(vls, new):
     # dual is g with each point renamed by the rank of its pencil
     for g in (vls, new):
         rank = {pencil: r for r, pencil in enumerate(sorted(g.pencils))}
-        renamed = sym.relabel_incidence(g, tuple(rank[pc] for pc in g.pencils))
+        perm = tuple(rank[pc] for pc in g.pencils)
+        renamed = inc.IncidenceStructure(g.v, (permute_mask(m, perm) for m in g.lines))
         assert inc.dual(inc.dual(g)) == renamed
 
 
