@@ -43,12 +43,16 @@ def max_cliques(g: Graph) -> CliqueReport:
         if p:
             pivot, best = -1, -1
             enough = p.bit_count() - 1
-            for u in bits(p | x):
+            scan = p | x
+            while scan:
+                low = scan & -scan
+                u = low.bit_length() - 1
                 c = (p & adj[u]).bit_count()
                 if c > best:
                     pivot, best = u, c
                     if c >= enough:
                         break
+                scan ^= low
             stack.append((r, p, x, p & ~adj[pivot]))
         elif not x:
             found.append(r)

@@ -29,15 +29,29 @@ def _exact_covers(universe_size: int, sets: tuple[int, ...]) -> list[tuple[int, 
     """All subsets of ``sets`` partitioning 0..universe_size-1.
 
     Backtracking with least-branching-column selection: always branch on the
-    uncovered element contained in the fewest still-usable sets.  Solutions
-    are returned as sorted tuples of set indices, in sorted order.  The
-    branches run off an explicit stack, so a cover of any size fits.
+    uncovered element contained in the fewest still-usable sets, the lowest
+    such element on ties.  ``containing[e]`` masks the sets that hold e and
+    ``meets[i]`` the sets that meet set i (i included), so a column's count
+    and a choice's blocked sets are one mask operation each.  Solutions are
+    returned as sorted tuples of set indices, in sorted order.  The branches
+    run off an explicit stack, so a cover of any size fits.
     """
     full = (1 << universe_size) - 1
-    containing: list[list[int]] = [[] for _ in range(universe_size)]
+    containing = [0] * universe_size
     for i, s in enumerate(sets):
-        for e in bits(s):
-            containing[e].append(i)
+        bit = 1 << i
+        while s:
+            low = s & -s
+            containing[low.bit_length() - 1] |= bit
+            s ^= low
+    meets = []
+    for s in sets:
+        m = 0
+        while s:
+            low = s & -s
+            m |= containing[low.bit_length() - 1]
+            s ^= low
+        meets.append(m)
     solutions: list[tuple[int, ...]] = []
     stack = [(0, (1 << len(sets)) - 1, ())]  # (covered, usable, chosen)
     while stack:
@@ -45,20 +59,22 @@ def _exact_covers(universe_size: int, sets: tuple[int, ...]) -> list[tuple[int, 
         if covered == full:
             solutions.append(tuple(sorted(chosen)))
             continue
-        best_opts = None
-        for e in bits(full & ~covered):
-            opts = [i for i in containing[e] if usable >> i & 1]
-            if best_opts is None or len(opts) < len(best_opts):
-                best_opts = opts
-                if len(opts) <= 1:
+        best, best_count = 0, len(sets) + 1
+        uncovered = full & ~covered
+        while uncovered:
+            low = uncovered & -uncovered
+            opts = containing[low.bit_length() - 1] & usable
+            count = opts.bit_count()
+            if count < best_count:
+                best, best_count = opts, count
+                if count <= 1:
                     break
-        for i in best_opts:
-            s = sets[i]
-            blocked = 0
-            for e in bits(s):
-                for j in containing[e]:
-                    blocked |= 1 << j
-            stack.append((covered | s, usable & ~blocked, chosen + (i,)))
+            uncovered ^= low
+        while best:
+            low = best & -best
+            i = low.bit_length() - 1
+            stack.append((covered | sets[i], usable & ~meets[i], chosen + (i,)))
+            best ^= low
     solutions.sort()
     return solutions
 
@@ -141,10 +157,22 @@ def _cell_value_grid(ncells: int, bound: int):
     """Integer tuples for all cells but the last, enumerated by growing
     maximum absolute value, lexicographically within each shell."""
     for radius in range(bound + 1):
-        rng = range(-radius, radius + 1)
-        for values in itertools.product(rng, repeat=ncells - 1):
-            if radius == 0 or max(map(abs, values)) == radius:
-                yield values
+        yield from _shell(ncells - 1, radius)
+
+
+def _shell(k: int, radius: int):
+    """The k-tuples of maximum absolute value ``radius`` (k >= 1), in
+    lexicographic order: after a first entry of absolute value ``radius``
+    every tail is allowed, after any other only the (k - 1)-tuples of the
+    shell."""
+    full = range(-radius, radius + 1)
+    for a in full:
+        if abs(a) == radius:
+            for tail in itertools.product(full, repeat=k - 1):
+                yield (a, *tail)
+        elif k > 1:
+            for tail in _shell(k - 1, radius):
+                yield (a, *tail)
 
 
 def mms_counterexample_search(
@@ -157,6 +185,12 @@ def mms_counterexample_search(
     The last cell's value is forced by the zero-sum constraint; the others
     range over integers in -bound..bound, enumerated deterministically.
     Returns the first witness, or None if the grid is exhausted.
+
+    A line's weight sum times the last cell's size is an integer linear
+    form in the free cell values, with coefficient n_i s_last - n_last s_i
+    on cell i, where the line has n_i of the s_i points of cell i.  Lines
+    with equal forms are tested together, and ``Fraction``s are built only
+    for the witness.
     """
     if clique.bit_count() != 6:
         raise ValueError("clique must consist of 6 lines")
@@ -167,26 +201,40 @@ def mms_counterexample_search(
     if len(cells) < 2:
         return None  # only the all-zero weighting would be available
     sizes = [c.bit_count() for c in cells]
-    # per line: how many of its points fall in each cell
-    line_profiles = [
-        tuple((m & c).bit_count() for c in cells) for m in g.lines
-    ]
-    star_masks = set(g.pencils)
     last = len(cells) - 1
+    pad = (0,) * (3 - len(cells))  # at most 3 cells, so at most 2 free values
+    groups: dict[tuple[int, ...], list[int]] = {}  # form -> [line mask, lines]
+    for i, m in enumerate(g.lines):
+        n_last = (m & cells[last]).bit_count()
+        form = tuple(
+            (m & c).bit_count() * sizes[last] - n_last * s
+            for c, s in zip(cells[:last], sizes)
+        )
+        group = groups.setdefault(form + pad, [0, 0])
+        group[0] |= 1 << i
+        group[1] += 1
+    # the largest groups first, so a point with more than 6 nonnegative
+    # lines is left early
+    forms = sorted(
+        ((a, b, mask, n) for (a, b), (mask, n) in groups.items()),
+        key=lambda f: -f[3],
+    )
+    star_masks = set(g.pencils)
     for values in _cell_value_grid(len(cells), bound):
-        forced = Fraction(-sum(s * x for s, x in zip(sizes, values)), sizes[last])
-        cell_w = [Fraction(x) for x in values] + [forced]
-        if all(x == 0 for x in cell_w):
-            continue
+        if not any(values):
+            continue  # the all-zero weighting
+        x0, x1 = values + pad
         nonneg = 0
         count = 0
-        for i, prof in enumerate(line_profiles):
-            if sum(n * w for n, w in zip(prof, cell_w)) >= 0:
-                nonneg |= 1 << i
-                count += 1
+        for a, b, mask, n in forms:
+            if a * x0 + b * x1 >= 0:
+                nonneg |= mask
+                count += n
                 if count > 6:
                     break
         if count <= 6 and nonneg not in star_masks:
+            forced = Fraction(-sum(s * x for s, x in zip(sizes, values)), sizes[last])
+            cell_w = [Fraction(x) for x in values] + [forced]
             weights = [Fraction(0)] * g.v
             for c, wv in zip(cells, cell_w):
                 for p in bits(c):

@@ -37,9 +37,12 @@ class Graph:
             if rows == list(map("".join, zip(*rows))):
                 return
         for i, row in enumerate(self.adj):
-            for j in bits(row):
+            while row:
+                low = row & -row
+                j = low.bit_length() - 1
                 if not self.adj[j] >> i & 1:
                     raise ValueError(f"asymmetric edge ({i}, {j})")
+                row ^= low
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -52,7 +55,15 @@ class Graph:
         return cls(n, tuple(adj))
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.n) for j in bits(self.adj[i]) if i < j]
+        """Every edge (i, j), i < j, in i-major order."""
+        out = []
+        for i, row in enumerate(self.adj):
+            row >>= i + 1  # bit k of row is now vertex i + 1 + k
+            while row:
+                low = row & -row
+                out.append((i, i + low.bit_length()))
+                row ^= low
+        return out
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
@@ -236,26 +247,49 @@ def local_configuration(g, x: int, y: int) -> LocalConfig:
     rows = g.collinearity
     commons = rows[x] & rows[y]  # rows omit their own point, so x, y are out
     a_mask = g.lines[common_line.bit_length() - 1] & commons
+    # one pass over the rest of the common neighbours: the isolated ones
+    # (z, if unique) and the others (B), each in increasing order
+    isolated: list[int] = []
+    b_list: list[int] = []
+    b_mask = 0
     rest = commons & ~a_mask
-    isolated = [p for p in bits(rest) if not rows[p] & commons]
+    while rest:
+        low = rest & -rest
+        p = low.bit_length() - 1
+        if rows[p] & commons:
+            b_list.append(p)
+            b_mask |= low
+        else:
+            isolated.append(p)
+        rest ^= low
     if len(isolated) != 1:
         raise ValueError(
             f"expected a unique isolated common neighbour, got {isolated}"
         )
     z = isolated[0]
-    b_mask = rest & ~(1 << z)
-    verts = tuple(bits(a_mask)) + tuple(bits(b_mask)) + (z,)
-    pos = {v: i for i, v in enumerate(verts)}
-    induced = [0] * len(verts)
-    for i, v in enumerate(verts):
-        for u in bits(rows[v] & commons):
-            induced[i] |= 1 << pos[u]
+    verts = []
+    rest = a_mask
+    while rest:
+        low = rest & -rest
+        verts.append(low.bit_length() - 1)
+        rest ^= low
+    verts += b_list
+    verts.append(z)
+    pos = {1 << v: 1 << i for i, v in enumerate(verts)}  # point bit -> vertex bit
+    induced = []
+    for v in verts:
+        row, out = rows[v] & commons, 0
+        while row:
+            low = row & -row
+            out |= pos[low]
+            row ^= low
+        induced.append(out)
     return LocalConfig(
         a_mask=a_mask,
         b_mask=b_mask,
         z=z,
         induced=Graph(len(verts), tuple(induced)),
-        vertices=verts,
+        vertices=tuple(verts),
     )
 
 

@@ -419,6 +419,56 @@ def test_mms_negative_bound_is_usage_error(new_file, capsys):
     assert "--bound" in err and "negative" in err
 
 
+# 10 points, 10 lines with a non-star 6-clique of lines whose three cells
+# admit no witness: the search exhausts all 163² points of its default grid
+EXHAUSTED_GRID = """\
+pg 10 10
+0
+0 1
+2 6
+4 6
+0 2 6 7
+0 2 3 6 7
+4 6 8
+1 4 7 8
+1 2 3 6 9
+2 5 7 9
+"""
+
+EXHAUSTED_GRID_STDOUT = """\
+{
+  "command": "mms",
+  "inputs": {
+    "bound": 81,
+    "clique": 0,
+    "file": "grid.pg"
+  },
+  "results": {
+    "clique_lines": [
+      3,
+      4,
+      5,
+      6,
+      7,
+      8
+    ],
+    "note": "search space exhausted; not a refutation",
+    "witness": null
+  },
+  "version": "0.1.0"
+}
+"""
+
+
+def test_mms_exhausts_its_default_grid_at_once(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "grid.pg").write_text(EXHAUSTED_GRID)
+    start = time.process_time()
+    assert cli.main(["mms", "grid.pg"]) == 0
+    assert time.process_time() - start < 2
+    assert capsys.readouterr().out == EXHAUSTED_GRID_STDOUT
+
+
 def test_dual_unwritable_out_is_one_line_error(vls_file, tmp_path, capsys):
     (tmp_path / "file").write_text("")
     out = str(tmp_path / "file" / "d.pg")

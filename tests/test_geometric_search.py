@@ -1,11 +1,14 @@
 """Exact-cover geometry reconstruction and zero-sum weighting experiments."""
 
+import functools
 import itertools
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pg552 import cliques as cl
 from pg552 import construction as con
@@ -38,6 +41,44 @@ def test_exact_cover_beyond_recursion_limit():
     assert gs._exact_covers(1100, tuple(1 << i for i in range(1100))) == [
         tuple(range(1100))
     ]
+
+
+def covers_by_brute_force(universe_size, sets):
+    """Every subset of the set indices whose sets are pairwise disjoint and
+    cover 0..universe_size-1, tried one subset at a time."""
+    full = (1 << universe_size) - 1
+    found = []
+    for r in range(len(sets) + 1):
+        for chosen in itertools.combinations(range(len(sets)), r):
+            union = 0
+            for i in chosen:
+                if union & sets[i]:
+                    break
+                union |= sets[i]
+            else:
+                if union == full:
+                    found.append(chosen)
+    return sorted(found)
+
+
+@st.composite
+def set_systems(draw):
+    """Up to 12 nonempty sets over a universe of 1 to 10 elements, drawn
+    small about half of the time so that covers are common."""
+    n = draw(st.integers(1, 10))
+    width = draw(st.integers(1, n))
+    sets = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=12))
+    if draw(st.booleans()):
+        sets = [s & ((1 << width) - 1) << draw(st.integers(0, n - width)) or 1
+                for s in sets]
+    return n, tuple(sets)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(set_systems())
+def test_exact_covers_match_brute_force(system):
+    n, sets = system
+    assert gs._exact_covers(n, sets) == covers_by_brute_force(n, sets)
 
 
 def test_edge_partition_k6_plus_isolated():
@@ -206,3 +247,79 @@ def test_mms_deterministic(vls):
 def test_mms_exhausted_reports_none(vls):
     non_stars = _first_non_star(vls)
     assert gs.mms_counterexample_search(vls, non_stars[0], bound=0) is None
+
+
+def _grid_by_filtered_product(ncells, bound):
+    for radius in range(bound + 1):
+        rng = range(-radius, radius + 1)
+        for values in itertools.product(rng, repeat=ncells - 1):
+            if radius == 0 or max(map(abs, values)) == radius:
+                yield values
+
+
+def mms_by_fractions(g, clique, bound):
+    """``mms_counterexample_search`` as a per-line ``Fraction`` sum at every
+    point of the grid, filtered from the full product of each radius."""
+    cells = gs._incidence_cells(g, clique)
+    if len(cells) < 2:
+        return None
+    sizes = [c.bit_count() for c in cells]
+    profiles = [tuple((m & c).bit_count() for c in cells) for m in g.lines]
+    for values in _grid_by_filtered_product(len(cells), bound):
+        forced = Fraction(-sum(s * x for s, x in zip(sizes, values)), sizes[-1])
+        cell_w = [Fraction(x) for x in values] + [forced]
+        if not any(cell_w):
+            continue
+        nonneg = sum(1 << i for i, prof in enumerate(profiles)
+                     if sum(n * w for n, w in zip(prof, cell_w)) >= 0)
+        if nonneg.bit_count() <= 6 and nonneg not in set(g.pencils):
+            weights = [Fraction(0)] * g.v
+            for c, w in zip(cells, cell_w):
+                for p in bits(c):
+                    weights[p] = w
+            return gs.Weighting(tuple(weights))
+    return None
+
+
+def test_cell_value_grid_is_the_filtered_product():
+    for ncells in (2, 3, 4):
+        for bound in (0, 1, 2, 4):
+            assert list(gs._cell_value_grid(ncells, bound)) == list(
+                _grid_by_filtered_product(ncells, bound))
+
+
+@pytest.mark.parametrize("name", ["vls", "new"])
+def test_mms_matches_the_fraction_reference_on_both_geometries(name, request):
+    g = request.getfixturevalue(name)
+    for clique in _first_non_star(g)[:27]:  # all of new's, a third of vls's
+        for bound in (0, 1, 3):
+            assert gs.mms_counterexample_search(g, clique, bound) == mms_by_fractions(
+                g, clique, bound)
+
+
+@st.composite
+def non_star_cliques(draw):
+    """A small structure and a non-star 6-clique of its line graph: six
+    distinct lines that meet pairwise, each pair in a drawn point, each
+    line with one more drawn point, and no point on all six.  More lines
+    may follow."""
+    v = draw(st.integers(5, 10))
+    point = st.integers(0, v - 1)
+    six = [1 << draw(point) for _ in range(6)]
+    for i, j in itertools.combinations(range(6), 2):
+        p = draw(point)
+        six[i] |= 1 << p
+        six[j] |= 1 << p
+    assume(len(set(six)) == 6 and not functools.reduce(int.__and__, six))
+    more = draw(st.lists(st.integers(1, (1 << v) - 1), max_size=6))
+    g = inc.IncidenceStructure(v, six + more)
+    return g, sum(1 << g.lines.index(m) for m in six)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(non_star_cliques())
+def test_mms_matches_the_fraction_reference(case):
+    g, clique = case
+    for bound in (0, 1, 3):
+        assert gs.mms_counterexample_search(g, clique, bound) == mms_by_fractions(
+            g, clique, bound)

@@ -342,3 +342,18 @@ def test_local_configuration_matches_full_point_graph(vls, new):
                 assert cfg.a_mask | cfg.b_mask | (1 << cfg.z) == commons
                 assert not pg.adj[cfg.z] & commons
                 assert cfg.induced == induced_subgraph(pg, cfg.vertices)
+
+
+def test_local_configuration_lists_a_then_b_then_z(vls, new):
+    # on all 2430 ordered collinear pairs of each geometry, the vertices are
+    # A and then B in increasing order, then z, and the induced rows are
+    # those of the induced subgraph of the whole collinearity graph
+    for g in (vls, new):
+        pg = gr.collinearity_graph(g.v, g.lines)
+        pairs = [(x, y) for x in range(g.v) for y in bits(pg.adj[x])]
+        assert len(pairs) == 2430
+        for x, y in pairs:
+            cfg = gr.local_configuration(g, x, y)
+            verts = (*bits(cfg.a_mask), *bits(cfg.b_mask), cfg.z)
+            want = induced_subgraph(pg, verts)
+            assert (cfg.vertices, cfg.induced.adj) == (verts, want.adj)
