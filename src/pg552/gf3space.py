@@ -51,14 +51,6 @@ def vec_neg(a: Vector) -> Vector:
     return tuple(-x % 3 for x in a)
 
 
-def vec_sub(a: Vector, b: Vector) -> Vector:
-    return tuple((x - y) % 3 for x, y in zip(a, b))
-
-
-def vec_scale(c: int, a: Vector) -> Vector:
-    return tuple(c * x % 3 for x in a)
-
-
 UNIT: tuple[Vector, ...] = tuple(
     tuple(1 if j == i else 0 for j in range(DIM)) for i in range(DIM)
 )

@@ -26,25 +26,26 @@ Three rules prune the tree (nauty's, McKay and Piperno 2014, section 3):
   equitable partition proves that every leaf below it has a certificate
   above the best one so far and unequal to the first one.
 
-The group may be seeded with a caller's list of automorphisms, each
-checked first, or with the group an isomorphic graph's own search returned
-together with a relabeling φ onto this graph (``Carried``).  The search
-checks φ once as an isomorphism; that search checked each of the group's
-generators on its own graph, so each generator conjugated by φ is an
-automorphism of this one, and no map is checked twice.  At the first leaf
-the seed's chain is re-based onto the first path by known-order sifting
-(``_rebase``), each element drawn from the source's chain conjugated by φ
-on the way, so no conjugated chain is built.  Off the first path the main
-chain's level at the fork is re-based onto the rest of the prefix the same
-way: random group elements are sifted and their residues placed without
-Schreier generators until the product of the orbit lengths reaches the
-known order.  That is exact, because each level holds only elements
-fixing the earlier base points, so no orbit exceeds the true one.  A
-verified automorphism maps a processed subtree onto the subtree it skips,
-so every skipped leaf has an equal leaf earlier in depth-first order: the
-pruning never skips the first smallest leaf.  The labeling and the
-certificate are therefore those of the full search whatever the seed; the
-generators and the work counters may differ.
+The group may be seeded with the group an isomorphic graph's own search
+returned, together with a relabeling φ onto this graph (``Carried``).
+The search checks φ once as an isomorphism; that search checked each of
+the group's generators on its own graph, so each generator conjugated by
+φ is an automorphism of this one, and no map is checked twice.  At the
+first leaf an unseeded search starts from the trivial group on the first
+path; a seeded one re-bases the seed's chain onto the first path by
+known-order sifting (``_rebase``), each element drawn from the source's
+chain conjugated by φ on the way, so no conjugated chain is built.  Off
+the first path the main chain's level at the fork is re-based onto the
+rest of the prefix the same way: random group elements are sifted and
+their residues placed without Schreier generators until the product of
+the orbit lengths reaches the known order.  That is exact, because each
+level holds only elements fixing the earlier base points, so no orbit
+exceeds the true one.  A verified automorphism maps a processed subtree
+onto the subtree it skips, so every skipped leaf has an equal leaf
+earlier in depth-first order: the pruning never skips the first smallest
+leaf.  The labeling and the certificate are therefore those of the full
+search whatever the seed; the generators and the work counters may
+differ.
 
 A cell of an ordered partition is the mask of its vertices, which take
 its positions in ascending vertex order.  The search carries each node's
@@ -121,16 +122,24 @@ class _Chain:
     """
 
     def __init__(self, base: tuple[int, ...] = ()):
-        self.basepoint: int | None = base[0] if base else None
+        self.basepoint: int | None = None
         self.gens: list[bytes] = []
         self.transversal: dict[int, bytes] = {}
         self.inverses: dict[int, bytes] = {}
         self.stab: _Chain | None = None
         self._done: set[tuple[int, bytes]] = set()
-        if self.basepoint is not None:
-            self.transversal[self.basepoint] = _TAIL
-            self.inverses[self.basepoint] = _TAIL
-            self.stab = _Chain(base[1:])
+        if base:
+            self._open(base[0], base[1:])
+
+    def _open(self, b: int, rest: tuple[int, ...] = ()) -> None:
+        """Make ``b`` the base point of this empty level and the points of
+        ``rest`` those of the empty levels below it, in order."""
+        level = self
+        for p in (b, *rest):
+            level.basepoint = p
+            level.transversal = {p: _TAIL}
+            level.inverses = {p: _TAIL}
+            level.stab = level = _Chain()
 
     def all_gens(self) -> list[bytes]:
         out: list[bytes] = []
@@ -158,10 +167,7 @@ class _Chain:
     def insert(self, g: bytes) -> None:
         """Insert a non-identity element that is not yet a member."""
         if self.basepoint is None:
-            self.basepoint = next(i for i in range(256) if g[i] != i)
-            self.transversal = {self.basepoint: _TAIL}
-            self.inverses = {self.basepoint: _TAIL}
-            self.stab = _Chain()
+            self._open(next(i for i in range(256) if g[i] != i))
         if g[self.basepoint] == self.basepoint:
             self.stab.insert(g)
         else:
@@ -213,10 +219,7 @@ class _Chain:
             path.append(level)
             level = level.stab
         if level.basepoint is None:
-            level.basepoint = next(i for i in range(256) if g[i] != i)
-            level.transversal = {level.basepoint: _TAIL}
-            level.inverses = {level.basepoint: _TAIL}
-            level.stab = _Chain()
+            level._open(next(i for i in range(256) if g[i] != i))
         level.gens.append(g)
         for changed in path + [level]:
             changed._grow_orbit()
@@ -300,19 +303,14 @@ class PermutationGroup:
     def order(self) -> int:
         return self._chain.order()
 
-    def _with_base(self, base: tuple[int, ...], phi: Perm | None = None) -> PermutationGroup:
-        """The same group and generators, its chain re-based onto ``base``.
-        With ``phi``, the group with each point x renamed ``phi[x]``: each
-        generator g becomes phi^-1 g phi, and so does each element the
-        re-base draws (see ``_rebase``)."""
+    def _with_base(self, base: tuple[int, ...], phi: Perm) -> PermutationGroup:
+        """The group with each point x renamed ``phi[x]``, its chain re-based
+        onto ``base``: each generator g becomes phi^-1 g phi, and so does
+        each element the re-base draws (see ``_rebase``)."""
         out = PermutationGroup(self.degree)
-        if phi is None:
-            out.generators = list(self.generators)
-            out._chain = _rebase(self._chain, base)
-        else:
-            phi_inv = inverse(phi)
-            out.generators = [tuple(phi[g[x]] for x in phi_inv) for g in self.generators]
-            out._chain = _rebase(self._chain, base, _pad(phi))
+        phi_inv = inverse(phi)
+        out.generators = [tuple(phi[g[x]] for x in phi_inv) for g in self.generators]
+        out._chain = _rebase(self._chain, base, _pad(phi))
         return out
 
     def contains(self, g) -> bool:
@@ -522,8 +520,8 @@ def _target_start(mask_at, cell_of, live) -> int:
 @dataclass(frozen=True)
 class CanonicalForm:
     """Canonical labeling (vertex -> canonical position), a certificate that
-    two colored graphs share iff they are isomorphic, and generators of the
-    automorphism group together with its stabilizer-chain order.
+    two colored graphs share iff they are isomorphic, and the automorphism
+    group with its generators and stabilizer chain.
 
     The work counters are deterministic: ``nodes`` search-tree nodes were
     entered (leaves and pruned subtrees included), ``leaves`` of them were
@@ -532,7 +530,6 @@ class CanonicalForm:
 
     labeling: Perm
     certificate: tuple
-    generators: tuple[Perm, ...] = field(compare=False)
     group: PermutationGroup = field(compare=False)
     nodes: int = field(default=0, compare=False)
     leaves: int = field(default=0, compare=False)
@@ -556,11 +553,10 @@ class Carried:
 
 class _Search:
     """The search tree of ``cg``, pruned by the three rules of the module
-    docstring; its group is seeded at the first leaf with ``known``: a list
-    of automorphisms of ``cg``, each of which it checks first, or a
-    ``Carried`` group, whose relabeling it checks first."""
+    docstring; its group starts at the first leaf from ``known``, a
+    ``Carried`` group whose relabeling it checks first, or trivial."""
 
-    def __init__(self, cg: ColoredGraph, known=()):
+    def __init__(self, cg: ColoredGraph, known: Carried | None = None):
         if cg.n > 256:  # the stabilizer chain's byte strings hold 256 points
             raise ValueError(f"graph has {cg.n} vertices; at most 256 are supported")
         self.cg = cg
@@ -568,26 +564,16 @@ class _Search:
         self.nbrs = [tuple(bits(row)) for row in cg.adj]
         self.n = cg.n
         self.colors = cg.colors
-        self.phi: Perm | None = None
-        if isinstance(known, Carried):
+        if known is not None:
             if known.source.n != self.n or known.group.degree != self.n:
                 raise ValueError(f"carried group acts on {known.group.degree} points "
                                  f"of a {known.source.n}-vertex graph, not {self.n}")
-            self.phi = tuple(known.phi)
             fault = ("is not a permutation of the vertices"
-                     if sorted(self.phi) != list(range(self.n))
-                     else self._fault(inverse(self.phi), known.source))
+                     if sorted(known.phi) != list(range(self.n))
+                     else self._fault(inverse(known.phi), known.source))
             if fault:
                 raise ValueError(f"relabeling {fault}")
-            self.seed = known.group
-        else:
-            gens = [tuple(g) for g in known]
-            for i, g in enumerate(gens):
-                fault = ("is not a permutation of the vertices"
-                         if sorted(g) != list(range(self.n)) else self._fault(g))
-                if fault:
-                    raise ValueError(f"known map {i} {fault}")
-            self.seed = PermutationGroup(self.n, gens)
+        self.seed = known
         self.first_cert = None
         self.first_lab: Perm | None = None
         self.base: list[int] = []
@@ -606,7 +592,6 @@ class _Search:
         return CanonicalForm(
             labeling=self.best_lab,
             certificate=self.best_cert,
-            generators=tuple(self.group.generators),
             group=self.group,
             nodes=self.nodes,
             leaves=self.leaves,
@@ -745,7 +730,10 @@ class _Search:
             self.first_cert, self.first_lab = cert, lab
             self.best_cert, self.best_lab = cert, lab
             self.base = self.best_path = list(prefix)
-            self.group = self.seed._with_base(tuple(prefix), self.phi)
+            if self.seed is None:
+                self.group = PermutationGroup(self.n, base=prefix)
+            else:
+                self.group = self.seed.group._with_base(tuple(prefix), self.seed.phi)
             return
         if cert == self.first_cert:
             seen_lab, seen_path = self.first_lab, self.base
@@ -807,17 +795,16 @@ def _fork(path_a, path_b) -> int:
     return fork
 
 
-def canonical_form(cg: ColoredGraph, known=()) -> CanonicalForm:
+def canonical_form(cg: ColoredGraph, known: Carried | None = None) -> CanonicalForm:
     """Canonical form of a colored graph on at most 256 vertices (the
     degree the stabilizer chain's byte-string permutations can hold).
 
-    ``known`` seeds the pruning group: a list of automorphisms (image
-    tuples), each checked first, or a ``Carried`` group of an isomorphic
-    graph, whose relabeling is checked first as an isomorphism onto ``cg``
-    and whose stabilizer chain is re-based through it rather than rebuilt.
-    A map that fails its check raises ``ValueError``.  The labeling and the
-    certificate do not depend on ``known``; the generators and the
-    counters may."""
+    ``known``, if given, seeds the pruning group with the ``Carried`` group
+    of an isomorphic graph: its relabeling is checked first as an
+    isomorphism onto ``cg``, and its stabilizer chain is re-based through
+    that relabeling rather than rebuilt.  A relabeling that fails its check
+    raises ``ValueError``.  The labeling and the certificate do not depend
+    on ``known``; the generators and the counters may."""
     return _Search(cg, known).run()
 
 
@@ -856,12 +843,6 @@ def incidence_group(g: IncidenceStructure) -> PermutationGroup:
     return _incidence_form(g)[2]
 
 
-def incidence_automorphisms(g: IncidenceStructure) -> tuple[Perm, ...]:
-    """Checked generators of the automorphism group of g's colored
-    incidence graph (points 0..v-1, line j as vertex v + j)."""
-    return tuple(incidence_group(g).generators)
-
-
 def aut_graph(g: Graph) -> PermutationGroup:
     """Automorphism group of an uncolored graph."""
     return canonical_form(ColoredGraph.from_graph(g)).group
@@ -874,7 +855,7 @@ def aut_incidence(g: IncidenceStructure, on: str = "points") -> PermutationGroup
     has checked, and restricted to the point class; ``on="lines"`` returns
     the action on line indices instead (line j is vertex v + j).
     """
-    gens = incidence_automorphisms(g)
+    gens = incidence_group(g).generators
     if on == "points":
         return PermutationGroup(g.v, [p[: g.v] for p in gens])
     if on == "lines":
