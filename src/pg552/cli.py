@@ -42,7 +42,7 @@ from .geometric_search import (
     mms_counterexample_search,
     star_weighting,
 )
-from .graphs import Graph, SrgViolation, isomorphic_small, local_configuration, srg_check
+from .graphs import Graph, SrgViolation, local_configuration, srg_check
 from .incidence import (
     IncidenceStructure,
     PgViolation,
@@ -55,6 +55,7 @@ from .incidence import (
 )
 from .symmetry import (
     Carried,
+    ColoredGraph,
     PermutationGroup,
     aut_graph,
     aut_incidence,
@@ -584,9 +585,13 @@ def _claim_local_configuration(env) -> dict:
             # two disjoint K4 and a ninth vertex z adjacent to neither
             if c.induced.edge_count() != 12 or not cliques or adj[c.z] & (a | b):
                 recurring = False
+
+    def shape(h: Graph) -> tuple:
+        return canonical_form(ColoredGraph.from_graph(h)).certificate
+
     ok = (
-        cfg.induced.edge_count() == 12 and isomorphic_small(cfg.induced, two_k4)
-        and cfg_p.induced.edge_count() == 9 and isomorphic_small(cfg_p.induced, k4_star)
+        cfg.induced.edge_count() == 12 and shape(cfg.induced) == shape(two_k4)
+        and cfg_p.induced.edge_count() == 9 and shape(cfg_p.induced) == shape(k4_star)
         and recurring
     )
     return {

@@ -1,9 +1,9 @@
 """Simple graphs on up to 81 vertices as bitset adjacency rows.
 
-Includes exhaustive strongly-regular certification, the local collinearity
-configuration around a collinear point pair, and a small backtracking
-isomorphism test for comparing the local configurations against reference
-shapes.
+Includes exhaustive strongly-regular certification and the local
+collinearity configuration around a collinear point pair.  Isomorphism,
+the local configurations' shapes included, is decided by the canonical
+search in ``symmetry``.
 """
 
 from __future__ import annotations
@@ -291,48 +291,3 @@ def local_configuration(g, x: int, y: int) -> LocalConfig:
         induced=Graph(len(verts), tuple(induced)),
         vertices=tuple(verts),
     )
-
-
-def isomorphic_small(g1: Graph, g2: Graph) -> bool:
-    """Exact isomorphism decision by backtracking; for graphs on <= 12 vertices."""
-    if g1.n > 12 or g2.n > 12:
-        raise ValueError("isomorphic_small is for graphs on <= 12 vertices")
-    if g1.n != g2.n:
-        return False
-    if sorted(map(int.bit_count, g1.adj)) != sorted(map(int.bit_count, g2.adj)):
-        return False
-    n = g1.n
-    image = [-1] * n
-    used = 0
-
-    def extend(i: int) -> bool:
-        nonlocal used
-        if i == n:
-            return True
-        row = g1.adj[i]
-        for j in range(n):
-            if used >> j & 1:
-                continue
-            if g1.adj[i].bit_count() != g2.adj[j].bit_count():
-                continue
-            ok = True
-            for u in bits(row & ((1 << i) - 1)):  # already-mapped neighbours
-                if not g2.adj[j] >> image[u] & 1:
-                    ok = False
-                    break
-            if ok:
-                # non-neighbours must map to non-neighbours
-                for u in range(i):
-                    if not row >> u & 1 and g2.adj[j] >> image[u] & 1:
-                        ok = False
-                        break
-            if ok:
-                image[i] = j
-                used |= 1 << j
-                if extend(i + 1):
-                    return True
-                used ^= 1 << j
-                image[i] = -1
-        return False
-
-    return extend(0)

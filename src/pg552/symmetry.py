@@ -75,7 +75,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from . import gf3space as gf3
-from .bits import bits, permute_mask
+from .bits import bits
 from .graphs import Graph
 from .incidence import IncidenceStructure, dual
 
@@ -559,12 +559,20 @@ class _Search:
     def __init__(self, cg: ColoredGraph, known: Carried | None = None):
         if cg.n > 256:  # the stabilizer chain's byte strings hold 256 points
             raise ValueError(f"graph has {cg.n} vertices; at most 256 are supported")
+        for v, row in enumerate(cg.adj):
+            if row >> cg.n:
+                raise ValueError(f"vertex {v}: neighbour out of range")
         self.cg = cg
         self.adj = cg.adj
         self.nbrs = [tuple(bits(row)) for row in cg.adj]
         self.n = cg.n
         self.colors = cg.colors
-        if known is not None:
+        if known is None:  # a carried graph's rows are checked through φ
+            for v, row in enumerate(self.nbrs):
+                for u in row:
+                    if not cg.adj[u] >> v & 1:
+                        raise ValueError(f"asymmetric edge ({v}, {u})")
+        else:
             if known.source.n != self.n or known.group.degree != self.n:
                 raise ValueError(f"carried group acts on {known.group.degree} points "
                                  f"of a {known.source.n}-vertex graph, not {self.n}")
@@ -798,6 +806,8 @@ def _fork(path_a, path_b) -> int:
 def canonical_form(cg: ColoredGraph, known: Carried | None = None) -> CanonicalForm:
     """Canonical form of a colored graph on at most 256 vertices (the
     degree the stabilizer chain's byte-string permutations can hold).
+    Rows the search cannot decide, with a neighbour out of range or an edge
+    without its reverse, raise ``ValueError`` before any refinement.
 
     ``known``, if given, seeds the pruning group with the ``Carried`` group
     of an isomorphic graph: its relabeling is checked first as an
@@ -873,20 +883,18 @@ def is_isomorphic(g1: IncidenceStructure, g2: IncidenceStructure) -> bool:
 
 def is_self_dual(g: IncidenceStructure) -> tuple[bool, Perm | None]:
     """Whether g is isomorphic to its dual; on success also returns a
-    witness isomorphism from the incidence graph of g to that of dual(g)."""
+    witness isomorphism from the incidence graph of g to that of dual(g),
+    checked by the search's own check of every map it finds (``_fault``)."""
     d = dual(g)
     lab1, cert1, _ = _incidence_form(g)
     lab2, cert2, _ = _incidence_form(d)
     if cert1 != cert2:
         return False, None
     witness = compose(lab1, inverse(lab2))
-    cg = colored_incidence_graph(g)
     cd = colored_incidence_graph(d)
-    for v, image in enumerate(witness):  # hand back only a checked witness
-        if cd.colors[image] != cg.colors[v]:
-            raise AssertionError("self-duality witness does not preserve colors")
-        if permute_mask(cg.adj[v], witness) != cd.adj[image]:
-            raise AssertionError("self-duality witness failed verification")
+    fault = _Search(colored_incidence_graph(g))._fault(witness, onto=cd)
+    if fault:
+        raise AssertionError(f"self-duality witness {fault}")
     return True, witness
 
 

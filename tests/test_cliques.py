@@ -9,7 +9,7 @@ from pg552 import cliques as cl
 from pg552 import construction as con
 from pg552 import graphs as gr
 from pg552 import incidence as inc
-from pg552.bits import bits, mask_of
+from pg552.bits import bits, mask_of, permute_mask
 
 
 def complete_graph(n):
@@ -82,14 +82,12 @@ def test_equal_graphs_share_one_read_only_census(point_graph_vls):
 
 
 def test_census_invariant_under_relabeling(point_graph_vls):
-    from pg552 import symmetry as sym
-
     rng = random.Random(5)
     perm = list(range(81))
     rng.shuffle(perm)
     adj = [0] * 81
     for i in range(81):
-        adj[perm[i]] = sym.permute_mask(point_graph_vls.adj[i], tuple(perm))
+        adj[perm[i]] = permute_mask(point_graph_vls.adj[i], tuple(perm))
     relabeled = gr.Graph(81, tuple(adj))
     assert (
         cl.max_cliques(relabeled).size_histogram

@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +20,12 @@ from pg552 import gf3space as gf3
 from pg552 import graphs as gr
 from pg552 import incidence as inc
 from pg552 import symmetry as sym
-from pg552.bits import bits, mask_of
+from pg552.bits import bits, mask_of, permute_mask
 
 
 def relabel_incidence(g, perm):
     """The incidence structure with points renamed by ``perm``."""
-    return inc.IncidenceStructure(g.v, (sym.permute_mask(m, perm) for m in g.lines))
+    return inc.IncidenceStructure(g.v, (permute_mask(m, perm) for m in g.lines))
 
 
 def test_compose_and_inverse():
@@ -32,7 +33,7 @@ def test_compose_and_inverse():
     q = (0, 2, 1)
     assert sym.compose(p, q) == (2, 1, 0)
     assert sym.compose(p, sym.inverse(p)) == (0, 1, 2)
-    assert sym.permute_mask(0b011, p) == 0b110
+    assert permute_mask(0b011, p) == 0b110
 
 
 # --- stabilizer chain -------------------------------------------------------
@@ -195,7 +196,7 @@ def test_canonical_form_relabel_stable():
         rng.shuffle(perm)
         adj = [0] * n
         for i in range(n):
-            adj[perm[i]] = sym.permute_mask(g.adj[i], tuple(perm))
+            adj[perm[i]] = permute_mask(g.adj[i], tuple(perm))
         cert2 = sym.canonical_form(
             sym.ColoredGraph.from_graph(gr.Graph(n, tuple(adj)))
         ).certificate
@@ -224,7 +225,7 @@ def brute_aut_order(g):
     count = 0
     for perm in itertools.permutations(range(g.n)):
         if all(
-            sym.permute_mask(g.adj[v], perm) == g.adj[perm[v]] for v in range(g.n)
+            permute_mask(g.adj[v], perm) == g.adj[perm[v]] for v in range(g.n)
         ):
             count += 1
     return count
@@ -252,7 +253,7 @@ def test_generators_preserve_line_set(aut_vls, vls, aut_new, new):
         line_group = sym.aut_incidence(g, on="lines")
         assert len(line_group.generators) == len(group.generators)
         for p, q in zip(group.generators, line_group.generators):
-            images = [sym.permute_mask(m, p) for m in g.lines]
+            images = [permute_mask(m, p) for m in g.lines]
             assert sorted(images) == list(g.lines)
             # line j goes to line q[j]
             assert images == [g.lines[j] for j in q]
@@ -287,7 +288,7 @@ def test_self_dual_witness_must_preserve_colors(new, monkeypatch):
     d = inc.dual(new)
     swap = tuple(d.v + d.lines.index(pc) for pc in new.pencils) + tuple(range(new.b))
     cg, cd = sym.colored_incidence_graph(new), sym.colored_incidence_graph(d)
-    assert all(sym.permute_mask(cg.adj[v], swap) == cd.adj[swap[v]] for v in range(cg.n))
+    assert all(permute_mask(cg.adj[v], swap) == cd.adj[swap[v]] for v in range(cg.n))
     # hand that map to is_self_dual as the canonical labelings' quotient
     identity = tuple(range(cd.n))
     forms = {new: (swap, "certificate", ()), d: (identity, "certificate", ())}
@@ -592,7 +593,7 @@ def relabel(cg, perm):
     adj = [0] * cg.n
     colors = [0] * cg.n
     for v in range(cg.n):
-        adj[perm[v]] = sym.permute_mask(cg.adj[v], perm)
+        adj[perm[v]] = permute_mask(cg.adj[v], perm)
         colors[perm[v]] = cg.colors[v]
     return sym.ColoredGraph(cg.n, tuple(adj), tuple(colors))
 
@@ -611,7 +612,7 @@ def brute_colored_aut_order(cg):
     return sum(
         all(
             cg.colors[perm[v]] == cg.colors[v]
-            and sym.permute_mask(cg.adj[v], perm) == cg.adj[perm[v]]
+            and permute_mask(cg.adj[v], perm) == cg.adj[perm[v]]
             for v in range(cg.n)
         )
         for perm in itertools.permutations(range(cg.n))
@@ -629,6 +630,63 @@ def test_canonical_form_rejects_more_than_256_vertices():
     adj = tuple((1 << (i - 1) % n) | (1 << (i + 1) % n) for i in range(n))
     with pytest.raises(ValueError, match="256"):
         sym.canonical_form(sym.ColoredGraph(n, adj, (0,) * n))
+
+
+def test_canonical_form_refuses_rows_it_cannot_decide(monkeypatch):
+    def no_refinement(*args):
+        raise AssertionError("refined rows it cannot decide")
+
+    monkeypatch.setattr(sym, "refine", no_refinement)
+    # vertex 0's row names vertex 2 of a 2-vertex graph
+    with pytest.raises(ValueError, match="vertex 0: neighbour out of range"):
+        sym.canonical_form(sym.ColoredGraph(2, (4, 0), (0, 0)))
+    # two isomorphic digraphs; refinement from these rows tells them apart
+    for adj, edge in [((116, 0, 64, 48, 0, 68, 52), (0, 2)),
+                      ((114, 112, 0, 80, 0, 2, 34), (0, 1))]:
+        with pytest.raises(ValueError, match=re.escape(f"asymmetric edge {edge}")):
+            sym.canonical_form(sym.ColoredGraph(7, adj, (0,) * 7))
+
+
+@st.composite
+def colored_graph_pairs(draw, max_n=8):
+    """Two colored graphs on the same vertices, self-loops allowed: the
+    second is the first with a few edges and colours changed, relabeled.
+    With no change the two are isomorphic; a change may or may not keep
+    them so."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    adj = [0] * n
+    for i, j in draw(st.lists(st.sampled_from(pairs), unique=True)):
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    colors = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    first = sym.ColoredGraph(n, tuple(adj), tuple(colors))
+    for i, j in draw(st.lists(st.sampled_from(pairs), max_size=2)):
+        adj[i] ^= 1 << j
+        if i != j:
+            adj[j] ^= 1 << i
+    for v, c in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 2)),
+                              max_size=1)):
+        colors[v] = c
+    changed = sym.ColoredGraph(n, tuple(adj), tuple(colors))
+    return first, relabel(changed, tuple(draw(st.permutations(range(n)))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(colored_graph_pairs())
+def test_equal_certificates_exactly_when_networkx_finds_an_isomorphism(pair):
+    import networkx as nx
+
+    def to_nx(cg):
+        h = nx.Graph()
+        h.add_nodes_from((v, {"color": c}) for v, c in enumerate(cg.colors))
+        h.add_edges_from((v, u) for v in range(cg.n) for u in bits(cg.adj[v]) if u >= v)
+        return h
+
+    g1, g2 = pair
+    same = sym.canonical_form(g1).certificate == sym.canonical_form(g2).certificate
+    assert same == nx.is_isomorphic(
+        to_nx(g1), to_nx(g2), node_match=lambda a, b: a["color"] == b["color"])
 
 
 # --- certificate-bound pruning ----------------------------------------------
@@ -732,7 +790,7 @@ def test_pruned_subtrees_hold_only_worse_leaves(cg):
 
 def is_automorphism(cg, g):
     return all(
-        cg.colors[g[v]] == cg.colors[v] and sym.permute_mask(cg.adj[v], g) == cg.adj[g[v]]
+        cg.colors[g[v]] == cg.colors[v] and permute_mask(cg.adj[v], g) == cg.adj[g[v]]
         for v in range(cg.n)
     )
 
@@ -1001,7 +1059,7 @@ def carried(g, h, perm):
     out = []
     for a in sym.aut_incidence(g).generators:
         points = tuple(perm[a[inv[x]]] for x in range(g.v))
-        lines = tuple(h.v + line_of[sym.permute_mask(m, points)] for m in h.lines)
+        lines = tuple(h.v + line_of[permute_mask(m, points)] for m in h.lines)
         out.append(points + lines)
     return out
 
@@ -1011,7 +1069,7 @@ def carried_seed(g, h, perm):
     it, carried to ``h = relabel_incidence(g, perm)`` through the
     relabeling of g's incidence graph onto h's."""
     line_of = {m: j for j, m in enumerate(h.lines)}
-    phi = perm + tuple(h.v + line_of[sym.permute_mask(m, perm)] for m in g.lines)
+    phi = perm + tuple(h.v + line_of[permute_mask(m, perm)] for m in g.lines)
     return sym.Carried(sym.colored_incidence_graph(g), sym.incidence_group(g), phi)
 
 
@@ -1144,7 +1202,7 @@ def test_claim_search_work_is_pinned(vls, new):
         for _ in range(5):
             perm = list(range(g.v))
             rng.shuffle(perm)
-            masks = [sym.permute_mask(m, perm) for m in g.lines]
+            masks = [permute_mask(m, perm) for m in g.lines]
             h = inc.IncidenceStructure(g.v, masks)
             line_of = {m: j for j, m in enumerate(h.lines)}
             phi = tuple(perm) + tuple(g.v + line_of[m] for m in masks)
@@ -1205,7 +1263,7 @@ class _SkipCheckedSearch(sym._Search):
         for g in set(gens) - self.checked:
             assert all(
                 self.colors[g[v]] == self.colors[v]
-                and sym.permute_mask(self.adj[v], g) == self.adj[g[v]]
+                and permute_mask(self.adj[v], g) == self.adj[g[v]]
                 for v in range(self.n)
             )
             self.checked.add(g)
