@@ -119,6 +119,15 @@ class _Chain:
     step would change nothing.  It stops once the element is the identity,
     which every later level leaves as it is.  The residue is the one a walk
     through every level would give.
+
+    ``gens`` is the level's own generating set: the elements inserted at
+    the level or passed through it, each fixing the earlier base points.
+    Orbits and Schreier generators read only it, and a residue of one of
+    its Schreier generators joins only the levels below, down to the first
+    whose base point it moves (Holt, Eick and O'Brien 2005, section 4.4).
+    This is exact: the residue is a word in the level's generators and
+    deeper transversal elements, so each level's list always generates the
+    group of every element stored at or below it.
     """
 
     def __init__(self, base: tuple[int, ...] = ()):
@@ -141,14 +150,6 @@ class _Chain:
             level.inverses = {p: _TAIL}
             level.stab = level = _Chain()
 
-    def all_gens(self) -> list[bytes]:
-        out: list[bytes] = []
-        level = self
-        while level is not None:
-            out += level.gens
-            level = level.stab
-        return out
-
     def sift(self, g: bytes) -> bytes:
         level = self
         while level is not None and level.basepoint is not None:
@@ -168,20 +169,18 @@ class _Chain:
         """Insert a non-identity element that is not yet a member."""
         if self.basepoint is None:
             self._open(next(i for i in range(256) if g[i] != i))
+        self.gens.append(g)
         if g[self.basepoint] == self.basepoint:
             self.stab.insert(g)
-        else:
-            self.gens.append(g)
         self._grow_orbit()
         self._process_schreier()
 
     def _grow_orbit(self) -> None:
-        gens = self.all_gens()
         queue = deque(sorted(self.transversal))
         while queue:
             p = queue.popleft()
             u = self.transversal[p]
-            for s in gens:
+            for s in self.gens:
                 x = s[p]
                 if x not in self.transversal:
                     ux = u.translate(s)
@@ -190,10 +189,9 @@ class _Chain:
                     queue.append(x)
 
     def _process_schreier(self) -> None:
-        gens = self.all_gens()
         for p in sorted(self.transversal):
             u_p = self.transversal[p]
-            for s in gens:
+            for s in self.gens:
                 key = (p, s)
                 if key in self._done:
                     continue
@@ -211,18 +209,18 @@ class _Chain:
         return len(self.transversal) * self.stab.order()
 
     def _place(self, g: bytes) -> None:
-        """Put a non-identity sift residue at the first level whose base
-        point it moves, and grow the orbits of that level and the levels
-        above it; no Schreier generator is processed."""
-        level, path = self, []
-        while level.basepoint is not None and g[level.basepoint] == level.basepoint:
-            path.append(level)
+        """Add a non-identity sift residue to every level down to the first
+        whose base point it moves, and grow the orbits of those levels; no
+        Schreier generator is processed."""
+        level = self
+        while True:
+            if level.basepoint is None:
+                level._open(next(i for i in range(256) if g[i] != i))
+            level.gens.append(g)
+            level._grow_orbit()
+            if g[level.basepoint] != level.basepoint:
+                return
             level = level.stab
-        if level.basepoint is None:
-            level._open(next(i for i in range(256) if g[i] != i))
-        level.gens.append(g)
-        for changed in path + [level]:
-            changed._grow_orbit()
 
 
 def _rebase(chain: _Chain, base: tuple[int, ...], phi: bytes | None = None) -> _Chain:
@@ -676,7 +674,7 @@ class _Search:
             level = _rebase(level, rest)
             for _ in rest:
                 level = level.stab
-        return level.all_gens()
+        return level.gens
 
     def _worse_below(self, mask_at, cell_of) -> bool:
         """Whether every leaf below the equitable partition ``(mask_at,

@@ -39,19 +39,27 @@ def test_compose_and_inverse():
 # --- stabilizer chain -------------------------------------------------------
 
 
-def brute_order(degree, gens):
-    elems = {tuple(range(degree))}
+def brute_elements(degree, gens):
+    """Every element of the group as a byte string of images: the identity
+    closed under right multiplication by the generators (``e.translate(g)``
+    is e followed by g)."""
+    tables = [bytes(g) + bytes(range(degree, 256)) for g in gens]
+    elems = {bytes(range(degree))}
     frontier = list(elems)
     while frontier:
         nxt = []
         for e in frontier:
-            for g in gens:
-                h = sym.compose(e, g)
+            for g in tables:
+                h = e.translate(g)
                 if h not in elems:
                     elems.add(h)
                     nxt.append(h)
         frontier = nxt
-    return len(elems)
+    return elems
+
+
+def brute_order(degree, gens):
+    return len(brute_elements(degree, gens))
 
 
 def test_group_s3():
@@ -340,6 +348,9 @@ def test_colored_incidence_graph_shape(vls):
 # --- kernel invariants ------------------------------------------------------
 
 
+IDENTITY = bytes(range(256))
+
+
 def chain_levels(chain):
     while chain is not None and chain.basepoint is not None:
         yield chain
@@ -348,16 +359,18 @@ def chain_levels(chain):
 
 def check_stored_elements(chain):
     """Each level's transversal element maps the base point to its key,
-    its stored inverse inverts it, and its strong generators fix the
-    earlier base points."""
+    its stored inverse inverts it, and every element of its generating set
+    fixes the earlier base points and, if it fixes the level's own, was
+    passed on to the level below."""
     fixed = []
     for level in chain_levels(chain):
         assert level.inverses.keys() == level.transversal.keys()
         for p, u in level.transversal.items():
             assert u[level.basepoint] == p
-            assert u.translate(level.inverses[p]) == bytes(range(256))
+            assert u.translate(level.inverses[p]) == IDENTITY
         for g in level.gens:
             assert all(g[b] == b for b in fixed)
+            assert g[level.basepoint] != level.basepoint or g in level.stab.gens
         fixed.append(level.basepoint)
 
 
@@ -386,6 +399,15 @@ def full_sift(chain, g):
     return g
 
 
+@st.composite
+def permutation_groups(draw, max_n=12, max_gens=3):
+    """(degree, generators, base prefix) of a random permutation group."""
+    n = draw(st.integers(1, max_n))
+    gens = draw(st.lists(st.permutations(range(n)).map(tuple), max_size=max_gens))
+    base = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    return n, gens, tuple(base)
+
+
 def full_bases(n):
     return [tuple(range(n)), tuple(reversed(range(n)))] + [
         tuple(random.Random(seed).sample(range(n), n)) for seed in (1, 2, 3)
@@ -399,33 +421,56 @@ def word(rng, gens, length=20):
     return p
 
 
-# sha256 of repr([(each level's (base point, transversal keys in insertion
-# order)), all_gens()] for the chains under ``full_bases``), recorded with
-# the stabilizer chain of commit 66c27a1, whose sift walked every level.
-PINNED_CHAINS = {
-    "aut-vls": (
-        lambda vls, new: sym.aut_incidence(vls),
-        "bb45b750d3bf68d90b81576e91b28ab51b2013f7106265289167026c9441a9cc",
-    ),
-    "aut-switched": (
-        lambda vls, new: sym.aut_incidence(new),
-        "d24ad86e799587e9f3113d39a9fd0ca8740b2570e38d0e619ba8a536716e8c7c",
-    ),
-    "aut-point-graph-vls": (
-        lambda vls, new: sym.aut_graph(inc.point_graph(vls)),
-        "407ed6cf5391db4a4792d8e7e34040749d585a4dc9e7ae4a38128c4adc4a1f9e",
-    ),
-    "aut-point-graph-switched": (
-        lambda vls, new: sym.aut_graph(inc.point_graph(new)),
-        "d2a797dd6d0714e413ba2555b8880f56f800531f057ba204302c4cdb992765de",
-    ),
+PINNED_GROUPS = {
+    "aut-vls": lambda vls, new: sym.aut_incidence(vls),
+    "aut-switched": lambda vls, new: sym.aut_incidence(new),
+    "aut-point-graph-vls": lambda vls, new: sym.aut_graph(inc.point_graph(vls)),
+    "aut-point-graph-switched": lambda vls, new: sym.aut_graph(inc.point_graph(new)),
 }
+
+# sha256 of repr([each level's (base point, sorted orbit)] for the chains
+# under ``full_bases``).  These are invariants of the group and the base,
+# the same for every complete chain, recorded with the stabilizer chain of
+# commit b0be0c6, whose levels built Schreier generators from every element
+# stored at or below them.
+PINNED_ORBITS = {
+    "aut-vls": "dc451df40e1a395b46fe7beb95e43f561cc3ebdaa0b09cc43f60bde902bb86d3",
+    "aut-switched": "3b54c53ade8b0d10985c961163bcf4faed9589fcb09ec93651b776f9fa2cf40d",
+    "aut-point-graph-vls": "476ce1f496949957df382249a0b3338882e6efe0ef59bf28cafe3ebfe4b418d9",
+    "aut-point-graph-switched": "3b54c53ade8b0d10985c961163bcf4faed9589fcb09ec93651b776f9fa2cf40d",
+}
+
+# sha256 of repr([each level's (base point, transversal keys in insertion
+# order, generators)] for the chains under ``full_bases``): the
+# representation, which the order of insertion fixes, recorded with the
+# chain in which a sift residue joins only the levels below the one whose
+# Schreier generator gave it.
+PINNED_CHAINS = {
+    "aut-vls": "ab83b17ce36a3e54df2c18a224ea8a9f914e9f0d71e51380f462e114606a8141",
+    "aut-switched": "16d2bf9ef921884b217dddf81bcea8d1af092be3106dcc5bb31f6b0bda2041b5",
+    "aut-point-graph-vls": "bb74f08ebb6f25cd3adc10009451a5fe47d875d7e1a6362ca845885d7447bcda",
+    "aut-point-graph-switched": "779097fdd0660bbbf788d19dfe70706e25fb24b4fd6be6b51ba7639a0cbbff62",
+}
+
+
+def pinned_chains(name, vls, new):
+    """The group ``name`` of ``PINNED_GROUPS`` and its chains under
+    ``full_bases``."""
+    grp = PINNED_GROUPS[name](vls, new)
+    n = grp.degree
+    return grp, [sym.PermutationGroup(n, grp.generators, base=b)._chain for b in full_bases(n)]
+
+
+@pytest.mark.parametrize("name", list(PINNED_ORBITS))
+def test_chain_orbits_are_pinned(name, vls, new):
+    _, chains = pinned_chains(name, vls, new)
+    key = [[(lvl.basepoint, sorted(lvl.transversal)) for lvl in chain_levels(c)] for c in chains]
+    assert hashlib.sha256(repr(key).encode()).hexdigest() == PINNED_ORBITS[name]
 
 
 @pytest.mark.parametrize("name", list(PINNED_CHAINS))
 def test_sift_residues_equal_full_walk_and_chains_are_pinned(name, vls, new):
-    build, digest = PINNED_CHAINS[name]
-    grp = build(vls, new)
+    grp, chains = pinned_chains(name, vls, new)
     n, gens = grp.degree, grp.generators
     rng = random.Random(name)
     inputs = list(gens) + [word(rng, gens) for _ in range(100)]
@@ -435,21 +480,64 @@ def test_sift_residues_equal_full_walk_and_chains_are_pinned(name, vls, new):
         i, j = rng.sample(range(n), 2)
         p[i], p[j] = p[j], p[i]
         inputs.append(tuple(p))
-    chains = [sym.PermutationGroup(n, gens, base=b)._chain for b in full_bases(n)]
     members = 0
     for chain in chains:
         for p in inputs:
             padded = sym._pad(p)
             residue = chain.sift(padded)
             assert residue == full_sift(chain, padded)
-            members += residue == bytes(range(256))
+            members += residue == IDENTITY
     assert members >= len(chains) * (len(gens) + 100)
     key = [
-        ([(lvl.basepoint, list(lvl.transversal)) for lvl in chain_levels(c)],
-         c.all_gens())
+        [(lvl.basepoint, list(lvl.transversal), lvl.gens) for lvl in chain_levels(c)]
         for c in chains
     ]
-    assert hashlib.sha256(repr(key).encode()).hexdigest() == digest
+    assert hashlib.sha256(repr(key).encode()).hexdigest() == PINNED_CHAINS[name]
+
+
+def check_complete(chain):
+    """Schreier's criterion at every level, under the conservative
+    generating set: every element stored at that level or below.  Each
+    orbit is the closure of the base point under that set, and every
+    Schreier generator of the set sifts to the identity through the levels
+    below, so, from the deepest level up, the stabilizer of each base point
+    in the group of its level is the group of the levels below (Holt, Eick
+    and O'Brien 2005, section 4.4)."""
+    levels = list(chain_levels(chain))
+    assert (levels[-1].stab if levels else chain).gens == []
+    below = []
+    for level in reversed(levels):
+        below = level.gens + below
+        assert sym.orbit_closure(1 << level.basepoint, below) == mask_of(level.transversal)
+        for p, u in level.transversal.items():
+            for s in below:
+                schreier = u.translate(s).translate(level.inverses[s[p]])
+                assert level.stab.sift(schreier) == IDENTITY
+
+
+@pytest.mark.parametrize("name", list(PINNED_GROUPS))
+def test_pg552_chains_are_complete(name, vls, new):
+    _, chains = pinned_chains(name, vls, new)
+    for chain in chains:
+        check_stored_elements(chain)
+        check_complete(chain)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(permutation_groups(max_n=8, max_gens=4))
+def test_random_chains_are_complete_and_exact(group):
+    n, gens, base = group
+    grp = sym.PermutationGroup(n, gens, base=base)
+    check_stored_elements(grp._chain)
+    check_complete(grp._chain)
+    elements = brute_elements(n, gens)
+    assert grp.order() == len(elements)
+    rng = random.Random(repr(group))
+    tests = [tuple(rng.sample(range(n), n)) for _ in range(50)]
+    if gens:
+        tests += [word(rng, gens, 5) for _ in range(50)]
+    for p in tests:
+        assert grp.contains(p) == (bytes(p) in elements)
 
 
 # --- known-order base change and conjugation --------------------------------
@@ -473,15 +561,6 @@ def check_rebased(source, n, gens, base, phi=None):
     return rebased
 
 
-@st.composite
-def permutation_groups(draw, max_n=12):
-    """(degree, generators, base prefix) of a random permutation group."""
-    n = draw(st.integers(1, max_n))
-    gens = draw(st.lists(st.permutations(range(n)).map(tuple), max_size=3))
-    base = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
-    return n, gens, tuple(base)
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(permutation_groups(), st.data())
 def test_rebase_keeps_the_order_and_every_orbit(group, data):
@@ -489,12 +568,12 @@ def test_rebase_keeps_the_order_and_every_orbit(group, data):
     source_base = tuple(data.draw(st.permutations(range(n))))
     source = sym.PermutationGroup(n, gens, base=source_base)._chain
     rebased = check_rebased(source, n, gens, base)
-    assert sym._rebase(source, base).all_gens() == rebased.all_gens()  # seeded
+    assert chain_contents(sym._rebase(source, base)) == chain_contents(rebased)  # seeded
 
 
-@pytest.mark.parametrize("name", list(PINNED_CHAINS))
+@pytest.mark.parametrize("name", list(PINNED_GROUPS))
 def test_rebase_of_pg552_groups_under_random_bases(name, vls, new):
-    grp = PINNED_CHAINS[name][0](vls, new)
+    grp = PINNED_GROUPS[name](vls, new)
     n = grp.degree
     for seed in (1, 2):
         base = tuple(random.Random(seed).sample(range(n), n))
@@ -503,10 +582,11 @@ def test_rebase_of_pg552_groups_under_random_bases(name, vls, new):
 
 def conjugated_chain(chain, phi):
     """The chain with each point x renamed ``phi[x]``, built explicitly:
-    every stored element g becomes phi^-1 g phi, and every base point and
-    orbit point its image, in the same order."""
+    every stored element g, each level's generating set included, becomes
+    phi^-1 g phi, and every base point and orbit point its image, in the
+    same order."""
     p = sym._pad(phi)
-    p_inv = bytes.maketrans(p, bytes(range(256)))
+    p_inv = bytes.maketrans(p, IDENTITY)
 
     def conj(g):
         return p_inv.translate(g).translate(p)
