@@ -1,4 +1,4 @@
-"""Simple graphs on up to 81 vertices as bitset adjacency rows.
+"""Simple graphs as bitset adjacency rows.
 
 Includes exhaustive strongly-regular certification and the local
 collinearity configuration around a collinear point pair.  Isomorphism,
@@ -13,6 +13,21 @@ from dataclasses import dataclass, field
 from .bits import bits
 
 
+# A graph on at most 16 vertices packs into a 16×16 bit matrix, row i at
+# bits 16 i .. 16 i + 15, so entry (i, j) is bit 16 i + j.  _DIAG masks the
+# entries (i, i), 17 bits apart.  Transposing swaps, for k = 8, 4, 2, 1,
+# every entry (i, j) with i & k == 0 and j & k != 0 with entry
+# (i + k, j - k), 15 k bits above it: one delta swap per k, whose mask is
+# the columns j & k != 0 of the rows i & k == 0 (Warren, Hacker's Delight,
+# 2nd ed., §7-3).
+_DIAG = int(("0" * 16 + "1") * 16, 2)
+_SWAPS = tuple(
+    (15 * k,
+     int(("0000" * k + "0001" * k) * (8 // k), 16) * int(("1" * k + "0" * k) * (8 // k), 2))
+    for k in (8, 4, 2, 1)
+)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph; ``adj[i]`` is the neighbour mask of vertex i."""
@@ -21,10 +36,24 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.adj) != self.n:
+        n, adj = self.n, self.adj
+        if len(adj) != n:
             raise ValueError("adjacency row count != n")
-        full = (1 << self.n) - 1
-        for i, row in enumerate(self.adj):
+        # Up to 16 vertices, range, self-loops and symmetry are three tests
+        # on the packed rows; a graph failing any of them goes on to the
+        # loops below, which name the first offending vertex or edge.
+        if n <= 16 and (not adj or min(adj) >= 0 and max(adj) >> n == 0):
+            m = 0
+            for row in reversed(adj):
+                m = m << 16 | row
+            t = m
+            for d, mask in _SWAPS:
+                x = (t ^ t >> d) & mask
+                t ^= x ^ x << d
+            if t == m and not m & _DIAG:
+                return
+        full = (1 << n) - 1
+        for i, row in enumerate(adj):
             if row & ~full:
                 raise ValueError(f"vertex {i}: neighbour out of range")
             if row >> i & 1:
@@ -32,15 +61,15 @@ class Graph:
         # The rows, written low bit first, equal their transpose iff every
         # edge (i, j) has its (j, i).  Above 16 vertices that test is faster
         # than the loop below, which also names the first asymmetric edge.
-        if self.n > 16:
-            rows = [format(row, f"0{self.n}b")[::-1] for row in self.adj]
+        if n > 16:
+            rows = [format(row, f"0{n}b")[::-1] for row in adj]
             if rows == list(map("".join, zip(*rows))):
                 return
-        for i, row in enumerate(self.adj):
+        for i, row in enumerate(adj):
             while row:
                 low = row & -row
                 j = low.bit_length() - 1
-                if not self.adj[j] >> i & 1:
+                if not adj[j] >> i & 1:
                     raise ValueError(f"asymmetric edge ({i}, {j})")
                 row ^= low
 
@@ -178,16 +207,7 @@ def _row_counts(g: Graph) -> tuple[int | None, int | None]:
             lam = (adj[x] & adj[(near & -near).bit_length() + x]).bit_count()
         if mu is None and far:
             mu = (adj[x] & adj[(far & -far).bit_length() + x]).bit_count()
-        planes: list[int] = []
-        for z in bits(adj[x]):
-            carry = adj[z] >> shift
-            for j, plane in enumerate(planes):
-                if not carry:
-                    break
-                planes[j] = plane ^ carry
-                carry &= plane
-            if carry:
-                planes.append(carry)
+        planes = _count_planes(adj[z] >> shift for z in bits(adj[x]))
         bad = 0
         if near:
             bad |= near & ~_count_is(planes, lam, above)
@@ -199,6 +219,21 @@ def _row_counts(g: Graph) -> tuple[int | None, int | None]:
             reason = "lambda not constant" if near & low else "mu not constant"
             raise SrgViolation(reason, (x, y), (adj[x] & adj[y]).bit_count())
     return lam, mu
+
+
+def _count_planes(rows) -> list[int]:
+    """The bit-sliced sum of ``rows``: bit j of the count at position p,
+    the number of rows with bit p set, is bit p of ``planes[j]``."""
+    planes: list[int] = []
+    for carry in rows:
+        for j, plane in enumerate(planes):
+            if not carry:
+                break
+            planes[j] = plane ^ carry
+            carry &= plane
+        if carry:
+            planes.append(carry)
+    return planes
 
 
 def _count_is(planes: list[int], c: int, full: int) -> int:
@@ -237,7 +272,11 @@ def local_configuration(g, x: int, y: int) -> LocalConfig:
     common line minus {x, y}; z is the unique common neighbour isolated in
     the induced collinearity graph; B is the rest.  The collinearity rows
     are read from ``g.collinearity``, built once per structure, so the
-    calls over all collinear pairs of one structure share them.
+    calls over all collinear pairs of one structure share them.  Only B's
+    rows are read for the induced graph: A lies on the common line, so A is
+    a clique, and z has no neighbour among the common points; the edges
+    between A and B are set in the A rows by symmetry.  The induced graph
+    is checked as every ``Graph`` is, so a wrong row raises.
     """
     if not (0 <= x < g.v and 0 <= y < g.v):
         raise ValueError(f"point index out of range 0..{g.v - 1}")
@@ -247,17 +286,26 @@ def local_configuration(g, x: int, y: int) -> LocalConfig:
     rows = g.collinearity
     commons = rows[x] & rows[y]  # rows omit their own point, so x, y are out
     a_mask = g.lines[common_line.bit_length() - 1] & commons
+    verts = []  # A, then B, each in increasing order, then z
+    rest = a_mask
+    while rest:
+        low = rest & -rest
+        verts.append(low.bit_length() - 1)
+        rest ^= low
+    n_a = len(verts)
     # one pass over the rest of the common neighbours: the isolated ones
-    # (z, if unique) and the others (B), each in increasing order
+    # (z, if unique) and the others (B), with their rows among the commons
     isolated: list[int] = []
-    b_list: list[int] = []
+    b_rows: list[int] = []
     b_mask = 0
     rest = commons & ~a_mask
     while rest:
         low = rest & -rest
         p = low.bit_length() - 1
-        if rows[p] & commons:
-            b_list.append(p)
+        row = rows[p] & commons
+        if row:
+            verts.append(p)
+            b_rows.append(row)
             b_mask |= low
         else:
             isolated.append(p)
@@ -267,23 +315,25 @@ def local_configuration(g, x: int, y: int) -> LocalConfig:
             f"expected a unique isolated common neighbour, got {isolated}"
         )
     z = isolated[0]
-    verts = []
-    rest = a_mask
-    while rest:
-        low = rest & -rest
-        verts.append(low.bit_length() - 1)
-        rest ^= low
-    verts += b_list
     verts.append(z)
-    pos = {1 << v: 1 << i for i, v in enumerate(verts)}  # point bit -> vertex bit
-    induced = []
-    for v in verts:
-        row, out = rows[v] & commons, 0
-        while row:
-            low = row & -row
-            out |= pos[low]
-            row ^= low
+    # a point's vertex is its rank in A, or n_a plus its rank in B
+    induced = [(1 << n_a) - 1 ^ 1 << i for i in range(n_a)]
+    for i, row in enumerate(b_rows, n_a):
+        out = 0
+        near = row & a_mask
+        while near:
+            low = near & -near
+            j = (a_mask & low - 1).bit_count()
+            out |= 1 << j
+            induced[j] |= 1 << i
+            near ^= low
+        near = row & b_mask
+        while near:
+            low = near & -near
+            out |= 1 << n_a + (b_mask & low - 1).bit_count()
+            near ^= low
         induced.append(out)
+    induced.append(0)
     return LocalConfig(
         a_mask=a_mask,
         b_mask=b_mask,

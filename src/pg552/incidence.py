@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .bits import bits, mask_of
-from .graphs import Graph, collinearity_graph
+from .graphs import Graph, _count_is, _count_planes, collinearity_graph
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,9 @@ def verify_pg(g: IncidenceStructure) -> PgParams:
     with the first witness on any failure.  Only the lines and the pencils
     are read: line j shares two points with line i iff j is in the pencils
     of two points of i, and a point's collinearity row is the union of its
-    lines.
+    lines.  The alpha condition is checked a line at a time, the counts of
+    all points off the line at once; on a mismatch the pairs are scanned
+    in point-major order for the first witness.
     """
     if g.b == 0:
         raise PgViolation("no lines")
@@ -121,21 +123,31 @@ def verify_pg(g: IncidenceStructure) -> PgParams:
         raise PgViolation("point degree not uniform", dict(point_degrees))
     s = next(iter(line_sizes)) - 1
     t = next(iter(point_degrees)) - 1
-    alpha = None
-    for p, pencil in enumerate(pencils):
-        row = 0  # p's own bit is harmless: only lines missing p are counted
+    # rows[p]: the points on the lines through p, p's own bit included,
+    # which is harmless: only points off a line are counted against it
+    rows = []
+    for pencil in pencils:
+        row = 0
         for j in bits(pencil):
             row |= lines[j]
-        for j, m in enumerate(lines):
-            if m >> p & 1:
-                continue
-            c = (row & m).bit_count()
-            if alpha is None:
-                alpha = c
-            elif c != alpha:
-                raise PgViolation("alpha not constant", (p, j, c, alpha))
+        rows.append(row)
+    # alpha is the count at the first non-incident pair in point-major order
+    all_lines = (1 << g.b) - 1
+    alpha = None
+    for p, pencil in enumerate(pencils):
+        missing = all_lines & ~pencil
+        if missing:
+            alpha = (rows[p] & lines[(missing & -missing).bit_length() - 1]).bit_count()
+            break
     if alpha is None:
         raise PgViolation("no non-incident point-line pair; alpha undefined")
+    # line by line: the count of p's collinear points on line m is the
+    # number of rows of m's points that hold p
+    full = (1 << g.v) - 1
+    for m in lines:
+        off = full & ~m
+        if _count_is(_count_planes(rows[q] for q in bits(m)), alpha, off) != off:
+            raise PgViolation("alpha not constant", _first_alpha_violation(rows, lines, alpha))
     if alpha == 0:
         raise PgViolation("alpha is zero")
     # v = (s+1)(st/alpha + 1) and b = (t+1)(st/alpha + 1), checked exactly
@@ -145,6 +157,17 @@ def verify_pg(g: IncidenceStructure) -> PgParams:
     if alpha * g.b != (t + 1) * (s * t + alpha):
         raise PgViolation("line count formula violated", (g.b, s, t, alpha))
     return PgParams(s=s, t=t, alpha=alpha, v=g.v, b=g.b)
+
+
+def _first_alpha_violation(rows, lines, alpha: int) -> tuple[int, int, int, int]:
+    """The first non-incident pair (p, j), in point-major order, at which
+    the count c of p's collinear points on line j is not ``alpha``, as the
+    witness (p, j, c, alpha)."""
+    for p, row in enumerate(rows):
+        for j, m in enumerate(lines):
+            if not m >> p & 1 and (row & m).bit_count() != alpha:
+                return p, j, (row & m).bit_count(), alpha
+    raise AssertionError("the line counts and the pair counts disagree")
 
 
 def dual(g: IncidenceStructure) -> IncidenceStructure:
@@ -165,7 +188,8 @@ def line_graph(g: IncidenceStructure) -> Graph:
 # increasing point indices per geometry line, single spaces, trailing newline.
 # Numbers are ASCII decimal without sign or leading zero, as to_text writes them.
 # A header may declare at most MAX_SIZE points and lines, so every readable
-# file, and the dual of one, gets an answer from each command in seconds.
+# file, and the dual of one, gets an answer from each command in seconds,
+# except from the exponential searches the README names.
 
 MAX_SIZE = 4096
 

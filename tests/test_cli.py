@@ -586,8 +586,16 @@ def vls_ovoids_on_switched_geometry(mp, env):
     mp.setitem(env, "G", env["Gp"])
 
 
+def alpha_one_for_the_switched_geometry(mp, env):
+    wrap(mp, cli, "verify_pg", lambda real, g: dataclasses.replace(
+        real(g), alpha=1) if g is env["Gp"] else real(g))
+
+
 # each case breaks one library answer that only a single gate of the claim reads
 BROKEN = {
+    "both_are_pg_5_5_2": ("pg_parameters", alpha_one_for_the_switched_geometry),
+    "negative_lines_are_a_cover": ("exact_cover_geometries", lambda mp, env: wrap(
+        mp, con, "negative_lines", lambda real, g: real(g)[1:])),
     "srg_feasibility": ("srg_parameters", lambda mp, env: mp.setattr(
         gr.SrgParams, "feasibility_identity", lambda self: False)),
     "matched_lines_are_negative": ("clique_census", shifted_matching),

@@ -1,6 +1,8 @@
 """Graph type, SRG certification, local configurations."""
 
 import itertools
+import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 from pg552 import gf3space as gf3
 from pg552 import construction as con
 from pg552 import graphs as gr
-from pg552.bits import bits
+from pg552 import incidence as inc
+from pg552.bits import bits, mask_of, permute_mask
 
 
 def cycle(n):
@@ -74,6 +77,58 @@ def test_symmetry_check_names_the_first_asymmetric_edge(case):
         with pytest.raises(ValueError) as e:
             gr.Graph(n, adj)
         assert str(e.value) == want
+
+
+def loop_check(n, adj):
+    """The message of Graph's checks as plain loops: range and self-loop
+    row by row, then the first asymmetric edge; None for a graph."""
+    full = (1 << n) - 1
+    for i, row in enumerate(adj):
+        if row & ~full:
+            return f"vertex {i}: neighbour out of range"
+        if row >> i & 1:
+            return f"vertex {i}: self-loop"
+    return first_asymmetric_edge(adj)
+
+
+def test_packed_check_agrees_with_the_loops():
+    # up to 16 vertices the rows are checked packed into one int; 17 takes
+    # the path of larger graphs.  Each case is a random simple graph with
+    # up to three faults: a negative row, a bit at or above n, a self-loop
+    # or a one-sided edge.
+    rng = random.Random(0)
+    seen = set()
+    for n in range(18):
+        for _ in range(300):
+            adj = [0] * n
+            for i in range(n):
+                below = rng.getrandbits(i) if i else 0
+                adj[i] |= below
+                for j in bits(below):
+                    adj[j] |= 1 << i
+            for _ in range(rng.randint(0, 3) if n else 0):
+                i, j = rng.randrange(n), rng.randrange(n)
+                fault = rng.choice(["negative", "high", "loop", "one-sided"])
+                if fault == "negative":
+                    adj[i] = -1 - adj[i]
+                elif fault == "high":
+                    adj[i] |= 1 << n + rng.randrange(3)
+                elif fault == "loop":
+                    adj[i] |= 1 << i
+                elif i != j:
+                    adj[i] ^= 1 << j
+            adj = tuple(adj)
+            want = loop_check(n, adj)
+            seen.add(want and re.sub(r"\d+", "#", want))
+            if want is None:
+                assert gr.Graph(n, adj).adj == adj
+            else:
+                with pytest.raises(ValueError) as e:
+                    gr.Graph(n, adj)
+                assert str(e.value) == want
+    assert seen == {
+        None, "vertex #: neighbour out of range", "vertex #: self-loop", "asymmetric edge (#, #)"
+    }
 
 
 def test_graph_rejects_self_loop():
@@ -335,11 +390,50 @@ def test_local_configuration_matches_full_point_graph(vls, new):
                 assert cfg.induced == induced_subgraph(pg, cfg.vertices)
 
 
+def test_local_configuration_joins_a_and_b_as_the_reference_does():
+    # neither geometry has an edge between A and B, which random small
+    # structures do; each pair whose common neighbours hold one isolated
+    # point outside A is compared with the induced subgraph
+    rng = random.Random(0)
+    joined = 0
+    for _ in range(300):
+        v = rng.randint(4, 12)
+        lines = [rng.sample(range(v), rng.randint(2, 4)) for _ in range(rng.randint(2, 12))]
+        g = inc.IncidenceStructure(v, map(mask_of, lines))
+        pg = gr.collinearity_graph(g.v, g.lines)
+        for x in range(v):
+            for y in bits(pg.adj[x]):
+                common_line = g.pencils[x] & g.pencils[y]
+                if common_line.bit_count() != 1:
+                    continue
+                commons = pg.adj[x] & pg.adj[y]
+                a = g.lines[common_line.bit_length() - 1] & commons
+                rest = list(bits(commons & ~a))
+                isolated = [p for p in rest if not pg.adj[p] & commons]
+                if len(isolated) != 1:
+                    with pytest.raises(ValueError, match="unique isolated"):
+                        gr.local_configuration(g, x, y)
+                    continue
+                verts = (*bits(a), *(p for p in rest if p not in isolated), *isolated)
+                cfg = gr.local_configuration(g, x, y)
+                want = induced_subgraph(pg, verts)
+                assert (cfg.vertices, cfg.induced.adj) == (verts, want.adj)
+                joined += any(pg.adj[p] & a for p in rest)
+    assert joined >= 20
+
+
+def relabeled(g, seed):
+    perm = list(range(g.v))
+    random.Random(seed).shuffle(perm)
+    return inc.IncidenceStructure(g.v, [permute_mask(m, perm) for m in g.lines])
+
+
 def test_local_configuration_lists_a_then_b_then_z(vls, new):
-    # on all 2430 ordered collinear pairs of each geometry, the vertices are
-    # A and then B in increasing order, then z, and the induced rows are
-    # those of the induced subgraph of the whole collinearity graph
-    for g in (vls, new):
+    # on all 2430 ordered collinear pairs of each geometry and of a relabeled
+    # copy of each, the vertices are A and then B in increasing order, then
+    # z, and the induced rows are those of the induced subgraph of the whole
+    # collinearity graph
+    for g in (vls, new, relabeled(vls, 1), relabeled(new, 2)):
         pg = gr.collinearity_graph(g.v, g.lines)
         pairs = [(x, y) for x in range(g.v) for y in bits(pg.adj[x])]
         assert len(pairs) == 2430
