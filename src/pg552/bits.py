@@ -23,6 +23,8 @@ def mask_of(indices: Iterable[int]) -> int:
 def permute_mask(mask: int, p: Sequence[int]) -> int:
     """The image ``{p[i] : i in mask}`` as a mask (``p`` an injective table)."""
     out = 0
-    for i in bits(mask):
-        out |= 1 << p[i]
+    while mask:
+        low = mask & -mask
+        out |= 1 << p[low.bit_length() - 1]
+        mask ^= low
     return out

@@ -42,8 +42,11 @@ class IncidenceStructure:
         for j, m in enumerate(normalized):
             if m & ~full:
                 raise ValueError("line contains a point outside 0..v-1")
-            for p in bits(m):
-                pencils[p] |= 1 << j
+            bit = 1 << j
+            while m:
+                low = m & -m
+                pencils[low.bit_length() - 1] |= bit
+                m ^= low
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "lines", normalized)
         object.__setattr__(self, "pencils", tuple(pencils))

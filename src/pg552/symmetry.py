@@ -306,9 +306,12 @@ class PermutationGroup:
         onto ``base``: each generator g becomes phi^-1 g phi, and so does
         each element the re-base draws (see ``_rebase``)."""
         out = PermutationGroup(self.degree)
-        phi_inv = inverse(phi)
-        out.generators = [tuple(phi[g[x]] for x in phi_inv) for g in self.generators]
-        out._chain = _rebase(self._chain, base, _pad(phi))
+        padded = _pad(phi)
+        inv = bytes.maketrans(padded, _TAIL)
+        n = self.degree
+        out.generators = [tuple(inv.translate(_pad(g)).translate(padded)[:n])
+                          for g in self.generators]
+        out._chain = _rebase(self._chain, base, padded)
         return out
 
     def contains(self, g) -> bool:
@@ -340,7 +343,12 @@ class PermutationGroup:
 
 def orbit_closure(mask: int, gens) -> int:
     """Closure of a point set under a list of permutations (image sequences)."""
-    queue = list(bits(mask))
+    queue = []
+    rest = mask
+    while rest:
+        low = rest & -rest
+        queue.append(low.bit_length() - 1)
+        rest ^= low
     while queue:
         p = queue.pop()
         for g in gens:
@@ -423,42 +431,53 @@ def refine(adj, mask_at, cell_of, live, active) -> int:
     and ``adj`` must be symmetric, so adding ``adj[x]`` for each x in W
     counts every vertex at once; a one-vertex splitter is its one plane
     ``adj[x]``.  A touched cell is split only if some member lies outside
-    ``hit`` (count 0) or some plane cuts it.
+    ``hit`` (count 0) or some plane cuts it.  A splitter that touches no
+    live vertex, or splits no cell it touches, does no further work.
     """
-    queue = deque(active)
-    queued = set(active)
-    while queue and live:
-        w = queue.popleft()
+    queue = list(active)  # read by the index i, in order
+    queued = set(queue)
+    discard = queued.discard
+    i = 0
+    while live and i < len(queue):
+        w = queue[i]
+        i += 1
         if w not in queued:
             continue
-        queued.discard(w)
+        discard(w)
         if w & (w - 1):
-            planes: list[int] = []
-            hit = 0
+            low = w & -w
+            w ^= low
+            hit = adj[low.bit_length() - 1]
+            planes = [hit]
             while w:
                 low = w & -w
                 w ^= low
                 carry = adj[low.bit_length() - 1]
                 hit |= carry
-                for j, plane in enumerate(planes):
+                j = 0
+                for plane in planes:
                     if not carry:
                         break
                     planes[j] = plane ^ carry
                     carry &= plane
+                    j += 1
                 if carry:
                     planes.append(carry)
+            # with one plane, that plane is ``hit`` and ``cell & ~hit`` decides
+            multi = len(planes) > 1
         else:
             hit = adj[w.bit_length() - 1]
-            planes = [hit]
-        # with one plane, that plane is ``hit`` and ``cell & ~hit`` decides
-        multi = len(planes) > 1
+            multi = False
         rest = hit & live
+        if not rest:
+            continue
         split = []
+        miss = ~hit
         while rest:
             s = cell_of[(rest & -rest).bit_length() - 1]
             cell = mask_at[s]
-            rest &= ~cell
-            if cell & ~hit:
+            rest ^= cell & rest
+            if cell & miss:
                 split.append(s)
             elif multi:
                 for plane in planes:
@@ -466,7 +485,10 @@ def refine(adj, mask_at, cell_of, live, active) -> int:
                     if part and part != cell:
                         split.append(s)
                         break
-        split.sort(reverse=True)
+        if not split:
+            continue
+        if len(split) > 1:
+            split.sort(reverse=True)
         for s in split:
             cell = mask_at[s]
             if multi:
@@ -474,30 +496,49 @@ def refine(adj, mask_at, cell_of, live, active) -> int:
                 for plane in reversed(planes):  # high bit first: ascending counts
                     part = cell & plane
                     if part and part != cell:
-                        parts = [q for m in parts for q in (m & ~plane, m & plane) if q]
+                        finer = []
+                        off = ~plane
+                        for m in parts:
+                            q = m & off
+                            if q:
+                                finer.append(q)
+                            q = m & plane
+                            if q:
+                                finer.append(q)
+                        parts = finer
             else:
-                parts = [cell & ~hit, cell & hit]
-            skip = big = 0
-            t = s
-            for j, frag in enumerate(parts):
+                parts = [cell & miss, cell & hit]
+            # the first fragment keeps the start s, and with it its cell_of
+            first = parts[0]
+            mask_at[s] = first
+            if first & (first - 1):
+                big = first.bit_count()
+            else:
+                big = 1
+                live ^= first  # the split cell was live
+            largest = first
+            t = s + big
+            for frag in parts[1:]:
                 mask_at[t] = frag
-                size = frag.bit_count()
-                if size == 1:
-                    live &= ~frag
-                if t != s:
+                if frag & (frag - 1):
+                    size = frag.bit_count()
                     m = frag
                     while m:
                         low = m & -m
                         cell_of[low.bit_length() - 1] = t
                         m ^= low
-                if size > big:
-                    skip, big = j, size
+                    if size > big:
+                        largest, big = frag, size
+                else:
+                    size = 1
+                    live ^= frag
+                    cell_of[frag.bit_length() - 1] = t
                 t += size
             if cell in queued:
-                queued.discard(cell)
+                discard(cell)
             else:
-                del parts[skip]
-            queue.extend(parts)
+                parts.remove(largest)  # the fragments are disjoint masks
+            queue += parts
             queued.update(parts)
     return live
 
@@ -562,7 +603,14 @@ class _Search:
                 raise ValueError(f"vertex {v}: neighbour out of range")
         self.cg = cg
         self.adj = cg.adj
-        self.nbrs = [tuple(bits(row)) for row in cg.adj]
+        self.nbrs = []
+        for row in cg.adj:
+            members = []
+            while row:
+                low = row & -row
+                members.append(low.bit_length() - 1)
+                row ^= low
+            self.nbrs.append(tuple(members))
         self.n = cg.n
         self.colors = cg.colors
         if known is None:  # a carried graph's rows are checked through φ
@@ -619,20 +667,26 @@ class _Search:
         k = len(prefix)
         processed = 0
         orbits = None
-        for v in bits(target):
+        todo = target
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            v = bit.bit_length() - 1
             if processed:  # so the first leaf, and the group, exist
                 orbits = self._orbits(prefix, processed, orbits)
-                if orbits[2] >> v & 1:
+                if orbits[2] & bit:
                     continue
             # individualize v: {v} keeps the start s, the rest starts at s + 1
-            bit = 1 << v
-            rest = target & ~bit
+            rest = target ^ bit
             child_at = mask_at.copy()
             child_at[s] = bit
             child_at[s + 1] = rest
             child_of = cell_of.copy()
-            for u in bits(rest):
-                child_of[u] = s + 1
+            m = rest
+            while m:
+                low = m & -m
+                child_of[low.bit_length() - 1] = s + 1
+                m ^= low
             # a two-vertex target leaves two singletons
             child_live = live & ~bit if rest & (rest - 1) else live & ~target
             child_live = refine(self.adj, child_at, child_of, child_live, [bit])

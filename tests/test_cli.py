@@ -586,6 +586,22 @@ def vls_ovoids_on_switched_geometry(mp, env):
     mp.setitem(env, "G", env["Gp"])
 
 
+def one_unstable_certificate(mp, env):
+    # of two seeded relabelings per geometry, the first one's certificate
+    # is shifted, so the van Lint-Schrijver stable count is one short
+    mp.setitem(env, "relabelings", 2)
+    calls = itertools.count()
+
+    def shifted(real, cg, *rest):
+        cf = real(cg, *rest)
+        if next(calls):
+            return cf
+        cols, rows = cf.certificate
+        return dataclasses.replace(cf, certificate=(cols, rows[1:] + rows[:1]))
+
+    wrap(mp, cli, "canonical_form", shifted)
+
+
 def alpha_one_for_the_switched_geometry(mp, env):
     wrap(mp, cli, "verify_pg", lambda real, g: dataclasses.replace(
         real(g), alpha=1) if g is env["Gp"] else real(g))
@@ -612,6 +628,13 @@ BROKEN = {
         mp, cli, "mms_counterexample_search", unbalanced)),
     "star_is_pencil_of_0": ("mms_weightings", lambda mp, env: wrap(
         mp, cli, "star_weighting", lambda real, g, p: real(g, 1))),
+    "not_isomorphic": ("isomorphism_and_duality", lambda mp, env: mp.setattr(
+        cli, "is_isomorphic", lambda g1, g2: True)),
+    "self_dual_flags": ("isomorphism_and_duality", lambda mp, env: wrap(
+        mp, cli, "is_self_dual", lambda real, g: (False, real(g)[1]) if g is env["G"] else real(g))),
+    "self_dual_witnesses": ("isomorphism_and_duality", lambda mp, env: wrap(
+        mp, cli, "is_self_dual", lambda real, g: (True, None) if g is env["Gp"] else real(g))),
+    "stable_certificates": ("isomorphism_and_duality", one_unstable_certificate),
 }
 
 

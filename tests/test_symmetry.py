@@ -10,6 +10,7 @@ import hashlib
 import itertools
 import random
 import re
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -1386,3 +1387,168 @@ def test_off_path_skips_are_images_under_checked_automorphisms():
         off_path += search.off_path
         best_backjumps += search.best_backjumps
     assert off_path > 0 and best_backjumps > 0
+
+
+# --- search kernels against their references --------------------------------
+
+
+def refine_reference(adj, mask_at, cell_of, live, active) -> int:
+    """The plain form of ``refine``, which it must match on every input:
+    a deque of splitters, a sorted list of split starts for every splitter,
+    fragments built by a comprehension and a bit loop per fragment."""
+    queue = deque(active)
+    queued = set(active)
+    while queue and live:
+        w = queue.popleft()
+        if w not in queued:
+            continue
+        queued.discard(w)
+        if w & (w - 1):
+            planes: list[int] = []
+            hit = 0
+            while w:
+                low = w & -w
+                w ^= low
+                carry = adj[low.bit_length() - 1]
+                hit |= carry
+                for j, plane in enumerate(planes):
+                    if not carry:
+                        break
+                    planes[j] = plane ^ carry
+                    carry &= plane
+                if carry:
+                    planes.append(carry)
+        else:
+            hit = adj[w.bit_length() - 1]
+            planes = [hit]
+        multi = len(planes) > 1
+        rest = hit & live
+        split = []
+        while rest:
+            s = cell_of[(rest & -rest).bit_length() - 1]
+            cell = mask_at[s]
+            rest &= ~cell
+            if cell & ~hit:
+                split.append(s)
+            elif multi:
+                for plane in planes:
+                    part = cell & plane
+                    if part and part != cell:
+                        split.append(s)
+                        break
+        split.sort(reverse=True)
+        for s in split:
+            cell = mask_at[s]
+            if multi:
+                parts = [cell]
+                for plane in reversed(planes):
+                    part = cell & plane
+                    if part and part != cell:
+                        parts = [q for m in parts for q in (m & ~plane, m & plane) if q]
+            else:
+                parts = [cell & ~hit, cell & hit]
+            skip = big = 0
+            t = s
+            for j, frag in enumerate(parts):
+                mask_at[t] = frag
+                size = frag.bit_count()
+                if size == 1:
+                    live &= ~frag
+                if t != s:
+                    for v in bits(frag):
+                        cell_of[v] = t
+                if size > big:
+                    skip, big = j, size
+                t += size
+            if cell in queued:
+                queued.discard(cell)
+            else:
+                del parts[skip]
+            queue.extend(parts)
+            queued.update(parts)
+    return live
+
+
+def both_refinements(refine, adj, mask_at, cell_of, live, active):
+    """``refine`` and ``refine_reference`` on copies of one input: the two
+    results, each as ``(mask_at, cell_of, live)``."""
+    out = []
+    for kernel in (refine, refine_reference):
+        at, of = list(mask_at), list(cell_of)
+        out.append((at, of, kernel(adj, at, of, live, list(active))))
+    return out
+
+
+@st.composite
+def refine_inputs(draw):
+    """A colored graph, a random ordered partition of its vertices and a
+    list of splitters: cells and other non-empty masks, repeats allowed."""
+    cg = draw(colored_graphs())
+    order = draw(st.permutations(range(cg.n)))
+    cuts = draw(st.sets(st.integers(1, cg.n - 1))) if cg.n > 1 else set()
+    bounds = [0, *sorted(cuts), cg.n]
+    cells = [mask_of(order[a:b]) for a, b in zip(bounds, bounds[1:])]
+    masks = st.one_of(st.sampled_from(cells), st.integers(1, (1 << cg.n) - 1))
+    active = draw(st.lists(masks, max_size=2 * len(cells) + 2))
+    return cg, cells, active
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(refine_inputs())
+def test_refine_matches_reference_on_random_partitions(case):
+    cg, cells, active = case
+    partition = sym._partition(cg.n, cells)
+    for splitters in (active, cells, cells[::-1]):
+        got, want = both_refinements(sym.refine, cg.adj, *partition, splitters)
+        assert got == want
+
+
+@pytest.mark.parametrize(
+    "case", [pytest.param(c, id=c[0]) for c in relabeled_geometries(2)]
+)
+def test_refine_matches_reference_on_seeded_relabelings(case, monkeypatch):
+    # every refinement of the search the certificate-stability claim runs
+    _, g, h, perm = case
+    real = sym.refine
+    calls = 0
+
+    def compared(adj, mask_at, cell_of, live, active):
+        nonlocal calls
+        calls += 1
+        got, want = both_refinements(real, adj, mask_at, cell_of, live, active)
+        assert got == want
+        live = real(adj, mask_at, cell_of, live, active)
+        assert (mask_at, cell_of, live) == got
+        return live
+
+    seed, want = carried_seed(g, h, perm), sym.incidence_certificate(g)
+    monkeypatch.setattr(sym, "refine", compared)
+    cf = sym.canonical_form(sym.colored_incidence_graph(h), seed)
+    assert cf.certificate == want
+    assert calls == cf.nodes  # one refinement per node, the root's in run()
+
+
+def set_closure(points, gens):
+    """The closure of a point set under permutations, by sets."""
+    closure = set(points)
+    while True:
+        grown = closure | {g[x] for g in gens for x in closure}
+        if grown == closure:
+            return closure
+        closure = grown
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_permute_mask_and_orbit_closure_match_set_references(data):
+    n = data.draw(st.integers(1, 40))
+    mask = data.draw(st.integers(0, (1 << n) - 1))
+    points = {i for i in range(n) if mask >> i & 1}
+    # an injective table into a larger range, as translate_mask passes
+    table = data.draw(st.permutations(range(n + data.draw(st.integers(0, 5)))))[:n]
+    assert permute_mask(mask, table) == mask_of(table[i] for i in points)
+    gens = [tuple(p) for p in data.draw(st.lists(st.permutations(range(n)), max_size=3))]
+    want = mask_of(set_closure(points, gens))
+    assert sym.orbit_closure(mask, gens) == want
+    # the search passes identity-padded byte strings
+    assert sym.orbit_closure(mask, [sym._pad(g) for g in gens]) == want
