@@ -4,6 +4,7 @@ geometry and the one obtained from it by switching 27 lines."""
 
 from .construction import build_new, build_vls
 from .graphs import Graph, SrgParams, SrgViolation, srg_check
+from .groups import PermutationGroup
 from .incidence import (
     IncidenceStructure,
     PgParams,
@@ -16,7 +17,6 @@ from .incidence import (
     write_incidence,
 )
 from .symmetry import (
-    PermutationGroup,
     aut_graph,
     aut_incidence,
     canonical_form,

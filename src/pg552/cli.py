@@ -43,6 +43,7 @@ from .geometric_search import (
     star_weighting,
 )
 from .graphs import Graph, SrgViolation, local_configuration, srg_check
+from .groups import PermutationGroup
 from .incidence import (
     IncidenceStructure,
     PgViolation,
@@ -56,7 +57,6 @@ from .incidence import (
 from .symmetry import (
     Carried,
     ColoredGraph,
-    PermutationGroup,
     aut_graph,
     aut_incidence,
     canonical_form,
@@ -65,7 +65,6 @@ from .symmetry import (
     incidence_group,
     is_isomorphic,
     is_self_dual,
-    translation_check,
 )
 
 
@@ -462,7 +461,7 @@ def _claim_new_geometry_orbits(env) -> dict:
         set(o) == sprime_idx for o in lorbs
     )
     stab = grp.stabilizer_order(0)
-    trans = translation_check(env["Gp"], con.N0)
+    trans = con.translation_check(env["Gp"], con.N0)
     return {
         "pass": points_ok and lines_ok and not grp.is_transitive()
         and stab == 36 and trans,

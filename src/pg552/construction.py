@@ -79,3 +79,10 @@ def find_2_ovoids(g: IncidenceStructure) -> list[int]:
 def negative_lines(g: IncidenceStructure) -> list[int]:
     """The pointwise negations -(x+S) of the lines of g, sorted by mask."""
     return sorted(gf3.negate_mask(m) for m in g.lines)
+
+
+def translation_check(g: IncidenceStructure, subspace: int) -> bool:
+    """True iff x -> x + a preserves the line set for every a in the
+    subspace mask (g an incidence structure on the 81 points of GF(3)^4)."""
+    line_set = set(g.lines)
+    return all(gf3.translate_mask(m, a) in line_set for a in bits(subspace) for m in g.lines)

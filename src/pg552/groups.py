@@ -1,0 +1,317 @@
+"""Permutation groups: deterministic Schreier-Sims stabilizer chains for
+order, membership and orbit queries, and a known-order base change.
+
+Permutations are image tuples at the API level.  Inside the stabilizer
+chain they are 256-byte strings padded with the identity, so composition
+is a single ``bytes.translate`` call.  A sift translates only at the levels
+whose base point the element moves, and stops once it is the identity.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import deque
+
+from .bits import bits
+
+Perm = tuple[int, ...]
+
+_TAIL = bytes(range(256))
+
+
+def compose(p: Perm, q: Perm) -> Perm:
+    """Left-to-right composition: ``compose(p, q)[i] == q[p[i]]``."""
+    return tuple(map(q.__getitem__, p))
+
+
+def inverse(p: Perm) -> Perm:
+    inv = [0] * len(p)
+    for i, x in enumerate(p):
+        inv[x] = i
+    return tuple(inv)
+
+
+def _pad(p) -> bytes:
+    b = bytes(p)
+    return b + _TAIL[len(b):]
+
+
+class _Chain:
+    """One level of a deterministic Schreier-Sims stabilizer chain.
+
+    Permutations are identity-padded 256-byte strings.  Transversal entries
+    are only ever appended, never recomputed, so Schreier generators already
+    processed stay processed when the orbit grows.  ``inverses[p]`` is the
+    inverse of ``transversal[p]``, stored when the entry is added, so a sift
+    step is one ``bytes.translate`` call.
+
+    A sift visits only the levels whose base point the element moves: the
+    transversal element of the base point itself is the identity, so such a
+    step would change nothing.  It stops once the element is the identity,
+    which every later level leaves as it is.  The residue is the one a walk
+    through every level would give.
+
+    ``gens`` is the level's own generating set: the elements inserted at
+    the level or passed through it, each fixing the earlier base points.
+    Orbits and Schreier generators read only it, and a residue of one of
+    its Schreier generators joins only the levels below, down to the first
+    whose base point it moves (Holt, Eick and O'Brien 2005, section 4.4).
+    This is exact: the residue is a word in the level's generators and
+    deeper transversal elements, so each level's list always generates the
+    group of every element stored at or below it.
+
+    A Schreier pass changes only the levels below its own, so when it ends
+    it has processed every pair of the orbit points and generators it
+    started with: ``_swept`` holds those points and ``_swept_gens`` counts
+    those generators, the first ones of ``gens``.  No element enters
+    ``gens`` twice, since each one sifted to a residue that was no member.
+    """
+
+    def __init__(self, base: tuple[int, ...] = ()):
+        self.basepoint: int | None = None
+        self.gens: list[bytes] = []
+        self.transversal: dict[int, bytes] = {}
+        self.inverses: dict[int, bytes] = {}
+        self.stab: _Chain | None = None
+        self._swept: set[int] = set()
+        self._swept_gens = 0
+        if base:
+            self._open(base[0], base[1:])
+
+    def _open(self, b: int, rest: tuple[int, ...] = ()) -> None:
+        """Make ``b`` the base point of this empty level and the points of
+        ``rest`` those of the empty levels below it, in order."""
+        level = self
+        for p in (b, *rest):
+            level.basepoint = p
+            level.transversal = {p: _TAIL}
+            level.inverses = {p: _TAIL}
+            level.stab = level = _Chain()
+
+    def sift(self, g: bytes) -> bytes:
+        level = self
+        while level is not None and level.basepoint is not None:
+            b = level.basepoint
+            x = g[b]
+            if x != b:  # at x == b the transversal element is the identity
+                u_inv = level.inverses.get(x)
+                if u_inv is None:
+                    return g
+                g = g.translate(u_inv)  # right-multiply by u^{-1}
+                if g == _TAIL:
+                    return g  # every later level fixes the identity
+            level = level.stab
+        return g
+
+    def insert(self, g: bytes) -> None:
+        """Insert a non-identity element that is not yet a member."""
+        if self.basepoint is None:
+            self._open(next(i for i in range(256) if g[i] != i))
+        self.gens.append(g)
+        if g[self.basepoint] == self.basepoint:
+            self.stab.insert(g)
+        self._grow_orbit()
+        self._process_schreier()
+
+    def _grow_orbit(self) -> None:
+        queue = deque(sorted(self.transversal))
+        while queue:
+            p = queue.popleft()
+            u = self.transversal[p]
+            for s in self.gens:
+                x = s[p]
+                if x not in self.transversal:
+                    ux = u.translate(s)
+                    self.transversal[x] = ux
+                    self.inverses[x] = bytes.maketrans(ux, _TAIL)
+                    queue.append(x)
+
+    def _process_schreier(self) -> None:
+        gens, swept, new = self.gens, self._swept, self.gens[self._swept_gens:]
+        for p in sorted(self.transversal):
+            u_p = self.transversal[p]
+            for s in new if p in swept else gens:
+                schreier = u_p.translate(s).translate(self.inverses[s[p]])
+                if schreier == _TAIL:
+                    continue
+                residue = self.stab.sift(schreier)
+                if residue != _TAIL:
+                    self.stab.insert(residue)
+        self._swept = set(self.transversal)
+        self._swept_gens = len(gens)
+
+    def order(self) -> int:
+        if self.basepoint is None:
+            return 1
+        return len(self.transversal) * self.stab.order()
+
+    def _place(self, g: bytes) -> None:
+        """Add a non-identity sift residue to every level down to the first
+        whose base point it moves, and grow the orbits of those levels; no
+        Schreier generator is processed."""
+        level = self
+        while True:
+            if level.basepoint is None:
+                level._open(next(i for i in range(256) if g[i] != i))
+            level.gens.append(g)
+            level._grow_orbit()
+            if g[level.basepoint] != level.basepoint:
+                return
+            level = level.stab
+
+
+def _rebase(chain: _Chain, base: tuple[int, ...], phi: bytes | None = None) -> _Chain:
+    """A stabilizer chain of the group of the complete chain ``chain``
+    whose base starts with ``base``: randomized Schreier-Sims with the
+    order known (Seress, *Permutation Group Algorithms*, 2003).  With
+    ``phi``, an identity-padded permutation, the group is the one with each
+    point x renamed ``phi[x]``, and ``base`` names renamed points.
+
+    Each element sifted is uniform in the group: one random transversal
+    element per level of ``chain``, composed from the deepest level up.  Its
+    residue in the new chain, if any, is placed there without Schreier
+    generators.  Every level then holds only elements fixing the earlier
+    base points, so each of its orbits is at most the true one; once the
+    product of the orbit lengths reaches the group's order, every orbit is
+    the true one and every level generates the full pointwise stabilizer.
+    The random source has a fixed seed, so the same input gives the same
+    chain.  Each element drawn with ``phi`` is conjugated, g -> phi^-1 g phi,
+    before it is sifted: the draws see ``chain``'s transversals in their
+    order, so the result holds the elements that re-basing a conjugated copy
+    of ``chain`` would, and no such copy is built."""
+    order = chain.order()
+    levels = []
+    level = chain
+    while level.basepoint is not None:
+        levels.append(list(level.transversal.values()))
+        level = level.stab
+    levels.reverse()
+    rng = random.Random(0)
+    phi_inv = None if phi is None else bytes.maketrans(phi, _TAIL)
+    out = _Chain(base)
+    while out.order() < order:
+        g = _TAIL
+        for transversal in levels:
+            g = g.translate(rng.choice(transversal))
+        if phi is not None:
+            g = phi_inv.translate(g).translate(phi)
+        residue = out.sift(g)
+        if residue != _TAIL:
+            out._place(residue)
+    return out
+
+
+class PermutationGroup:
+    """Permutation group given by generators, with a stabilizer chain for
+    order, membership and orbit queries.
+
+    ``base`` fixes a prefix of the chain's base points (the canonical
+    search's first path, or a second, independent base that reproduces the
+    order); each must be one of the points 0..degree-1.
+    """
+
+    def __init__(self, degree: int, generators=(), base: tuple[int, ...] = ()):
+        if degree > 256:
+            raise ValueError("degree > 256 not supported")
+        base = tuple(base)
+        for b in base:
+            if not 0 <= b < degree:
+                raise ValueError(f"base point {b} out of range 0..{degree - 1}")
+        self.degree = degree
+        self.generators: list[Perm] = []
+        self._chain = _Chain(base)
+        for g in generators:
+            self.add(g)
+
+    def add(self, g) -> bool:
+        """Add a generator; returns False if it was already a member."""
+        g = tuple(g)
+        if len(g) != self.degree or len(set(g)) != self.degree:
+            raise ValueError("not a permutation of the right degree")
+        padded = _pad(g)
+        if self._chain.sift(padded) == _TAIL:
+            return False
+        self.generators.append(g)
+        self._chain.insert(padded)
+        return True
+
+    def order(self) -> int:
+        return self._chain.order()
+
+    def with_base(self, base: tuple[int, ...], phi: Perm) -> PermutationGroup:
+        """The group with each point x renamed ``phi[x]``, its chain re-based
+        onto ``base``: each generator g becomes phi^-1 g phi, and so does
+        each element the re-base draws (see ``_rebase``)."""
+        out = PermutationGroup(self.degree)
+        padded = _pad(phi)
+        inv = bytes.maketrans(padded, _TAIL)
+        n = self.degree
+        out.generators = [tuple(inv.translate(_pad(g)).translate(padded)[:n])
+                          for g in self.generators]
+        out._chain = _rebase(self._chain, base, padded)
+        return out
+
+    def stabilizer_gens(self, prefix) -> list[bytes]:
+        """Strong generators of the pointwise stabilizer of the points
+        ``prefix``, as identity-padded byte strings; the list is the
+        chain's own, so it must not be changed.  The chain's level past
+        the common part of ``prefix`` and the chain's base stabilizes that
+        part; the rest of ``prefix``, if any, is stabilized by that level
+        re-based onto it."""
+        level = self._chain
+        fork = 0
+        for p in prefix:
+            if level.basepoint != p:
+                break
+            level = level.stab
+            fork += 1
+        rest = tuple(prefix[fork:])
+        if rest:
+            level = _rebase(level, rest)
+            for _ in rest:
+                level = level.stab
+        return level.gens
+
+    def contains(self, g) -> bool:
+        return self._chain.sift(_pad(tuple(g))) == _TAIL
+
+    def orbit_of(self, point: int) -> list[int]:
+        return sorted(bits(orbit_closure(1 << point, self.generators)))
+
+    def orbits(self) -> list[list[int]]:
+        """Orbit partition of 0..degree-1, ordered by smallest member."""
+        seen = 0
+        out = []
+        for p in range(self.degree):
+            if seen >> p & 1:
+                continue
+            orb = orbit_closure(1 << p, self.generators)
+            seen |= orb
+            out.append(sorted(bits(orb)))
+        return out
+
+    def is_transitive(self) -> bool:
+        if self.degree == 0:
+            return True
+        return len(self.orbit_of(0)) == self.degree
+
+    def stabilizer_order(self, point: int) -> int:
+        return self.order() // len(self.orbit_of(point))
+
+
+def orbit_closure(mask: int, gens) -> int:
+    """Closure of a point set under a list of permutations (image sequences)."""
+    queue = []
+    rest = mask
+    while rest:
+        low = rest & -rest
+        queue.append(low.bit_length() - 1)
+        rest ^= low
+    while queue:
+        p = queue.pop()
+        for g in gens:
+            x = g[p]
+            if not mask >> x & 1:
+                mask |= 1 << x
+                queue.append(x)
+    return mask

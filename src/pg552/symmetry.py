@@ -1,5 +1,5 @@
 """Canonical labeling of colored graphs, automorphism groups, isomorphism
-and self-duality testing, and permutation-group machinery.
+and self-duality testing.
 
 The canonical-labeling engine is an individualization-refinement search:
 refine an ordered partition to equitability, branch on the vertices of the
@@ -15,10 +15,10 @@ Three rules prune the tree (nauty's, McKay and Piperno 2014, section 3):
 
 - Orbit pruning: a node skips a child in the orbit of a processed sibling
   under the pointwise stabilizer of the node's prefix in the group found so
-  far.  On the first path the main chain holds that stabilizer as a level;
-  off it, a chain whose base starts with the prefix does.  The node keeps
-  the orbits of its processed children and recomputes the stabilizer and
-  the orbits only when the group has gained a generator.
+  far (``PermutationGroup.stabilizer_gens``, from a chain whose base
+  starts with the first path).  The node keeps the orbits of its
+  processed children and recomputes the stabilizer and the orbits only
+  when the group has gained a generator.
 - Backjump: a leaf equal to the first or to the best leaf so far yields an
   automorphism that maps that leaf's subtree below the fork of their two
   paths onto the current one, so the search unwinds to the fork.
@@ -32,20 +32,13 @@ The search checks φ once as an isomorphism; that search checked each of
 the group's generators on its own graph, so each generator conjugated by
 φ is an automorphism of this one, and no map is checked twice.  At the
 first leaf an unseeded search starts from the trivial group on the first
-path; a seeded one re-bases the seed's chain onto the first path by
-known-order sifting (``_rebase``), each element drawn from the source's
-chain conjugated by φ on the way, so no conjugated chain is built.  Off
-the first path the main chain's level at the fork is re-based onto the
-rest of the prefix the same way: random group elements are sifted and
-their residues placed without Schreier generators until the product of
-the orbit lengths reaches the known order.  That is exact, because each
-level holds only elements fixing the earlier base points, so no orbit
-exceeds the true one.  A verified automorphism maps a processed subtree
-onto the subtree it skips, so every skipped leaf has an equal leaf
-earlier in depth-first order: the pruning never skips the first smallest
-leaf.  The labeling and the certificate are therefore those of the full
-search whatever the seed; the generators and the work counters may
-differ.
+path; a seeded one from the seed's group renamed through φ, its chain
+re-based onto the first path (``PermutationGroup.with_base``), so no chain
+is built again.  A verified automorphism maps a processed subtree onto
+the subtree it skips, so every skipped leaf has an equal leaf earlier in
+depth-first order: the pruning never skips the first smallest leaf.  The
+labeling and the certificate are therefore those of the full search
+whatever the seed; the generators and the work counters may differ.
 
 A cell of an ordered partition is the mask of its vertices, which take
 its positions in ascending vertex order.  The search carries each node's
@@ -60,304 +53,17 @@ cell start is its position.
 Incidence structures are canonized through their 2-colored bipartite
 incidence graph (points color 0, lines color 1), which yields isomorphism
 testing, self-duality and automorphism groups with one engine.
-
-Permutations are image tuples at the API level.  Inside the stabilizer
-chain they are 256-byte strings padded with the identity, so composition
-is a single ``bytes.translate`` call.  A sift translates only at the levels
-whose base point the element moves, and stops once it is the identity.
 """
 
 from __future__ import annotations
 
 import functools
-import random
-from collections import deque
 from dataclasses import dataclass, field
 
-from . import gf3space as gf3
 from .bits import bits
 from .graphs import Graph
+from .groups import Perm, PermutationGroup, compose, inverse, orbit_closure
 from .incidence import IncidenceStructure, dual
-
-Perm = tuple[int, ...]
-
-_TAIL = bytes(range(256))
-
-
-# ---------------------------------------------------------------------------
-# permutations
-
-
-def compose(p: Perm, q: Perm) -> Perm:
-    """Left-to-right composition: ``compose(p, q)[i] == q[p[i]]``."""
-    return tuple(map(q.__getitem__, p))
-
-
-def inverse(p: Perm) -> Perm:
-    inv = [0] * len(p)
-    for i, x in enumerate(p):
-        inv[x] = i
-    return tuple(inv)
-
-
-def _pad(p) -> bytes:
-    b = bytes(p)
-    return b + _TAIL[len(b):]
-
-
-class _Chain:
-    """One level of a deterministic Schreier-Sims stabilizer chain.
-
-    Permutations are identity-padded 256-byte strings.  Transversal entries
-    are only ever appended, never recomputed, so Schreier generators already
-    processed stay processed when the orbit grows.  ``inverses[p]`` is the
-    inverse of ``transversal[p]``, stored when the entry is added, so a sift
-    step is one ``bytes.translate`` call.
-
-    A sift visits only the levels whose base point the element moves: the
-    transversal element of the base point itself is the identity, so such a
-    step would change nothing.  It stops once the element is the identity,
-    which every later level leaves as it is.  The residue is the one a walk
-    through every level would give.
-
-    ``gens`` is the level's own generating set: the elements inserted at
-    the level or passed through it, each fixing the earlier base points.
-    Orbits and Schreier generators read only it, and a residue of one of
-    its Schreier generators joins only the levels below, down to the first
-    whose base point it moves (Holt, Eick and O'Brien 2005, section 4.4).
-    This is exact: the residue is a word in the level's generators and
-    deeper transversal elements, so each level's list always generates the
-    group of every element stored at or below it.
-    """
-
-    def __init__(self, base: tuple[int, ...] = ()):
-        self.basepoint: int | None = None
-        self.gens: list[bytes] = []
-        self.transversal: dict[int, bytes] = {}
-        self.inverses: dict[int, bytes] = {}
-        self.stab: _Chain | None = None
-        self._done: set[tuple[int, bytes]] = set()
-        if base:
-            self._open(base[0], base[1:])
-
-    def _open(self, b: int, rest: tuple[int, ...] = ()) -> None:
-        """Make ``b`` the base point of this empty level and the points of
-        ``rest`` those of the empty levels below it, in order."""
-        level = self
-        for p in (b, *rest):
-            level.basepoint = p
-            level.transversal = {p: _TAIL}
-            level.inverses = {p: _TAIL}
-            level.stab = level = _Chain()
-
-    def sift(self, g: bytes) -> bytes:
-        level = self
-        while level is not None and level.basepoint is not None:
-            b = level.basepoint
-            x = g[b]
-            if x != b:  # at x == b the transversal element is the identity
-                u_inv = level.inverses.get(x)
-                if u_inv is None:
-                    return g
-                g = g.translate(u_inv)  # right-multiply by u^{-1}
-                if g == _TAIL:
-                    return g  # every later level fixes the identity
-            level = level.stab
-        return g
-
-    def insert(self, g: bytes) -> None:
-        """Insert a non-identity element that is not yet a member."""
-        if self.basepoint is None:
-            self._open(next(i for i in range(256) if g[i] != i))
-        self.gens.append(g)
-        if g[self.basepoint] == self.basepoint:
-            self.stab.insert(g)
-        self._grow_orbit()
-        self._process_schreier()
-
-    def _grow_orbit(self) -> None:
-        queue = deque(sorted(self.transversal))
-        while queue:
-            p = queue.popleft()
-            u = self.transversal[p]
-            for s in self.gens:
-                x = s[p]
-                if x not in self.transversal:
-                    ux = u.translate(s)
-                    self.transversal[x] = ux
-                    self.inverses[x] = bytes.maketrans(ux, _TAIL)
-                    queue.append(x)
-
-    def _process_schreier(self) -> None:
-        for p in sorted(self.transversal):
-            u_p = self.transversal[p]
-            for s in self.gens:
-                key = (p, s)
-                if key in self._done:
-                    continue
-                self._done.add(key)
-                schreier = u_p.translate(s).translate(self.inverses[s[p]])
-                if schreier == _TAIL:
-                    continue
-                residue = self.stab.sift(schreier)
-                if residue != _TAIL:
-                    self.stab.insert(residue)
-
-    def order(self) -> int:
-        if self.basepoint is None:
-            return 1
-        return len(self.transversal) * self.stab.order()
-
-    def _place(self, g: bytes) -> None:
-        """Add a non-identity sift residue to every level down to the first
-        whose base point it moves, and grow the orbits of those levels; no
-        Schreier generator is processed."""
-        level = self
-        while True:
-            if level.basepoint is None:
-                level._open(next(i for i in range(256) if g[i] != i))
-            level.gens.append(g)
-            level._grow_orbit()
-            if g[level.basepoint] != level.basepoint:
-                return
-            level = level.stab
-
-
-def _rebase(chain: _Chain, base: tuple[int, ...], phi: bytes | None = None) -> _Chain:
-    """A stabilizer chain of the group of the complete chain ``chain``
-    whose base starts with ``base``: randomized Schreier-Sims with the
-    order known (Seress, *Permutation Group Algorithms*, 2003).  With
-    ``phi``, an identity-padded permutation, the group is the one with each
-    point x renamed ``phi[x]``, and ``base`` names renamed points.
-
-    Each element sifted is uniform in the group: one random transversal
-    element per level of ``chain``, composed from the deepest level up.  Its
-    residue in the new chain, if any, is placed there without Schreier
-    generators.  Every level then holds only elements fixing the earlier
-    base points, so each of its orbits is at most the true one; once the
-    product of the orbit lengths reaches the group's order, every orbit is
-    the true one and every level generates the full pointwise stabilizer.
-    The random source has a fixed seed, so the same input gives the same
-    chain.  Each element drawn with ``phi`` is conjugated, g -> phi^-1 g phi,
-    before it is sifted: the draws see ``chain``'s transversals in their
-    order, so the result holds the elements that re-basing a conjugated copy
-    of ``chain`` would, and no such copy is built."""
-    order = chain.order()
-    levels = []
-    level = chain
-    while level.basepoint is not None:
-        levels.append(list(level.transversal.values()))
-        level = level.stab
-    levels.reverse()
-    rng = random.Random(0)
-    phi_inv = None if phi is None else bytes.maketrans(phi, _TAIL)
-    out = _Chain(base)
-    while out.order() < order:
-        g = _TAIL
-        for transversal in levels:
-            g = g.translate(rng.choice(transversal))
-        if phi is not None:
-            g = phi_inv.translate(g).translate(phi)
-        residue = out.sift(g)
-        if residue != _TAIL:
-            out._place(residue)
-    return out
-
-
-class PermutationGroup:
-    """Permutation group given by generators, with a stabilizer chain for
-    order, membership and orbit queries.
-
-    ``base`` fixes a prefix of the chain's base points (the canonical
-    search's first path, or a second, independent base that reproduces the
-    order); each must be one of the points 0..degree-1.
-    """
-
-    def __init__(self, degree: int, generators=(), base: tuple[int, ...] = ()):
-        if degree > 256:
-            raise ValueError("degree > 256 not supported")
-        base = tuple(base)
-        for b in base:
-            if not 0 <= b < degree:
-                raise ValueError(f"base point {b} out of range 0..{degree - 1}")
-        self.degree = degree
-        self.generators: list[Perm] = []
-        self._chain = _Chain(base)
-        for g in generators:
-            self.add(g)
-
-    def add(self, g) -> bool:
-        """Add a generator; returns False if it was already a member."""
-        g = tuple(g)
-        if len(g) != self.degree or len(set(g)) != self.degree:
-            raise ValueError("not a permutation of the right degree")
-        padded = _pad(g)
-        if self._chain.sift(padded) == _TAIL:
-            return False
-        self.generators.append(g)
-        self._chain.insert(padded)
-        return True
-
-    def order(self) -> int:
-        return self._chain.order()
-
-    def _with_base(self, base: tuple[int, ...], phi: Perm) -> PermutationGroup:
-        """The group with each point x renamed ``phi[x]``, its chain re-based
-        onto ``base``: each generator g becomes phi^-1 g phi, and so does
-        each element the re-base draws (see ``_rebase``)."""
-        out = PermutationGroup(self.degree)
-        padded = _pad(phi)
-        inv = bytes.maketrans(padded, _TAIL)
-        n = self.degree
-        out.generators = [tuple(inv.translate(_pad(g)).translate(padded)[:n])
-                          for g in self.generators]
-        out._chain = _rebase(self._chain, base, padded)
-        return out
-
-    def contains(self, g) -> bool:
-        return self._chain.sift(_pad(tuple(g))) == _TAIL
-
-    def orbit_of(self, point: int) -> list[int]:
-        return sorted(bits(orbit_closure(1 << point, self.generators)))
-
-    def orbits(self) -> list[list[int]]:
-        """Orbit partition of 0..degree-1, ordered by smallest member."""
-        seen = 0
-        out = []
-        for p in range(self.degree):
-            if seen >> p & 1:
-                continue
-            orb = orbit_closure(1 << p, self.generators)
-            seen |= orb
-            out.append(sorted(bits(orb)))
-        return out
-
-    def is_transitive(self) -> bool:
-        if self.degree == 0:
-            return True
-        return len(self.orbit_of(0)) == self.degree
-
-    def stabilizer_order(self, point: int) -> int:
-        return self.order() // len(self.orbit_of(point))
-
-
-def orbit_closure(mask: int, gens) -> int:
-    """Closure of a point set under a list of permutations (image sequences)."""
-    queue = []
-    rest = mask
-    while rest:
-        low = rest & -rest
-        queue.append(low.bit_length() - 1)
-        rest ^= low
-    while queue:
-        p = queue.pop()
-        for g in gens:
-            x = g[p]
-            if not mask >> x & 1:
-                mask |= 1 << x
-                queue.append(x)
-    return mask
-
 
 # ---------------------------------------------------------------------------
 # colored graphs and the individualization-refinement search
@@ -432,11 +138,13 @@ def refine(adj, mask_at, cell_of, live, active) -> int:
     counts every vertex at once; a one-vertex splitter is its one plane
     ``adj[x]``.  A touched cell is split only if some member lies outside
     ``hit`` (count 0) or some plane cuts it.  A splitter that touches no
-    live vertex, or splits no cell it touches, does no further work.
+    live vertex, or splits no cell it touches, does no further work, and
+    an empty splitter does nothing.
     """
     queue = list(active)  # read by the index i, in order
     queued = set(queue)
     discard = queued.discard
+    discard(0)  # an empty splitter splits nothing
     i = 0
     while live and i < len(queue):
         w = queue[i]
@@ -707,28 +415,10 @@ class _Search:
         the stabilizer and the mask are computed afresh."""
         count = len(self.group.generators)
         if cached is None or cached[0] != count:
-            gens = self._stabilizer_gens(prefix)
+            gens = self.group.stabilizer_gens(prefix)
             return count, gens, orbit_closure(processed, gens)
         _, gens, mask = cached
         return count, gens, mask | orbit_closure(processed & ~mask, gens)
-
-    def _stabilizer_gens(self, prefix) -> list[bytes]:
-        """Strong generators of the pointwise stabilizer of ``prefix`` in
-        the group found so far.  The main chain's base is the first path,
-        so its level at the fork of ``prefix`` with that path is the
-        stabilizer of their common part.  On the first path that level is
-        the answer; off it, that level re-based onto the rest of ``prefix``
-        stabilizes the rest."""
-        fork = _fork(self.base, prefix)
-        level = self.group._chain
-        for _ in range(fork):
-            level = level.stab
-        rest = tuple(prefix[fork:])
-        if rest:
-            level = _rebase(level, rest)
-            for _ in rest:
-                level = level.stab
-        return level.gens
 
     def _worse_below(self, mask_at, cell_of) -> bool:
         """Whether every leaf below the equitable partition ``(mask_at,
@@ -793,7 +483,7 @@ class _Search:
             if self.seed is None:
                 self.group = PermutationGroup(self.n, base=prefix)
             else:
-                self.group = self.seed.group._with_base(tuple(prefix), self.seed.phi)
+                self.group = self.seed.group.with_base(tuple(prefix), self.seed.phi)
             return
         if cert == self.first_cert:
             seen_lab, seen_path = self.first_lab, self.base
@@ -883,12 +573,6 @@ def _incidence_form(g: IncidenceStructure) -> tuple[Perm, tuple, PermutationGrou
     geometries, their duals and the second geometry on the van
     Lint-Schrijver point graph)."""
     cf = canonical_form(colored_incidence_graph(g))
-    # the shared group is never extended, so the record of processed
-    # Schreier generators, which only an extension reads, is dropped
-    level = cf.group._chain
-    while level is not None:
-        level._done.clear()
-        level = level.stab
     return cf.labeling, cf.certificate, cf.group
 
 
@@ -948,14 +632,3 @@ def is_self_dual(g: IncidenceStructure) -> tuple[bool, Perm | None]:
     if fault:
         raise AssertionError(f"self-duality witness {fault}")
     return True, witness
-
-
-def translation_check(g: IncidenceStructure, subspace: int) -> bool:
-    """True iff x -> x + a preserves the line set for every a in the
-    subspace mask (g an incidence structure on the 81 points of GF(3)^4)."""
-    line_set = set(g.lines)
-    for a in bits(subspace):
-        for m in g.lines:
-            if gf3.translate_mask(m, a) not in line_set:
-                return False
-    return True

@@ -1,5 +1,6 @@
 """Command-line interface: file round trips, JSON reports, exit codes."""
 
+import copy
 import dataclasses
 import hashlib
 import itertools
@@ -15,6 +16,7 @@ from pg552 import construction as con
 from pg552 import geometric_search as gs
 from pg552 import gf3space as gf3
 from pg552 import graphs as gr
+from pg552 import groups
 from pg552 import incidence as inc
 from pg552.bits import bits
 
@@ -607,6 +609,44 @@ def alpha_one_for_the_switched_geometry(mp, env):
         real(g), alpha=1) if g is env["Gp"] else real(g))
 
 
+def group_answers(key, method, answer):
+    """Break one answer of the group ``env[key]``: a shallow copy of it,
+    whose ``method`` returns ``answer``, takes its place."""
+
+    def breaks(mp, env):
+        group = copy.copy(env[key])
+        setattr(group, method, lambda *args: answer)
+        mp.setitem(env, key, group)
+
+    return breaks
+
+
+def low(mask):
+    return mask & -mask
+
+
+def difference_sets(change):
+    """Break the difference sets (ds, dsp) of S and S': ``gf3.difference_set``
+    answers ``change(ds, dsp)`` for them."""
+
+    def breaks(mp, env):
+        ds, dsp = change(gf3.difference_set(con.S), gf3.difference_set(con.S_PRIME))
+        mp.setattr(gf3, "difference_set", {con.S: ds, con.S_PRIME: dsp}.__getitem__)
+
+    return breaks
+
+
+def collinear_pair_in_n0(mp, env):
+    # two points of N0 trade their collinearity in the switched point graph
+    x, y = itertools.islice(bits(con.N0), 2)
+    adj = list(env["P1p"].adj)
+    adj[x] ^= 1 << y
+    adj[y] ^= 1 << x
+    mp.setitem(env, "P1p", gr.Graph(81, tuple(adj)))
+
+
+OFF_N0 = con.N1 | con.N2
+
 # each case breaks one library answer that only a single gate of the claim reads
 BROKEN = {
     "both_are_pg_5_5_2": ("pg_parameters", alpha_one_for_the_switched_geometry),
@@ -635,6 +675,28 @@ BROKEN = {
     "self_dual_witnesses": ("isomorphism_and_duality", lambda mp, env: wrap(
         mp, cli, "is_self_dual", lambda real, g: (True, None) if g is env["Gp"] else real(g))),
     "stable_certificates": ("isomorphism_and_duality", one_unstable_certificate),
+    "aut_new_order": ("automorphism_orders", group_answers("autGp", "order", 971)),
+    # got reads the groups the searches built; two_base_orders rebuilds them
+    # through cli's own name for PermutationGroup, so each breaks alone
+    "two_base_orders": ("automorphism_orders", lambda mp, env: mp.setattr(
+        cli, "PermutationGroup", lambda n, gens, base: groups.PermutationGroup(n))),
+    "point_orbits_are_n0_and_complement": ("new_geometry_orbits", group_answers(
+        "autGp", "orbits", [list(range(81))])),
+    "line_orbits_match_translate_split": ("new_geometry_orbits", lambda mp, env: mp.setattr(
+        cli, "aut_incidence", lambda g, on: groups.PermutationGroup(g.b))),
+    "no_singer_subgroup": ("new_geometry_orbits", group_answers("autGp", "is_transitive", True)),
+    "point_stabilizer_order": ("new_geometry_orbits", group_answers(
+        "autGp", "stabilizer_order", 35)),
+    "n0_translations_preserve_lines": ("new_geometry_orbits", lambda mp, env: mp.setattr(
+        con, "translation_check", lambda g, subspace: False)),
+    "triple_intersection_empty": ("difference_set_identities", difference_sets(
+        lambda ds, dsp: (ds, dsp ^ low(dsp & con.N0) ^ low(ds & con.N0)))),
+    "difference_sets_agree_off_n0": ("difference_set_identities", difference_sets(
+        lambda ds, dsp: (ds, dsp ^ low(dsp & OFF_N0) ^ low(OFF_N0 & ~dsp)))),
+    "difference_set_sizes": ("difference_set_identities", difference_sets(
+        lambda ds, dsp: (ds ^ low(ds & con.N0), dsp))),
+    "collinearity_changes_confined_to_n1_n2": ("difference_set_identities",
+                                               collinear_pair_in_n0),
 }
 
 

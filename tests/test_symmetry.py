@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from pg552 import construction as con
 from pg552 import gf3space as gf3
 from pg552 import graphs as gr
+from pg552 import groups
 from pg552 import incidence as inc
 from pg552 import symmetry as sym
 from pg552.bits import bits, mask_of, permute_mask
@@ -32,8 +33,8 @@ def relabel_incidence(g, perm):
 def test_compose_and_inverse():
     p = (1, 2, 0)
     q = (0, 2, 1)
-    assert sym.compose(p, q) == (2, 1, 0)
-    assert sym.compose(p, sym.inverse(p)) == (0, 1, 2)
+    assert groups.compose(p, q) == (2, 1, 0)
+    assert groups.compose(p, groups.inverse(p)) == (0, 1, 2)
     assert permute_mask(0b011, p) == 0b110
 
 
@@ -64,7 +65,7 @@ def brute_order(degree, gens):
 
 
 def test_group_s3():
-    g = sym.PermutationGroup(3, [(1, 0, 2), (0, 2, 1)])
+    g = groups.PermutationGroup(3, [(1, 0, 2), (0, 2, 1)])
     assert g.order() == 6
     assert g.is_transitive()
     assert g.contains((2, 1, 0))
@@ -73,7 +74,7 @@ def test_group_s3():
 
 
 def test_group_cyclic():
-    g = sym.PermutationGroup(5, [(1, 2, 3, 4, 0)])
+    g = groups.PermutationGroup(5, [(1, 2, 3, 4, 0)])
     assert g.order() == 5
     assert not g.contains((1, 0, 2, 3, 4))
 
@@ -87,7 +88,7 @@ def test_group_order_against_brute_force():
             p = list(range(degree))
             rng.shuffle(p)
             gens.append(tuple(p))
-        grp = sym.PermutationGroup(degree, gens)
+        grp = groups.PermutationGroup(degree, gens)
         assert grp.order() == brute_order(degree, gens)
 
 
@@ -100,8 +101,8 @@ def test_group_two_bases_agree():
         q = list(range(degree))
         rng.shuffle(q)
         gens = [tuple(p), tuple(q)]
-        o1 = sym.PermutationGroup(degree, gens, base=tuple(range(degree))).order()
-        o2 = sym.PermutationGroup(degree, gens, base=tuple(reversed(range(degree)))).order()
+        o1 = groups.PermutationGroup(degree, gens, base=tuple(range(degree))).order()
+        o2 = groups.PermutationGroup(degree, gens, base=tuple(reversed(range(degree)))).order()
         assert o1 == o2 == brute_order(degree, gens)
 
 
@@ -110,13 +111,13 @@ def test_group_refuses_base_points_out_of_range(base):
     # -1 once indexed from the end of the padded chain (order 12 for S3),
     # and 300 ran past it (IndexError)
     with pytest.raises(ValueError, match="out of range 0..2"):
-        sym.PermutationGroup(3, [(1, 0, 2), (0, 2, 1)], base=base)
-    assert sym.PermutationGroup(3, [(1, 0, 2), (0, 2, 1)], base=(2, 0)).order() == 6
+        groups.PermutationGroup(3, [(1, 0, 2), (0, 2, 1)], base=base)
+    assert groups.PermutationGroup(3, [(1, 0, 2), (0, 2, 1)], base=(2, 0)).order() == 6
 
 
 def test_orbits_and_stabilizer():
     # <(0 1), (2 3 4)> on 5 points
-    g = sym.PermutationGroup(5, [(1, 0, 2, 3, 4), (0, 1, 3, 4, 2)])
+    g = groups.PermutationGroup(5, [(1, 0, 2, 3, 4), (0, 1, 3, 4, 2)])
     assert g.orbits() == [[0, 1], [2, 3, 4]]
     assert not g.is_transitive()
     assert g.order() == 6
@@ -184,6 +185,15 @@ def test_refine_reaches_equitable_partition():
         out = refined(adj, cells, cells)
         assert sorted(v for c in out for v in bits(c)) == list(range(n))
         assert is_equitable(adj, out)
+
+
+def test_empty_splitter_splits_nothing():
+    # on the path 0-1-2 the splitter {2} splits {0, 1, 2} into {0, 2}, {1};
+    # the empty splitter must not be read as that one
+    path = gr.Graph.from_edges(3, [(0, 1), (1, 2)]).adj
+    whole = [0b111]
+    assert refined(path, whole, [0b100]) == [0b101, 0b010]
+    assert refined(path, whole, [0]) == refined(path, whole, []) == whole
 
 
 def test_canonical_form_c5_group():
@@ -326,9 +336,9 @@ def test_self_dual_with_witness(vls):
 
 def test_translation_checks(vls, new):
     full = gf3.span(gf3.UNIT)
-    assert sym.translation_check(new, con.N0)
-    assert sym.translation_check(vls, full)
-    assert not sym.translation_check(new, full)
+    assert con.translation_check(new, con.N0)
+    assert con.translation_check(vls, full)
+    assert not con.translation_check(new, full)
 
 
 def test_aut_vls_point_transitive(aut_vls):
@@ -380,7 +390,7 @@ def test_stored_inverses_invert_transversals(aut_vls, aut_new):
     for grp in (aut_vls, aut_new):
         chains = [grp._chain]
         chains += [
-            sym.PermutationGroup(n, grp.generators, base=b)._chain
+            groups.PermutationGroup(n, grp.generators, base=b)._chain
             for b in (tuple(range(n)), tuple(reversed(range(n))))
         ]
         for chain in chains:
@@ -418,7 +428,7 @@ def full_bases(n):
 def word(rng, gens, length=20):
     p = tuple(range(len(gens[0])))
     for _ in range(length):
-        p = sym.compose(p, rng.choice(gens))
+        p = groups.compose(p, rng.choice(gens))
     return p
 
 
@@ -459,7 +469,7 @@ def pinned_chains(name, vls, new):
     ``full_bases``."""
     grp = PINNED_GROUPS[name](vls, new)
     n = grp.degree
-    return grp, [sym.PermutationGroup(n, grp.generators, base=b)._chain for b in full_bases(n)]
+    return grp, [groups.PermutationGroup(n, grp.generators, base=b)._chain for b in full_bases(n)]
 
 
 @pytest.mark.parametrize("name", list(PINNED_ORBITS))
@@ -484,7 +494,7 @@ def test_sift_residues_equal_full_walk_and_chains_are_pinned(name, vls, new):
     members = 0
     for chain in chains:
         for p in inputs:
-            padded = sym._pad(p)
+            padded = groups._pad(p)
             residue = chain.sift(padded)
             assert residue == full_sift(chain, padded)
             members += residue == IDENTITY
@@ -509,7 +519,7 @@ def check_complete(chain):
     below = []
     for level in reversed(levels):
         below = level.gens + below
-        assert sym.orbit_closure(1 << level.basepoint, below) == mask_of(level.transversal)
+        assert groups.orbit_closure(1 << level.basepoint, below) == mask_of(level.transversal)
         for p, u in level.transversal.items():
             for s in below:
                 schreier = u.translate(s).translate(level.inverses[s[p]])
@@ -528,7 +538,7 @@ def test_pg552_chains_are_complete(name, vls, new):
 @given(permutation_groups(max_n=8, max_gens=4))
 def test_random_chains_are_complete_and_exact(group):
     n, gens, base = group
-    grp = sym.PermutationGroup(n, gens, base=base)
+    grp = groups.PermutationGroup(n, gens, base=base)
     check_stored_elements(grp._chain)
     check_complete(grp._chain)
     elements = brute_elements(n, gens)
@@ -549,8 +559,8 @@ def check_rebased(source, n, gens, base, phi=None):
     the relabeling ``phi`` if given, against the deterministic chain of
     ``PermutationGroup(n, gens, base)``: the same order at every level of
     the base and the same orbit at every base point."""
-    rebased = sym._rebase(source, base, None if phi is None else sym._pad(phi))
-    want = sym.PermutationGroup(n, gens, base=base)._chain
+    rebased = groups._rebase(source, base, None if phi is None else groups._pad(phi))
+    want = groups.PermutationGroup(n, gens, base=base)._chain
     assert rebased.order() == source.order() == want.order()
     check_stored_elements(rebased)
     got_level, want_level = rebased, want
@@ -567,9 +577,9 @@ def check_rebased(source, n, gens, base, phi=None):
 def test_rebase_keeps_the_order_and_every_orbit(group, data):
     n, gens, base = group
     source_base = tuple(data.draw(st.permutations(range(n))))
-    source = sym.PermutationGroup(n, gens, base=source_base)._chain
+    source = groups.PermutationGroup(n, gens, base=source_base)._chain
     rebased = check_rebased(source, n, gens, base)
-    assert chain_contents(sym._rebase(source, base)) == chain_contents(rebased)  # seeded
+    assert chain_contents(groups._rebase(source, base)) == chain_contents(rebased)  # seeded
 
 
 @pytest.mark.parametrize("name", list(PINNED_GROUPS))
@@ -586,19 +596,19 @@ def conjugated_chain(chain, phi):
     every stored element g, each level's generating set included, becomes
     phi^-1 g phi, and every base point and orbit point its image, in the
     same order."""
-    p = sym._pad(phi)
+    p = groups._pad(phi)
     p_inv = bytes.maketrans(p, IDENTITY)
 
     def conj(g):
         return p_inv.translate(g).translate(p)
 
-    out = level = sym._Chain()
+    out = level = groups._Chain()
     for src in chain_levels(chain):
         level.basepoint = p[src.basepoint]
         level.gens = [conj(g) for g in src.gens]
         level.transversal = {p[x]: conj(u) for x, u in src.transversal.items()}
         level.inverses = {p[x]: conj(u) for x, u in src.inverses.items()}
-        level.stab = sym._Chain()
+        level.stab = groups._Chain()
         level = level.stab
     return out
 
@@ -616,16 +626,16 @@ def chain_contents(chain):
 def test_conjugate_group_equals_the_group_of_conjugated_generators(group, data):
     n, gens, base = group
     phi = tuple(data.draw(st.permutations(range(n))))
-    inv = sym.inverse(phi)
-    conjugated = [sym.compose(sym.compose(inv, g), phi) for g in gens]
-    source = sym.PermutationGroup(n, gens, base=tuple(data.draw(st.permutations(range(n)))))
+    inv = groups.inverse(phi)
+    conjugated = [groups.compose(groups.compose(inv, g), phi) for g in gens]
+    source = groups.PermutationGroup(n, gens, base=tuple(data.draw(st.permutations(range(n)))))
     explicit = conjugated_chain(source._chain, phi)
     check_stored_elements(explicit)
     rebased = check_rebased(source._chain, n, conjugated, base, phi)
-    assert chain_contents(rebased) == chain_contents(sym._rebase(explicit, base))
-    got = source._with_base(base, phi)
+    assert chain_contents(rebased) == chain_contents(groups._rebase(explicit, base))
+    got = source.with_base(base, phi)
     assert chain_contents(got._chain) == chain_contents(rebased)
-    want = sym.PermutationGroup(n, conjugated)
+    want = groups.PermutationGroup(n, conjugated)
     assert got.generators == want.generators  # accepted at the same positions
     assert got.order() == want.order()
     rng = random.Random(repr(group))
@@ -883,7 +893,7 @@ def listed(cg, maps):
     maps = [tuple(g) for g in maps]
     for g in maps:
         assert sorted(g) == list(range(cg.n)) and is_automorphism(cg, g)
-    return sym.Carried(cg, sym.PermutationGroup(cg.n, maps), tuple(range(cg.n)))
+    return sym.Carried(cg, groups.PermutationGroup(cg.n, maps), tuple(range(cg.n)))
 
 
 def group_elements(degree, gens, limit):
@@ -896,7 +906,7 @@ def group_elements(degree, gens, limit):
     while queue:
         e = queue.pop()
         for g in gens:
-            h = sym.compose(e, g)
+            h = groups.compose(e, g)
             if h not in elements:
                 if len(elements) == limit:
                     return None
@@ -1135,7 +1145,7 @@ def carried(g, h, perm):
     """The incidence-graph automorphisms of g carried over to
     ``h = relabel_incidence(g, perm)``, built from g's point action alone:
     the point map ``points`` sends line m of h to ``permute_mask(m, points)``."""
-    inv = sym.inverse(perm)
+    inv = groups.inverse(perm)
     line_of = {m: j for j, m in enumerate(h.lines)}
     out = []
     for a in sym.aut_incidence(g).generators:
@@ -1155,8 +1165,8 @@ def carried_seed(g, h, perm):
 
 
 def conjugated_generators(seed):
-    inv = sym.inverse(seed.phi)
-    return [sym.compose(sym.compose(inv, a), seed.phi) for a in seed.group.generators]
+    inv = groups.inverse(seed.phi)
+    return [groups.compose(groups.compose(inv, a), seed.phi) for a in seed.group.generators]
 
 
 def seed_free(cf):
@@ -1174,9 +1184,9 @@ def search_key(cf):
 def test_seeded_search_finds_the_canonical_form(cg, data):
     perm = tuple(data.draw(st.permutations(range(cg.n))))
     h = relabel(cg, perm)
-    inv = sym.inverse(perm)
+    inv = groups.inverse(perm)
     cf = sym.canonical_form(cg)
-    known = [sym.compose(sym.compose(inv, a), perm) for a in cf.group.generators]
+    known = [groups.compose(groups.compose(inv, a), perm) for a in cf.group.generators]
     want = seed_free(_FirstPathSearch(h).run())
     unseeded = sym.canonical_form(h)
     assert seed_free(unseeded) == want
@@ -1240,7 +1250,7 @@ def test_seeding_with_a_carried_group(case):
     assert seed_free(by_seed) == seed_free(sym.canonical_form(cg))
     assert by_seed.group is not seed.group and seed.group.order() == by_seed.group.order()
     explicit = conjugated_chain(seed.group._chain, seed.phi)
-    assert search.seeded == chain_contents(sym._rebase(explicit, tuple(search.base)))
+    assert search.seeded == chain_contents(groups._rebase(explicit, tuple(search.base)))
 
 
 @pytest.mark.parametrize(
@@ -1265,7 +1275,7 @@ def test_carried_relabeling_must_be_an_isomorphism(case):
     with pytest.raises(ValueError, match="relabeling is not a permutation"):
         sym.canonical_form(cg, dataclasses.replace(seed, phi=seed.phi[:-1]))
     with pytest.raises(ValueError, match="carried group acts on 80 points"):
-        sym.canonical_form(cg, dataclasses.replace(seed, group=sym.PermutationGroup(80)))
+        sym.canonical_form(cg, dataclasses.replace(seed, group=groups.PermutationGroup(80)))
 
 
 # summed (nodes, leaves, pruned) of the first five seeded relabeled searches
@@ -1355,7 +1365,7 @@ class _SkipCheckedSearch(sym._Search):
             u = queue.pop()
             for g in gens:
                 if g[u] not in maps:
-                    maps[g[u]] = sym.compose(maps[u], g)
+                    maps[g[u]] = groups.compose(maps[u], g)
                     queue.append(g[u])
         assert mask_of(maps) == mask
         for image, gamma in maps.items():
@@ -1549,6 +1559,6 @@ def test_permute_mask_and_orbit_closure_match_set_references(data):
     assert permute_mask(mask, table) == mask_of(table[i] for i in points)
     gens = [tuple(p) for p in data.draw(st.lists(st.permutations(range(n)), max_size=3))]
     want = mask_of(set_closure(points, gens))
-    assert sym.orbit_closure(mask, gens) == want
+    assert groups.orbit_closure(mask, gens) == want
     # the search passes identity-padded byte strings
-    assert sym.orbit_closure(mask, [sym._pad(g) for g in gens]) == want
+    assert groups.orbit_closure(mask, [groups._pad(g) for g in gens]) == want
