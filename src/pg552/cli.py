@@ -29,7 +29,7 @@ from typing import NoReturn
 from . import __version__
 from . import construction as con
 from . import gf3space as gf3
-from .bits import bits, mask_of, permute_mask
+from .bits import bits, mask_of
 from .cliques import (
     classify_line_cliques,
     match_negative_lines,
@@ -374,6 +374,27 @@ def _claim_srg_parameters(env) -> dict:
     return {"pass": ok, "got": got}
 
 
+def _relabeled(source: ColoredGraph, nbrs, v: int, perm) -> tuple[ColoredGraph, tuple]:
+    """The colored incidence graph of the structure whose incidence graph
+    is ``source``, with ``nbrs`` its rows' members, once point x is renamed
+    ``perm[x]``, and the relabeling phi of ``source`` onto it: vertex x of
+    ``source`` is vertex ``phi[x]``.  As in ``IncidenceStructure``, the
+    lines are numbered in the order of their point masks.  Each row is the
+    image of its source row, and no structure is built."""
+    b = source.n - v
+    bit = [1 << x for x in perm]
+    masks = [sum(map(bit.__getitem__, nbrs[j])) for j in range(v, source.n)]
+    phi = list(perm) + [0] * b
+    adj = [0] * source.n
+    for i, j in enumerate(sorted(range(b), key=masks.__getitem__)):
+        phi[v + j] = v + i
+        adj[v + i] = masks[j]
+    bit = [1 << x for x in phi]
+    for x in range(v):
+        adj[perm[x]] = sum(map(bit.__getitem__, nbrs[x]))
+    return ColoredGraph(source.n, tuple(adj), source.colors), tuple(phi)
+
+
 def _claim_isomorphism_and_duality(env) -> dict:
     """The geometries are not isomorphic, each is self-dual with a checked
     witness, and each one's certificate is stable under random relabelings.
@@ -400,17 +421,13 @@ def _claim_isomorphism_and_duality(env) -> dict:
     stable = {"vls": 0, "new": 0}
     for name, g in [("vls", env["G"]), ("new", env["Gp"])]:
         source, group = colored_incidence_graph(g), incidence_group(g)
+        nbrs = [tuple(bits(row)) for row in source.adj]
         for _ in range(relabelings):
             perm = list(range(g.v))
             rng.shuffle(perm)
-            masks = [permute_mask(m, perm) for m in g.lines]
-            h = IncidenceStructure(g.v, masks)
-            # vertex x of g's incidence graph is vertex phi[x] of h's
-            line_of = {m: j for j, m in enumerate(h.lines)}
-            phi = tuple(perm) + tuple(g.v + line_of[m] for m in masks)
+            h, phi = _relabeled(source, nbrs, g.v, perm)
             # one search per relabeling, outside the cache of shared forms
-            seed = Carried(source, group, phi)
-            c = canonical_form(colored_incidence_graph(h), seed).certificate
+            c = canonical_form(h, Carried(source, group, phi)).certificate
             if c == certs[name]:
                 stable[name] += 1
     return {

@@ -10,7 +10,6 @@ whose base point the element moves, and stops once it is the identity.
 from __future__ import annotations
 
 import random
-from collections import deque
 
 from .bits import bits
 
@@ -114,17 +113,30 @@ class _Chain:
         self._process_schreier()
 
     def _grow_orbit(self) -> None:
-        queue = deque(sorted(self.transversal))
-        while queue:
-            p = queue.popleft()
-            u = self.transversal[p]
-            for s in self.gens:
+        """Extend the orbit, closed under all but the newest generator, by
+        the newest: the sorted old points go through it, then the points
+        found go through every generator.  An older generator maps old
+        points to old points, so this finds the points, in the same order,
+        that a walk of the whole orbit from its sorted points would."""
+        transversal, inverses, gens = self.transversal, self.inverses, self.gens
+        new = gens[-1]
+        found = []
+        for p in sorted(transversal):
+            x = new[p]
+            if x not in transversal:
+                ux = transversal[p].translate(new)
+                transversal[x] = ux
+                inverses[x] = bytes.maketrans(ux, _TAIL)
+                found.append(x)
+        for p in found:  # the walk appends the points it finds
+            u = transversal[p]
+            for s in gens:
                 x = s[p]
-                if x not in self.transversal:
+                if x not in transversal:
                     ux = u.translate(s)
-                    self.transversal[x] = ux
-                    self.inverses[x] = bytes.maketrans(ux, _TAIL)
-                    queue.append(x)
+                    transversal[x] = ux
+                    inverses[x] = bytes.maketrans(ux, _TAIL)
+                    found.append(x)
 
     def _process_schreier(self) -> None:
         gens, swept, new = self.gens, self._swept, self.gens[self._swept_gens:]
@@ -220,6 +232,7 @@ class PermutationGroup:
         self.degree = degree
         self.generators: list[Perm] = []
         self._chain = _Chain(base)
+        self._path: tuple[_Chain | None, list] = (None, [])  # see stabilizer_gens
         for g in generators:
             self.add(g)
 
@@ -233,6 +246,7 @@ class PermutationGroup:
             return False
         self.generators.append(g)
         self._chain.insert(padded)
+        self._path = (None, [])
         return True
 
     def order(self) -> int:
@@ -256,8 +270,13 @@ class PermutationGroup:
         ``prefix``, as identity-padded byte strings; the list is the
         chain's own, so it must not be changed.  The chain's level past
         the common part of ``prefix`` and the chain's base stabilizes that
-        part; the rest of ``prefix``, if any, is stabilized by that level
-        re-based onto it."""
+        part.  Each later point p of ``prefix`` is stabilized by the level
+        below p of the previous point's stabilizer re-based onto p.
+
+        ``_path`` holds the level at the fork of the last prefix asked
+        about and, for each later point p of it, p and its stabilizer
+        level: a prefix one point longer costs one re-base.  It is dropped
+        when a generator joins the group."""
         level = self._chain
         fork = 0
         for p in prefix:
@@ -265,12 +284,20 @@ class PermutationGroup:
                 break
             level = level.stab
             fork += 1
-        rest = tuple(prefix[fork:])
-        if rest:
-            level = _rebase(level, rest)
-            for _ in rest:
-                level = level.stab
-        return level.gens
+        root, steps = self._path
+        if root is not level:
+            steps = []
+            self._path = (level, steps)
+        rest = prefix[fork:]
+        keep = 0
+        for p, (q, _) in zip(rest, steps):
+            if p != q:
+                break
+            keep += 1
+        del steps[keep:]
+        for p in rest[keep:]:
+            steps.append((p, _rebase(steps[-1][1] if steps else level, (p,)).stab))
+        return steps[-1][1].gens if steps else level.gens
 
     def contains(self, g) -> bool:
         return self._chain.sift(_pad(tuple(g))) == _TAIL

@@ -68,6 +68,12 @@ from .incidence import IncidenceStructure, dual
 # ---------------------------------------------------------------------------
 # colored graphs and the individualization-refinement search
 
+NODE_BUDGET = 10_000  # nodes a canonical search may enter
+
+
+class BudgetExceeded(ValueError):
+    """A search that would exceed its work budget."""
+
 
 @dataclass(frozen=True)
 class ColoredGraph:
@@ -364,6 +370,9 @@ class _Search:
         """Search below the equitable partition ``(mask_at, cell_of, live)``
         (see ``refine``), reached by individualizing ``prefix``."""
         self.nodes += 1
+        if self.nodes > NODE_BUDGET:
+            raise BudgetExceeded(f"canonical search gave up at node {self.nodes}, "
+                                 f"past its budget of {NODE_BUDGET}")
         if not live:
             self._leaf(cell_of, prefix)
             return
@@ -556,7 +565,8 @@ def canonical_form(cg: ColoredGraph, known: Carried | None = None) -> CanonicalF
     isomorphism onto ``cg``, and its stabilizer chain is re-based through
     that relabeling rather than rebuilt.  A relabeling that fails its check
     raises ``ValueError``.  The labeling and the certificate do not depend
-    on ``known``; the generators and the counters may."""
+    on ``known``; the generators and the counters may.  A search that would
+    enter more than ``NODE_BUDGET`` nodes raises ``BudgetExceeded``."""
     return _Search(cg, known).run()
 
 

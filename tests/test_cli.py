@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import time
 from fractions import Fraction
 
@@ -18,7 +19,8 @@ from pg552 import gf3space as gf3
 from pg552 import graphs as gr
 from pg552 import groups
 from pg552 import incidence as inc
-from pg552.bits import bits
+from pg552 import symmetry as sym
+from pg552.bits import bits, permute_mask
 
 
 def run(capsys, *argv):
@@ -314,6 +316,57 @@ def test_more_than_256_vertices_is_one_line_error(tmp_path, capsys, command):
     code, err = run_error(capsys, *argv)
     assert code == 2
     assert "256" in err
+
+
+def latin_net(rows):
+    """The 3-net of a Latin square: its m^2 cells as points, and as lines
+    its rows, its columns and the cells of each symbol."""
+    m = len(rows)
+    lines = [0] * (3 * m)
+    for r, row in enumerate(rows):
+        for c, symbol in enumerate(row):
+            cell = 1 << (r * m + c)
+            lines[r] |= cell
+            lines[m + c] |= cell
+            lines[2 * m + int(symbol)] |= cell
+    return inc.IncidenceStructure(m * m, lines)
+
+
+# a Latin square of order 7 whose 3-net, a pg(6, 2, 2) on 49 points and 21
+# lines, has the trivial automorphism group, so its canonical search can
+# prune nothing: it enters 131818 nodes without a budget
+RIGID_SQUARE = "5321064 1054623 0163245 6430512 2506431 3642150 4215306".split()
+
+
+@pytest.mark.parametrize("command", ["aut", "iso", "dual"])
+def test_search_past_its_budget_is_one_line_error(tmp_path, monkeypatch, capsys, command):
+    assert sym.NODE_BUDGET == 10**4
+    monkeypatch.setattr(sym, "NODE_BUDGET", 300)
+    path = str(tmp_path / "net7.pg")
+    inc.write_incidence(latin_net(RIGID_SQUARE), path)
+    argv = [command, path, path] if command == "iso" else [command, path]
+    start = time.process_time()
+    code, err = run_error(capsys, *argv)
+    assert time.process_time() - start < 3
+    assert code == 2
+    assert err == "error: canonical search gave up at node 301, past its budget of 300\n"
+
+
+@pytest.mark.parametrize("name", ["vls", "new"])
+def test_claim_relabels_the_incidence_graph_directly(name):
+    # the claim's relabeled graph and phi are those of the relabeled
+    # incidence structure, whose lines are numbered in mask order
+    g = con.build_vls() if name == "vls" else con.build_new()
+    source = sym.colored_incidence_graph(g)
+    nbrs = [tuple(bits(row)) for row in source.adj]
+    for seed in range(20):
+        perm = list(range(g.v))
+        random.Random(seed).shuffle(perm)
+        masks = [permute_mask(m, perm) for m in g.lines]
+        h = inc.IncidenceStructure(g.v, masks)
+        line_of = {m: j for j, m in enumerate(h.lines)}
+        phi = tuple(perm) + tuple(g.v + line_of[m] for m in masks)
+        assert cli._relabeled(source, nbrs, g.v, perm) == (sym.colored_incidence_graph(h), phi)
 
 
 def test_header_above_cap_is_one_line_error_at_once(tmp_path, capsys):

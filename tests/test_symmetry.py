@@ -591,6 +591,72 @@ def test_rebase_of_pg552_groups_under_random_bases(name, vls, new):
         check_rebased(grp._chain, n, grp.generators, base)
 
 
+def full_rescan_grow_orbit(level):
+    """The orbit walk that rescans the whole orbit: every point, from the
+    sorted old ones on, through every generator of the level."""
+    queue = deque(sorted(level.transversal))
+    while queue:
+        p = queue.popleft()
+        u = level.transversal[p]
+        for s in level.gens:
+            x = s[p]
+            if x not in level.transversal:
+                ux = u.translate(s)
+                level.transversal[x] = ux
+                level.inverses[x] = bytes.maketrans(ux, IDENTITY)
+                queue.append(x)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(permutation_groups(), st.data())
+def test_incremental_orbits_equal_full_rescans(group, data):
+    # each level's orbit grows by its newest generator only; the points,
+    # their order and every stored element are those of a full rescan
+    n, gens, base = group
+    onto = tuple(data.draw(st.permutations(range(n))))[: data.draw(st.integers(0, n))]
+
+    def chains():
+        chain = groups.PermutationGroup(n, gens, base=base)._chain
+        return chain_contents(chain), chain_contents(groups._rebase(chain, onto))
+
+    got = chains()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups._Chain, "_grow_orbit", full_rescan_grow_orbit)
+        assert got == chains()
+
+
+def check_stabilizer(grp, elements, prefix):
+    """``stabilizer_gens(prefix)`` generates exactly the elements of
+    ``elements``, the whole group, that fix each point of ``prefix``."""
+    n = grp.degree
+    got = brute_elements(n, [g[:n] for g in grp.stabilizer_gens(prefix)])
+    assert got == {e for e in elements if all(e[p] == p for p in prefix)}, prefix
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(permutation_groups(max_n=7, max_gens=3), st.data())
+def test_stabilizers_of_prefixes_are_exact(group, data):
+    n, gens, base = group
+    held = gens[-1:]  # joins the group between the calls
+    grp = groups.PermutationGroup(n, gens[:-1], base=base)
+    elements = brute_elements(n, grp.generators)
+    on_base = [level.basepoint for level in chain_levels(grp._chain)]
+    fork = data.draw(st.integers(0, len(on_base)))
+    rest = [p for p in data.draw(st.permutations(range(n))) if p not in on_base[:fork]]
+    off = on_base[:fork] + rest  # leaves the base after ``fork`` points
+    walk = [off[:k] for k in range(len(off) + 1)]  # one point at a time
+    walk += [on_base[:k] for k in range(len(on_base), -1, -1)]  # rejoins it
+    walk += data.draw(st.lists(st.lists(st.integers(0, n - 1), unique=True), max_size=4))
+    walk.append(off[: fork + 1])  # the last call keeps one re-based level
+    for prefix in walk:
+        check_stabilizer(grp, elements, prefix)
+    for g in held:  # and ``add`` must drop it when the group grows
+        grp.add(g)
+        elements = brute_elements(n, gens)
+        for prefix in reversed(walk):
+            check_stabilizer(grp, elements, prefix)
+
+
 def conjugated_chain(chain, phi):
     """The chain with each point x renamed ``phi[x]``, built explicitly:
     every stored element g, each level's generating set included, becomes
