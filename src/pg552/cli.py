@@ -17,7 +17,6 @@ claim, and the acceptance tests run the same functions.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import random
@@ -61,8 +60,7 @@ from .symmetry import (
     aut_incidence,
     canonical_form,
     colored_incidence_graph,
-    incidence_certificate,
-    incidence_group,
+    incidence_form,
     is_isomorphic,
     is_self_dual,
 )
@@ -276,22 +274,26 @@ def _cmd_cover(args) -> int:
     g = _load(args.file)
     graph = point_graph(g)
     # the search covers the point graph with its maximal 6-cliques, so an
-    # input whose lines are not among them cannot be found again
+    # input whose lines are not among them cannot be found again; the census
+    # is taken at the first 6-point line, so a line of another size before
+    # it is refused without one
+    sixes = None
     for m in g.lines:
-        common = functools.reduce(int.__and__, (graph.adj[p] for p in bits(m)), -1)
-        if m.bit_count() != 6 or common & ~m:
+        if sixes is None and m.bit_count() == 6:
+            sixes = set(max_cliques(graph).cliques_of_size_6)
+        if m.bit_count() != 6 or m not in sixes:
             points = " ".join(map(str, bits(m)))
             _fail(f"input line '{points}' is not a maximal 6-clique of the point graph")
     solutions = all_geometries_on(graph)
     # equal certificates iff isomorphic, unequal v or b included
-    certs = [incidence_certificate(s) for s in solutions]
+    certs = [incidence_form(s).certificate for s in solutions]
     _emit(
         args,
         {
             "solutions": len(solutions),
             "isomorphism_classes": len(set(certs)),
             "contains_input_lines": any(s.lines == g.lines for s in solutions),
-            "all_isomorphic_to_input": all(c == incidence_certificate(g) for c in certs),
+            "all_isomorphic_to_input": all(c == incidence_form(g).certificate for c in certs),
         },
     )
     return 0
@@ -413,22 +415,18 @@ def _claim_isomorphism_and_duality(env) -> dict:
     iso = is_isomorphic(env["G"], env["Gp"])
     sd_vls, w_vls = is_self_dual(env["G"])
     sd_new, w_new = is_self_dual(env["Gp"])
-    certs = {
-        name: incidence_certificate(g)
-        for name, g in [("vls", env["G"]), ("new", env["Gp"])]
-    }
     rng = random.Random(20210522)
     stable = {"vls": 0, "new": 0}
     for name, g in [("vls", env["G"]), ("new", env["Gp"])]:
-        source, group = colored_incidence_graph(g), incidence_group(g)
+        form, source = incidence_form(g), colored_incidence_graph(g)
         nbrs = [tuple(bits(row)) for row in source.adj]
         for _ in range(relabelings):
             perm = list(range(g.v))
             rng.shuffle(perm)
             h, phi = _relabeled(source, nbrs, g.v, perm)
             # one search per relabeling, outside the cache of shared forms
-            c = canonical_form(h, Carried(source, group, phi)).certificate
-            if c == certs[name]:
+            c = canonical_form(h, Carried(source, form.group, phi)).certificate
+            if c == form.certificate:
                 stable[name] += 1
     return {
         "pass": (not iso) and sd_vls and sd_new and None not in (w_vls, w_new)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bits import bits
+from .bits import bits, count_is, count_planes
 
 
 # A graph on at most 16 vertices packs into a 16×16 bit matrix, row i at
@@ -95,7 +95,7 @@ class Graph:
         return out
 
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
+        return sum(map(int.bit_count, self.adj)) // 2
 
 
 def collinearity_graph(v: int, line_masks) -> Graph:
@@ -191,11 +191,11 @@ def _pair_counts(g: Graph) -> tuple[int | None, int | None]:
 def _row_counts(g: Graph) -> tuple[int | None, int | None]:
     """``_pair_counts`` a row at a time, with the same result and the same
     first violation.  For each x the counts |N(x) ∩ N(y)| of all y > x are
-    bit-sliced, as in ``symmetry.refine``: bit j of y's count is bit
-    y - x - 1 of ``planes[j]``, the sum of the rows of x's neighbours
-    shifted down past x.  λ and μ are the counts of the first adjacent and
-    the first non-adjacent pair in x-major order, so the first violation
-    is the first pair whose count is not the one of its kind."""
+    bit-sliced (``bits.count_planes``): bit j of y's count is bit y - x - 1
+    of ``planes[j]``, the sum of the rows of x's neighbours shifted down
+    past x.  λ and μ are the counts of the first adjacent and the first
+    non-adjacent pair in x-major order, so the first violation is the first
+    pair whose count is not the one of its kind."""
     adj = g.adj
     lam = mu = None
     for x in range(g.n - 1):
@@ -207,43 +207,18 @@ def _row_counts(g: Graph) -> tuple[int | None, int | None]:
             lam = (adj[x] & adj[(near & -near).bit_length() + x]).bit_count()
         if mu is None and far:
             mu = (adj[x] & adj[(far & -far).bit_length() + x]).bit_count()
-        planes = _count_planes(adj[z] >> shift for z in bits(adj[x]))
+        planes = [p >> shift for p in count_planes(adj, adj[x])]
         bad = 0
         if near:
-            bad |= near & ~_count_is(planes, lam, above)
+            bad |= near & ~count_is(planes, lam, above)
         if far:
-            bad |= far & ~_count_is(planes, mu, above)
+            bad |= far & ~count_is(planes, mu, above)
         if bad:
             low = bad & -bad
             y = low.bit_length() + x
             reason = "lambda not constant" if near & low else "mu not constant"
             raise SrgViolation(reason, (x, y), (adj[x] & adj[y]).bit_count())
     return lam, mu
-
-
-def _count_planes(rows) -> list[int]:
-    """The bit-sliced sum of ``rows``: bit j of the count at position p,
-    the number of rows with bit p set, is bit p of ``planes[j]``."""
-    planes: list[int] = []
-    for carry in rows:
-        for j, plane in enumerate(planes):
-            if not carry:
-                break
-            planes[j] = plane ^ carry
-            carry &= plane
-        if carry:
-            planes.append(carry)
-    return planes
-
-
-def _count_is(planes: list[int], c: int, full: int) -> int:
-    """The positions of ``full`` whose bit-sliced count in ``planes`` is c."""
-    if c >> len(planes):
-        return 0
-    eq = full
-    for j, plane in enumerate(planes):
-        eq &= plane if c >> j & 1 else ~plane
-    return eq
 
 
 @dataclass(frozen=True)

@@ -201,7 +201,8 @@ def _rebase(chain: _Chain, base: tuple[int, ...], phi: bytes | None = None) -> _
     rng = random.Random(0)
     phi_inv = None if phi is None else bytes.maketrans(phi, _TAIL)
     out = _Chain(base)
-    while out.order() < order:
+    short = out.order() < order  # only a placed residue changes the order
+    while short:
         g = _TAIL
         for transversal in levels:
             g = g.translate(rng.choice(transversal))
@@ -210,6 +211,7 @@ def _rebase(chain: _Chain, base: tuple[int, ...], phi: bytes | None = None) -> _
         residue = out.sift(g)
         if residue != _TAIL:
             out._place(residue)
+            short = out.order() < order
     return out
 
 
@@ -239,7 +241,7 @@ class PermutationGroup:
     def add(self, g) -> bool:
         """Add a generator; returns False if it was already a member."""
         g = tuple(g)
-        if len(g) != self.degree or len(set(g)) != self.degree:
+        if sorted(g) != list(range(self.degree)):
             raise ValueError("not a permutation of the right degree")
         padded = _pad(g)
         if self._chain.sift(padded) == _TAIL:
@@ -300,7 +302,12 @@ class PermutationGroup:
         return steps[-1][1].gens if steps else level.gens
 
     def contains(self, g) -> bool:
-        return self._chain.sift(_pad(tuple(g))) == _TAIL
+        """Whether the image tuple ``g`` of length ``degree`` is a member;
+        a tuple of another length raises ``ValueError``."""
+        g = tuple(g)
+        if len(g) != self.degree:
+            raise ValueError("not a permutation of the right degree")
+        return self._chain.sift(_pad(g)) == _TAIL
 
     def orbit_of(self, point: int) -> list[int]:
         return sorted(bits(orbit_closure(1 << point, self.generators)))

@@ -15,8 +15,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .bits import bits, mask_of
-from .graphs import Graph, _count_is, _count_planes, collinearity_graph
+from .bits import bits, count_is, count_planes, mask_of
+from .graphs import Graph, collinearity_graph
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ def verify_pg(g: IncidenceStructure) -> PgParams:
     full = (1 << g.v) - 1
     for m in lines:
         off = full & ~m
-        if _count_is(_count_planes(rows[q] for q in bits(m)), alpha, off) != off:
+        if count_is(count_planes(rows, m), alpha, off) != off:
             raise PgViolation("alpha not constant", _first_alpha_violation(rows, lines, alpha))
     if alpha == 0:
         raise PgViolation("alpha is zero")

@@ -60,7 +60,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .bits import bits
+from .bits import bits, count_planes
 from .graphs import Graph
 from .groups import Perm, PermutationGroup, compose, inverse, orbit_closure
 from .incidence import IncidenceStructure, dual
@@ -139,13 +139,14 @@ def refine(adj, mask_at, cell_of, live, active) -> int:
 
     A split never moves the start of the cell it splits, so only the
     vertices of fragments that start elsewhere get a new ``cell_of``.  The
-    counts are bit-sliced: bit j of |N(v) ∩ W| is bit v of ``planes[j]``,
-    and ``adj`` must be symmetric, so adding ``adj[x]`` for each x in W
-    counts every vertex at once; a one-vertex splitter is its one plane
-    ``adj[x]``.  A touched cell is split only if some member lies outside
-    ``hit`` (count 0) or some plane cuts it.  A splitter that touches no
-    live vertex, or splits no cell it touches, does no further work, and
-    an empty splitter does nothing.
+    counts are bit-sliced (``bits.count_planes``): bit j of |N(v) ∩ W| is
+    bit v of ``planes[j]``, and ``adj`` must be symmetric, so adding
+    ``adj[x]`` for each x in W counts every vertex at once; a one-vertex
+    splitter is its one plane ``adj[x]``.  ``hit``, the OR of the planes,
+    masks the vertices with a neighbour in W.  A touched cell is split only
+    if some member lies outside ``hit`` (count 0) or some plane cuts it.  A
+    splitter that touches no live vertex, or splits no cell it touches, does
+    no further work, and an empty splitter does nothing.
     """
     queue = list(active)  # read by the index i, in order
     queued = set(queue)
@@ -159,24 +160,10 @@ def refine(adj, mask_at, cell_of, live, active) -> int:
             continue
         discard(w)
         if w & (w - 1):
-            low = w & -w
-            w ^= low
-            hit = adj[low.bit_length() - 1]
-            planes = [hit]
-            while w:
-                low = w & -w
-                w ^= low
-                carry = adj[low.bit_length() - 1]
-                hit |= carry
-                j = 0
-                for plane in planes:
-                    if not carry:
-                        break
-                    planes[j] = plane ^ carry
-                    carry &= plane
-                    j += 1
-                if carry:
-                    planes.append(carry)
+            planes = count_planes(adj, w)
+            hit = 0
+            for plane in planes:
+                hit |= plane
             # with one plane, that plane is ``hit`` and ``cell & ~hit`` decides
             multi = len(planes) > 1
         else:
@@ -575,28 +562,16 @@ def canonical_form(cg: ColoredGraph, known: Carried | None = None) -> CanonicalF
 
 
 @functools.lru_cache(maxsize=8)
-def _incidence_form(g: IncidenceStructure) -> tuple[Perm, tuple, PermutationGroup]:
-    """Labeling, certificate and automorphism group of the canonical form
-    of g's colored incidence graph.  Isomorphism, self-duality and
-    automorphism queries about the same few structures share one search;
-    eight entries hold the five structures a report asks about (both
-    geometries, their duals and the second geometry on the van
-    Lint-Schrijver point graph)."""
-    cf = canonical_form(colored_incidence_graph(g))
-    return cf.labeling, cf.certificate, cf.group
-
-
-def incidence_certificate(g: IncidenceStructure) -> tuple:
-    """Certificate of g's colored incidence graph: equal for two incidence
-    structures iff they are isomorphic."""
-    return _incidence_form(g)[1]
-
-
-def incidence_group(g: IncidenceStructure) -> PermutationGroup:
-    """The automorphism group of g's colored incidence graph (points
-    0..v-1, line j as vertex v + j), with the search's stabilizer chain;
-    shared between callers, so it must not be changed."""
-    return _incidence_form(g)[2]
+def incidence_form(g: IncidenceStructure) -> CanonicalForm:
+    """The canonical form of g's colored incidence graph (points 0..v-1,
+    line j as vertex v + j): its certificate is equal for two incidence
+    structures iff they are isomorphic, and its group is their automorphism
+    group with the search's stabilizer chain.  Isomorphism, self-duality
+    and automorphism queries about the same few structures share one
+    search, so the group must not be changed; eight entries hold the five
+    structures a report asks about (both geometries, their duals and the
+    second geometry on the van Lint-Schrijver point graph)."""
+    return canonical_form(colored_incidence_graph(g))
 
 
 def aut_graph(g: Graph) -> PermutationGroup:
@@ -611,7 +586,7 @@ def aut_incidence(g: IncidenceStructure, on: str = "points") -> PermutationGroup
     has checked, and restricted to the point class; ``on="lines"`` returns
     the action on line indices instead (line j is vertex v + j).
     """
-    gens = incidence_group(g).generators
+    gens = incidence_form(g).group.generators
     if on == "points":
         return PermutationGroup(g.v, [p[: g.v] for p in gens])
     if on == "lines":
@@ -624,7 +599,7 @@ def is_isomorphic(g1: IncidenceStructure, g2: IncidenceStructure) -> bool:
     colored incidence graphs."""
     if g1.v != g2.v or g1.b != g2.b:
         return False
-    return incidence_certificate(g1) == incidence_certificate(g2)
+    return incidence_form(g1).certificate == incidence_form(g2).certificate
 
 
 def is_self_dual(g: IncidenceStructure) -> tuple[bool, Perm | None]:
@@ -632,11 +607,10 @@ def is_self_dual(g: IncidenceStructure) -> tuple[bool, Perm | None]:
     witness isomorphism from the incidence graph of g to that of dual(g),
     checked by the search's own check of every map it finds (``_fault``)."""
     d = dual(g)
-    lab1, cert1, _ = _incidence_form(g)
-    lab2, cert2, _ = _incidence_form(d)
-    if cert1 != cert2:
+    form, dual_form = incidence_form(g), incidence_form(d)
+    if form.certificate != dual_form.certificate:
         return False, None
-    witness = compose(lab1, inverse(lab2))
+    witness = compose(form.labeling, inverse(dual_form.labeling))
     cd = colored_incidence_graph(d)
     fault = _Search(colored_incidence_graph(g))._fault(witness, onto=cd)
     if fault:

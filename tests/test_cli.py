@@ -1,16 +1,22 @@
 """Command-line interface: file round trips, JSON reports, exit codes."""
 
+import contextlib
 import copy
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import os
 import random
+import re
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pg552 import cli
 from pg552 import construction as con
@@ -402,6 +408,17 @@ def test_cover_of_geometry_without_6_point_lines_is_one_line_error(tmp_path, cap
     assert "not a maximal 6-clique" in err
 
 
+def test_cover_refuses_a_6_point_line_inside_a_larger_clique(tmp_path, capsys):
+    # point 6 is collinear with each point of the line 0..5, so that line
+    # lies in the clique 0..6; the 2-point lines through 6 come after it
+    lines = [0b111111] + [1 << i | 1 << 6 for i in range(6)]
+    path = str(tmp_path / "cone.pg")
+    inc.write_incidence(inc.IncidenceStructure(7, lines), path)
+    code, err = run_error(capsys, "cover", path)
+    assert code == 2
+    assert err == "error: input line '0 1 2 3 4 5' is not a maximal 6-clique of the point graph\n"
+
+
 @pytest.mark.parametrize("point", ["-1", "81", "200"])
 @pytest.mark.parametrize("option", ["--x", "--y"])
 def test_local_point_out_of_range_is_one_line_error(vls_file, capsys, option, point):
@@ -552,6 +569,69 @@ def test_report_uncreatable_out_is_one_line_error(tmp_path, capsys):
     code, err = run_error(capsys, "report", "--all", "--out", str(tmp_path / "file" / "r"))
     assert code == 2
     assert "cannot create" in err
+
+
+# every subcommand that reads a file, with the options that change its path
+FILE_COMMANDS = [
+    ["verify", "{}", "--expect", "5,5,2"], ["srg", "{}"], ["srg", "{}", "--graph", "line"],
+    ["local", "{}"], ["cliques", "{}"], ["cliques", "{}", "--graph", "line"],
+    ["aut", "{}"], ["aut", "{}", "--on", "lines"], ["iso", "{}", "{}"],
+    ["dual", "{}", "--out", "{}.dual"], ["cover", "{}"], ["mms", "{}"],
+]
+
+
+@st.composite
+def small_files(draw):
+    """An incidence file on 0 to 14 points, as ``to_text`` writes it, with
+    up to three bytes replaced, inserted or deleted; no mutation declares
+    more points (see the test below)."""
+    v = draw(st.integers(0, 14))
+    masks = draw(st.lists(st.integers(1, (1 << v) - 1), max_size=12)) if v else []
+    data = bytearray(inc.to_text(inc.IncidenceStructure(v, masks)).encode())
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(data)))
+        byte = draw(st.sampled_from(b"0123456789 \n-+px\xff"))
+        kind = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if kind == "insert" or i == len(data):
+            data.insert(i, byte)
+        elif kind == "replace":
+            data[i] = byte
+        else:
+            del data[i]
+    head = re.match(rb"pg ([0-9]+)", data)
+    assume(head is None or int(head[1]) <= 14)
+    return bytes(data)
+
+
+PARSER = cli._build_parser()  # a parser is reusable; building one takes ms
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_files())
+def test_every_file_gets_an_answer_or_a_one_line_refusal(tmp_path_factory, data):
+    # an answer is exit 0 or 1 with one JSON document on stdout; a refusal
+    # is exit 2 with one error line on stderr and nothing on stdout.  The
+    # files are small: the canonical search's Schreier-Sims work on many
+    # interchangeable points is not bounded by its node budget, so `aut` on
+    # `pg 133 2` with two short lines takes about 10 s
+    path = tmp_path_factory.getbasetemp() / "fuzz.pg"
+    path.write_bytes(data)
+    for argv in FILE_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        start = time.process_time()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                with mock.patch.object(cli, "_build_parser", lambda: PARSER):
+                    code = cli.main([a.format(path) for a in argv])
+            except SystemExit as e:
+                code = e.code
+        assert time.process_time() - start < 1, argv
+        if code == 2:
+            assert out.getvalue() == "", argv
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+        else:
+            assert code in (0, 1), argv
+            assert json.loads(out.getvalue())["command"] == argv[0]
 
 
 @pytest.mark.parametrize("expect", ["5,5", "5,5,2,1", "5,x,2"])

@@ -1,9 +1,12 @@
-"""The module boundaries, read from the source: the permutation groups
-stand on their own, and the canonical search uses them only through their
-public names."""
+"""The module boundaries, read from the source: no module imports a
+private name of another, the permutation groups stand on their own, and
+the canonical search uses them only through their public names."""
 
 import ast
+import importlib
+import pkgutil
 
+import pg552
 from pg552 import groups, symmetry
 
 CHAIN_INTERNALS = {"_chain", "_Chain", "_rebase", "_pad", "_TAIL", "_done"}
@@ -29,6 +32,20 @@ def pg552_imports(module):
             out += [(a.name.removeprefix("pg552."), []) for a in node.names
                     if a.name.split(".")[0] == "pg552"]
     return out
+
+
+def private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_imports_a_private_name_of_another():
+    found = []
+    for info in pkgutil.iter_modules(pg552.__path__):
+        module = importlib.import_module(f"pg552.{info.name}")
+        for mod, names in pg552_imports(module):
+            found += [(info.name, mod, name) for name in [*mod.split("."), *names]
+                      if private(name)]
+    assert found == []
 
 
 def test_groups_imports_only_bits():

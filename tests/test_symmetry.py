@@ -115,6 +115,24 @@ def test_group_refuses_base_points_out_of_range(base):
     assert groups.PermutationGroup(3, [(1, 0, 2), (0, 2, 1)], base=(2, 0)).order() == 6
 
 
+@pytest.mark.parametrize("degree, image", [(2, (1, 2)), (3, (0, 1, 3)), (3, (-1, 0, 1)),
+                                           (2, (0, 0))])
+def test_group_refuses_generators_that_are_no_permutations(degree, image):
+    # (1, 2) has distinct images, one out of range: it once passed the
+    # check and ended in a RecursionError
+    with pytest.raises(ValueError, match="not a permutation of the right degree"):
+        groups.PermutationGroup(degree).add(image)
+
+
+@pytest.mark.parametrize("image", [(0, 1), (0, 1, 2, 3), ()])
+def test_membership_refuses_a_tuple_of_another_length(image):
+    # a short tuple was once padded with the identity, so (0, 1) was a member
+    g = groups.PermutationGroup(3, [(1, 2, 0)])
+    with pytest.raises(ValueError, match="not a permutation of the right degree"):
+        g.contains(image)
+    assert g.contains((2, 0, 1)) and not g.contains((1, 0, 2))
+
+
 def test_orbits_and_stabilizer():
     # <(0 1), (2 3 4)> on 5 points
     g = groups.PermutationGroup(5, [(1, 0, 2, 3, 4), (0, 1, 3, 4, 2)])
@@ -310,8 +328,9 @@ def test_self_dual_witness_must_preserve_colors(new, monkeypatch):
     assert all(permute_mask(cg.adj[v], swap) == cd.adj[swap[v]] for v in range(cg.n))
     # hand that map to is_self_dual as the canonical labelings' quotient
     identity = tuple(range(cd.n))
-    forms = {new: (swap, "certificate", ()), d: (identity, "certificate", ())}
-    monkeypatch.setattr(sym, "_incidence_form", forms.__getitem__)
+    forms = {new: sym.CanonicalForm(swap, "certificate", None),
+             d: sym.CanonicalForm(identity, "certificate", None)}
+    monkeypatch.setattr(sym, "incidence_form", forms.__getitem__)
     with pytest.raises(AssertionError, match="colors"):
         sym.is_self_dual(new)
 
@@ -1227,7 +1246,7 @@ def carried_seed(g, h, perm):
     relabeling of g's incidence graph onto h's."""
     line_of = {m: j for j, m in enumerate(h.lines)}
     phi = perm + tuple(h.v + line_of[permute_mask(m, perm)] for m in g.lines)
-    return sym.Carried(sym.colored_incidence_graph(g), sym.incidence_group(g), phi)
+    return sym.Carried(sym.colored_incidence_graph(g), sym.incidence_form(g).group, phi)
 
 
 def conjugated_generators(seed):
@@ -1278,7 +1297,7 @@ def test_seeded_search_on_pinned_graphs(name, vls, new):
 def test_seeded_search_on_relabeled_geometries(case):
     _, g, h, perm = case
     cg = sym.colored_incidence_graph(h)
-    want = sym.incidence_certificate(g)
+    want = sym.incidence_form(g).certificate
     old = _FirstPathSearch(cg).run()
     assert old.certificate == want
     for known in (None, listed(cg, carried(g, h, perm))):
@@ -1354,7 +1373,7 @@ def test_claim_search_work_is_pinned(vls, new):
     # the loop of cli._claim_isomorphism_and_duality with 5 relabelings
     rng = random.Random(20210522)
     for name, g in [("vls", vls), ("new", new)]:
-        source, group = sym.colored_incidence_graph(g), sym.incidence_group(g)
+        source, group = sym.colored_incidence_graph(g), sym.incidence_form(g).group
         work = [0, 0, 0]
         for _ in range(5):
             perm = list(range(g.v))
@@ -1364,7 +1383,7 @@ def test_claim_search_work_is_pinned(vls, new):
             line_of = {m: j for j, m in enumerate(h.lines)}
             phi = tuple(perm) + tuple(g.v + line_of[m] for m in masks)
             cf = sym.canonical_form(sym.colored_incidence_graph(h), sym.Carried(source, group, phi))
-            assert cf.certificate == sym.incidence_certificate(g)
+            assert cf.certificate == sym.incidence_form(g).certificate
             work = [a + b for a, b in zip(work, (cf.nodes, cf.leaves, cf.pruned))]
         assert tuple(work) == PINNED_CLAIM_WORK[name], name
 
@@ -1597,7 +1616,7 @@ def test_refine_matches_reference_on_seeded_relabelings(case, monkeypatch):
         assert (mask_at, cell_of, live) == got
         return live
 
-    seed, want = carried_seed(g, h, perm), sym.incidence_certificate(g)
+    seed, want = carried_seed(g, h, perm), sym.incidence_form(g).certificate
     monkeypatch.setattr(sym, "refine", compared)
     cf = sym.canonical_form(sym.colored_incidence_graph(h), seed)
     assert cf.certificate == want
