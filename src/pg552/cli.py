@@ -1,12 +1,14 @@
 """Command-line front end: build the geometries, verify files, and run the
 whole battery of checks as reproducible batch reports.
 
-Every command loads its input, computes an answer and prints one key-sorted
-JSON document to stdout: the command, its parsed options as ``inputs``, the
-``results`` and the version (timing goes to stderr so identical invocations
-stay byte-identical).  Exit codes: 0 pass, 1 verification or claim failure,
+Every command loads its input and returns its answer with its exit code,
+``(results, code)``; ``main`` then prints the one key-sorted JSON document
+to stdout: the command, its parsed options as ``inputs``, the ``results``
+and the version (timing goes to stderr so identical invocations stay
+byte-identical).  Exit codes: 0 pass, 1 verification or claim failure,
 2 usage or I/O error or a refused input.  A refusal, including any
-``ValueError`` a command raises, is one ``error:`` line on stderr and no stdout.
+``ValueError`` a command raises, is one ``error:`` line on stderr; it ends
+the run before the command returns, so it writes nothing to stdout.
 
 The paper's claims are stated once, as the ``_claim_<name>`` functions named
 in ``CLAIMS``.  Each takes the shared objects built by ``_environment`` and
@@ -142,17 +144,16 @@ def _srg_json(p) -> dict:
 # subcommands
 
 
-def _cmd_build(args) -> int:
+def _cmd_build(args) -> tuple[dict, int]:
     g = _geometry(args.geometry)
     try:
         write_incidence(g, args.out)
     except OSError as e:
         _fail(f"cannot write {args.out}: {e}")
-    _emit(args, {"v": g.v, "b": g.b})
-    return 0
+    return {"v": g.v, "b": g.b}, 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[dict, int]:
     g = _load(args.file)
     results: dict = {}
     ok = True
@@ -179,39 +180,31 @@ def _cmd_verify(args) -> int:
         else:
             results["expect_match"] = True
     results["pass"] = ok
-    _emit(args, results)
-    return 0 if ok else 1
+    return results, 0 if ok else 1
 
 
-def _cmd_srg(args) -> int:
+def _cmd_srg(args) -> tuple[dict, int]:
     g = _load(args.file)
     graph = point_graph(g) if args.graph == "point" else line_graph(g)
     try:
-        results = _srg_json(srg_check(graph))
+        return _srg_json(srg_check(graph)), 0
     except SrgViolation as e:
-        _emit(args, {"error": e.reason, "pair": list(e.pair) if e.pair else None,
-                     "count": e.count})
-        return 1
-    _emit(args, results)
-    return 0
+        return {"error": e.reason, "pair": list(e.pair) if e.pair else None,
+                "count": e.count}, 1
 
 
-def _cmd_local(args) -> int:
+def _cmd_local(args) -> tuple[dict, int]:
     cfg = local_configuration(_load(args.file), args.x, args.y)
-    _emit(
-        args,
-        {
-            "a": sorted(bits(cfg.a_mask)),
-            "b": sorted(bits(cfg.b_mask)),
-            "z": cfg.z,
-            "edges": sorted(sorted(e) for e in cfg.edge_list),
-            "edge_count": cfg.induced.edge_count(),
-        },
-    )
-    return 0
+    return {
+        "a": sorted(bits(cfg.a_mask)),
+        "b": sorted(bits(cfg.b_mask)),
+        "z": cfg.z,
+        "edges": sorted(sorted(e) for e in cfg.edge_list),
+        "edge_count": cfg.induced.edge_count(),
+    }, 0
 
 
-def _cmd_cliques(args) -> int:
+def _cmd_cliques(args) -> tuple[dict, int]:
     g = _load(args.file)
     graph = point_graph(g) if args.graph == "point" else line_graph(g)
     rep = max_cliques(graph)
@@ -225,34 +218,28 @@ def _cmd_cliques(args) -> int:
         results["non_stars"] = len(non_stars)
     if args.list:
         results["cliques_size_6"] = [sorted(bits(m)) for m in rep.cliques_of_size_6]
-    _emit(args, results)
-    return 0
+    return results, 0
 
 
-def _cmd_aut(args) -> int:
+def _cmd_aut(args) -> tuple[dict, int]:
     g = _load(args.file)
     group = aut_incidence(g, on=args.on)
     orbs = group.orbits()
-    _emit(
-        args,
-        {
-            "order": group.order(),
-            "orbit_sizes": sorted(len(o) for o in orbs),
-            "orbits": orbs,
-            "transitive": group.is_transitive(),
-            "generators": [list(p) for p in group.generators],
-        },
-    )
-    return 0
+    return {
+        "order": group.order(),
+        "orbit_sizes": sorted(len(o) for o in orbs),
+        "orbits": orbs,
+        "transitive": group.is_transitive(),
+        "generators": [list(p) for p in group.generators],
+    }, 0
 
 
-def _cmd_iso(args) -> int:
+def _cmd_iso(args) -> tuple[dict, int]:
     g1, g2 = _load(args.file1), _load(args.file2)
-    _emit(args, {"isomorphic": is_isomorphic(g1, g2)})
-    return 0
+    return {"isomorphic": is_isomorphic(g1, g2)}, 0
 
 
-def _cmd_dual(args) -> int:
+def _cmd_dual(args) -> tuple[dict, int]:
     g = _load(args.file)
     sd, witness = is_self_dual(g)
     if args.out:
@@ -266,11 +253,10 @@ def _cmd_dual(args) -> int:
             write_incidence(d, args.out)
         except OSError as e:
             _fail(f"cannot write {args.out}: {e}")
-    _emit(args, {"self_dual": sd, "witness": list(witness) if sd else None})
-    return 0
+    return {"self_dual": sd, "witness": list(witness) if sd else None}, 0
 
 
-def _cmd_cover(args) -> int:
+def _cmd_cover(args) -> tuple[dict, int]:
     g = _load(args.file)
     graph = point_graph(g)
     # the search covers the point graph with its maximal 6-cliques, so an
@@ -287,19 +273,15 @@ def _cmd_cover(args) -> int:
     solutions = all_geometries_on(graph)
     # equal certificates iff isomorphic, unequal v or b included
     certs = [incidence_form(s).certificate for s in solutions]
-    _emit(
-        args,
-        {
-            "solutions": len(solutions),
-            "isomorphism_classes": len(set(certs)),
-            "contains_input_lines": any(s.lines == g.lines for s in solutions),
-            "all_isomorphic_to_input": all(c == incidence_form(g).certificate for c in certs),
-        },
-    )
-    return 0
+    return {
+        "solutions": len(solutions),
+        "isomorphism_classes": len(set(certs)),
+        "contains_input_lines": any(s.lines == g.lines for s in solutions),
+        "all_isomorphic_to_input": all(c == incidence_form(g).certificate for c in certs),
+    }, 0
 
 
-def _cmd_mms(args) -> int:
+def _cmd_mms(args) -> tuple[dict, int]:
     g = _load(args.file)
     rep = max_cliques(line_graph(g))
     stars, non_stars = classify_line_cliques(g, rep.cliques_of_size_6)
@@ -310,26 +292,21 @@ def _cmd_mms(args) -> int:
     clique = non_stars[args.clique]
     witness = mms_counterexample_search(g, clique, bound=args.bound)
     if witness is None:
-        _emit(args, {"clique_lines": sorted(bits(clique)), "witness": None,
-                     "note": "search space exhausted; not a refutation"})
-        return 0
+        return {"clique_lines": sorted(bits(clique)), "witness": None,
+                "note": "search space exhausted; not a refutation"}, 0
     count, nonneg = count_nonnegative_lines(g, witness)
     star_masks = set(g.pencils)
-    _emit(
-        args,
-        {
-            "clique_lines": sorted(bits(clique)),
-            "witness": {
-                "weights": list(witness.weights),
-                "nonnegative_count": count,
-                "nonnegative_lines": sorted(bits(nonneg)),
-                "nonnegative_is_star": nonneg in star_masks,
-                "violates_strict_star_property": count <= 6 and nonneg not in star_masks,
-                "below_star_size": count < 6,
-            },
+    return {
+        "clique_lines": sorted(bits(clique)),
+        "witness": {
+            "weights": list(witness.weights),
+            "nonnegative_count": count,
+            "nonnegative_lines": sorted(bits(nonneg)),
+            "nonnegative_is_star": nonneg in star_masks,
+            "violates_strict_star_property": count <= 6 and nonneg not in star_masks,
+            "below_star_size": count < 6,
         },
-    )
-    return 0
+    }, 0
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +645,7 @@ def _claim_mms_weightings(env) -> dict:
     return {"pass": ok, "got": out}
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> tuple[dict, int]:
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as e:
@@ -697,8 +674,7 @@ def _cmd_report(args) -> int:
     with open(os.path.join(args.out, "summary.json"), "w") as f:
         f.write(_json(results))
     print(f"total {time.time() - t0:.1f}s", file=sys.stderr)
-    _emit(args, results)
-    return 0 if all_pass else 1
+    return results, 0 if all_pass else 1
 
 
 # ---------------------------------------------------------------------------
@@ -777,9 +753,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     t0 = time.time()
     try:
-        code = args.fn(args)
+        results, code = args.fn(args)
     except ValueError as e:
         _fail(str(e))
+    _emit(args, results)
     print(f"elapsed: {time.time() - t0:.2f}s", file=sys.stderr)
     return code
 

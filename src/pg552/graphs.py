@@ -41,7 +41,7 @@ class Graph:
             raise ValueError("adjacency row count != n")
         # Up to 16 vertices, range, self-loops and symmetry are three tests
         # on the packed rows; a graph failing any of them goes on to the
-        # loops below, which name the first offending vertex or edge.
+        # checks below, which name the first offending vertex or edge.
         if n <= 16 and (not adj or min(adj) >= 0 and max(adj) >> n == 0):
             m = 0
             for row in reversed(adj):
@@ -58,20 +58,7 @@ class Graph:
                 raise ValueError(f"vertex {i}: neighbour out of range")
             if row >> i & 1:
                 raise ValueError(f"vertex {i}: self-loop")
-        # The rows, written low bit first, equal their transpose iff every
-        # edge (i, j) has its (j, i).  Above 16 vertices that test is faster
-        # than the loop below, which also names the first asymmetric edge.
-        if n > 16:
-            rows = [format(row, f"0{n}b")[::-1] for row in adj]
-            if rows == list(map("".join, zip(*rows))):
-                return
-        for i, row in enumerate(adj):
-            while row:
-                low = row & -row
-                j = low.bit_length() - 1
-                if not adj[j] >> i & 1:
-                    raise ValueError(f"asymmetric edge ({i}, {j})")
-                row ^= low
+        check_symmetric(adj)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -96,6 +83,28 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(map(int.bit_count, self.adj)) // 2
+
+
+def check_symmetric(adj) -> None:
+    """Raise ``ValueError("asymmetric edge (i, j)")`` at the first edge
+    (i, j), in i-major order, whose reverse (j, i) is missing.  Every row
+    must lie in range; self-loops are allowed.
+
+    The rows, written low bit first, equal their transpose iff every edge
+    has its reverse.  Above 16 vertices that test is faster than the loop,
+    which runs only to name the edge."""
+    n = len(adj)
+    if n > 16:
+        rows = [format(row, f"0{n}b")[::-1] for row in adj]
+        if rows == list(map("".join, zip(*rows))):
+            return
+    for i, row in enumerate(adj):
+        while row:
+            low = row & -row
+            j = low.bit_length() - 1
+            if not adj[j] >> i & 1:
+                raise ValueError(f"asymmetric edge ({i}, {j})")
+            row ^= low
 
 
 def collinearity_graph(v: int, line_masks) -> Graph:
@@ -241,7 +250,7 @@ class LocalConfig:
 
 
 def local_configuration(g, x: int, y: int) -> LocalConfig:
-    """Decompose the common neighbourhood of collinear points x, y.
+    """Decompose the common neighbourhood of distinct collinear points x, y.
 
     ``g`` is an incidence structure (81 points, 6-point lines).  A is the
     common line minus {x, y}; z is the unique common neighbour isolated in
@@ -255,6 +264,8 @@ def local_configuration(g, x: int, y: int) -> LocalConfig:
     """
     if not (0 <= x < g.v and 0 <= y < g.v):
         raise ValueError(f"point index out of range 0..{g.v - 1}")
+    if x == y:  # x's own pencil would pass for a common line
+        raise ValueError(f"points {x}, {y} are not collinear: they are one point")
     common_line = g.pencils[x] & g.pencils[y]
     if common_line.bit_count() != 1:
         raise ValueError(f"points {x}, {y} are not collinear on a unique line")

@@ -103,14 +103,13 @@ class _Chain:
         return g
 
     def insert(self, g: bytes) -> None:
-        """Insert a non-identity element that is not yet a member."""
-        if self.basepoint is None:
-            self._open(next(i for i in range(256) if g[i] != i))
-        self.gens.append(g)
-        if g[self.basepoint] == self.basepoint:
-            self.stab.insert(g)
-        self._grow_orbit()
-        self._process_schreier()
+        """Insert a non-identity element that is not yet a member: place it,
+        then run the Schreier passes of the levels it joined, deepest first.
+        A pass changes only the levels below its own and an orbit's growth
+        reads only its own level, so each level's orbit may grow before the
+        passes below it run."""
+        for level in reversed(self._place(g)):
+            level._process_schreier()
 
     def _grow_orbit(self) -> None:
         """Extend the orbit, closed under all but the newest generator, by
@@ -157,18 +156,20 @@ class _Chain:
             return 1
         return len(self.transversal) * self.stab.order()
 
-    def _place(self, g: bytes) -> None:
-        """Add a non-identity sift residue to every level down to the first
-        whose base point it moves, and grow the orbits of those levels; no
-        Schreier generator is processed."""
+    def _place(self, g: bytes) -> list[_Chain]:
+        """Add a non-identity element to every level down to the first whose
+        base point it moves, and grow the orbits of those levels; no
+        Schreier generator is processed.  Returns those levels in order."""
+        levels = []
         level = self
         while True:
             if level.basepoint is None:
                 level._open(next(i for i in range(256) if g[i] != i))
             level.gens.append(g)
             level._grow_orbit()
+            levels.append(level)
             if g[level.basepoint] != level.basepoint:
-                return
+                return levels
             level = level.stab
 
 
@@ -309,9 +310,6 @@ class PermutationGroup:
             raise ValueError("not a permutation of the right degree")
         return self._chain.sift(_pad(g)) == _TAIL
 
-    def orbit_of(self, point: int) -> list[int]:
-        return sorted(bits(orbit_closure(1 << point, self.generators)))
-
     def orbits(self) -> list[list[int]]:
         """Orbit partition of 0..degree-1, ordered by smallest member."""
         seen = 0
@@ -327,10 +325,10 @@ class PermutationGroup:
     def is_transitive(self) -> bool:
         if self.degree == 0:
             return True
-        return len(self.orbit_of(0)) == self.degree
+        return orbit_closure(1, self.generators).bit_count() == self.degree
 
     def stabilizer_order(self, point: int) -> int:
-        return self.order() // len(self.orbit_of(point))
+        return self.order() // orbit_closure(1 << point, self.generators).bit_count()
 
 
 def orbit_closure(mask: int, gens) -> int:

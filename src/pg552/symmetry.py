@@ -61,7 +61,7 @@ import functools
 from dataclasses import dataclass, field
 
 from .bits import bits, count_planes
-from .graphs import Graph
+from .graphs import Graph, check_symmetric
 from .groups import Perm, PermutationGroup, compose, inverse, orbit_closure
 from .incidence import IncidenceStructure, dual
 
@@ -315,10 +315,7 @@ class _Search:
         self.n = cg.n
         self.colors = cg.colors
         if known is None:  # a carried graph's rows are checked through φ
-            for v, row in enumerate(self.nbrs):
-                for u in row:
-                    if not cg.adj[u] >> v & 1:
-                        raise ValueError(f"asymmetric edge ({v}, {u})")
+            check_symmetric(cg.adj)
         else:
             if known.source.n != self.n or known.group.degree != self.n:
                 raise ValueError(f"carried group acts on {known.group.degree} points "

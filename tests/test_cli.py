@@ -433,6 +433,16 @@ def test_local_bad_pair_is_one_line_error(vls_file, capsys):
     assert "not collinear" in err
 
 
+def test_local_one_point_as_a_pair_is_one_line_error(tmp_path, capsys):
+    # on a 3-point line, point 0's pencil is that one line, which must not
+    # pass for the unique common line of 0 and 0
+    path = str(tmp_path / "line.pg")
+    inc.write_incidence(inc.IncidenceStructure(3, [0b111]), path)
+    code, err = run_error(capsys, "local", path, "--x", "0", "--y", "0")
+    assert code == 2
+    assert err == "error: points 0, 0 are not collinear: they are one point\n"
+
+
 def test_mms_without_non_star_clique_is_one_line_error(tmp_path, capsys):
     path = str(tmp_path / "line.pg")
     inc.write_incidence(inc.IncidenceStructure(3, [0b111]), path)

@@ -1,13 +1,14 @@
 """The module boundaries, read from the source: no module imports a
-private name of another, the permutation groups stand on their own, and
-the canonical search uses them only through their public names."""
+private name of another, the permutation groups stand on their own, the
+canonical search uses them only through their public names, and one
+function of the command line writes stdout."""
 
 import ast
 import importlib
 import pkgutil
 
 import pg552
-from pg552 import groups, symmetry
+from pg552 import cli, groups, symmetry
 
 CHAIN_INTERNALS = {"_chain", "_Chain", "_rebase", "_pad", "_TAIL", "_done"}
 
@@ -79,3 +80,22 @@ def test_chain_internals_live_in_groups():
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     assert CHAIN_INTERNALS - {"_done"} <= names
+
+
+def test_main_is_the_one_writer_of_stdout():
+    # each command returns its results, so a refusal inside one ends the
+    # run before anything reaches stdout
+    emits, writes = [], []
+    for fn in ast.walk(tree(cli)):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and node.id == "_emit":
+                emits.append(fn.name)
+            elif isinstance(node, ast.Attribute) and node.attr == "stdout":
+                writes.append(fn.name)
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+                  and not any(k.arg == "file" for k in node.keywords)):
+                writes.append(fn.name)
+    assert emits == ["main"]
+    assert writes == ["_emit"]

@@ -258,16 +258,6 @@ def test_canonical_form_respects_colors():
     assert f_end.group.order() == 1
 
 
-def brute_aut_order(g):
-    count = 0
-    for perm in itertools.permutations(range(g.n)):
-        if all(
-            permute_mask(g.adj[v], perm) == g.adj[perm[v]] for v in range(g.n)
-        ):
-            count += 1
-    return count
-
-
 def test_aut_graph_against_brute_force():
     rng = random.Random(7)
     for _ in range(25):
@@ -276,7 +266,7 @@ def test_aut_graph_against_brute_force():
             (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5
         ]
         g = gr.Graph.from_edges(n, edges)
-        assert sym.aut_graph(g).order() == brute_aut_order(g)
+        assert sym.aut_graph(g).order() == brute_colored_aut_order(sym.ColoredGraph.from_graph(g))
 
 
 def test_aut_single_line_on_three_points():
@@ -644,6 +634,38 @@ def test_incremental_orbits_equal_full_rescans(group, data):
         assert got == chains()
 
 
+def recursive_insert(level, g):
+    """Insertion as one recursion: append g at the level, pass it on to the
+    level below if it fixes the base point, then grow the level's orbit and
+    run its Schreier pass."""
+    if level.basepoint is None:
+        level._open(next(i for i in range(256) if g[i] != i))
+    level.gens.append(g)
+    if g[level.basepoint] == level.basepoint:
+        level.stab.insert(g)
+    level._grow_orbit()
+    level._process_schreier()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(permutation_groups(), st.data())
+def test_one_growth_walk_equals_the_recursive_insert(group, data):
+    # placing an element and then running the passes of the levels it
+    # joined, deepest first, stores what the recursion stores: every base
+    # point, transversal in insertion order, inverse and generating set
+    n, gens, base = group
+    other = tuple(data.draw(st.permutations(range(n))))[: data.draw(st.integers(0, n))]
+
+    def chains():
+        return [chain_contents(groups.PermutationGroup(n, gens, base=b)._chain)
+                for b in (base, other)]
+
+    got = chains()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups._Chain, "insert", recursive_insert)
+        assert got == chains()
+
+
 def check_stabilizer(grp, elements, prefix):
     """``stabilizer_gens(prefix)`` generates exactly the elements of
     ``elements``, the whole group, that fix each point of ``prefix``."""
@@ -784,15 +806,15 @@ def test_certificate_invariant_under_relabeling(cg, data):
     assert f1.group.order() == f2.group.order()
 
 
-def brute_colored_aut_order(cg):
-    return sum(
-        all(
-            cg.colors[perm[v]] == cg.colors[v]
-            and permute_mask(cg.adj[v], perm) == cg.adj[perm[v]]
-            for v in range(cg.n)
-        )
-        for perm in itertools.permutations(range(cg.n))
+def is_automorphism(cg, g):
+    return all(
+        cg.colors[g[v]] == cg.colors[v] and permute_mask(cg.adj[v], g) == cg.adj[g[v]]
+        for v in range(cg.n)
     )
+
+
+def brute_colored_aut_order(cg):
+    return sum(is_automorphism(cg, perm) for perm in itertools.permutations(range(cg.n)))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -821,6 +843,32 @@ def test_canonical_form_refuses_rows_it_cannot_decide(monkeypatch):
                       ((114, 112, 0, 80, 0, 2, 34), (0, 1))]:
         with pytest.raises(ValueError, match=re.escape(f"asymmetric edge {edge}")):
             sym.canonical_form(sym.ColoredGraph(7, adj, (0,) * 7))
+
+
+def test_canonical_form_names_the_asymmetric_edge_graph_names(monkeypatch):
+    # past 16 vertices the rows are first compared with their transpose;
+    # with one reverse edge missing, the search refuses the rows with the
+    # message Graph gives, self-loops and colours or not
+    monkeypatch.setattr(sym, "refine", None)  # refused before any refinement
+    rng = random.Random(17)
+    for n in (17, 40, 162):
+        adj = [0] * n
+        for i, j in itertools.combinations(range(n), 2):
+            if rng.random() < 0.3:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        i = rng.randrange(n)
+        j = rng.choice(list(bits(adj[i])))
+        adj[j] ^= 1 << i
+        with pytest.raises(ValueError) as e:
+            gr.Graph(n, tuple(adj))
+        assert str(e.value) == f"asymmetric edge ({i}, {j})"
+        loops = [row | (rng.random() < 0.5) << v for v, row in enumerate(adj)]
+        colors = tuple(rng.randrange(2) for _ in range(n))
+        for rows in (adj, loops):
+            with pytest.raises(ValueError) as f:
+                sym.canonical_form(sym.ColoredGraph(n, tuple(rows), colors))
+            assert str(f.value) == str(e.value)
 
 
 @st.composite
@@ -962,13 +1010,6 @@ def test_pruned_subtrees_hold_only_worse_leaves(cg):
 
 
 # --- cached pruning orbits --------------------------------------------------
-
-
-def is_automorphism(cg, g):
-    return all(
-        cg.colors[g[v]] == cg.colors[v] and permute_mask(cg.adj[v], g) == cg.adj[g[v]]
-        for v in range(cg.n)
-    )
 
 
 def listed(cg, maps):
