@@ -52,8 +52,8 @@ from .incidence import (
     line_graph,
     point_graph,
     read_incidence,
+    to_text,
     verify_pg,
-    write_incidence,
 )
 from .symmetry import (
     Carried,
@@ -94,6 +94,15 @@ def _fail(message: str) -> NoReturn:
     """One-line error on stderr, exit code 2."""
     print(f"error: {message}", file=sys.stderr)
     raise SystemExit(2)
+
+
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to the file ``path``, or fail with one error line."""
+    try:
+        with open(path, "w") as f:
+            f.write(text)
+    except OSError as e:
+        _fail(f"cannot write {path}: {e}")
 
 
 def _count(text: str) -> int:
@@ -146,10 +155,7 @@ def _srg_json(p) -> dict:
 
 def _cmd_build(args) -> tuple[dict, int]:
     g = _geometry(args.geometry)
-    try:
-        write_incidence(g, args.out)
-    except OSError as e:
-        _fail(f"cannot write {args.out}: {e}")
+    _write(args.out, to_text(g))
     return {"v": g.v, "b": g.b}, 0
 
 
@@ -249,10 +255,7 @@ def _cmd_dual(args) -> tuple[dict, int]:
             _fail("cannot write the dual: a point is on no line")
         if d.b != g.v:
             _fail("cannot write the dual: two points are on the same lines")
-        try:
-            write_incidence(d, args.out)
-        except OSError as e:
-            _fail(f"cannot write {args.out}: {e}")
+        _write(args.out, to_text(d))
     return {"self_dual": sd, "witness": list(witness) if sd else None}, 0
 
 
@@ -659,8 +662,7 @@ def _cmd_report(args) -> tuple[dict, int]:
         detail = globals()[f"_claim_{name}"](env)
         print(f"{name}: {'ok' if detail['pass'] else 'FAIL'}"
               f" ({time.time() - t1:.1f}s)", file=sys.stderr)
-        with open(os.path.join(args.out, f"{name}.json"), "w") as f:
-            f.write(_json({"claim": name, **detail}))
+        _write(os.path.join(args.out, f"{name}.json"), _json({"claim": name, **detail}))
         summary[name] = detail["pass"]
         details[name] = detail
     all_pass = all(summary.values())
@@ -671,8 +673,7 @@ def _cmd_report(args) -> tuple[dict, int]:
         "automorphism_orders": details["automorphism_orders"]["got"],
     }
     results = {"claims": summary, "headline": headline, "all_pass": all_pass}
-    with open(os.path.join(args.out, "summary.json"), "w") as f:
-        f.write(_json(results))
+    _write(os.path.join(args.out, "summary.json"), _json(results))
     print(f"total {time.time() - t0:.1f}s", file=sys.stderr)
     return results, 0 if all_pass else 1
 

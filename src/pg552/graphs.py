@@ -8,24 +8,33 @@ search in ``symmetry``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .bits import bits, count_is, count_planes
 
 
-# A graph on at most 16 vertices packs into a 16×16 bit matrix, row i at
-# bits 16 i .. 16 i + 15, so entry (i, j) is bit 16 i + j.  _DIAG masks the
-# entries (i, i), 17 bits apart.  Transposing swaps, for k = 8, 4, 2, 1,
-# every entry (i, j) with i & k == 0 and j & k != 0 with entry
-# (i + k, j - k), 15 k bits above it: one delta swap per k, whose mask is
-# the columns j & k != 0 of the rows i & k == 0 (Warren, Hacker's Delight,
-# 2nd ed., §7-3).
-_DIAG = int(("0" * 16 + "1") * 16, 2)
-_SWAPS = tuple(
-    (15 * k,
-     int(("0000" * k + "0001" * k) * (8 // k), 16) * int(("1" * k + "0" * k) * (8 // k), 2))
-    for k in (8, 4, 2, 1)
-)
+# Adjacency rows pack into a side × side bit matrix, side the power of two
+# from 16 up that holds them, row i at bits side·i .. side·i + side - 1, so
+# entry (i, j) is bit side·i + j.  Transposing swaps, for k = side / 2, ...,
+# 2, 1, every entry (i, j) with i & k == 0 and j & k != 0 with entry
+# (i + k, j - k), (side - 1) k bits above it: one delta swap per k, whose
+# mask is the columns j & k != 0 of the rows i & k == 0 (Warren, Hacker's
+# Delight, 2nd ed., §7-3).
+@functools.cache
+def _transpose_masks(side: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The mask of the entries (i, i) of the side × side matrix, and its
+    transpose's delta swaps ``(shift, mask)``."""
+    width = side // 8  # bytes per row
+    diag = b"".join((1 << i).to_bytes(width, "little") for i in range(side))
+    swaps = []
+    k = side // 2
+    while k:
+        cols = int(("1" * k + "0" * k) * (side // (2 * k)), 2).to_bytes(width, "little")
+        rows = (cols * k + bytes(width * k)) * (side // (2 * k))
+        swaps.append(((side - 1) * k, int.from_bytes(rows, "little")))
+        k //= 2
+    return int.from_bytes(diag, "little"), tuple(swaps)
 
 
 @dataclass(frozen=True)
@@ -36,29 +45,9 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        n, adj = self.n, self.adj
-        if len(adj) != n:
+        if len(self.adj) != self.n:
             raise ValueError("adjacency row count != n")
-        # Up to 16 vertices, range, self-loops and symmetry are three tests
-        # on the packed rows; a graph failing any of them goes on to the
-        # checks below, which name the first offending vertex or edge.
-        if n <= 16 and (not adj or min(adj) >= 0 and max(adj) >> n == 0):
-            m = 0
-            for row in reversed(adj):
-                m = m << 16 | row
-            t = m
-            for d, mask in _SWAPS:
-                x = (t ^ t >> d) & mask
-                t ^= x ^ x << d
-            if t == m and not m & _DIAG:
-                return
-        full = (1 << n) - 1
-        for i, row in enumerate(adj):
-            if row & ~full:
-                raise ValueError(f"vertex {i}: neighbour out of range")
-            if row >> i & 1:
-                raise ValueError(f"vertex {i}: self-loop")
-        check_symmetric(adj)
+        check_rows(self.adj, loops=False)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -72,39 +61,50 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Every edge (i, j), i < j, in i-major order."""
-        out = []
-        for i, row in enumerate(self.adj):
-            row >>= i + 1  # bit k of row is now vertex i + 1 + k
-            while row:
-                low = row & -row
-                out.append((i, i + low.bit_length()))
-                row ^= low
-        return out
+        return [(i, j) for i, row in enumerate(self.adj) for j in bits(row >> i + 1 << i + 1)]
 
     def edge_count(self) -> int:
         return sum(map(int.bit_count, self.adj)) // 2
 
 
-def check_symmetric(adj) -> None:
-    """Raise ``ValueError("asymmetric edge (i, j)")`` at the first edge
-    (i, j), in i-major order, whose reverse (j, i) is missing.  Every row
-    must lie in range; self-loops are allowed.
+def check_rows(adj, loops: bool = True) -> None:
+    """Check that ``adj`` are the adjacency rows of a graph on ``len(adj)``
+    vertices: each in range, without a self-loop unless ``loops``, and each
+    edge with its reverse.  ``ValueError`` names the first faulty row, then
+    the first edge (i, j), in i-major order, whose reverse is missing.
 
-    The rows, written low bit first, equal their transpose iff every edge
-    has its reverse.  Above 16 vertices that test is faster than the loop,
-    which runs only to name the edge."""
+    The rows are packed and compared with their transpose and, without
+    loops, the diagonal; only rows that fail reach the loops that name the
+    fault.  Up to 16 vertices they are shifted in, above that joined as
+    bytes: shifting is quadratic in the side."""
     n = len(adj)
-    if n > 16:
-        rows = [format(row, f"0{n}b")[::-1] for row in adj]
-        if rows == list(map("".join, zip(*rows))):
+    # a negative row passes max; up to 16 vertices it makes m negative
+    if not adj or max(adj) >> n == 0 and (n <= 16 or min(adj) >= 0):
+        if n <= 16:
+            side = 16
+            m = 0
+            for row in reversed(adj):
+                m = m << 16 | row
+        else:
+            side = 1 << (n - 1).bit_length()
+            m = int.from_bytes(b"".join([r.to_bytes(side // 8, "little") for r in adj]), "little")
+        diag, swaps = _transpose_masks(side)
+        t = m
+        for d, mask in swaps:
+            x = (t ^ t >> d) & mask
+            t ^= x ^ x << d
+        if t == m >= 0 and (loops or not m & diag):
             return
+    full = (1 << n) - 1
     for i, row in enumerate(adj):
-        while row:
-            low = row & -row
-            j = low.bit_length() - 1
+        if row & ~full:
+            raise ValueError(f"vertex {i}: neighbour out of range")
+        if not loops and row >> i & 1:
+            raise ValueError(f"vertex {i}: self-loop")
+    for i, row in enumerate(adj):
+        for j in bits(row):
             if not adj[j] >> i & 1:
                 raise ValueError(f"asymmetric edge ({i}, {j})")
-            row ^= low
 
 
 def collinearity_graph(v: int, line_masks) -> Graph:

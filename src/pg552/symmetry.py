@@ -61,7 +61,7 @@ import functools
 from dataclasses import dataclass, field
 
 from .bits import bits, count_planes
-from .graphs import Graph, check_symmetric
+from .graphs import Graph, check_rows
 from .groups import Perm, PermutationGroup, compose, inverse, orbit_closure
 from .incidence import IncidenceStructure, dual
 
@@ -299,9 +299,12 @@ class _Search:
     def __init__(self, cg: ColoredGraph, known: Carried | None = None):
         if cg.n > 256:  # the stabilizer chain's byte strings hold 256 points
             raise ValueError(f"graph has {cg.n} vertices; at most 256 are supported")
-        for v, row in enumerate(cg.adj):
-            if row >> cg.n:
-                raise ValueError(f"vertex {v}: neighbour out of range")
+        if known is None:
+            check_rows(cg.adj)
+        else:  # a carried graph's rows are checked through φ
+            for v, row in enumerate(cg.adj):
+                if row >> cg.n:
+                    raise ValueError(f"vertex {v}: neighbour out of range")
         self.cg = cg
         self.adj = cg.adj
         self.nbrs = []
@@ -314,9 +317,7 @@ class _Search:
             self.nbrs.append(tuple(members))
         self.n = cg.n
         self.colors = cg.colors
-        if known is None:  # a carried graph's rows are checked through φ
-            check_symmetric(cg.adj)
-        else:
+        if known is not None:
             if known.source.n != self.n or known.group.degree != self.n:
                 raise ValueError(f"carried group acts on {known.group.degree} points "
                                  f"of a {known.source.n}-vertex graph, not {self.n}")
@@ -514,17 +515,14 @@ class _Search:
     def _fault(self, gamma: Perm, onto: ColoredGraph | None = None) -> str | None:
         """Why the permutation ``gamma`` is no automorphism, or None; with
         ``onto``, why it is no isomorphism from the graph onto ``onto``.
-        One pass over the graph's rows and colours."""
-        # gamma is a bijection, so the images of a row's bits are distinct
-        # bits: their sum is the image row.
-        bit = [1 << image for image in gamma]
+        It is one exactly when the graph's colours and rows relabeled by
+        ``gamma``, its certificate, are the target's."""
         target = self.cg if onto is None else onto
-        adj, colors, nbrs = target.adj, target.colors, self.nbrs
-        for v, image in enumerate(gamma):
-            if colors[image] != self.colors[v]:
-                return "does not preserve colors"
-            if sum(map(bit.__getitem__, nbrs[v])) != adj[image]:
-                return "is not an automorphism" if onto is None else "is not an isomorphism"
+        colors, rows = self._certificate(gamma)
+        if colors != target.colors:
+            return "does not preserve colors"
+        if rows != target.adj:
+            return "is not an automorphism" if onto is None else "is not an isomorphism"
         return None
 
 

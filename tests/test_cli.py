@@ -581,6 +581,22 @@ def test_report_uncreatable_out_is_one_line_error(tmp_path, capsys):
     assert "cannot create" in err
 
 
+@pytest.mark.parametrize("name", ["pg_parameters", "summary"])
+def test_report_unwritable_claim_file_is_one_line_error(tmp_path, capsys, name):
+    # a directory in the place of the first claim's file, or of the summary
+    # written after every claim: stderr's progress lines end in one error
+    out = tmp_path / "report"
+    (out / f"{name}.json").mkdir(parents=True)
+    with pytest.raises(SystemExit) as e:
+        cli.main(["report", "--all", "--out", str(out), "--relabelings", "0"])
+    captured = capsys.readouterr()
+    assert e.value.code == 2
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and captured.err.endswith(errors[0] + "\n")
+    assert errors[0].startswith(f"error: cannot write {out / name}.json: ")
+
+
 # every subcommand that reads a file, with the options that change its path
 FILE_COMMANDS = [
     ["verify", "{}", "--expect", "5,5,2"], ["srg", "{}"], ["srg", "{}", "--graph", "line"],

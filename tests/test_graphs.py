@@ -1,5 +1,6 @@
 """Graph type, SRG certification, local configurations."""
 
+import contextlib
 import itertools
 import random
 import re
@@ -79,49 +80,70 @@ def test_symmetry_check_names_the_first_asymmetric_edge(case):
         assert str(e.value) == want
 
 
-def loop_check(n, adj):
+def loop_check(n, adj, loops=False):
     """The message of Graph's checks as plain loops: range and self-loop
-    row by row, then the first asymmetric edge; None for a graph."""
+    (unless ``loops``) row by row, then the first asymmetric edge; None for
+    a graph."""
     full = (1 << n) - 1
     for i, row in enumerate(adj):
         if row & ~full:
             return f"vertex {i}: neighbour out of range"
-        if row >> i & 1:
+        if not loops and row >> i & 1:
             return f"vertex {i}: self-loop"
     return first_asymmetric_edge(adj)
 
 
-def test_packed_check_agrees_with_the_loops():
-    # up to 16 vertices the rows are checked packed into one int; 17 takes
-    # the path of larger graphs.  Each case is a random simple graph with
-    # up to three faults: a negative row, a bit at or above n, a self-loop
-    # or a one-sided edge.
+def faulty_rows(rng, n):
+    """A random simple graph on n vertices with up to three faults: a
+    negative row, a bit at or above n, a self-loop or a one-sided edge."""
+    adj = [0] * n
+    for i in range(n):
+        below = rng.getrandbits(i) if i else 0
+        adj[i] |= below
+        for j in bits(below):
+            adj[j] |= 1 << i
+    for _ in range(rng.randint(0, 3) if n else 0):
+        i, j = rng.randrange(n), rng.randrange(n)
+        fault = rng.choice(["negative", "high", "loop", "one-sided"])
+        if fault == "negative":
+            adj[i] = -1 - adj[i]
+        elif fault == "high":
+            adj[i] |= 1 << n + rng.randrange(3)
+        elif fault == "loop":
+            adj[i] |= 1 << i
+        elif i != j:
+            adj[i] ^= 1 << j
+    return tuple(adj)
+
+
+@contextlib.contextmanager
+def packed_rows_only(monkeypatch):
+    """A graph must pass on its packed rows alone: the loop that names an
+    asymmetric edge, which only failing rows reach, would call ``bits``."""
+    with monkeypatch.context() as m:
+        m.setattr(gr, "bits", None)
+        yield
+
+
+# up to 16 vertices the rows are shifted into a 16-bit side; above that they
+# are joined as bytes into the side of the next power of two: every size to
+# 17 many times, and the sizes on each side's edges up to 257 a few times
+PACKED_SIZES = [(n, 300) for n in range(18)] + [
+    (n, 6) for n in (31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256, 257)
+]
+
+
+def test_packed_check_agrees_with_the_loops(monkeypatch):
     rng = random.Random(0)
     seen = set()
-    for n in range(18):
-        for _ in range(300):
-            adj = [0] * n
-            for i in range(n):
-                below = rng.getrandbits(i) if i else 0
-                adj[i] |= below
-                for j in bits(below):
-                    adj[j] |= 1 << i
-            for _ in range(rng.randint(0, 3) if n else 0):
-                i, j = rng.randrange(n), rng.randrange(n)
-                fault = rng.choice(["negative", "high", "loop", "one-sided"])
-                if fault == "negative":
-                    adj[i] = -1 - adj[i]
-                elif fault == "high":
-                    adj[i] |= 1 << n + rng.randrange(3)
-                elif fault == "loop":
-                    adj[i] |= 1 << i
-                elif i != j:
-                    adj[i] ^= 1 << j
-            adj = tuple(adj)
+    for n, cases in PACKED_SIZES:
+        for _ in range(cases):
+            adj = faulty_rows(rng, n)
             want = loop_check(n, adj)
             seen.add(want and re.sub(r"\d+", "#", want))
             if want is None:
-                assert gr.Graph(n, adj).adj == adj
+                with packed_rows_only(monkeypatch):
+                    assert gr.Graph(n, adj).adj == adj
             else:
                 with pytest.raises(ValueError) as e:
                     gr.Graph(n, adj)
@@ -129,6 +151,28 @@ def test_packed_check_agrees_with_the_loops():
     assert seen == {
         None, "vertex #: neighbour out of range", "vertex #: self-loop", "asymmetric edge (#, #)"
     }
+
+
+def test_packed_check_with_loops_agrees_with_the_loops(monkeypatch):
+    # the canonical search's rows may have self-loops: a self-loop is no
+    # fault, and the first fault is a row out of range or else the first
+    # asymmetric edge
+    rng = random.Random(1)
+    seen = set()
+    for n, cases in PACKED_SIZES:
+        for _ in range(cases):
+            adj = faulty_rows(rng, n)
+            want = loop_check(n, adj, loops=True)
+            if want is None:
+                with packed_rows_only(monkeypatch):
+                    assert gr.check_rows(adj) is None
+                seen.add(any(row >> i & 1 for i, row in enumerate(adj)) and "self-loop")
+                continue
+            seen.add(re.sub(r"\d+", "#", want))
+            with pytest.raises(ValueError) as e:
+                gr.check_rows(adj)
+            assert str(e.value) == want
+    assert seen == {False, "self-loop", "vertex #: neighbour out of range", "asymmetric edge (#, #)"}
 
 
 def test_graph_rejects_self_loop():
