@@ -1,10 +1,12 @@
 """Permutation groups: deterministic Schreier-Sims stabilizer chains for
-order, membership and orbit queries, and a known-order base change.
+order, membership and orbit queries, a known-order base change and the
+restriction of a faithful action to its first points.
 
 Permutations are image tuples at the API level.  Inside the stabilizer
 chain they are 256-byte strings padded with the identity, so composition
 is a single ``bytes.translate`` call.  A sift translates only at the levels
-whose base point the element moves, and stops once it is the identity.
+whose base point the element moves, and stops once it is the identity or
+past the last level with generators.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from .bits import bits
 Perm = tuple[int, ...]
 
 _TAIL = bytes(range(256))
+_IDLE_DRAWS = 1 << 14  # draws in a row that change nothing: see _rebase
 
 
 def compose(p: Perm, q: Perm) -> Perm:
@@ -47,8 +50,12 @@ class _Chain:
     A sift visits only the levels whose base point the element moves: the
     transversal element of the base point itself is the identity, so such a
     step would change nothing.  It stops once the element is the identity,
-    which every later level leaves as it is.  The residue is the one a walk
-    through every level would give.
+    which every later level leaves as it is, and at the first level with
+    no generators: an element joins every level from the one where it is
+    placed down to the first whose base point it moves, so the levels with
+    generators are a prefix of the chain, and every level past it has a
+    trivial orbit, which leaves the element as it is or ends the walk.  The
+    residue is the one a walk through every level would give.
 
     ``gens`` is the level's own generating set: the elements inserted at
     the level or passed through it, each fixing the earlier base points.
@@ -65,6 +72,9 @@ class _Chain:
     those generators, the first ones of ``gens``.  No element enters
     ``gens`` twice, since each one sifted to a residue that was no member.
     """
+
+    __slots__ = ("basepoint", "gens", "transversal", "inverses", "stab",
+                 "_swept", "_swept_gens")
 
     def __init__(self, base: tuple[int, ...] = ()):
         self.basepoint: int | None = None
@@ -89,7 +99,7 @@ class _Chain:
 
     def sift(self, g: bytes) -> bytes:
         level = self
-        while level is not None and level.basepoint is not None:
+        while level.gens:  # a level with generators is open: it has a stab
             b = level.basepoint
             x = g[b]
             if x != b:  # at x == b the transversal element is the identity
@@ -173,12 +183,17 @@ class _Chain:
             level = level.stab
 
 
-def _rebase(chain: _Chain, base: tuple[int, ...], phi: bytes | None = None) -> _Chain:
+def _rebase(chain: _Chain, base: tuple[int, ...], phi: bytes | None = None,
+            stop: int | None = None) -> _Chain:
     """A stabilizer chain of the group of the complete chain ``chain``
     whose base starts with ``base``: randomized Schreier-Sims with the
     order known (Seress, *Permutation Group Algorithms*, 2003).  With
     ``phi``, an identity-padded permutation, the group is the one with each
-    point x renamed ``phi[x]``, and ``base`` names renamed points.
+    point x renamed ``phi[x]``, and ``base`` names renamed points.  With
+    ``stop``, it is the group's action on the points 0..stop-1, which the
+    group must map onto themselves and act on faithfully: then the
+    restriction is an isomorphism, its draws are uniform in the image, and
+    the image has the group's order.
 
     Each element sifted is uniform in the group: one random transversal
     element per level of ``chain``, composed from the deepest level up.  Its
@@ -191,7 +206,14 @@ def _rebase(chain: _Chain, base: tuple[int, ...], phi: bytes | None = None) -> _
     chain.  Each element drawn with ``phi`` is conjugated, g -> phi^-1 g phi,
     before it is sifted: the draws see ``chain``'s transversals in their
     order, so the result holds the elements that re-basing a conjugated copy
-    of ``chain`` would, and no such copy is built."""
+    of ``chain`` would, and no such copy is built.
+
+    While the new chain is short, a draw sifts to the identity with
+    probability at most 1 - 1/256: at the first level whose orbit is not
+    the true one, at least one point of the true orbit is missing.  So
+    ``_IDLE_DRAWS`` such draws in a row (chance at most e^-64) mean the
+    image is smaller than the group, an action that is not faithful, and
+    raise ``ValueError`` instead of drawing forever."""
     order = chain.order()
     levels = []
     level = chain
@@ -203,16 +225,25 @@ def _rebase(chain: _Chain, base: tuple[int, ...], phi: bytes | None = None) -> _
     phi_inv = None if phi is None else bytes.maketrans(phi, _TAIL)
     out = _Chain(base)
     short = out.order() < order  # only a placed residue changes the order
+    idle = 0
     while short:
         g = _TAIL
         for transversal in levels:
             g = g.translate(rng.choice(transversal))
         if phi is not None:
             g = phi_inv.translate(g).translate(phi)
+        if stop is not None:
+            g = g[:stop] + _TAIL[stop:]
         residue = out.sift(g)
         if residue != _TAIL:
             out._place(residue)
             short = out.order() < order
+            idle = 0
+        else:
+            idle += 1
+            if idle == _IDLE_DRAWS:
+                raise ValueError(f"the action is not faithful: its image stalled at "
+                                 f"order {out.order()} of {order}")
     return out
 
 
@@ -226,21 +257,36 @@ class PermutationGroup:
     """
 
     def __init__(self, degree: int, generators=(), base: tuple[int, ...] = ()):
-        if degree > 256:
-            raise ValueError("degree > 256 not supported")
+        if not 0 <= degree <= 256:
+            raise ValueError(f"degree {degree} out of range 0..256")
         base = tuple(base)
-        for b in base:
-            if not 0 <= b < degree:
-                raise ValueError(f"base point {b} out of range 0..{degree - 1}")
         self.degree = degree
+        self._check_points(base, "base point")
         self.generators: list[Perm] = []
         self._chain = _Chain(base)
         self._path: tuple[_Chain | None, list] = (None, [])  # see stabilizer_gens
         for g in generators:
             self.add(g)
 
+    def _check_points(self, points, what: str) -> None:
+        for p in points:
+            if not 0 <= p < self.degree:
+                raise ValueError(f"{what} {p} out of range 0..{self.degree - 1}")
+
     def add(self, g) -> bool:
         """Add a generator; returns False if it was already a member."""
+        return self._join(g, self._chain.insert)
+
+    def add_strong(self, g) -> bool:
+        """``add`` for a group whose generators, with ``g``, form a strong
+        generating set relative to the chain's base, as the automorphisms an
+        unseeded canonical search finds do: ``g`` is placed, and no Schreier
+        pass runs, since every Schreier generator of a strong generating set
+        sifts to the identity (Seress 2003, section 4.2).  The chain is the
+        one ``add`` would build."""
+        return self._join(g, self._chain._place)
+
+    def _join(self, g, store) -> bool:
         g = tuple(g)
         if sorted(g) != list(range(self.degree)):
             raise ValueError("not a permutation of the right degree")
@@ -248,7 +294,7 @@ class PermutationGroup:
         if self._chain.sift(padded) == _TAIL:
             return False
         self.generators.append(g)
-        self._chain.insert(padded)
+        store(padded)
         self._path = (None, [])
         return True
 
@@ -259,13 +305,34 @@ class PermutationGroup:
         """The group with each point x renamed ``phi[x]``, its chain re-based
         onto ``base``: each generator g becomes phi^-1 g phi, and so does
         each element the re-base draws (see ``_rebase``)."""
-        out = PermutationGroup(self.degree)
+        n = self.degree
+        if sorted(phi) != list(range(n)):
+            raise ValueError(f"relabeling of length {len(phi)} is not a permutation "
+                             f"of 0..{n - 1}")
+        self._check_points(base, "base point")
+        out = PermutationGroup(n)
         padded = _pad(phi)
         inv = bytes.maketrans(padded, _TAIL)
-        n = self.degree
         out.generators = [tuple(inv.translate(_pad(g)).translate(padded)[:n])
                           for g in self.generators]
         out._chain = _rebase(self._chain, base, padded)
+        return out
+
+    def restricted(self, stop: int) -> PermutationGroup:
+        """The action on the points 0..stop-1 of a group that maps them
+        onto themselves and acts on them faithfully, as the incidence group
+        acts on the points; the chain is re-based with the group's order
+        known (see ``_rebase``, which refuses an action that is not
+        faithful).  A faithful restriction is an isomorphism, so each
+        generator, a non-member of the group of those before it, stays one:
+        the generators are the restricted ones, all of them, in order."""
+        if not 0 <= stop <= self.degree:
+            raise ValueError(f"stop {stop} out of range 0..{self.degree}")
+        out = PermutationGroup(stop)
+        out.generators = [g[:stop] for g in self.generators]
+        for g in out.generators:
+            out._check_points(g, "image")
+        out._chain = _rebase(self._chain, (), stop=stop)
         return out
 
     def stabilizer_gens(self, prefix) -> list[bytes]:
@@ -328,6 +395,7 @@ class PermutationGroup:
         return orbit_closure(1, self.generators).bit_count() == self.degree
 
     def stabilizer_order(self, point: int) -> int:
+        self._check_points((point,), "point")
         return self.order() // orbit_closure(1 << point, self.generators).bit_count()
 
 

@@ -11,6 +11,15 @@ search checks it and adds it to a group whose stabilizer chain has the
 first leaf's path as its base.  At the end the group's generators generate
 the full automorphism group, whose order the chain certifies.
 
+Without a seed, the automorphisms found so far form, at every step, a
+strong generating set relative to that base (McKay 1981, *Practical graph
+isomorphism*): each one fixes the first path down to the deepest node on
+it whose subtree is still open, and the search has by then found
+generators of the full pointwise stabilizer of the path one node deeper.
+So each automorphism is placed in the chain without Schreier passes
+(``PermutationGroup.add_strong``), which would only sift Schreier
+generators to the identity; a seeded search adds them with the passes.
+
 Three rules prune the tree (nauty's, McKay and Piperno 2014, section 3):
 
 - Orbit pruning: a node skips a child in the orbit of a processed sibling
@@ -510,7 +519,10 @@ class _Search:
         fault = self._fault(gamma)  # a wrong map would poison the pruning
         if fault:
             raise AssertionError(f"discovered map {fault}")
-        self.group.add(gamma)
+        if self.seed is None:
+            self.group.add_strong(gamma)
+        else:
+            self.group.add(gamma)
 
     def _fault(self, gamma: Perm, onto: ColoredGraph | None = None) -> str | None:
         """Why the permutation ``gamma`` is no automorphism, or None; with
@@ -579,13 +591,16 @@ def aut_incidence(g: IncidenceStructure, on: str = "points") -> PermutationGroup
 
     Computed on the 2-colored incidence graph, whose generators the search
     has checked, and restricted to the point class; ``on="lines"`` returns
-    the action on line indices instead (line j is vertex v + j).
+    the action on line indices instead (line j is vertex v + j).  The
+    action on the points is faithful, since no two lines have the same
+    points, so it has the incidence group's order and its chain is re-based
+    with that order known (``PermutationGroup.restricted``).
     """
-    gens = incidence_form(g).group.generators
+    group = incidence_form(g).group
     if on == "points":
-        return PermutationGroup(g.v, [p[: g.v] for p in gens])
+        return group.restricted(g.v)
     if on == "lines":
-        return PermutationGroup(g.b, [tuple(x - g.v for x in p[g.v:]) for p in gens])
+        return PermutationGroup(g.b, [tuple(x - g.v for x in p[g.v:]) for p in group.generators])
     raise ValueError(f"unknown action {on!r}")
 
 

@@ -143,6 +143,54 @@ def test_orbits_and_stabilizer():
     assert g.stabilizer_order(2) == 2
 
 
+def v4():
+    """The Klein four-group on 4 points."""
+    return groups.PermutationGroup(4, [(1, 0, 3, 2), (2, 3, 0, 1)])
+
+
+@pytest.mark.parametrize("call, message", [
+    # an IndexError from the orbit walk
+    (lambda g: g.stabilizer_order(7), "point 7 out of range 0..3"),
+    # a bit shift by -1: "negative shift count"
+    (lambda g: g.stabilizer_order(-1), "point -1 out of range 0..3"),
+    # a chain based at 9, outside the points
+    (lambda g: g.with_base((9,), (1, 0, 2, 3)), "base point 9 out of range 0..3"),
+    # a relabeling of 3 points, taken for one of 4
+    (lambda g: g.with_base((0,), (1, 0, 2)), "relabeling of length 3 is not a permutation"),
+], ids=["point-past-the-end", "negative-point", "base-point-past-the-end", "short-relabeling"])
+def test_group_queries_refuse_points_out_of_range(call, message):
+    g = v4()
+    with pytest.raises(ValueError, match=message):
+        call(g)
+    assert g.stabilizer_order(3) == 1 and g.with_base((3,), (1, 0, 2, 3)).order() == 4
+
+
+@pytest.mark.parametrize("stop, message", [
+    (5, "stop 5 out of range 0..4"),
+    (1, "image 1 out of range 0..0"),  # V4 moves point 0 out of the window
+])
+def test_restriction_refuses_a_window_the_group_does_not_keep(stop, message):
+    with pytest.raises(ValueError, match=message):
+        v4().restricted(stop)
+    assert v4().restricted(4).order() == 4
+
+
+def test_restriction_refuses_an_action_that_is_not_faithful():
+    # (2 3) keeps the points 0 1 and fixes both, so the image has order 2,
+    # not 4: the re-base once drew forever, short of the group's order
+    g = groups.PermutationGroup(4, [(1, 0, 2, 3), (0, 1, 3, 2)])
+    with pytest.raises(ValueError, match="not faithful: its image stalled at order 2 of 4"):
+        g.restricted(2)
+    assert g.restricted(4).order() == 4
+
+
+def test_group_refuses_a_negative_degree():
+    # accepted once, with order 1
+    with pytest.raises(ValueError, match="degree -2 out of range 0..256"):
+        groups.PermutationGroup(-2)
+    assert groups.PermutationGroup(0).order() == 1
+
+
 # --- refinement and canonical forms ----------------------------------------
 
 
@@ -1688,3 +1736,177 @@ def test_permute_mask_and_orbit_closure_match_set_references(data):
     assert groups.orbit_closure(mask, gens) == want
     # the search passes identity-padded byte strings
     assert groups.orbit_closure(mask, [groups._pad(g) for g in gens]) == want
+
+
+# --- the search's group, placed without Schreier passes ---------------------
+
+
+def searched_with_passes(cg):
+    """The unseeded search of ``cg`` with each automorphism added as the
+    search once added it: sifted, then placed with the Schreier passes of
+    the levels it joined.  Returns the form and the maps the search gave
+    ``add_strong``."""
+    given = []
+
+    def add_with_passes(grp, g):
+        given.append(tuple(g))
+        padded = groups._pad(g)
+        if grp._chain.sift(padded) == IDENTITY:
+            return False
+        grp.generators.append(tuple(g))
+        grp._chain.insert(padded)
+        grp._path = (None, [])
+        return True
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups.PermutationGroup, "add_strong", add_with_passes)
+        return sym.canonical_form(cg), given
+
+
+def check_search_group(cg):
+    """The chain of the unseeded search of ``cg`` meets Schreier's
+    criterion, and the search with the passes run builds it level by level
+    and finds the same form with the same work."""
+    cf = sym.canonical_form(cg)
+    chain = cf.group._chain
+    check_stored_elements(chain)
+    check_complete(chain)
+    old, given = searched_with_passes(cg)
+    assert set(cf.group.generators) <= set(given)
+    assert search_key(cf) == search_key(old)
+    assert chain_contents(chain) == chain_contents(old.group._chain)
+
+
+@st.composite
+def twin_structures(draw, max_points=5, max_twins=3):
+    """An incidence structure on a few points, each with up to
+    ``max_twins`` twins: further points on exactly its lines."""
+    k = draw(st.integers(1, max_points))
+    lines = draw(st.lists(st.integers(1, (1 << k) - 1), unique=True, max_size=4))
+    copies = [[p] for p in range(k)]
+    v = k
+    for p in range(k):
+        for _ in range(draw(st.integers(0, max_twins))):
+            copies[p].append(v)
+            v += 1
+    return inc.IncidenceStructure(
+        v, [mask_of(x for p in bits(m) for x in copies[p]) for m in lines])
+
+
+def interchangeable_cases():
+    """Graphs whose searches record many automorphisms of large symmetric
+    groups: ``pg n 0``, a structure with twin classes and its point graph."""
+    for n in (1, 2, 3, 8, 20):
+        yield f"pg-{n}-0", sym.colored_incidence_graph(inc.IncidenceStructure(n, []))
+    twins = inc.IncidenceStructure(30, [mask_of((2, 3, 7, 8, 9)),
+                                        mask_of((0, 2, 7, 8, 10, 11))])
+    yield "pg-30-2-twins", sym.colored_incidence_graph(twins)
+    yield "pg-30-2-twins-point-graph", sym.ColoredGraph.from_graph(inc.point_graph(twins))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(colored_graphs())
+def test_search_group_is_complete_and_equals_the_one_built_with_passes(cg):
+    check_search_group(cg)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(twin_structures())
+def test_search_group_of_twin_points_is_complete(g):
+    check_search_group(sym.colored_incidence_graph(g))
+    check_search_group(sym.ColoredGraph.from_graph(inc.point_graph(g)))
+
+
+@pytest.mark.parametrize(
+    "cg", [pytest.param(cg, id=name) for name, cg in interchangeable_cases()]
+)
+def test_search_group_on_interchangeable_points(cg):
+    check_search_group(cg)
+
+
+def sift_inputs(rng, n, gens, count=30):
+    """Members (the generators and words in them), random permutations and
+    near-members (a word with two images swapped)."""
+    inputs = list(gens) + [word(rng, gens) for _ in range(count)]
+    inputs += [tuple(rng.sample(range(n), n)) for _ in range(count)]
+    for _ in range(count):
+        p = list(word(rng, gens))
+        i, j = rng.sample(range(n), 2)
+        p[i], p[j] = p[j], p[i]
+        inputs.append(tuple(p))
+    return inputs
+
+
+@pytest.mark.parametrize("name", list(PINNED_GROUPS))
+def test_sift_residues_equal_full_walk_off_the_pinned_bases(name, vls, new):
+    # the group's own chain (re-based onto the points from the incidence
+    # search's, or the point graph search's own), a re-base of it and a
+    # renamed re-base, and the chain of the incidence search
+    grp = PINNED_GROUPS[name](vls, new)
+    n = grp.degree
+    rng = random.Random(name)
+    phi = tuple(rng.sample(range(n), n))
+    renamed = grp.with_base(tuple(rng.sample(range(n), 3)), phi)
+    rebased = groups._rebase(grp._chain, tuple(rng.sample(range(n), n)))
+    form = sym.incidence_form(vls if name.endswith("vls") else new).group
+    cases = [(grp._chain, grp), (rebased, grp), (renamed._chain, renamed), (form._chain, form)]
+    for chain, owner in cases:
+        inputs = sift_inputs(rng, owner.degree, owner.generators)
+        members = 0
+        for p in inputs:
+            padded = groups._pad(p)
+            residue = chain.sift(padded)
+            assert residue == full_sift(chain, padded)
+            members += residue == IDENTITY
+        assert len(owner.generators) + 30 <= members < len(inputs)
+
+
+def restricted_generators(g, on):
+    start, stop = (0, g.v) if on == "points" else (g.v, g.v + g.b)
+    return [tuple(x - start for x in p[start:stop])
+            for p in sym.incidence_form(g).group.generators]
+
+
+def check_restriction(g, on):
+    """``aut_incidence(g, on)`` against Schreier-Sims on the restricted
+    generators of the incidence group: the same generators, order, orbits
+    and members, and a complete chain."""
+    got = sym.aut_incidence(g, on)
+    gens = restricted_generators(g, on)
+    want = groups.PermutationGroup(got.degree, gens)
+    assert got.generators == want.generators
+    assert got.order() == want.order()
+    assert got.orbits() == want.orbits()
+    check_stored_elements(got._chain)
+    check_complete(got._chain)
+    if gens and got.degree > 1:
+        rng = random.Random(repr(g))
+        for p in sift_inputs(rng, got.degree, gens, count=10):
+            assert got.contains(p) == want.contains(p)
+    return got, gens
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(twin_structures(max_twins=1))
+def test_faithful_restrictions_keep_every_generator(g):
+    got, gens = check_restriction(g, "points")
+    assert got.generators == gens
+    assert got.order() == sym.incidence_form(g).group.order()
+    check_restriction(g, "lines")
+
+
+@pytest.mark.parametrize("on", ["points", "lines"])
+def test_restrictions_of_the_geometries_keep_every_generator(on, vls, new):
+    for g in (vls, new):
+        got, gens = check_restriction(g, on)
+        assert got.generators == gens
+
+
+def test_line_action_of_twin_points_is_not_faithful():
+    # the lines 0 1 and 2 3: swapping 0 and 1 fixes both lines, so the line
+    # group is the image, of order 2, of the point group of order 8
+    g = inc.IncidenceStructure(4, [0b0011, 0b1100])
+    assert sym.aut_incidence(g).order() == 8
+    lines = sym.aut_incidence(g, "lines")
+    assert lines.order() == 2 and lines.contains((1, 0))
+    check_restriction(g, "lines")
