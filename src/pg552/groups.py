@@ -6,7 +6,10 @@ Permutations are image tuples at the API level.  Inside the stabilizer
 chain they are 256-byte strings padded with the identity, so composition
 is a single ``bytes.translate`` call.  A sift translates only at the levels
 whose base point the element moves, and stops once it is the identity or
-past the last level with generators.
+past the last level with generators.  Membership sifts only the degree's
+bytes of an image: every stored element fixes the points past the degree.
+A Schreier generator u_p s u_{s(p)}^-1 is the identity exactly when u_p s
+is the stored u_{s(p)}, so one translate and one compare discard it.
 """
 
 from __future__ import annotations
@@ -55,7 +58,11 @@ class _Chain:
     placed down to the first whose base point it moves, so the levels with
     generators are a prefix of the chain, and every level past it has a
     trivial orbit, which leaves the element as it is or ends the walk.  The
-    residue is the one a walk through every level would give.
+    residue is the one a walk through every level would give.  Every stored
+    element fixes the points from the group's degree on, so a string of
+    only the first ``degree`` bytes sifts to the first ``degree`` bytes of
+    the padded one's residue; it does not stop early at the identity, whose
+    later levels change nothing anyway.
 
     ``gens`` is the level's own generating set: the elements inserted at
     the level or passed through it, each fixing the earlier base points.
@@ -71,6 +78,9 @@ class _Chain:
     started with: ``_swept`` holds those points and ``_swept_gens`` counts
     those generators, the first ones of ``gens``.  No element enters
     ``gens`` twice, since each one sifted to a residue that was no member.
+    The Schreier generator of the pair (p, s) is u_p s u_{s(p)}^-1, the
+    identity exactly when u_p s equals the stored u_{s(p)} (Seress 2003,
+    section 4.2), so such a pair costs one translate and one compare.
     """
 
     __slots__ = ("basepoint", "gens", "transversal", "inverses", "stab",
@@ -149,22 +159,30 @@ class _Chain:
 
     def _process_schreier(self) -> None:
         gens, swept, new = self.gens, self._swept, self.gens[self._swept_gens:]
-        for p in sorted(self.transversal):
-            u_p = self.transversal[p]
+        transversal, inverses, stab = self.transversal, self.inverses, self.stab
+        for p in sorted(transversal):
+            u_p = transversal[p]
             for s in new if p in swept else gens:
-                schreier = u_p.translate(s).translate(self.inverses[s[p]])
-                if schreier == _TAIL:
-                    continue
-                residue = self.stab.sift(schreier)
+                ups = u_p.translate(s)
+                x = s[p]
+                if ups == transversal[x]:
+                    continue  # the Schreier generator is the identity
+                residue = stab.sift(ups.translate(inverses[x]))
                 if residue != _TAIL:
-                    self.stab.insert(residue)
-        self._swept = set(self.transversal)
+                    stab.insert(residue)
+        self._swept = set(transversal)
         self._swept_gens = len(gens)
 
     def order(self) -> int:
-        if self.basepoint is None:
-            return 1
-        return len(self.transversal) * self.stab.order()
+        """The product of the orbit lengths; a level with no generators has
+        the trivial orbit, and so has every level past it: the levels with
+        generators are a prefix of the chain."""
+        out = 1
+        level = self
+        while level.gens:
+            out *= len(level.transversal)
+            level = level.stab
+        return out
 
     def _place(self, g: bytes) -> list[_Chain]:
         """Add a non-identity element to every level down to the first whose
@@ -261,6 +279,7 @@ class PermutationGroup:
             raise ValueError(f"degree {degree} out of range 0..256")
         base = tuple(base)
         self.degree = degree
+        self._identity = _TAIL[:degree]
         self._check_points(base, "base point")
         self.generators: list[Perm] = []
         self._chain = _Chain(base)
@@ -370,12 +389,23 @@ class PermutationGroup:
         return steps[-1][1].gens if steps else level.gens
 
     def contains(self, g) -> bool:
-        """Whether the image tuple ``g`` of length ``degree`` is a member;
-        a tuple of another length raises ``ValueError``."""
+        """Whether the image tuple ``g`` of length ``degree`` is a member.
+        A tuple of that length that is no permutation of the points, with
+        a repeated entry or one that is no point (an int out of range or no
+        int at all), is no member: the answer is ``False``.  Only a tuple of
+        another length raises ``ValueError``.
+
+        Only the ``degree`` bytes of ``g`` are sifted (see ``_Chain``): an
+        entry past the points stays one through every step, and a repeated
+        one stays repeated, so neither sifts to the identity."""
         g = tuple(g)
         if len(g) != self.degree:
             raise ValueError("not a permutation of the right degree")
-        return self._chain.sift(_pad(g)) == _TAIL
+        try:
+            b = bytes(g)
+        except (TypeError, ValueError):  # an entry that is no int in 0..255
+            return False
+        return self._chain.sift(b) == self._identity
 
     def orbits(self) -> list[list[int]]:
         """Orbit partition of 0..degree-1, ordered by smallest member."""

@@ -133,6 +133,17 @@ def test_membership_refuses_a_tuple_of_another_length(image):
     assert g.contains((2, 0, 1)) and not g.contains((1, 0, 2))
 
 
+@pytest.mark.parametrize("image", [(0, 1, 100), (0, 1, 300), (0, 1, -1), (0.0, 1, 2),
+                                   ("0", 1, 2), (0, 0, 1), (2, 2, 2)])
+def test_membership_is_false_for_a_tuple_that_is_no_permutation(image):
+    # S3 holds every permutation of the points; (0, 1, 300) and (0, 1, -1)
+    # once raised bytes' ValueError, and (0.0, 1, 2) and ("0", 1, 2) a
+    # TypeError, where (0, 1, 100) answered False
+    g = groups.PermutationGroup(3, [(1, 0, 2), (0, 2, 1)])
+    assert g.contains(image) is False
+    assert g.contains((0, 1, 2)) and g.contains((2, 1, 0))
+
+
 def test_orbits_and_stabilizer():
     # <(0 1), (2 3 4)> on 5 points
     g = groups.PermutationGroup(5, [(1, 0, 2, 3, 4), (0, 1, 3, 4, 2)])
@@ -695,12 +706,10 @@ def recursive_insert(level, g):
     level._process_schreier()
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(permutation_groups(), st.data())
-def test_one_growth_walk_equals_the_recursive_insert(group, data):
-    # placing an element and then running the passes of the levels it
-    # joined, deepest first, stores what the recursion stores: every base
-    # point, transversal in insertion order, inverse and generating set
+def check_chains_equal_with(group, data, name, replacement):
+    """The chains of ``group`` under its base and under a drawn one store
+    what they store with ``_Chain.<name>`` replaced: every base point,
+    transversal in insertion order, inverse and generating set."""
     n, gens, base = group
     other = tuple(data.draw(st.permutations(range(n))))[: data.draw(st.integers(0, n))]
 
@@ -710,8 +719,71 @@ def test_one_growth_walk_equals_the_recursive_insert(group, data):
 
     got = chains()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(groups._Chain, "insert", recursive_insert)
+        mp.setattr(groups._Chain, name, replacement)
         assert got == chains()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(permutation_groups(), st.data())
+def test_one_growth_walk_equals_the_recursive_insert(group, data):
+    # placing an element and then running the passes of the levels it
+    # joined, deepest first, stores what the recursion stores
+    check_chains_equal_with(group, data, "insert", recursive_insert)
+
+
+def two_translate_schreier_pass(level):
+    """The Schreier pass that builds each Schreier generator in full, two
+    translates, and discards it once it is built, if it is the identity."""
+    gens, swept, new = level.gens, level._swept, level.gens[level._swept_gens:]
+    for p in sorted(level.transversal):
+        u_p = level.transversal[p]
+        for s in new if p in swept else gens:
+            schreier = u_p.translate(s).translate(level.inverses[s[p]])
+            if schreier == IDENTITY:
+                continue
+            residue = level.stab.sift(schreier)
+            if residue != IDENTITY:
+                level.stab.insert(residue)
+    level._swept = set(level.transversal)
+    level._swept_gens = len(gens)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(permutation_groups(), st.data())
+def test_one_translate_schreier_test_builds_the_two_translate_chain(group, data):
+    # a pair (p, s) is skipped when u_p s is the stored u_{s(p)}: exactly
+    # the pairs whose Schreier generator is the identity, so the chain is
+    # the one the pass that builds each generator in full stores
+    check_chains_equal_with(group, data, "_process_schreier", two_translate_schreier_pass)
+
+
+def recursive_order(level):
+    """The product of the orbit lengths of every level of the chain."""
+    if level.basepoint is None:
+        return 1
+    return len(level.transversal) * recursive_order(level.stab)
+
+
+def check_orders(chain):
+    """``order()`` of the chain and of every level below it is the product
+    over every level, the levels with no generators included."""
+    for level in [chain, *chain_levels(chain)]:
+        assert level.order() == recursive_order(level)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(permutation_groups(), st.data())
+def test_order_equals_the_product_over_every_level(group, data):
+    # full-base chains, re-based chains, and restrictions: the action on
+    # the first n points of the group acting on two copies of them
+    n, gens, base = group
+    full = tuple(data.draw(st.permutations(range(n))))
+    grp = groups.PermutationGroup(n, gens, base=full)
+    doubled = groups.PermutationGroup(2 * n, [g + tuple(n + x for x in g) for g in gens])
+    restricted = doubled.restricted(n)
+    assert restricted.order() == doubled.order() == grp.order()
+    for chain in (grp._chain, groups._rebase(grp._chain, base), restricted._chain):
+        check_orders(chain)
 
 
 def check_stabilizer(grp, elements, prefix):
@@ -1859,6 +1931,73 @@ def test_sift_residues_equal_full_walk_off_the_pinned_bases(name, vls, new):
             assert residue == full_sift(chain, padded)
             members += residue == IDENTITY
         assert len(owner.generators) + 30 <= members < len(inputs)
+
+
+def non_permutations(rng, n, count):
+    """Tuples of length n that are no permutation of 0..n-1: a permutation
+    with one entry repeated, or with one entry moved into n..255."""
+    out = []
+    for _ in range(count):
+        p = rng.sample(range(n), n)
+        if n > 1:
+            q = list(p)
+            i, j = rng.sample(range(n), 2)
+            q[i] = q[j]
+            out.append(tuple(q))
+        if 0 < n < 256:
+            q = list(p)
+            q[rng.randrange(n)] = rng.randrange(n, 256)
+            out.append(tuple(q))
+    return out
+
+
+def check_contains_equals_full_walk(grp, rng, count):
+    """``contains``, which sifts the degree's bytes of an image, against
+    the padded walk through every level, on members, random permutations,
+    near-members and tuples of the right length that are no permutations;
+    returns the number of members."""
+    n = grp.degree
+    if grp.generators:
+        inputs = sift_inputs(rng, n, grp.generators, count)
+    else:
+        inputs = [tuple(rng.sample(range(n), n)) for _ in range(count)]
+    inputs += non_permutations(rng, n, count)
+    members = 0
+    for p in inputs:
+        want = full_sift(grp._chain, groups._pad(p)) == IDENTITY
+        assert grp.contains(p) == want, p
+        members += want
+    return members
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(permutation_groups())
+def test_contains_equals_the_padded_full_walk(group):
+    n, gens, base = group
+    grp = groups.PermutationGroup(n, gens, base=base)
+    members = check_contains_equals_full_walk(grp, random.Random(repr(group)), 10)
+    assert members >= len(grp.generators) + 10 * bool(grp.generators)
+
+
+@pytest.mark.parametrize("name", list(PINNED_GROUPS))
+def test_contains_of_the_pinned_groups_equals_the_padded_full_walk(name, vls, new):
+    grp = PINNED_GROUPS[name](vls, new)
+    members = check_contains_equals_full_walk(grp, random.Random(name), 30)
+    assert members == len(grp.generators) + 30
+    check_orders(grp._chain)
+
+
+@pytest.mark.parametrize("degree, gens, order", [
+    (0, [], 1),
+    (256, [tuple(range(1, 256)) + (0,), tuple(range(255, -1, -1))], 512),  # dihedral
+    (256, [tuple(range(253)) + (254, 255, 253), tuple(range(254)) + (255, 254)], 6),
+], ids=["degree-0", "dihedral-256", "last-points-256"])
+def test_contains_at_the_edge_degrees(degree, gens, order):
+    # an empty image at 0, and nothing left to pad at 256
+    grp = groups.PermutationGroup(degree, gens)
+    assert grp.order() == order
+    assert grp.contains(tuple(range(degree)))
+    check_contains_equals_full_walk(grp, random.Random(degree), 20)
 
 
 def restricted_generators(g, on):
