@@ -26,21 +26,34 @@ class CliqueReport:
 def max_cliques(g: Graph) -> CliqueReport:
     """All maximal cliques via Bron-Kerbosch with pivoting.
 
-    The pivot maximizes |P ∩ N(u)| over u in P ∪ X, ties broken by smallest
-    vertex index, except that the scan stops at the first u with
-    |P ∩ N(u)| ≥ |P| − 1, as no vertex of P sees more.  Any pivot yields
-    every maximal clique once.  Output is sorted by mask, so the result is
-    deterministic.  The branches run off an explicit stack, so a clique of
-    any size fits.  Equal graphs share one census: a point graph is
-    enumerated once though both the clique census and the exact-cover
-    search (``geometric_search.all_geometries_on``) ask for its cliques.
+    A node (R, P, X) yields the maximal cliques C with R ⊆ C ⊆ R ∪ P that
+    no vertex of X extends.  A node of three or more candidates branches on
+    P − N(u) for a pivot u that maximizes |P ∩ N(u)| over u in P ∪ X, ties
+    broken by smallest vertex index, except that the scan stops at the
+    first u with |P ∩ N(u)| ≥ |P| − 1, as no vertex of P sees more.  Any
+    pivot yields every maximal clique once.  Smaller nodes close in place,
+    with exactly the cliques their branches would yield:
+
+    - one candidate a: R ∪ {a} if no vertex of X sees a;
+    - two adjacent candidates a, b: R ∪ {a, b} if no vertex of X sees both;
+    - two others: R ∪ {a} if no vertex of X sees a, and R ∪ {b} if none
+      sees b, since b's branch would get (X ∪ {a}) ∩ N(b) = X ∩ N(b).
+
+    A node descends straight into its first branch and stacks only the
+    branches that remain, so a clique of any size fits.  Output is sorted
+    by mask, so the result is deterministic.  Equal graphs share one
+    census: a point graph is enumerated once though both the clique census
+    and the exact-cover search (``geometric_search.all_geometries_on``) ask
+    for its cliques.
     """
     adj = g.adj
     found: list[int] = []
     stack: list[tuple[int, int, int, int]] = []  # (R, P, X, branches left)
     r, p, x = 0, (1 << g.n) - 1, 0
     while True:
-        if p:
+        todo = 0
+        rest = p & (p - 1)  # P less its lowest vertex
+        if rest & (rest - 1):
             pivot, best = -1, -1
             enough = p.bit_count() - 1
             scan = p | x
@@ -53,16 +66,31 @@ def max_cliques(g: Graph) -> CliqueReport:
                     if c >= enough:
                         break
                 scan ^= low
-            stack.append((r, p, x, p & ~adj[pivot]))
+            todo = p & ~adj[pivot]
+        elif rest:  # P = {a, b}, a < b, and rest = {b}
+            a = p ^ rest
+            na, nb = adj[a.bit_length() - 1], adj[rest.bit_length() - 1]
+            if na & rest:
+                if not x & na & nb:
+                    found.append(r | p)
+            else:
+                if not x & na:
+                    found.append(r | a)
+                if not x & nb:
+                    found.append(r | rest)
+        elif p:
+            if not x & adj[p.bit_length() - 1]:
+                found.append(r | p)
         elif not x:
             found.append(r)
-        while stack and not stack[-1][3]:
-            stack.pop()
-        if not stack:
-            break
-        r, p, x, todo = stack.pop()
+        if not todo:
+            if not stack:
+                break
+            r, p, x, todo = stack.pop()
         bv = todo & -todo
-        stack.append((r, p & ~bv, x | bv, todo ^ bv))
+        todo ^= bv
+        if todo:
+            stack.append((r, p ^ bv, x | bv, todo))
         v = bv.bit_length() - 1
         r, p, x = r | bv, p & adj[v], x & adj[v]
     found.sort()
@@ -103,9 +131,11 @@ def match_negative_lines(g, non_stars, neg_lines) -> dict[int, int]:
 
     Returns {clique mask: negative line mask}; raises if any clique matches
     zero or several negative lines, or if the map is not a bijection.
+    ``neg_lines`` may be any iterable: it is read once.
     """
+    neg_lines = tuple(neg_lines)
     secants = {one_secant_lines(g, m): m for m in neg_lines}
-    if len(secants) != len(list(neg_lines)):
+    if len(secants) != len(neg_lines):
         raise ValueError("two negative lines share their 1-secant set")
     matching: dict[int, int] = {}
     for c in non_stars:

@@ -18,9 +18,10 @@ def complete_graph(n):
 
 
 def brute_maximal_cliques(g):
-    """Oracle: test every vertex subset for being a maximal clique."""
+    """Oracle: test every vertex subset for being a maximal clique.  The
+    empty set is one only in the graph with no vertices."""
     found = []
-    for r in range(1, g.n + 1):
+    for r in range(g.n + 1):
         for verts in itertools.combinations(range(g.n), r):
             if all(g.adj[u] >> v & 1 for u, v in itertools.combinations(verts, 2)):
                 m = mask_of(verts)
@@ -58,6 +59,52 @@ def test_max_cliques_against_brute_force():
         g = gr.Graph.from_edges(n, edges)
         rep = cl.max_cliques(g)
         assert list(rep.all_cliques) == brute_maximal_cliques(g)
+
+
+def complete_multipartite(parts, size):
+    """K_{size×parts}: a vertex sees every vertex outside its own part."""
+    n = parts * size
+    full = (1 << n) - 1
+    return gr.Graph(n, tuple(full ^ ((1 << size) - 1) << size * (i // size) for i in range(n)))
+
+
+def test_small_node_closures_against_brute_force():
+    # sparse to dense graphs, so that nodes of one and two candidates meet
+    # a non-empty X that sees one, both or neither of them
+    rng = random.Random(2006)
+    for n in range(13):
+        for tenths in range(1, 10):
+            for _ in range(2):
+                edges = [
+                    (i, j)
+                    for i in range(n)
+                    for j in range(i + 1, n)
+                    if rng.random() < tenths / 10
+                ]
+                g = gr.Graph.from_edges(n, edges)
+                assert list(cl.max_cliques(g).all_cliques) == brute_maximal_cliques(g)
+    # K4 on 1..4 and a hub 0 on its edge 12: the root pivots on the hub, so
+    # the branch on 4 meets the adjacent candidates 1, 2 with 3 in X, which
+    # random graphs this small reach about once in a thousand
+    hub = [(0, 1), (0, 2), (0, 5), (0, 6)] + list(itertools.combinations(range(1, 5), 2))
+    g = gr.Graph.from_edges(7, hub)
+    assert list(cl.max_cliques(g).all_cliques) == brute_maximal_cliques(g)
+    for k in range(1, 6):
+        g = complete_multipartite(k, 3)
+        rep = cl.max_cliques(g)
+        assert list(rep.all_cliques) == brute_maximal_cliques(g)
+        assert rep.size_histogram == {k: 3**k}
+
+
+def test_max_cliques_agrees_with_networkx_on_random_graphs():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(1973)
+    for n in range(20, 61, 10):
+        for density in (0.2, 0.5, 0.7):
+            theirs = nx.gnp_random_graph(n, density, seed=rng.randrange(1 << 30))
+            g = gr.Graph.from_edges(n, list(theirs.edges()))
+            found = sorted(mask_of(c) for c in nx.find_cliques(theirs))
+            assert list(cl.max_cliques(g).all_cliques) == found
 
 
 def test_census_point_graphs(point_graph_vls, point_graph_new):
@@ -157,3 +204,27 @@ def test_match_rejects_foreign_clique(vls, line_graph_vls):
     stars, _ = cl.classify_line_cliques(vls, rep.cliques_of_size_6)
     with pytest.raises(ValueError):
         cl.match_negative_lines(vls, [stars[0]], con.negative_lines(vls))
+
+
+def test_negative_lines_may_come_as_an_iterator(vls, line_graph_vls):
+    rep = cl.max_cliques(line_graph_vls)
+    _, non_stars = cl.classify_line_cliques(vls, rep.cliques_of_size_6)
+    negs = con.negative_lines(vls)
+    matching = cl.match_negative_lines(vls, non_stars, iter(negs))
+    assert matching == cl.match_negative_lines(vls, non_stars, negs)
+    assert len(matching) == 81
+
+
+def test_match_rejects_a_repeated_negative_line(vls, line_graph_vls):
+    rep = cl.max_cliques(line_graph_vls)
+    _, non_stars = cl.classify_line_cliques(vls, rep.cliques_of_size_6)
+    negs = con.negative_lines(vls)
+    with pytest.raises(ValueError, match="two negative lines share their 1-secant set"):
+        cl.match_negative_lines(vls, non_stars, negs + negs[:1])
+
+
+def test_match_rejects_a_missing_clique(vls, line_graph_vls):
+    rep = cl.max_cliques(line_graph_vls)
+    _, non_stars = cl.classify_line_cliques(vls, rep.cliques_of_size_6)
+    with pytest.raises(ValueError, match="clique/negative-line matching is not a bijection"):
+        cl.match_negative_lines(vls, non_stars[1:], con.negative_lines(vls))
