@@ -10,6 +10,8 @@ import json
 import os
 import random
 import re
+import runpy
+import sys
 import time
 from fractions import Fraction
 from unittest import mock
@@ -47,6 +49,32 @@ def new_file(tmp_path):
     path = str(tmp_path / "new.pg")
     inc.write_incidence(con.build_new(), path)
     return path
+
+
+def test_json_refuses_what_it_cannot_encode():
+    assert json.loads(cli._json({"x": Fraction(3, 2)})) == {"x": [3, 2]}
+    with pytest.raises(TypeError, match="not JSON serializable: <object object at"):
+        cli._json({"x": object()})
+
+
+def test_module_entry_point_exits_with_the_command_code(vls_file, tmp_path, monkeypatch, capsys):
+    # python -m pg552.cli: a passing verify exits 0 and a refused file 2;
+    # runpy warns when it runs a module that is already imported
+    monkeypatch.delitem(sys.modules, "pg552.cli")
+
+    def run_module(*argv):
+        monkeypatch.setattr(sys, "argv", ["pg552", *argv])
+        with pytest.raises(SystemExit) as e:
+            runpy.run_module("pg552.cli", run_name="__main__")
+        return e.value.code, capsys.readouterr()
+
+    code, captured = run_module("verify", vls_file, "--expect", "5,5,2")
+    assert code == 0 and json.loads(captured.out)["results"]["pass"] is True
+    bad = tmp_path / "bad.pg"
+    bad.write_text("pg 81\n")
+    code, captured = run_module("verify", str(bad))
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: bad incidence file {bad}: bad header: 'pg 81'\n"
 
 
 def test_build_vls(tmp_path, capsys):
@@ -237,6 +265,15 @@ def test_iso(vls_file, new_file, capsys):
     assert doc["results"]["isomorphic"] is False
     code, doc = run(capsys, "iso", vls_file, vls_file)
     assert doc["results"]["isomorphic"] is True
+
+
+def test_iso_of_files_of_different_sizes_is_false(vls_file, tmp_path, monkeypatch, capsys):
+    path = str(tmp_path / "line.pg")
+    inc.write_incidence(inc.IncidenceStructure(3, [0b111]), path)
+    monkeypatch.setattr(sym, "incidence_form", None)  # answered from the sizes alone
+    code, doc = run(capsys, "iso", vls_file, path)
+    assert code == 0
+    assert doc["results"] == {"isomorphic": False}
 
 
 def test_dual(vls_file, tmp_path, capsys):
@@ -493,6 +530,16 @@ def test_report_negative_relabelings_is_usage_error(tmp_path, capsys):
     )
     assert code == 2
     assert "--relabelings" in err and "negative" in err
+    assert not out_dir.exists()
+
+
+def test_report_relabelings_not_an_integer_is_usage_error(tmp_path, capsys):
+    out_dir = tmp_path / "report"
+    code, err = run_usage_error(
+        capsys, "report", "--all", "--out", str(out_dir), "--relabelings", "abc"
+    )
+    assert code == 2
+    assert "--relabelings" in err and "not an integer: 'abc'" in err
     assert not out_dir.exists()
 
 
@@ -804,9 +851,19 @@ def collinear_pair_in_n0(mp, env):
     mp.setitem(env, "P1p", gr.Graph(81, tuple(adj)))
 
 
+def refused(*args):
+    raise ValueError("refused")
+
+
+def exhausted(got):
+    return all(entry["witness"] is None and entry["note"].startswith("search space exhausted")
+               for entry in got["got"].values())
+
+
 OFF_N0 = con.N1 | con.N2
 
-# each case breaks one library answer that only a single gate of the claim reads
+# each case breaks one library answer that only a single gate of the claim
+# reads, and may name what else the claim's result must show
 BROKEN = {
     "both_are_pg_5_5_2": ("pg_parameters", alpha_one_for_the_switched_geometry),
     "negative_lines_are_a_cover": ("exact_cover_geometries", lambda mp, env: wrap(
@@ -814,6 +871,8 @@ BROKEN = {
     "srg_feasibility": ("srg_parameters", lambda mp, env: mp.setattr(
         gr.SrgParams, "feasibility_identity", lambda self: False)),
     "matched_lines_are_negative": ("clique_census", shifted_matching),
+    "negative_line_bijection": ("clique_census", lambda mp, env: mp.setattr(
+        cli, "match_negative_lines", refused), lambda got: got["negative_line_bijection"] is False),
     "one_secants_of_matched_lines": ("clique_census", lambda mp, env: mp.setattr(
         cli, "one_secant_lines", lambda g, m: 0)),
     "two_ovoid_profiles": ("subspace_census", vls_ovoids_on_switched_geometry),
@@ -827,6 +886,8 @@ BROKEN = {
         mp, cli, "mms_counterexample_search", unbalanced)),
     "star_is_pencil_of_0": ("mms_weightings", lambda mp, env: wrap(
         mp, cli, "star_weighting", lambda real, g, p: real(g, 1))),
+    "witness_found": ("mms_weightings", lambda mp, env: mp.setattr(
+        cli, "mms_counterexample_search", lambda g, clique: None), exhausted),
     "not_isomorphic": ("isomorphism_and_duality", lambda mp, env: mp.setattr(
         cli, "is_isomorphic", lambda g1, g2: True)),
     "self_dual_flags": ("isomorphism_and_duality", lambda mp, env: wrap(
@@ -861,9 +922,11 @@ BROKEN = {
 
 @pytest.mark.parametrize("case", sorted(BROKEN))
 def test_tightened_gate_fails_its_claim(env, monkeypatch, case):
-    claim, breaks = BROKEN[case]
+    claim, breaks, *shows = BROKEN[case]
     breaks(monkeypatch, env)
-    assert getattr(cli, f"_claim_{claim}")(env)["pass"] is False
+    got = getattr(cli, f"_claim_{claim}")(env)
+    assert got["pass"] is False
+    assert all(show(got) for show in shows)
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,12 @@ def test_star_weighting_counts(vls, new):
         assert nonneg == g.pencils[0]
 
 
+def test_count_nonnegative_lines_refuses_a_weighting_of_the_wrong_length(vls):
+    w = gs.Weighting((Fraction(1), Fraction(-1)))
+    with pytest.raises(ValueError, match="weighting has the wrong number of points"):
+        gs.count_nonnegative_lines(vls, w)
+
+
 def test_star_weighting_line_sums(vls):
     w = gs.star_weighting(vls, 0)
     for i, m in enumerate(vls.lines):
@@ -212,6 +218,12 @@ def test_mms_rejects_star(vls):
     stars, _ = cl.classify_line_cliques(vls, rep.cliques_of_size_6)
     with pytest.raises(ValueError):
         gs.mms_counterexample_search(vls, stars[0])
+
+
+def test_mms_rejects_a_clique_of_five_lines(vls):
+    clique = _first_non_star(vls)[0]
+    with pytest.raises(ValueError, match="clique must consist of 6 lines"):
+        gs.mms_counterexample_search(vls, clique & (clique - 1))
 
 
 def test_mms_witness_vls(vls):

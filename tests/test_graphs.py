@@ -185,6 +185,11 @@ def test_graph_rejects_out_of_range():
         gr.Graph(2, (0b100, 0b001))
 
 
+def test_graph_rejects_a_wrong_row_count():
+    with pytest.raises(ValueError, match="adjacency row count != n"):
+        gr.Graph(2, (0,))
+
+
 def test_srg_c5():
     p = gr.srg_check(cycle(5))
     assert (p.v, p.k, p.lam, p.mu) == (5, 2, 0, 1)

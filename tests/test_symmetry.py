@@ -943,6 +943,11 @@ def test_group_order_matches_brute_force_count(cg):
     assert sym.canonical_form(cg).group.order() == brute_colored_aut_order(cg)
 
 
+def test_colored_graph_rejects_a_wrong_colour_count():
+    with pytest.raises(ValueError, match="adjacency/colors length mismatch"):
+        sym.ColoredGraph(2, (0, 0), (0,))
+
+
 def test_canonical_form_rejects_more_than_256_vertices():
     n = 257
     adj = tuple((1 << (i - 1) % n) | (1 << (i + 1) % n) for i in range(n))
@@ -955,9 +960,12 @@ def test_canonical_form_refuses_rows_it_cannot_decide(monkeypatch):
         raise AssertionError("refined rows it cannot decide")
 
     monkeypatch.setattr(sym, "refine", no_refinement)
-    # vertex 0's row names vertex 2 of a 2-vertex graph
-    with pytest.raises(ValueError, match="vertex 0: neighbour out of range"):
-        sym.canonical_form(sym.ColoredGraph(2, (4, 0), (0, 0)))
+    # vertex 0's row names vertex 2 of a 2-vertex graph, searched unseeded
+    # or seeded by a group carried onto it
+    cg = sym.ColoredGraph(2, (4, 0), (0, 0))
+    for known in (None, sym.Carried(cg, groups.PermutationGroup(2), (0, 1))):
+        with pytest.raises(ValueError, match="vertex 0: neighbour out of range"):
+            sym.canonical_form(cg, known)
     # two isomorphic digraphs; refinement from these rows tells them apart
     for adj, edge in [((116, 0, 64, 48, 0, 68, 52), (0, 2)),
                       ((114, 112, 0, 80, 0, 2, 34), (0, 1))]:
@@ -2049,3 +2057,9 @@ def test_line_action_of_twin_points_is_not_faithful():
     lines = sym.aut_incidence(g, "lines")
     assert lines.order() == 2 and lines.contains((1, 0))
     check_restriction(g, "lines")
+
+
+def test_aut_incidence_refuses_an_unknown_action():
+    g = inc.IncidenceStructure(4, [0b0011, 0b1100])
+    with pytest.raises(ValueError, match="unknown action 'blocks'"):
+        sym.aut_incidence(g, on="blocks")
