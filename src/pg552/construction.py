@@ -22,7 +22,6 @@ from .gf3space import Vector, encode, span, vec_add, vec_neg
 from .incidence import IncidenceStructure
 
 E1, E2, E3, E4 = gf3.UNIT
-E5: Vector = vec_neg(vec_add(vec_add(E1, E2), vec_add(E3, E4)))  # (2,2,2,2)
 STANDARD_BASIS: tuple[Vector, ...] = (E1, E2, E3, E4)
 
 # basis of the replacement set S'
@@ -51,11 +50,10 @@ N1 = gf3.translate_mask(N0, encode(E3))
 N2 = gf3.translate_mask(N0, encode(vec_add(E3, E4)))
 
 
-def build_vls(basis=STANDARD_BASIS) -> IncidenceStructure:
-    """All 81 translates of the special set of the given basis."""
-    s = build_special_set(basis)
+def build_vls() -> IncidenceStructure:
+    """The van Lint-Schrijver geometry: all 81 translates of S."""
     return IncidenceStructure(
-        gf3.NPOINTS, (gf3.translate_mask(s, x) for x in range(gf3.NPOINTS))
+        gf3.NPOINTS, (gf3.translate_mask(S, x) for x in range(gf3.NPOINTS))
     )
 
 

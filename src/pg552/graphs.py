@@ -107,17 +107,6 @@ def check_rows(adj, loops: bool = True) -> None:
                 raise ValueError(f"asymmetric edge ({i}, {j})")
 
 
-def collinearity_graph(v: int, line_masks) -> Graph:
-    """Graph on ``v`` points joining pairs that share a line."""
-    adj = [0] * v
-    for m in line_masks:
-        for p in bits(m):
-            adj[p] |= m
-    for p in range(v):
-        adj[p] &= ~(1 << p)
-    return Graph(v, tuple(adj))
-
-
 @dataclass(frozen=True)
 class SrgParams:
     """Certified strongly-regular parameters.

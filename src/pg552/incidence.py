@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .bits import bits, count_is, count_planes, mask_of
-from .graphs import Graph, collinearity_graph
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,10 @@ class IncidenceStructure:
 
     @functools.cached_property
     def collinearity(self) -> tuple[int, ...]:
-        """Each point's collinearity row without its own bit: the rows of
-        ``point_graph(self)``, which recounts them from the lines alone."""
+        """Each point's collinearity row without its own bit, the union of
+        the lines through it: the one derivation of the rows, which
+        ``verify_pg``, ``point_graph``, ``line_graph`` (through the dual)
+        and ``graphs.local_configuration`` all read."""
         lines = self.lines
         rows = []
         for p, pencil in enumerate(self.pencils):
@@ -101,12 +103,12 @@ def verify_pg(g: IncidenceStructure) -> PgParams:
     not checked: fix a line and count the collinear pairs of a point on it
     and a point off it, (s+1)·t·s = alpha(v-s-1); fix a point and count
     the lines through it that meet a line not through it,
-    (t+1)·s·t = alpha(b-t-1).  Only the lines and the pencils
-    are read: line j shares two points with line i iff j is in the pencils
-    of two points of i, and a point's collinearity row is the union of its
-    lines.  The alpha condition is checked a line at a time, the counts of
-    all points off the line at once; on a mismatch the pairs are scanned
-    in point-major order for the first witness.
+    (t+1)·s·t = alpha(b-t-1).  The partial linear space axiom is read off
+    the lines and the pencils: line j shares two points with line i iff j
+    is in the pencils of two points of i.  The alpha condition is read off
+    the shared rows ``g.collinearity``, a line at a time, the counts of all
+    points off the line at once; on a mismatch the pairs are scanned in
+    point-major order for the first witness.
     """
     if g.b == 0:
         raise PgViolation("no lines")
@@ -130,14 +132,7 @@ def verify_pg(g: IncidenceStructure) -> PgParams:
         raise PgViolation("point degree not uniform", dict(point_degrees))
     s = next(iter(line_sizes)) - 1
     t = next(iter(point_degrees)) - 1
-    # rows[p]: the points on the lines through p, p's own bit included,
-    # which is harmless: only points off a line are counted against it
-    rows = []
-    for pencil in pencils:
-        row = 0
-        for j in bits(pencil):
-            row |= lines[j]
-        rows.append(row)
+    rows = g.collinearity
     # alpha is the count at the first non-incident pair in point-major order
     all_lines = (1 << g.b) - 1
     alpha = None
@@ -179,11 +174,13 @@ def dual(g: IncidenceStructure) -> IncidenceStructure:
 
 
 def point_graph(g: IncidenceStructure) -> Graph:
-    return collinearity_graph(g.v, g.lines)
+    return Graph(g.v, g.collinearity)
 
 
 def line_graph(g: IncidenceStructure) -> Graph:
-    return collinearity_graph(g.b, g.pencils)
+    """The point graph of the dual, built here rather than through
+    ``point_graph`` so that timing ``point_graph`` counts no line graph."""
+    return Graph(g.b, dual(g).collinearity)
 
 
 # ---------------------------------------------------------------------------

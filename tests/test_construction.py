@@ -24,7 +24,7 @@ def test_special_set_prime_shares_e5():
     total = (0, 0, 0, 0)
     for b in con.PRIME_BASIS:
         total = gf3.vec_add(total, b)
-    assert gf3.vec_neg(total) == con.E5
+    assert gf3.vec_neg(total) == (2, 2, 2, 2)
 
 
 def test_special_set_rejects_dependent_basis():
@@ -49,7 +49,8 @@ def test_build_vls_any_basis_isomorphic(vls):
             basis = [gf3.decode(rng.randrange(81)) for _ in range(4)]
             if gf3.span(basis) == gf3.FULL_MASK:
                 break
-        other = con.build_vls(basis)
+        s = con.build_special_set(basis)
+        other = inc.IncidenceStructure(81, (gf3.translate_mask(s, x) for x in range(81)))
         assert inc.verify_pg(other).as_tuple() == (5, 5, 2, 81, 81)
         assert sym.is_isomorphic(other, vls)
 

@@ -8,6 +8,7 @@ import re
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_incidence import pairwise_point_graph
 
 from pg552 import gf3space as gf3
 from pg552 import construction as con
@@ -429,7 +430,7 @@ def test_local_configuration_matches_full_point_graph(vls, new):
     # every collinear pair of both geometries, against the induced subgraph
     # of the whole collinearity graph
     for g in (vls, new):
-        pg = gr.collinearity_graph(g.v, g.lines)
+        pg = pairwise_point_graph(g)
         for x in range(g.v):
             for y in bits(pg.adj[x]):
                 cfg = gr.local_configuration(g, x, y)
@@ -449,7 +450,7 @@ def test_local_configuration_joins_a_and_b_as_the_reference_does():
         v = rng.randint(4, 12)
         lines = [rng.sample(range(v), rng.randint(2, 4)) for _ in range(rng.randint(2, 12))]
         g = inc.IncidenceStructure(v, map(mask_of, lines))
-        pg = gr.collinearity_graph(g.v, g.lines)
+        pg = pairwise_point_graph(g)
         for x in range(v):
             for y in bits(pg.adj[x]):
                 common_line = g.pencils[x] & g.pencils[y]
@@ -483,7 +484,7 @@ def test_local_configuration_lists_a_then_b_then_z(vls, new):
     # z, and the induced rows are those of the induced subgraph of the whole
     # collinearity graph
     for g in (vls, new, relabeled(vls, 1), relabeled(new, 2)):
-        pg = gr.collinearity_graph(g.v, g.lines)
+        pg = pairwise_point_graph(g)
         pairs = [(x, y) for x in range(g.v) for y in bits(pg.adj[x])]
         assert len(pairs) == 2430
         for x, y in pairs:

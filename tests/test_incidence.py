@@ -31,6 +31,17 @@ def incidence_structures(draw, max_v=12):
     return inc.IncidenceStructure(v, draw(st.lists(st.integers(0, (1 << v) - 1), max_size=12)))
 
 
+def pairwise_point_graph(g):
+    """Reference point graph: join two points iff some line holds both."""
+    adj = [0] * g.v
+    for p in range(g.v):
+        for q in range(p + 1, g.v):
+            if any(m >> p & 1 and m >> q & 1 for m in g.lines):
+                adj[p] |= 1 << q
+                adj[q] |= 1 << p
+    return gr.Graph(g.v, tuple(adj))
+
+
 def pairwise_line_graph(g):
     """Reference line graph: join two lines iff their point masks meet."""
     adj = [0] * g.b
@@ -56,7 +67,7 @@ def test_pencils_transpose_lines(g):
 @given(incidence_structures())
 def test_collinearity_rows_are_built_on_first_read(g):
     assert "collinearity" not in vars(g)
-    assert g.collinearity == gr.collinearity_graph(g.v, g.lines).adj
+    assert g.collinearity == pairwise_point_graph(g).adj
     assert "collinearity" in vars(g)
 
 
@@ -154,7 +165,7 @@ def pairwise_verify(g):
     if len(point_degrees) != 1:
         return "point degree not uniform", dict(point_degrees)
     s, t = next(iter(line_sizes)) - 1, next(iter(point_degrees)) - 1
-    collin = gr.collinearity_graph(g.v, g.lines)
+    collin = pairwise_point_graph(g)
     alpha = None
     for p in range(g.v):
         for j, m in enumerate(g.lines):
@@ -186,12 +197,12 @@ def test_verify_pg_matches_pairwise_reference(g):
 
 
 def test_verify_pg_both_geometries(vls, new):
-    # verify_pg counts the collinearity rows itself, as an independent check
-    # of the shared ones, so it leaves a fresh structure without them
+    # verify_pg reads the shared collinearity rows, so it leaves a fresh
+    # structure with them cached, equal to the pairwise reference
     for g in (vls, new):
         fresh = inc.IncidenceStructure(g.v, g.lines)
         assert inc.verify_pg(fresh).as_tuple() == (5, 5, 2, 81, 81)
-        assert "collinearity" not in vars(fresh)
+        assert vars(fresh)["collinearity"] == pairwise_point_graph(g).adj
 
 
 def test_verify_pg_rejects_line_deleted(vls):

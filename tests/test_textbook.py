@@ -4,9 +4,11 @@ no pg552 code produced, checked against the library's answers."""
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
-from test_incidence import uniform_structures
+from test_incidence import pairwise_verify, uniform_structures
 
+from pg552 import construction as con
 from pg552 import gf3space as gf3
 from pg552 import graphs as gr
 from pg552 import incidence as inc
@@ -108,3 +110,28 @@ def test_accepted_uniform_structures_have_the_bose_parameters(g):
     except inc.PgViolation:
         return
     check_bose(g)
+
+
+def disjoint_union(g):
+    """Two copies of g side by side: the degrees stay uniform, but a point
+    sees no point of a line of the other copy, so alpha fails there."""
+    return inc.IncidenceStructure(2 * g.v, [*g.lines, *(m << g.v for m in g.lines)])
+
+
+TEXTBOOK = [("w3", w3()), *((f"net({n},{k})", net(n, k)) for n, k in NETS)]
+
+
+@pytest.mark.parametrize("g", [
+    pytest.param(con.build_vls(), id="vls"),
+    pytest.param(con.build_new(), id="new"),
+    *(pytest.param(g, id=name) for name, g in TEXTBOOK),
+    *(pytest.param(disjoint_union(g), id=f"{name}+{name}") for name, g in TEXTBOOK),
+])
+def test_verify_pg_matches_pairwise_reference_on_textbook_structures(g):
+    # the reference's success path on every partial geometry above, and its
+    # alpha witness on two copies of each
+    try:
+        got = inc.verify_pg(g).as_tuple()
+    except inc.PgViolation as e:
+        got = e.reason, e.witness
+    assert got == pairwise_verify(g)
