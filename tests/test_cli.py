@@ -19,6 +19,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from references import RIGID_SQUARE, latin_net, net, relabeling
 
 from pg552 import cli
 from pg552 import construction as con
@@ -28,7 +29,7 @@ from pg552 import graphs as gr
 from pg552 import groups
 from pg552 import incidence as inc
 from pg552 import symmetry as sym
-from pg552.bits import bits, permute_mask
+from pg552.bits import bits
 
 
 def run(capsys, *argv):
@@ -168,18 +169,10 @@ def test_srg_answers_one_largest_line_at_once(tmp_path, capsys):
     }
 
 
-def grid_64():
-    """The 64×64 grid as a partial geometry, the net pg(63, 1, 1): its point
-    graph is srg(4096, 126, 62, 2)."""
-    rows = [((1 << 64) - 1) << 64 * i for i in range(64)]
-    column = sum(1 << 64 * i for i in range(64))
-    return inc.IncidenceStructure(4096, rows + [column << j for j in range(64)])
-
-
 @pytest.mark.parametrize("command", ["verify", "srg"])
 def test_grid_is_answered_at_once(tmp_path, capsys, command):
     path = str(tmp_path / "grid.pg")
-    inc.write_incidence(grid_64(), path)
+    inc.write_incidence(net(64, 2), path)  # the 64×64 grid, srg(4096, 126, 62, 2)
     start = time.perf_counter()
     code, doc = run(capsys, command, path)
     assert time.perf_counter() - start < 3
@@ -361,26 +354,6 @@ def test_more_than_256_vertices_is_one_line_error(tmp_path, capsys, command):
     assert "256" in err
 
 
-def latin_net(rows):
-    """The 3-net of a Latin square: its m^2 cells as points, and as lines
-    its rows, its columns and the cells of each symbol."""
-    m = len(rows)
-    lines = [0] * (3 * m)
-    for r, row in enumerate(rows):
-        for c, symbol in enumerate(row):
-            cell = 1 << (r * m + c)
-            lines[r] |= cell
-            lines[m + c] |= cell
-            lines[2 * m + int(symbol)] |= cell
-    return inc.IncidenceStructure(m * m, lines)
-
-
-# a Latin square of order 7 whose 3-net, a pg(6, 2, 2) on 49 points and 21
-# lines, has the trivial automorphism group, so its canonical search can
-# prune nothing: it enters 131818 nodes without a budget
-RIGID_SQUARE = "5321064 1054623 0163245 6430512 2506431 3642150 4215306".split()
-
-
 @pytest.mark.parametrize("command", ["aut", "iso", "dual"])
 def test_search_past_its_budget_is_one_line_error(tmp_path, monkeypatch, capsys, command):
     assert sym.NODE_BUDGET == 10**4
@@ -405,10 +378,7 @@ def test_claim_relabels_the_incidence_graph_directly(name):
     for seed in range(20):
         perm = list(range(g.v))
         random.Random(seed).shuffle(perm)
-        masks = [permute_mask(m, perm) for m in g.lines]
-        h = inc.IncidenceStructure(g.v, masks)
-        line_of = {m: j for j, m in enumerate(h.lines)}
-        phi = tuple(perm) + tuple(g.v + line_of[m] for m in masks)
+        h, phi = relabeling(g, perm)
         assert cli._relabeled(source, nbrs, g.v, perm) == (sym.colored_incidence_graph(h), phi)
 
 

@@ -4,17 +4,13 @@ import itertools
 import random
 
 import pytest
+from references import complete_graph
 
 from pg552 import cliques as cl
 from pg552 import construction as con
 from pg552 import graphs as gr
 from pg552 import incidence as inc
 from pg552.bits import bits, mask_of, permute_mask
-
-
-def complete_graph(n):
-    full = (1 << n) - 1
-    return gr.Graph(n, tuple(full ^ (1 << i) for i in range(n)))
 
 
 def brute_maximal_cliques(g):

@@ -8,22 +8,16 @@ import re
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_incidence import pairwise_point_graph
+from references import complete_graph, pairwise_point_graph, relabel_incidence
 
 from pg552 import gf3space as gf3
-from pg552 import construction as con
 from pg552 import graphs as gr
 from pg552 import incidence as inc
-from pg552.bits import bits, mask_of, permute_mask
+from pg552.bits import bits, mask_of
 
 
 def cycle(n):
     return gr.Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete_graph(n):
-    full = (1 << n) - 1
-    return gr.Graph(n, tuple(full ^ (1 << i) for i in range(n)))
 
 
 def induced_subgraph(g, vertices):
@@ -475,7 +469,7 @@ def test_local_configuration_joins_a_and_b_as_the_reference_does():
 def relabeled(g, seed):
     perm = list(range(g.v))
     random.Random(seed).shuffle(perm)
-    return inc.IncidenceStructure(g.v, [permute_mask(m, perm) for m in g.lines])
+    return relabel_incidence(g, perm)
 
 
 def test_local_configuration_lists_a_then_b_then_z(vls, new):

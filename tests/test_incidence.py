@@ -1,16 +1,16 @@
 """Incidence structures, pg verification, duals and the file format."""
 
 import dataclasses
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import (TEXTBOOK, pairwise_line_graph, pairwise_point_graph, pairwise_verify,
+                        relabel_incidence, uniform_structures)
 
-from pg552 import graphs as gr
 from pg552 import incidence as inc
 from pg552 import symmetry as sym
-from pg552.bits import bits, mask_of, permute_mask
+from pg552.bits import mask_of
 
 
 def test_lines_sorted_and_deduplicated():
@@ -29,28 +29,6 @@ def incidence_structures(draw, max_v=12):
     """Structures on up to ``max_v`` points; points on no line occur often."""
     v = draw(st.integers(0, max_v))
     return inc.IncidenceStructure(v, draw(st.lists(st.integers(0, (1 << v) - 1), max_size=12)))
-
-
-def pairwise_point_graph(g):
-    """Reference point graph: join two points iff some line holds both."""
-    adj = [0] * g.v
-    for p in range(g.v):
-        for q in range(p + 1, g.v):
-            if any(m >> p & 1 and m >> q & 1 for m in g.lines):
-                adj[p] |= 1 << q
-                adj[q] |= 1 << p
-    return gr.Graph(g.v, tuple(adj))
-
-
-def pairwise_line_graph(g):
-    """Reference line graph: join two lines iff their point masks meet."""
-    adj = [0] * g.b
-    for i in range(g.b):
-        for j in range(i + 1, g.b):
-            if g.lines[i] & g.lines[j]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return gr.Graph(g.b, tuple(adj))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -90,7 +68,7 @@ def test_equality_ignores_pencils():
 
 
 def test_line_graph_is_pairwise_intersection(vls, new):
-    for g in (vls, new):
+    for g in (vls, new, *dict(TEXTBOOK).values()):
         assert inc.line_graph(g) == pairwise_line_graph(g)
 
 
@@ -100,8 +78,7 @@ def test_double_dual_renames_points_by_pencil_rank(vls, new):
     for g in (vls, new):
         rank = {pencil: r for r, pencil in enumerate(sorted(g.pencils))}
         perm = tuple(rank[pc] for pc in g.pencils)
-        renamed = inc.IncidenceStructure(g.v, (permute_mask(m, perm) for m in g.lines))
-        assert inc.dual(inc.dual(g)) == renamed
+        assert inc.dual(inc.dual(g)) == relabel_incidence(g, perm)
 
 
 def test_partial_linear_space_vls(vls):
@@ -132,58 +109,6 @@ def test_degrees_single_line():
     assert [m.bit_count() for m in g.lines] == [6]
     assert e.value.reason == "point degree not uniform"
     assert e.value.witness == {1: 6, 0: 75}
-
-
-@st.composite
-def uniform_structures(draw):
-    """Unions of up to 12 lines from random parallel classes on up to 12
-    points: degrees are uniform and two lines often share at most one
-    point, so the alpha checks are reached."""
-    size = draw(st.integers(1, 4))
-    m = draw(st.integers(1, 12 // size))
-    classes = draw(st.lists(st.permutations(range(size * m)), min_size=1, max_size=12 // m))
-    lines = [mask_of(c[i * size : (i + 1) * size]) for c in classes for i in range(m)]
-    return inc.IncidenceStructure(size * m, lines)
-
-
-def pairwise_verify(g):
-    """Reference verification: the pairwise line scan that verify_pg once
-    ran, then the degree checks and the alpha check on the collinearity
-    graph.  Returns the parameters, or the reason and witness."""
-    if g.b == 0:
-        return "no lines", None
-    for i in range(g.b):
-        for j in range(i + 1, g.b):
-            common = g.lines[i] & g.lines[j]
-            if common.bit_count() >= 2:
-                p, q, *_ = bits(common)
-                return "two points on two common lines", (p, q, i, j)
-    line_sizes = Counter(m.bit_count() for m in g.lines)
-    point_degrees = Counter(sum(m >> p & 1 for m in g.lines) for p in range(g.v))
-    if len(line_sizes) != 1:
-        return "line degree not uniform", dict(line_sizes)
-    if len(point_degrees) != 1:
-        return "point degree not uniform", dict(point_degrees)
-    s, t = next(iter(line_sizes)) - 1, next(iter(point_degrees)) - 1
-    collin = pairwise_point_graph(g)
-    alpha = None
-    for p in range(g.v):
-        for j, m in enumerate(g.lines):
-            if not m >> p & 1:
-                c = (collin.adj[p] & m).bit_count()
-                if alpha is None:
-                    alpha = c
-                elif c != alpha:
-                    return "alpha not constant", (p, j, c, alpha)
-    if alpha is None:
-        return "no non-incident point-line pair; alpha undefined", None
-    if alpha == 0:
-        return "alpha is zero", None
-    if alpha * g.v != (s + 1) * (s * t + alpha):
-        return "point count formula violated", (g.v, s, t, alpha)
-    if alpha * g.b != (t + 1) * (s * t + alpha):
-        return "line count formula violated", (g.b, s, t, alpha)
-    return s, t, alpha, g.v, g.b
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)

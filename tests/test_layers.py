@@ -1,16 +1,17 @@
 """The module boundaries, read from the source: no module imports a
 private name of another, the permutation groups stand on their own, the
-canonical search uses them only through their public names, and one
-function of the command line writes stdout."""
+canonical search uses them only through their public names, one function
+of the command line writes stdout, and no test module imports another."""
 
 import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pg552
 from pg552 import cli, groups, symmetry
 
-CHAIN_INTERNALS = {"_chain", "_Chain", "_rebase", "_pad", "_TAIL", "_done"}
+CHAIN_INTERNALS = {"_chain", "_Chain", "_rebase", "_pad", "_TAIL"}
 
 
 def tree(module):
@@ -79,7 +80,7 @@ def test_chain_internals_live_in_groups():
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-    assert CHAIN_INTERNALS - {"_done"} <= names
+    assert CHAIN_INTERNALS <= names
 
 
 def test_main_is_the_one_writer_of_stdout():
@@ -99,3 +100,17 @@ def test_main_is_the_one_writer_of_stdout():
                 writes.append(fn.name)
     assert emits == ["main"]
     assert writes == ["_emit"]
+
+
+def test_no_test_module_imports_another():
+    # what several test modules share lives in references.py, which imports
+    # no test module either
+    tests = Path(__file__).resolve().parent
+    test_modules = {path.stem for path in tests.glob("test_*.py")}
+    found = []
+    for path in [*tests.glob("test_*.py"), tests / "references.py"]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else (
+                [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [(path.name, name) for name in names if name.split(".")[0] in test_modules]
+    assert found == []
