@@ -394,6 +394,27 @@ def w3():
     return inc.IncidenceStructure(len(points), lines)
 
 
+def pg23():
+    """The projective plane PG(2,3), from the dot product on GF(3)^3 and no pg552 geometry."""
+    # the 13 vectors whose first nonzero coordinate is 1 stand for the
+    # 1-spaces as points; the line of u holds the points x with x·u = 0
+    points = [x for x in itertools.product(range(3), repeat=3)
+              if any(x) and next(c for c in x if c) == 1]
+    lines = [mask_of(i for i, x in enumerate(points) if sum(a * b for a, b in zip(x, u)) % 3 == 0)
+             for u in points]
+    return inc.IncidenceStructure(len(points), lines)
+
+
+def w2():
+    """The generalized quadrangle W(2), from six symbols and no pg552 geometry."""
+    # Sylvester's model: the 15 duads of {0..5} as points, and as lines the
+    # 15 synthemes, the partitions of {0..5} into three duads
+    duads = list(itertools.combinations(range(6), 2))
+    lines = [mask_of(duads.index(d) for d in s) for s in itertools.combinations(duads, 3)
+             if len(set().union(*s)) == 6]
+    return inc.IncidenceStructure(len(duads), lines)
+
+
 def net(n, k):
     """The net of order n and degree k, a pg(n-1, k-1, k-1) on the points (x, y) mod n."""
     # The columns x = c and the lines y = ax + b of the slopes a = 0..k-2.
@@ -411,7 +432,8 @@ def net(n, k):
 # least prime factor plus one
 NETS = [(n, k) for n, p in [(2, 2), (3, 3), (4, 2), (5, 5), (6, 2), (7, 7)] for k in range(2, p + 2)]
 
-TEXTBOOK = [("w3", w3()), *((f"net({n},{k})", net(n, k)) for n, k in NETS)]
+TEXTBOOK = [("w3", w3()), ("pg23", pg23()), ("w2", w2()),
+            *((f"net({n},{k})", net(n, k)) for n, k in NETS)]
 
 
 def latin_net(rows):

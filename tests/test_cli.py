@@ -17,7 +17,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from references import RIGID_SQUARE, latin_net, net, relabeling
 
@@ -675,6 +675,20 @@ def test_every_file_gets_an_answer_or_a_one_line_refusal(tmp_path_factory, data)
         else:
             assert code in (0, 1), argv
             assert json.loads(out.getvalue())["command"] == argv[0]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_files())
+@example(b"pg 3 4\n0\n1\n0 1\n0 2\n0")  # a fifth row in place of the last newline
+def test_every_accepted_file_is_written_back_with_its_rows(data):
+    # the reader accepts only the spelling to_text writes, so what it reads
+    # comes back line for line; to_text puts the rows in mask order
+    try:
+        text = data.decode()
+        g = inc.from_text(text)
+    except ValueError:  # a UnicodeDecodeError too
+        return
+    assert sorted(inc.to_text(g).split("\n")) == sorted(text.split("\n"))
 
 
 @pytest.mark.parametrize("expect", ["5,5", "5,5,2,1", "5,x,2"])

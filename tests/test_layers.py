@@ -1,7 +1,8 @@
 """The module boundaries, read from the source: no module imports a
 private name of another, the permutation groups stand on their own, the
 canonical search uses them only through their public names, one function
-of the command line writes stdout, and no test module imports another."""
+of the command line writes stdout, no test module imports another, and the
+test modules mirror the modules of the package."""
 
 import ast
 import importlib
@@ -114,3 +115,13 @@ def test_no_test_module_imports_another():
                 [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
             found += [(path.name, name) for name in names if name.split(".")[0] in test_modules]
     assert found == []
+
+
+def test_test_modules_mirror_the_modules():
+    # tests/test_<m>.py tests src/pg552/<m>.py; the other three test the
+    # claims, these boundaries and the textbook oracles
+    tests = Path(__file__).resolve().parent
+    modules = {info.name for info in pkgutil.iter_modules(pg552.__path__)}
+    test_modules = {path.stem.removeprefix("test_") for path in tests.glob("test_*.py")}
+    assert modules - test_modules == set()
+    assert test_modules - modules == {"acceptance", "layers", "textbook"}

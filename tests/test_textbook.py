@@ -1,12 +1,13 @@
 """Textbook geometries as oracles: parameters, graphs and group orders that
 no pg552 code produced, checked against the library's answers.  The
-structures themselves, W(3) and the nets, are built in ``references.py``."""
+structures themselves, W(3), PG(2,3), W(2) and the nets, are built in
+``references.py``."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from references import NETS, TEXTBOOK, net, pairwise_verify, uniform_structures, w3
+from references import TEXTBOOK, net, pairwise_verify, pg23, uniform_structures, w2, w3
 
 from pg552 import construction as con
 from pg552 import graphs as gr
@@ -59,7 +60,7 @@ def check_bose(g):
 
 
 def test_graphs_of_partial_geometries_have_the_bose_parameters(vls, new):
-    for g in (vls, new, w3(), *(net(n, k) for n, k in NETS)):
+    for g in (vls, new, *dict(TEXTBOOK).values()):
         check_bose(g)
     assert gr.srg_check(inc.point_graph(net(3, 4))) == gr.SrgParams(9, 8, 7, 0, complete=True)
 
@@ -72,6 +73,27 @@ def test_accepted_uniform_structures_have_the_bose_parameters(g):
     except inc.PgViolation:
         return
     check_bose(g)
+
+
+def test_pg23_is_a_projective_plane_and_w2_a_generalized_quadrangle():
+    assert inc.verify_pg(pg23()).as_tuple() == (3, 3, 4, 13, 13)
+    assert inc.verify_pg(w2()).as_tuple() == (2, 2, 1, 15, 15)
+
+
+def test_pg23_and_w2_automorphism_group_orders():
+    # GF(3) has no field automorphism but the identity, so the collineation
+    # group of PG(2,3) is PGL(3,3); that of W(2) is S_6 acting on the duads
+    assert sym.aut_incidence(pg23()).order() == 5616
+    assert sym.aut_incidence(w2()).order() == 720
+
+
+def test_pg23_and_w2_are_self_dual():
+    # a plane is dual to itself by u ↦ u^⊥, and W(q) is self-dual iff q is
+    # even (Payne & Thas 3.2.1)
+    for g in (pg23(), w2()):
+        self_dual, witness = sym.is_self_dual(g)
+        assert self_dual and witness is not None
+        assert sym.is_isomorphic(g, inc.dual(g))
 
 
 def disjoint_union(g):
