@@ -558,9 +558,8 @@ def _claim_difference_set_identities(env) -> dict:
 
 
 def _claim_local_configuration(env) -> dict:
-    e1 = gf3.encode(con.E1)
-    cfg = local_configuration(env["G"], 0, e1)
-    cfg_p = local_configuration(env["Gp"], 0, e1)
+    cfg = local_configuration(env["G"], 0, con.E1)
+    cfg_p = local_configuration(env["Gp"], 0, con.E1)
     k4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     two_k4 = Graph.from_edges(9, k4 + [(i + 4, j + 4) for i, j in k4])
     k4_star = Graph.from_edges(9, k4 + [(4, 5), (4, 6), (4, 7)])

@@ -18,36 +18,37 @@ from collections import Counter
 
 from . import gf3space as gf3
 from .bits import bits, mask_of
-from .gf3space import Vector, encode, span, vec_add, vec_neg
+from .gf3space import ADD, NEG, span
 from .incidence import IncidenceStructure
 
 E1, E2, E3, E4 = gf3.UNIT
-STANDARD_BASIS: tuple[Vector, ...] = (E1, E2, E3, E4)
+STANDARD_BASIS = (E1, E2, E3, E4)
 
 # basis of the replacement set S'
-E1P: Vector = vec_add(vec_neg(E1), E3)
-E2P: Vector = vec_add(vec_add(vec_neg(E1), E3), vec_neg(E4))
-E3P: Vector = vec_add(vec_neg(E2), E4)
-E4P: Vector = vec_add(vec_add(vec_neg(E2), vec_neg(E3)), E4)
-PRIME_BASIS: tuple[Vector, ...] = (E1P, E2P, E3P, E4P)
+E1P = ADD[NEG[E1]][E3]  # -e1 + e3
+E2P = ADD[E1P][NEG[E4]]  # -e1 + e3 - e4
+E3P = ADD[NEG[E2]][E4]  # -e2 + e4
+E4P = ADD[E3P][NEG[E3]]  # -e2 - e3 + e4
+PRIME_BASIS = (E1P, E2P, E3P, E4P)
 
 
 def build_special_set(basis) -> int:
-    """The mask of {0, b1..b4, -(b1+..+b4)} for a basis b1..b4 of V."""
+    """The mask of {0, b1..b4, -(b1+..+b4)} for a basis b1..b4 of V, given
+    as point indices."""
     basis = tuple(basis)
     if len(basis) != 4 or span(basis) != gf3.FULL_MASK:
         raise ValueError("special set requires 4 linearly independent vectors")
-    total = (0, 0, 0, 0)
+    total = 0
     for b in basis:
-        total = vec_add(total, b)
-    return mask_of([0] + [encode(b) for b in basis] + [encode(vec_neg(total))])
+        total = ADD[total][b]
+    return mask_of([0, *basis, NEG[total]])
 
 
 S = build_special_set(STANDARD_BASIS)
 S_PRIME = build_special_set(PRIME_BASIS)
-N0 = span([E1, E2, vec_add(E3, vec_neg(E4))])
-N1 = gf3.translate_mask(N0, encode(E3))
-N2 = gf3.translate_mask(N0, encode(vec_add(E3, E4)))
+N0 = span([E1, E2, ADD[E3][NEG[E4]]])
+N1 = gf3.translate_mask(N0, E3)
+N2 = gf3.translate_mask(N0, ADD[E3][E4])
 
 
 def build_vls() -> IncidenceStructure:

@@ -1,15 +1,15 @@
 """Arithmetic and subspaces of the vector space V = GF(3)^4.
 
-Vectors are 4-tuples of residues mod 3.  Every vector has a canonical index
-in 0..80 (little-endian base 3: the first coordinate is the least
-significant digit), and every subset of V is an 81-bit integer mask indexed
-that way, so set algebra is plain bitwise arithmetic.  A subspace is such a
-mask too (``span`` and ``enumerate_subspaces`` return member masks), a coset
-is a ``translate_mask`` of one, and ``(a & b).bit_count()`` counts an
-intersection.
+A vector is its index in 0..80, the little-endian base-3 number of its
+coordinates (the first coordinate is the least significant digit), so the
+unit vectors e1..e4 are 1, 3, 9 and 27.  Every subset of V is an 81-bit
+integer mask indexed that way, so set algebra is plain bitwise arithmetic.
+A subspace is such a mask too (``span`` and ``enumerate_subspaces`` return
+member masks), a coset is a ``translate_mask`` of one, and
+``(a & b).bit_count()`` counts an intersection.
 
-Addition and negation of *indices* are table-driven; the tables are built
-once at import time.
+Addition and negation are table-driven; the tables are built once at
+import time.
 """
 
 from __future__ import annotations
@@ -23,38 +23,7 @@ DIM = 4
 NPOINTS = Q**DIM  # 81
 FULL_MASK = (1 << NPOINTS) - 1
 
-Vector = tuple[int, int, int, int]
-
-
-def encode(v: Vector) -> int:
-    """Canonical index of a vector (little-endian base 3)."""
-    if len(v) != DIM or any(c not in (0, 1, 2) for c in v):
-        raise ValueError(f"not a GF(3)^{DIM} vector: {v!r}")
-    return v[0] + 3 * v[1] + 9 * v[2] + 27 * v[3]
-
-
-def decode(i: int) -> Vector:
-    """Inverse of :func:`encode`."""
-    if not 0 <= i < NPOINTS:
-        raise ValueError(f"point index out of range 0..{NPOINTS - 1}: {i}")
-    return (i % 3, i // 3 % 3, i // 9 % 3, i // 27 % 3)
-
-
-ALL_VECTORS: tuple[Vector, ...] = tuple(decode(i) for i in range(NPOINTS))
-
-
-def vec_add(a: Vector, b: Vector) -> Vector:
-    return tuple((x + y) % 3 for x, y in zip(a, b))
-
-
-def vec_neg(a: Vector) -> Vector:
-    return tuple(-x % 3 for x in a)
-
-
-UNIT: tuple[Vector, ...] = tuple(
-    tuple(1 if j == i else 0 for j in range(DIM)) for i in range(DIM)
-)
-
+UNIT = (1, 3, 9, 27)  # e1..e4
 
 
 def _addition_table() -> tuple[tuple[int, ...], ...]:
@@ -70,9 +39,8 @@ def _addition_table() -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-# index-level arithmetic tables
 ADD: tuple[tuple[int, ...], ...] = _addition_table()
-NEG: tuple[int, ...] = tuple(encode(vec_neg(a)) for a in ALL_VECTORS)
+NEG: tuple[int, ...] = tuple(row.index(0) for row in ADD)
 
 
 def translate_mask(mask: int, x: int) -> int:
@@ -85,12 +53,13 @@ def negate_mask(mask: int) -> int:
     return permute_mask(mask, NEG)
 
 
-def span(vectors) -> int:
-    """Member mask of the smallest subspace containing the given vectors
-    (inputs may be dependent): {0} closed under each vector's multiples."""
+def span(points) -> int:
+    """Member mask of the smallest subspace containing the given point
+    indices (which may be dependent): {0} closed under each one's multiples."""
     mask = 1  # the zero vector
-    for v in vectors:
-        i = encode(v)
+    for i in points:
+        if not 0 <= i < NPOINTS:
+            raise ValueError(f"point index out of range 0..{NPOINTS - 1}: {i}")
         mask |= translate_mask(mask, i) | translate_mask(mask, ADD[i][i])
     return mask
 
@@ -112,12 +81,10 @@ def enumerate_subspaces(dim: int) -> list[int]:
             if j not in pivots
         ]
         for values in itertools.product(range(3), repeat=len(free)):
-            rows = [[0] * DIM for _ in range(dim)]
-            for i, p in enumerate(pivots):
-                rows[i][p] = 1
+            rows = [3**p for p in pivots]  # each row's index
             for (i, j), val in zip(free, values):
-                rows[i][j] = val
-            out.append(span(tuple(r) for r in rows))
+                rows[i] += val * 3**j
+            out.append(span(rows))
     out.sort()
     return out
 

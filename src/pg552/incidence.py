@@ -190,7 +190,8 @@ def line_graph(g: IncidenceStructure) -> Graph:
 
 # ---------------------------------------------------------------------------
 # incidence file format: "pg <v> <b>" header, then one line of strictly
-# increasing point indices per geometry line, single spaces, trailing newline.
+# increasing point indices per geometry line, in increasing mask order,
+# single spaces, trailing newline.
 # Numbers are ASCII decimal without sign or leading zero, as to_text writes them.
 # A header may declare at most MAX_SIZE points and lines, so every readable
 # file, and the dual of one, gets an answer from each command in seconds,
@@ -231,9 +232,10 @@ def from_text(text: str) -> IncidenceStructure:
             raise ValueError(f"point index out of range in row: {row!r}")
         if any(x >= y for x, y in zip(pts, pts[1:])):
             raise ValueError(f"row not strictly increasing: {row!r}")
-        masks.append(mask_of(pts))
-    if len(set(masks)) != len(masks):
-        raise ValueError("duplicate line")
+        mask = mask_of(pts)
+        if masks and mask <= masks[-1]:
+            raise ValueError(f"row not above the row before it in mask order: {row!r}")
+        masks.append(mask)
     return IncidenceStructure(v, masks)
 
 

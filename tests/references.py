@@ -82,6 +82,28 @@ def full_sift(chain, g):
     return g
 
 
+def sifted_members(chain, inputs, contains=None):
+    """How many of ``inputs`` ``full_sift`` takes through ``chain`` to the
+    identity; each residue must be ``chain.sift``'s, or, given ``contains``,
+    each membership its answer."""
+    members = 0
+    for p in inputs:
+        padded = groups._pad(p)
+        residue = full_sift(chain, padded)
+        if contains is None:
+            assert chain.sift(padded) == residue, p
+        else:
+            assert contains(p) == (residue == IDENTITY), p
+        members += residue == IDENTITY
+    return members
+
+
+def conjugated(gens, phi):
+    """Each of ``gens`` renamed by ``phi``: phi^-1 g phi, composed left to right."""
+    inv = groups.inverse(phi)
+    return [groups.compose(groups.compose(inv, g), phi) for g in gens]
+
+
 def full_rescan_grow_orbit(level):
     """``_Chain._grow_orbit`` of commit 218f0a1, which rescans the whole orbit."""
     queue = deque(sorted(level.transversal))
@@ -283,6 +305,14 @@ def refine_reference(adj, mask_at, cell_of, live, active) -> int:
     return live
 
 
+def relabeled_rows(adj, perm):
+    """A graph's rows with each vertex v renamed ``perm[v]``."""
+    out = [0] * len(adj)
+    for v, row in enumerate(adj):
+        out[perm[v]] = permute_mask(row, perm)
+    return tuple(out)
+
+
 def relabel_incidence(g, perm):
     """The incidence structure with points renamed by ``perm``."""
     return inc.IncidenceStructure(g.v, (permute_mask(m, perm) for m in g.lines))
@@ -376,6 +406,32 @@ def uniform_structures(draw):
     return inc.IncidenceStructure(size * m, lines)
 
 
+# The paper's coordinates: a vector of GF(3)^4 as a 4-tuple of residues
+# mod 3, added and negated here with no pg552 arithmetic.  Its point is
+# ``index(v)``, the little-endian base-3 number of its coordinates.
+ZERO, E1, E2, E3, E4 = (0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+
+
+def tadd(a, b):
+    """a + b, coordinate by coordinate mod 3."""
+    return tuple((x + y) % 3 for x, y in zip(a, b))
+
+
+def tneg(a):
+    """-a, coordinate by coordinate mod 3."""
+    return tuple(-x % 3 for x in a)
+
+
+def index(v):
+    """The point of the coordinates v: the first is the least significant base-3 digit."""
+    return v[0] + 3 * v[1] + 9 * v[2] + 27 * v[3]
+
+
+def vector(i):
+    """The coordinates of point i, the inverse of ``index``."""
+    return (i % 3, i // 3 % 3, i // 9 % 3, i // 27 % 3)
+
+
 def symplectic_form(x, y):
     """x1 y3 - x3 y1 + x2 y4 - x4 y2 over GF(3)."""
     return (x[0] * y[2] - x[2] * y[0] + x[1] * y[3] - x[3] * y[1]) % 3
@@ -388,7 +444,7 @@ def w3():
     points = gf3.enumerate_subspaces(1)
     lines = []
     for plane in gf3.enumerate_subspaces(2):
-        vectors = [gf3.decode(i) for i in bits(plane)]
+        vectors = [vector(i) for i in bits(plane)]
         if all(symplectic_form(x, y) == 0 for x, y in itertools.combinations(vectors, 2)):
             lines.append(mask_of(i for i, p in enumerate(points) if p & plane == p))
     return inc.IncidenceStructure(len(points), lines)

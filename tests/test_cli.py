@@ -626,8 +626,8 @@ FILE_COMMANDS = [
 @st.composite
 def small_files(draw):
     """An incidence file on 0 to 14 points, as ``to_text`` writes it, with
-    up to three bytes replaced, inserted or deleted; no mutation declares
-    more points (see the test below)."""
+    up to three bytes replaced, inserted or deleted; a mutated header
+    declares at most 64 points (see the test below)."""
     v = draw(st.integers(0, 14))
     masks = draw(st.lists(st.integers(1, (1 << v) - 1), max_size=12)) if v else []
     data = bytearray(inc.to_text(inc.IncidenceStructure(v, masks)).encode())
@@ -642,7 +642,7 @@ def small_files(draw):
         else:
             del data[i]
     head = re.match(rb"pg ([0-9]+)", data)
-    assume(head is None or int(head[1]) <= 14)
+    assume(head is None or int(head[1]) <= 64)
     return bytes(data)
 
 
@@ -654,9 +654,10 @@ PARSER = cli._build_parser()  # a parser is reusable; building one takes ms
 def test_every_file_gets_an_answer_or_a_one_line_refusal(tmp_path_factory, data):
     # an answer is exit 0 or 1 with one JSON document on stdout; a refusal
     # is exit 2 with one error line on stderr and nothing on stdout.  The
-    # files are small: the canonical search's Schreier-Sims work on many
-    # interchangeable points is not bounded by its node budget, so `aut` on
-    # `pg 133 2` with two short lines takes about 10 s
+    # headers stop at 64 points: the canonical search's Schreier-Sims work
+    # on many interchangeable points is not bounded by its node budget, and
+    # `aut`, the slowest command here, takes about 0.1 s of CPU on `pg 64 0`,
+    # 0.35 s on `pg 96 0` and 1.0 s on `pg 133 0` (2-core Xeon, Python 3.11)
     path = tmp_path_factory.getbasetemp() / "fuzz.pg"
     path.write_bytes(data)
     for argv in FILE_COMMANDS:
@@ -681,14 +682,14 @@ def test_every_file_gets_an_answer_or_a_one_line_refusal(tmp_path_factory, data)
 @given(small_files())
 @example(b"pg 3 4\n0\n1\n0 1\n0 2\n0")  # a fifth row in place of the last newline
 def test_every_accepted_file_is_written_back_with_its_rows(data):
-    # the reader accepts only the spelling to_text writes, so what it reads
-    # comes back line for line; to_text puts the rows in mask order
+    # the reader accepts only the spelling to_text writes, rows in mask
+    # order included, so what it reads comes back byte for byte
     try:
         text = data.decode()
         g = inc.from_text(text)
     except ValueError:  # a UnicodeDecodeError too
         return
-    assert sorted(inc.to_text(g).split("\n")) == sorted(text.split("\n"))
+    assert inc.to_text(g) == text
 
 
 @pytest.mark.parametrize("expect", ["5,5", "5,5,2,1", "5,x,2"])

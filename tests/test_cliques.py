@@ -4,13 +4,13 @@ import itertools
 import random
 
 import pytest
-from references import complete_graph
+from references import complete_graph, relabeled_rows
 
 from pg552 import cliques as cl
 from pg552 import construction as con
 from pg552 import graphs as gr
 from pg552 import incidence as inc
-from pg552.bits import bits, mask_of, permute_mask
+from pg552.bits import bits, mask_of
 
 
 def brute_maximal_cliques(g):
@@ -128,10 +128,7 @@ def test_census_invariant_under_relabeling(point_graph_vls):
     rng = random.Random(5)
     perm = list(range(81))
     rng.shuffle(perm)
-    adj = [0] * 81
-    for i in range(81):
-        adj[perm[i]] = permute_mask(point_graph_vls.adj[i], tuple(perm))
-    relabeled = gr.Graph(81, tuple(adj))
+    relabeled = gr.Graph(81, relabeled_rows(point_graph_vls.adj, perm))
     assert (
         cl.max_cliques(relabeled).size_histogram
         == cl.max_cliques(point_graph_vls).size_histogram

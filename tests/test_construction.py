@@ -1,15 +1,17 @@
 """The two geometries and their supporting objects: S, S', N0-cosets,
 secant profiles, 2-ovoids, negative lines."""
 
+import itertools
 import random
 
 import pytest
+from references import E1, E2, E3, E4, ZERO, index, tadd, tneg, vector
 
 from pg552 import construction as con
 from pg552 import gf3space as gf3
 from pg552 import incidence as inc
 from pg552 import symmetry as sym
-from pg552.bits import bits
+from pg552.bits import bits, mask_of
 
 
 def test_s_is_standard_special_set():
@@ -21,16 +23,35 @@ def test_special_set_prime_shares_e5():
     assert sp.bit_count() == 6
     assert sp & 1  # contains 0
     assert sp >> 80 & 1  # same sixth element e5 = (2,2,2,2)
-    total = (0, 0, 0, 0)
+    total = ZERO
     for b in con.PRIME_BASIS:
-        total = gf3.vec_add(total, b)
-    assert gf3.vec_neg(total) == (2, 2, 2, 2)
+        total = tadd(total, vector(b))
+    assert tneg(total) == (2, 2, 2, 2)
+
+
+def test_point_sets_recount_the_papers_coordinates():
+    # S = {0, e1..e4, e5 = -(e1+..+e4)}, S' the same from the basis
+    # -e1+e3, -e1+e3-e4, -e2+e4, -e2-e3+e4, and N0 = <e1, e2, e3-e4>,
+    # all in tuples; test_gf3space recounts N1 = e3 + N0 and N2 = e3 + e4 + N0
+    def special(basis):
+        total = ZERO
+        for b in basis:
+            total = tadd(total, b)
+        return mask_of(index(v) for v in (ZERO, *basis, tneg(total)))
+
+    prime = [tadd(tneg(E1), E3), tadd(tadd(tneg(E1), E3), tneg(E4)),
+             tadd(tneg(E2), E4), tadd(tadd(tneg(E2), tneg(E3)), E4)]
+    assert [vector(b) for b in con.PRIME_BASIS] == prime
+    assert con.S == special([E1, E2, E3, E4])
+    assert con.S_PRIME == special(prime)
+    multiples = [(ZERO, v, tadd(v, v)) for v in (E1, E2, tadd(E3, tneg(E4)))]
+    n0 = {index(tadd(tadd(a, b), c)) for a, b, c in itertools.product(*multiples)}
+    assert len(n0) == 27 and con.N0 == mask_of(n0)
 
 
 def test_special_set_rejects_dependent_basis():
-    e1, e2, e3 = con.E1, con.E2, con.E3
     with pytest.raises(ValueError):
-        con.build_special_set([e1, e2, e3, gf3.vec_add(e1, e2)])
+        con.build_special_set([index(v) for v in (E1, E2, E3, tadd(E1, E2))])
 
 
 def test_build_vls_line_count(vls):
@@ -46,7 +67,7 @@ def test_build_vls_any_basis_isomorphic(vls):
     rng = random.Random(11)
     for _ in range(2):
         while True:
-            basis = [gf3.decode(rng.randrange(81)) for _ in range(4)]
+            basis = [rng.randrange(81) for _ in range(4)]
             if gf3.span(basis) == gf3.FULL_MASK:
                 break
         s = con.build_special_set(basis)

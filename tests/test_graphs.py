@@ -8,9 +8,9 @@ import re
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from references import complete_graph, pairwise_point_graph, relabel_incidence
+from references import (E1, E2, E3, E4, complete_graph, index, pairwise_point_graph, relabel_incidence,
+                        tadd, tneg)
 
-from pg552 import gf3space as gf3
 from pg552 import graphs as gr
 from pg552 import incidence as inc
 from pg552.bits import bits, mask_of
@@ -311,7 +311,7 @@ def test_srg_check_counts_large_sparse_graphs_by_rows(m, monkeypatch):
 def test_common_neighbors_in_point_graph(point_graph_vls):
     # lambda = 9 for collinear pairs, mu = 12 otherwise
     g = point_graph_vls
-    assert (g.adj[0] & g.adj[gf3.encode(E1)]).bit_count() == 9
+    assert (g.adj[0] & g.adj[index(E1)]).bit_count() == 9
     non_neighbor = next(y for y in range(1, 81) if not g.adj[0] >> y & 1)
     assert (g.adj[0] & g.adj[non_neighbor]).bit_count() == 12
 
@@ -324,22 +324,11 @@ def test_induced_subgraph():
 
 # --- local configurations -------------------------------------------------
 
-E1, E2, E3, E4 = gf3.UNIT
-
-
-def vec_sub(a, b):
-    return tuple((x - y) % 3 for x, y in zip(a, b))
-
-
 def _expected_abz():
-    a = {gf3.encode(v) for v in (E2, E3, E4, (2, 2, 2, 2))}
-    b = {
-        gf3.encode(vec_sub(E1, E2)),
-        gf3.encode(vec_sub(E1, E3)),
-        gf3.encode(vec_sub(E1, E4)),
-        gf3.encode(gf3.vec_add(gf3.vec_neg(E1), gf3.vec_add(E2, gf3.vec_add(E3, E4)))),
-    }
-    return a, b, gf3.encode(gf3.vec_neg(E1))
+    a = {index(v) for v in (E2, E3, E4, (2, 2, 2, 2))}
+    b = {index(tadd(E1, tneg(e))) for e in (E2, E3, E4)}
+    b.add(index(tadd(tneg(E1), tadd(E2, tadd(E3, E4)))))
+    return a, b, index(tneg(E1))
 
 
 def isomorphic(g1, g2):
@@ -368,7 +357,7 @@ def k4_plus_star_plus_isolated():
 
 
 def test_local_configuration_vls(vls, point_graph_vls):
-    cfg = gr.local_configuration(vls, 0, gf3.encode(E1))
+    cfg = gr.local_configuration(vls, 0, index(E1))
     a, b, z = _expected_abz()
     assert set(bits(cfg.a_mask)) == a
     assert set(bits(cfg.b_mask)) == b
@@ -376,13 +365,13 @@ def test_local_configuration_vls(vls, point_graph_vls):
     assert cfg.induced.edge_count() == 12
     assert isomorphic(cfg.induced, two_k4_plus_isolated())
     # A, B and z partition the common neighbourhood
-    commons = point_graph_vls.adj[0] & point_graph_vls.adj[gf3.encode(E1)]
+    commons = point_graph_vls.adj[0] & point_graph_vls.adj[index(E1)]
     assert cfg.a_mask | cfg.b_mask | (1 << cfg.z) == commons
     assert cfg.a_mask.bit_count() == cfg.b_mask.bit_count() == 4
 
 
 def test_local_configuration_new(new):
-    cfg = gr.local_configuration(new, 0, gf3.encode(E1))
+    cfg = gr.local_configuration(new, 0, index(E1))
     a, b, z = _expected_abz()
     assert set(bits(cfg.a_mask)) == a
     assert set(bits(cfg.b_mask)) == b

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from references import (IDENTITY, brute_elements, chain_contents, chain_levels, check_complete,
-                        colored_graphs, conjugated_chain, full_rescan_grow_orbit, full_sift,
-                        recursive_insert, recursive_order, search_key, two_translate_schreier_pass)
+                        colored_graphs, conjugated, conjugated_chain, full_rescan_grow_orbit,
+                        recursive_insert, recursive_order, search_key, sifted_members,
+                        two_translate_schreier_pass)
 
 from pg552 import groups
 from pg552 import incidence as inc
@@ -130,13 +131,7 @@ def test_sift_residues_equal_full_walk_and_chains_are_pinned(name, vls, new):
     grp, chains = pinned_chains(name, vls, new)
     n, gens = grp.degree, grp.generators
     inputs = sift_inputs(random.Random(name), n, gens, 100)
-    members = 0
-    for chain in chains:
-        for p in inputs:
-            padded = groups._pad(p)
-            residue = chain.sift(padded)
-            assert residue == full_sift(chain, padded)
-            members += residue == IDENTITY
+    members = sum(sifted_members(chain, inputs) for chain in chains)
     assert members >= len(chains) * (len(gens) + 100)
     key = [
         [(lvl.basepoint, list(lvl.transversal), lvl.gens) for lvl in chain_levels(c)]
@@ -321,22 +316,21 @@ def test_stabilizers_of_prefixes_are_exact(group, data):
 def test_conjugate_group_equals_the_group_of_conjugated_generators(group, data):
     n, gens, base = group
     phi = tuple(data.draw(st.permutations(range(n))))
-    inv = groups.inverse(phi)
-    conjugated = [groups.compose(groups.compose(inv, g), phi) for g in gens]
+    renamed = conjugated(gens, phi)
     source = groups.PermutationGroup(n, gens, base=tuple(data.draw(st.permutations(range(n)))))
     explicit = conjugated_chain(source._chain, phi)
     check_stored_elements(explicit)
-    rebased = check_rebased(source._chain, n, conjugated, base, phi)
+    rebased = check_rebased(source._chain, n, renamed, base, phi)
     assert chain_contents(rebased) == chain_contents(groups._rebase(explicit, base))
     got = source.with_base(base, phi)
     assert chain_contents(got._chain) == chain_contents(rebased)
-    want = groups.PermutationGroup(n, conjugated)
+    want = groups.PermutationGroup(n, renamed)
     assert got.generators == want.generators  # accepted at the same positions
     assert got.order() == want.order()
     rng = random.Random(repr(group))
     tests = [tuple(rng.sample(range(n), n)) for _ in range(20)]
-    if conjugated:
-        tests += [word(rng, conjugated, 5) for _ in range(20)]
+    if renamed:
+        tests += [word(rng, renamed, 5) for _ in range(20)]
     for p in tests:
         assert got.contains(p) == want.contains(p)
 
@@ -458,12 +452,7 @@ def test_sift_residues_equal_full_walk_off_the_pinned_bases(name, vls, new):
     cases = [(grp._chain, grp), (rebased, grp), (renamed._chain, renamed), (form._chain, form)]
     for chain, owner in cases:
         inputs = sift_inputs(rng, owner.degree, owner.generators)
-        members = 0
-        for p in inputs:
-            padded = groups._pad(p)
-            residue = chain.sift(padded)
-            assert residue == full_sift(chain, padded)
-            members += residue == IDENTITY
+        members = sifted_members(chain, inputs)
         assert len(owner.generators) + 30 <= members < len(inputs)
 
 
@@ -496,12 +485,7 @@ def check_contains_equals_full_walk(grp, rng, count):
     else:
         inputs = [tuple(rng.sample(range(n), n)) for _ in range(count)]
     inputs += non_permutations(rng, n, count)
-    members = 0
-    for p in inputs:
-        want = full_sift(grp._chain, groups._pad(p)) == IDENTITY
-        assert grp.contains(p) == want, p
-        members += want
-    return members
+    return sifted_members(grp._chain, inputs, grp.contains)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

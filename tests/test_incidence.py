@@ -235,6 +235,7 @@ def test_reader_header_line(vls):
         "pg 4 1\n0  1\n",  # double space
         "pg 4 1\n0 x\n",  # non-integer point
         "pg 4 2\n0 1\n0 1\n",  # duplicate line
+        "pg 3 2\n1 2\n0 1\n",  # rows out of mask order
         # numbers are written as to_text writes them, and nothing else is read
         "pg 4 1\n0 +1\n",  # sign
         "pg 4 1\n0 01\n",  # leading zero

@@ -18,9 +18,9 @@ import re
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from references import (_FirstPathSearch, brute_elements, chain_contents, colored_graphs,
+from references import (_FirstPathSearch, brute_elements, chain_contents, colored_graphs, conjugated,
                         conjugated_chain, form_key, is_automorphism, listed, refine_reference,
-                        relabel_incidence, relabeling, search_key)
+                        relabel_incidence, relabeled_rows, relabeling, search_key)
 
 from pg552 import construction as con
 from pg552 import gf3space as gf3
@@ -268,11 +268,8 @@ def test_canonical_form_relabel_stable():
         cert = sym.canonical_form(sym.ColoredGraph.from_graph(g)).certificate
         perm = list(range(n))
         rng.shuffle(perm)
-        adj = [0] * n
-        for i in range(n):
-            adj[perm[i]] = permute_mask(g.adj[i], tuple(perm))
         cert2 = sym.canonical_form(
-            sym.ColoredGraph.from_graph(gr.Graph(n, tuple(adj)))
+            sym.ColoredGraph.from_graph(gr.Graph(n, relabeled_rows(g.adj, perm)))
         ).certificate
         assert cert == cert2
 
@@ -424,12 +421,10 @@ def test_refine_is_equitable_and_finer(cg, data):
 
 
 def relabel(cg, perm):
-    adj = [0] * cg.n
     colors = [0] * cg.n
     for v in range(cg.n):
-        adj[perm[v]] = permute_mask(cg.adj[v], perm)
         colors[perm[v]] = cg.colors[v]
-    return sym.ColoredGraph(cg.n, tuple(adj), tuple(colors))
+    return sym.ColoredGraph(cg.n, relabeled_rows(cg.adj, perm), tuple(colors))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -878,11 +873,6 @@ def carried_seed(g, perm):
     return sym.Carried(sym.colored_incidence_graph(g), sym.incidence_form(g).group, phi)
 
 
-def conjugated_generators(seed):
-    inv = groups.inverse(seed.phi)
-    return [groups.compose(groups.compose(inv, a), seed.phi) for a in seed.group.generators]
-
-
 def seed_free(cf):
     """What a seed may not change: the labeling, the certificate and the
     group order."""
@@ -894,9 +884,8 @@ def seed_free(cf):
 def test_seeded_search_finds_the_canonical_form(cg, data):
     perm = tuple(data.draw(st.permutations(range(cg.n))))
     h = relabel(cg, perm)
-    inv = groups.inverse(perm)
     cf = sym.canonical_form(cg)
-    known = [groups.compose(groups.compose(inv, a), perm) for a in cf.group.generators]
+    known = conjugated(cf.group.generators, perm)
     want = seed_free(_FirstPathSearch(h).run())
     unseeded = sym.canonical_form(h)
     assert seed_free(unseeded) == want
@@ -952,7 +941,7 @@ def test_seeding_with_a_carried_group(case):
     _, g, h, perm = case
     cg = sym.colored_incidence_graph(h)
     seed = carried_seed(g, perm)
-    known = conjugated_generators(seed)
+    known = conjugated(seed.group.generators, seed.phi)
     assert known == carried(g, h, perm)
     search = _FirstPathRecordingSearch(cg, seed)
     by_seed = search.run()
