@@ -1,5 +1,6 @@
-"""Small helpers for sets-as-integer-bitmasks, and bit-sliced counts: the
-number of masks that hold each position, one bit plane per binary digit."""
+"""Small helpers for sets-as-integer-bitmasks, bit-sliced counts (the
+number of masks that hold each position, one bit plane per binary digit),
+and ``Frozen``, the base of the package's immutable value classes."""
 
 from __future__ import annotations
 
@@ -60,3 +61,36 @@ def count_is(planes: Sequence[int], c: int, full: int) -> int:
     for j, plane in enumerate(planes):
         eq &= plane if c >> j & 1 else ~plane
     return eq
+
+
+class Frozen:
+    """An immutable value: equal to an object of its own class with equal
+    ``_compared`` attributes, hashed on them, and shown by its ``_shown``
+    attributes.  A subclass's ``__init__`` sets its attributes with
+    ``object.__setattr__``; afterwards none can be set or deleted.  The
+    subclasses keep a ``__dict__``, so copy and pickle restore an instance
+    without ``__setattr__``, and ``functools.cached_property`` works."""
+
+    _compared: tuple[str, ...] = ()
+    _shown: tuple[str, ...] = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b = self.__dict__, other.__dict__
+        return [a[name] for name in self._compared] == [b[name] for name in self._compared]
+
+    def __hash__(self):
+        d = self.__dict__
+        return hash(tuple([d[name] for name in self._compared]))
+
+    def __repr__(self):
+        d = self.__dict__
+        shown = ", ".join([f"{name}={d[name]!r}" for name in self._shown])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

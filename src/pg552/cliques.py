@@ -5,21 +5,26 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
 from types import MappingProxyType
 
-from .bits import bits
+from .bits import Frozen, bits
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class CliqueReport:
-    """The census of one graph; shared by every caller that asks about an
-    equal graph, so its histogram is a read-only mapping."""
+class CliqueReport(Frozen):
+    """The census of one graph: ``size_histogram`` maps a clique size to its
+    number of maximal cliques, ``cliques_of_size_6`` and ``all_cliques``
+    (every maximal clique) are vertex masks, sorted.  It is shared by every
+    caller that asks about an equal graph, so its histogram is a read-only
+    mapping."""
 
-    size_histogram: MappingProxyType  # clique size -> count
-    cliques_of_size_6: tuple[int, ...]  # vertex masks, sorted
-    all_cliques: tuple[int, ...]  # every maximal clique, sorted by mask
+    _compared = _shown = ("size_histogram", "cliques_of_size_6", "all_cliques")
+
+    def __init__(self, size_histogram: MappingProxyType, cliques_of_size_6: tuple[int, ...],
+                 all_cliques: tuple[int, ...]):
+        object.__setattr__(self, "size_histogram", size_histogram)
+        object.__setattr__(self, "cliques_of_size_6", cliques_of_size_6)
+        object.__setattr__(self, "all_cliques", all_cliques)
 
 
 @functools.lru_cache(maxsize=8)

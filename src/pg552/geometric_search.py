@@ -16,10 +16,9 @@ nonnegative-sum lines.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .bits import bits
+from .bits import Frozen, bits
 from .cliques import classify_line_cliques, max_cliques
 from .graphs import Graph
 from .incidence import IncidenceStructure, verify_pg
@@ -111,15 +110,15 @@ def all_geometries_on(g: Graph) -> list[IncidenceStructure]:
     return out
 
 
-@dataclass(frozen=True)
-class Weighting:
+class Weighting(Frozen):
     """Rational point weights summing to zero exactly."""
 
-    weights: tuple[Fraction, ...]
+    _compared = _shown = ("weights",)
 
-    def __post_init__(self):
-        if sum(self.weights, Fraction(0)) != 0:
+    def __init__(self, weights: tuple[Fraction, ...]):
+        if sum(weights, Fraction(0)) != 0:
             raise ValueError("weights do not sum to zero")
+        object.__setattr__(self, "weights", weights)
 
     def line_sum(self, line_mask: int) -> Fraction:
         return sum((self.weights[p] for p in bits(line_mask)), Fraction(0))

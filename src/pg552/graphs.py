@@ -9,9 +9,8 @@ search in ``symmetry``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
-from .bits import bits, count_is, count_planes
+from .bits import Frozen, bits, count_is, count_planes
 
 
 # Adjacency rows pack into a side × side bit matrix, side the power of two
@@ -37,17 +36,17 @@ def _transpose_masks(side: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return int.from_bytes(diag, "little"), tuple(swaps)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Frozen):
     """Undirected simple graph; ``adj[i]`` is the neighbour mask of vertex i."""
 
-    n: int
-    adj: tuple[int, ...]
+    _compared = _shown = ("n", "adj")
 
-    def __post_init__(self):
-        if len(self.adj) != self.n:
+    def __init__(self, n: int, adj: tuple[int, ...]):
+        if len(adj) != n:
             raise ValueError("adjacency row count != n")
-        check_rows(self.adj, loops=False)
+        check_rows(adj, loops=False)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -107,20 +106,23 @@ def check_rows(adj, loops: bool = True) -> None:
                 raise ValueError(f"asymmetric edge ({i}, {j})")
 
 
-@dataclass(frozen=True)
-class SrgParams:
+class SrgParams(Frozen):
     """Certified strongly-regular parameters.
 
     ``complete``/``empty`` flag the degenerate graphs where mu (resp. lam)
     has no witnessing pair; the count is reported as 0 there.
     """
 
-    v: int
-    k: int
-    lam: int
-    mu: int
-    complete: bool = False
-    empty: bool = False
+    _compared = _shown = ("v", "k", "lam", "mu", "complete", "empty")
+
+    def __init__(self, v: int, k: int, lam: int, mu: int,
+                 complete: bool = False, empty: bool = False):
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "complete", complete)
+        object.__setattr__(self, "empty", empty)
 
     def feasibility_identity(self) -> bool:
         return self.k * (self.k - self.lam - 1) == (self.v - self.k - 1) * self.mu
@@ -219,16 +221,22 @@ def _row_counts(g: Graph) -> tuple[int | None, int | None]:
     return lam, mu
 
 
-@dataclass(frozen=True)
-class LocalConfig:
+class LocalConfig(Frozen):
     """Common neighbourhood of a collinear pair, split into the four points
-    of their common line (A), four more points (B), and a ninth point z."""
+    of their common line (A), four more points (B), and a ninth point z.
+    ``induced`` is the collinearity graph on the points ``vertices``, A, B
+    and z in that order; equality and hashing ignore both."""
 
-    a_mask: int
-    b_mask: int
-    z: int
-    induced: Graph = field(compare=False)
-    vertices: tuple[int, ...] = field(compare=False)
+    _compared = ("a_mask", "b_mask", "z")
+    _shown = ("a_mask", "b_mask", "z", "induced", "vertices")
+
+    def __init__(self, a_mask: int, b_mask: int, z: int, induced: Graph,
+                 vertices: tuple[int, ...]):
+        object.__setattr__(self, "a_mask", a_mask)
+        object.__setattr__(self, "b_mask", b_mask)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "induced", induced)
+        object.__setattr__(self, "vertices", vertices)
 
     @property
     def edge_list(self) -> list[tuple[int, int]]:

@@ -13,14 +13,12 @@ from __future__ import annotations
 import functools
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 
-from .bits import bits, count_is, count_planes, mask_of
+from .bits import Frozen, bits, count_is, count_planes, mask_of
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class IncidenceStructure:
+class IncidenceStructure(Frozen):
     """``v`` points 0..v-1 and a list of lines, each line a point mask.
 
     Lines are stored deduplicated and sorted by mask value, so line indices
@@ -31,9 +29,7 @@ class IncidenceStructure:
     read, so structures that never ask for it do not pay for it.
     """
 
-    v: int
-    lines: tuple[int, ...]
-    pencils: tuple[int, ...] = field(compare=False, repr=False)
+    _compared = _shown = ("v", "lines")
 
     def __init__(self, v: int, lines):
         normalized = tuple(sorted(set(int(m) for m in lines)))
@@ -76,13 +72,15 @@ def _joined(sets, members) -> tuple[int, ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class PgParams:
-    s: int
-    t: int
-    alpha: int
-    v: int
-    b: int
+class PgParams(Frozen):
+    _compared = _shown = ("s", "t", "alpha", "v", "b")
+
+    def __init__(self, s: int, t: int, alpha: int, v: int, b: int):
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "b", b)
 
     def as_tuple(self) -> tuple[int, int, int, int, int]:
         return (self.s, self.t, self.alpha, self.v, self.b)

@@ -67,9 +67,8 @@ testing, self-duality and automorphism groups with one engine.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
-from .bits import bits, count_planes
+from .bits import Frozen, bits, count_planes
 from .graphs import Graph, check_rows
 from .groups import Perm, PermutationGroup, compose, inverse, orbit_closure
 from .incidence import IncidenceStructure, dual
@@ -84,15 +83,15 @@ class BudgetExceeded(ValueError):
     """A search that would exceed its work budget."""
 
 
-@dataclass(frozen=True)
-class ColoredGraph:
-    n: int
-    adj: tuple[int, ...]
-    colors: tuple[int, ...]
+class ColoredGraph(Frozen):
+    _compared = _shown = ("n", "adj", "colors")
 
-    def __post_init__(self):
-        if len(self.adj) != self.n or len(self.colors) != self.n:
+    def __init__(self, n: int, adj: tuple[int, ...], colors: tuple[int, ...]):
+        if len(adj) != n or len(colors) != n:
             raise ValueError("adjacency/colors length mismatch")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "colors", colors)
 
     @classmethod
     def from_graph(cls, g: Graph) -> "ColoredGraph":
@@ -266,8 +265,7 @@ def _target_start(mask_at, cell_of, live) -> int:
     return best[1]
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(Frozen):
     """Canonical labeling (vertex -> canonical position), a certificate that
     two colored graphs share iff they are isomorphic, and the automorphism
     group with its generators and stabilizer chain.
@@ -275,18 +273,23 @@ class CanonicalForm:
     The work counters are deterministic: ``nodes`` search-tree nodes were
     entered (leaves and pruned subtrees included), ``leaves`` of them were
     discrete and cost a certificate, and ``pruned`` subtrees were skipped
-    because every leaf below them was provably worse."""
+    because every leaf below them was provably worse.  Equality and hashing
+    read the labeling and the certificate alone."""
 
-    labeling: Perm
-    certificate: tuple
-    group: PermutationGroup = field(compare=False)
-    nodes: int = field(default=0, compare=False)
-    leaves: int = field(default=0, compare=False)
-    pruned: int = field(default=0, compare=False)
+    _compared = ("labeling", "certificate")
+    _shown = ("labeling", "certificate", "group", "nodes", "leaves", "pruned")
+
+    def __init__(self, labeling: Perm, certificate: tuple, group: PermutationGroup,
+                 nodes: int = 0, leaves: int = 0, pruned: int = 0):
+        object.__setattr__(self, "labeling", labeling)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "leaves", leaves)
+        object.__setattr__(self, "pruned", pruned)
 
 
-@dataclass(frozen=True)
-class Carried:
+class Carried(Frozen):
     """A seed for the search of a graph isomorphic to ``source``: vertex x
     of ``source`` is vertex ``phi[x]`` of the graph searched, and ``group``
     is the automorphism group that ``source``'s own search returned, each
@@ -295,9 +298,12 @@ class Carried:
     its graph, so every map it carries through ``phi`` is an automorphism
     there."""
 
-    source: ColoredGraph
-    group: PermutationGroup
-    phi: Perm
+    _compared = _shown = ("source", "group", "phi")
+
+    def __init__(self, source: ColoredGraph, group: PermutationGroup, phi: Perm):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "phi", phi)
 
 
 class _Search:

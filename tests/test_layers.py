@@ -1,12 +1,16 @@
 """The module boundaries, read from the source: no module imports a
 private name of another, the permutation groups stand on their own, the
 canonical search uses them only through their public names, one function
-of the command line writes stdout, no test module imports another, and the
-test modules mirror the modules of the package."""
+of the command line writes stdout, no test module imports another, the
+test modules mirror the modules of the package, and importing the package
+generates no code."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pg552
@@ -125,3 +129,35 @@ def test_test_modules_mirror_the_modules():
     test_modules = {path.stem.removeprefix("test_") for path in tests.glob("test_*.py")}
     assert modules - test_modules == set()
     assert test_modules - modules == {"acceptance", "layers", "textbook"}
+
+
+def test_no_module_imports_dataclasses():
+    # the value classes share bits.Frozen, whose methods are written once,
+    # where a dataclass compiles its own at every import
+    found = []
+    for info in pkgutil.iter_modules(pg552.__path__):
+        for node in ast.walk(tree(importlib.import_module(f"pg552.{info.name}"))):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else (
+                [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [(info.name, name) for name in names if name.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
+def loaded_modules(code):
+    """The modules in ``sys.modules`` after ``code`` runs in a fresh
+    interpreter, the one running this test, that imports pg552 from the
+    same place as this process."""
+    path = [str(Path(pg552.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH", "")]
+    run = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
+    return set(run.stdout.split())
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # against a bare interpreter, so what the host's site imports is no
+    # part of the count
+    added = loaded_modules("import pg552.cli") - loaded_modules("pass")
+    assert "pg552.cli" in added
+    assert not added & {"dataclasses", "inspect"}
