@@ -402,7 +402,7 @@ def _claim_isomorphism_and_duality(env) -> dict:
             rng.shuffle(perm)
             h, phi = _relabeled(source, nbrs, g.v, perm)
             # one search per relabeling, outside the cache of shared forms
-            c = canonical_form(h, Carried(source, form.group, phi)).certificate
+            c = canonical_form(h, Carried(source, form.group, phi, form.labeling)).certificate
             if c == form.certificate:
                 stable[name] += 1
     return {

@@ -354,6 +354,35 @@ class PermutationGroup:
         out._chain = _rebase(self._chain, (), stop=stop)
         return out
 
+    def least_image(self, points) -> Perm:
+        """The element whose images of ``points``, in order, are
+        lexicographically least.  Each element is s u with u in the first
+        level's transversal and s fixing its base point, so the least image
+        of that point is the least orbit point x, and the rest is the least
+        image under the next level with u_x applied after it: one walk of
+        the transversals, when the chain's base starts with ``points``;
+        otherwise the chain is first re-based onto them (see ``_rebase``).
+        The walk ends at the first level with no generators, past which the
+        stabilizer of the points walked is trivial."""
+        points = tuple(points)
+        self._check_points(points, "point")
+        chain = level = self._chain
+        for p in points:
+            if not level.gens:
+                break
+            if level.basepoint != p:
+                chain = _rebase(chain, points)
+                break
+            level = level.stab
+        image, level = _TAIL, chain
+        for _ in points:
+            if not level.gens:
+                break
+            x = min(level.transversal, key=image.__getitem__)
+            image = level.transversal[x].translate(image)
+            level = level.stab
+        return tuple(image[:self.degree])
+
     def stabilizer_gens(self, prefix) -> list[bytes]:
         """Strong generators of the pointwise stabilizer of the points
         ``prefix``, as identity-padded byte strings; the list is the

@@ -20,7 +20,7 @@ So each automorphism is placed in the chain without Schreier passes
 (``PermutationGroup.add_strong``), which would only sift Schreier
 generators to the identity; a seeded search adds them with the passes.
 
-Three rules prune the tree (nauty's, McKay and Piperno 2014, section 3):
+Four rules prune the tree (nauty's, McKay and Piperno 2014, section 3):
 
 - Orbit pruning: a node skips a child in the orbit of a processed sibling
   under the pointwise stabilizer of the node's prefix in the group found so
@@ -34,20 +34,38 @@ Three rules prune the tree (nauty's, McKay and Piperno 2014, section 3):
 - Certificate bound: once a first leaf exists, a node is skipped when its
   equitable partition proves that every leaf below it has a certificate
   above the best one so far and unequal to the first one.
+- Abort: in a seeded search, while the first leaf is the best, a child's
+  ``refine`` stops, the child counted as pruned, once the singletons at
+  the start of its partition prove every leaf below it above the best
+  (``_worse_prefix``), read each time that run of singletons grows.  An
+  unseeded search's first leaf is seldom its best, and there the bound
+  costs more than it prunes.
 
 The group may be seeded with the group an isomorphic graph's own search
-returned, together with a relabeling φ onto this graph (``Carried``).
-The search checks φ once as an isomorphism; that search checked each of
-the group's generators on its own graph, so each generator conjugated by
-φ is an automorphism of this one, and no map is checked twice.  At the
-first leaf an unseeded search starts from the trivial group on the first
-path; a seeded one from the seed's group renamed through φ, its chain
-re-based onto the first path (``PermutationGroup.with_base``), so no chain
-is built again.  A verified automorphism maps a processed subtree onto
-the subtree it skips, so every skipped leaf has an equal leaf earlier in
-depth-first order: the pruning never skips the first smallest leaf.  The
-labeling and the certificate are therefore those of the full search
-whatever the seed; the generators and the work counters may differ.
+returned, a relabeling φ onto this graph and that search's labeling λ
+(``Carried``).  The search checks φ once as an isomorphism; that search
+checked each of the group's generators, so each one conjugated by φ is an
+automorphism here, and no map is checked twice.  At the first leaf an
+unseeded search starts from the trivial group on the first path; a seeded
+one from the seed's group renamed through φ, its chain re-based onto the
+first path (``PermutationGroup.with_base``).  A seeded search descends
+the image of λ's path first: below the root, and below each child so
+entered, it enters the child φ(λ⁻¹(s)) first, s the start of the target
+cell, if the cell holds it, then the rest in ascending order.  So its
+first leaf is as a rule the best one, which the abort needs.
+
+Whatever the seed and the child order, the group found is the full
+automorphism group and the smallest certificate is reached: the bound and
+the abort skip only leaves above the best and unequal to the first, and
+orbit pruning and backjumps only images, under the group found, of leaves
+processed.  The leaves with the smallest certificate form one orbit of
+the group, and depth-first order is the lexicographic order of paths, so
+the first of them in plain depth-first order is the best leaf's image
+under ``PermutationGroup.least_image(best path)``, whose labeling a seeded
+search returns.  An unseeded search skips only leaves with an equal one
+earlier in that order, so its first smallest leaf is that one.  The
+labeling and the certificate do not depend on the seed; the generators
+and the work counters may.
 
 A cell of an ordered partition is the mask of its vertices, which take
 its positions in ascending vertex order.  The search carries each node's
@@ -129,7 +147,7 @@ def _partition(n: int, cells) -> tuple[list[int], list[int], int]:
     return mask_at, cell_of, live
 
 
-def refine(adj, mask_at, cell_of, live, active) -> int:
+def refine(adj, mask_at, cell_of, live, active, bound=None) -> int:
     """Equitable refinement of an ordered partition, in place; returns the
     new ``live``.
 
@@ -155,12 +173,16 @@ def refine(adj, mask_at, cell_of, live, active) -> int:
     if some member lies outside ``hit`` (count 0) or some plane cuts it.  A
     splitter that touches no live vertex, or splits no cell it touches, does
     no further work, and an empty splitter does nothing.
+
+    ``bound``, if given, is called as ``bound(mask_at, cell_of, stop)`` each
+    time a splitter has grown the run of singleton cells at positions
+    0..stop-1; once it returns True, ``refine`` stops and returns -1.
     """
     queue = list(active)  # read by the index i, in order
     queued = set(queue)
     discard = queued.discard
     discard(0)  # an empty splitter splits nothing
-    i = 0
+    i = stop = 0
     while live and i < len(queue):
         w = queue[i]
         i += 1
@@ -249,6 +271,14 @@ def refine(adj, mask_at, cell_of, live, active) -> int:
                 parts.remove(largest)  # the fragments are disjoint masks
             queue += parts
             queued.update(parts)
+        if bound is not None:
+            t = stop
+            while t < len(mask_at) and not mask_at[t] & (mask_at[t] - 1):
+                t += 1
+            if t > stop:
+                stop = t
+                if bound(mask_at, cell_of, stop):
+                    return -1
     return live
 
 
@@ -292,22 +322,23 @@ class CanonicalForm(Frozen):
 class Carried(Frozen):
     """A seed for the search of a graph isomorphic to ``source``: vertex x
     of ``source`` is vertex ``phi[x]`` of the graph searched, and ``group``
-    is the automorphism group that ``source``'s own search returned, each
-    of whose generators that search checked on ``source`` when it recorded
-    it.  The search checks ``phi`` as an isomorphism from ``source`` onto
-    its graph, so every map it carries through ``phi`` is an automorphism
-    there."""
+    and ``labeling`` are those that ``source``'s own search returned, which
+    checked each generator on ``source``.  The search checks ``phi`` as an
+    isomorphism onto its graph, so every map it carries through ``phi`` is
+    an automorphism there, and descends ``labeling``'s path first."""
 
-    _compared = _shown = ("source", "group", "phi")
+    _compared = _shown = ("source", "group", "phi", "labeling")
 
-    def __init__(self, source: ColoredGraph, group: PermutationGroup, phi: Perm):
+    def __init__(self, source: ColoredGraph, group: PermutationGroup, phi: Perm,
+                 labeling: Perm):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "labeling", labeling)
 
 
 class _Search:
-    """The search tree of ``cg``, pruned by the three rules of the module
+    """The search tree of ``cg``, pruned by the rules of the module
     docstring; its group starts at the first leaf from ``known``, a
     ``Carried`` group whose relabeling it checks first, or trivial."""
 
@@ -336,12 +367,19 @@ class _Search:
             if known.source.n != self.n or known.group.degree != self.n:
                 raise ValueError(f"carried group acts on {known.group.degree} points "
                                  f"of a {known.source.n}-vertex graph, not {self.n}")
+            if sorted(known.labeling) != list(range(self.n)):
+                raise ValueError("carried labeling is not a permutation of the vertices")
             fault = ("is not a permutation of the vertices"
                      if sorted(known.phi) != list(range(self.n))
                      else self._fault(inverse(known.phi), known.source))
             if fault:
                 raise ValueError(f"relabeling {fault}")
         self.seed = known
+        # the vertex to enter first below a node on the carried path, by its
+        # target cell's start, and the carried path entered so far
+        self.guide = None if known is None else compose(inverse(known.labeling), known.phi)
+        self.carried: list[int] = []
+        self.bound = None  # refine's abort, while the first leaf is the best
         self.first_cert = None
         self.first_lab: Perm | None = None
         self.base: list[int] = []
@@ -357,8 +395,11 @@ class _Search:
         mask_at, cell_of, live = _partition(self.n, initial)
         live = refine(self.adj, mask_at, cell_of, live, initial)
         self._node(mask_at, cell_of, live, [])
+        labeling = self.best_lab
+        if self.seed is not None:  # the first smallest leaf in plain depth-first order
+            labeling = compose(inverse(self.group.least_image(self.best_path)), labeling)
         return CanonicalForm(
-            labeling=self.best_lab,
+            labeling=labeling,
             certificate=self.best_cert,
             group=self.group,
             nodes=self.nodes,
@@ -376,17 +417,21 @@ class _Search:
         if not live:
             self._leaf(cell_of, prefix)
             return
-        if self.first_cert is not None and self._worse_below(mask_at, cell_of):
-            self.pruned += 1
+        if live < 0 or self.first_cert is not None and self._worse_below(mask_at, cell_of):
+            self.pruned += 1  # refine aborted, or the bound holds
             return
         s = _target_start(mask_at, cell_of, live)
         target = mask_at[s]
         k = len(prefix)
-        processed = 0
+        processed = lead = 0
+        if self.guide is not None and prefix == self.carried and target >> self.guide[s] & 1:
+            lead = 1 << self.guide[s]
+            self.carried = prefix + [self.guide[s]]
         orbits = None
         todo = target
         while todo:
-            bit = todo & -todo
+            bit = lead or todo & -todo
+            lead = 0
             todo ^= bit
             v = bit.bit_length() - 1
             if processed:  # so the first leaf, and the group, exist
@@ -406,7 +451,7 @@ class _Search:
                 m ^= low
             # a two-vertex target leaves two singletons
             child_live = live & ~bit if rest & (rest - 1) else live & ~target
-            child_live = refine(self.adj, child_at, child_of, child_live, [bit])
+            child_live = refine(self.adj, child_at, child_of, child_live, [bit], self.bound)
             self._node(child_at, child_of, child_live, prefix + [v])
             processed |= bit
             if self.backjump is not None:
@@ -480,6 +525,24 @@ class _Search:
         first = self.first_cert[1]
         return not all(fits(first[q], k) for q, (k, _) in enumerate(rows()))
 
+    def _worse_prefix(self, mask_at, cell_of, stop) -> bool:
+        """Whether the singletons at positions 0..stop-1 of a partition in
+        refinement prove every leaf below it above the best: vertex v at
+        position p keeps it in each such leaf, with |N(v) ∩ D| bits in the
+        range of each cell D, so its row is at least ``lo``, the lowest
+        such bits (see ``_worse_below``)."""
+        best = self.best_cert[1]
+        for p in range(stop):
+            lo = 0
+            for u in self.nbrs[mask_at[p].bit_length() - 1]:
+                d = cell_of[u]
+                while lo >> d & 1:  # the lowest free position of u's cell
+                    d += 1
+                lo |= 1 << d
+            if lo != best[p]:
+                return lo > best[p]
+        return False
+
     def _leaf(self, cell_of, prefix) -> None:
         """A discrete partition: each vertex's cell start is its position."""
         self.leaves += 1
@@ -493,6 +556,7 @@ class _Search:
                 self.group = PermutationGroup(self.n, base=prefix)
             else:
                 self.group = self.seed.group.with_base(tuple(prefix), self.seed.phi)
+                self.bound = self._worse_prefix
             return
         if cert == self.first_cert:
             seen_lab, seen_path = self.first_lab, self.base
@@ -501,6 +565,7 @@ class _Search:
         else:
             if cert < self.best_cert:
                 self.best_cert, self.best_lab, self.best_path = cert, lab, list(prefix)
+                self.bound = None
             return
         self._record_automorphism(seen_lab, lab)
         # The new automorphism fixes the common prefix of this leaf's path

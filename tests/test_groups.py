@@ -14,10 +14,10 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from references import (IDENTITY, brute_elements, chain_contents, chain_levels, check_complete,
-                        colored_graphs, conjugated, conjugated_chain, full_rescan_grow_orbit,
-                        recursive_insert, recursive_order, search_key, sifted_members,
-                        two_translate_schreier_pass)
+from references import (IDENTITY, TEXTBOOK, brute_elements, chain_contents, chain_levels,
+                        check_complete, colored_graphs, conjugated, conjugated_chain,
+                        full_rescan_grow_orbit, recursive_insert, recursive_order, search_key,
+                        sifted_members, two_translate_schreier_pass)
 
 from pg552 import groups
 from pg552 import incidence as inc
@@ -333,6 +333,54 @@ def test_conjugate_group_equals_the_group_of_conjugated_generators(group, data):
         tests += [word(rng, renamed, 5) for _ in range(20)]
     for p in tests:
         assert got.contains(p) == want.contains(p)
+
+
+# --- least images ------------------------------------------------------------
+
+
+def check_least_image(grp, elements, points):
+    """``least_image(points)`` is an element of ``elements``, the whole
+    group, whose images of ``points`` are the least over all of them."""
+    g = grp.least_image(points)
+    assert bytes(g) in elements
+    assert tuple(g[p] for p in points) == min(tuple(e[p] for p in points) for e in elements)
+
+
+@pytest.mark.parametrize("name", ["w2", "pg23", "net(3,3)", "net(4,3)"])
+def test_least_image_on_textbook_groups(name, monkeypatch):
+    grp = sym.aut_incidence(dict(TEXTBOOK)[name])
+    n = grp.degree
+    elements = brute_elements(n, grp.generators)
+    on_base = [level.basepoint for level in chain_levels(grp._chain)]
+    rng = random.Random(name)
+    off_base = [tuple(rng.sample(range(n), k)) for k in range(n + 1)]
+    for points in off_base:
+        check_least_image(grp, elements, points)
+    # points that start the chain's base are read off its transversals
+    monkeypatch.setattr(groups, "_rebase", None)
+    for points in [on_base[:k] for k in range(len(on_base) + 1)] + [on_base + [0, 1]]:
+        check_least_image(grp, elements, points)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(permutation_groups(max_n=8, max_gens=3), st.data())
+def test_least_image_is_the_least_over_all_elements(group, data):
+    n, gens, base = group
+    grp = groups.PermutationGroup(n, gens, base=base)
+    elements = brute_elements(n, gens)
+    on_base = [level.basepoint for level in chain_levels(grp._chain)]
+    cut = data.draw(st.integers(0, len(on_base)))
+    off = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+    for points in (on_base[:cut], on_base[:cut] + off, off):
+        check_least_image(grp, elements, points)
+
+
+@pytest.mark.parametrize("points", [(4,), (0, -1), (1, 2, 300)])
+def test_least_image_refuses_points_out_of_range(points):
+    grp = groups.PermutationGroup(4, [(1, 0, 3, 2), (2, 3, 0, 1)])
+    with pytest.raises(ValueError, match="point .* out of range 0..3"):
+        grp.least_image(points)
+    assert grp.least_image((3, 1)) == (3, 2, 1, 0)  # the one element sending 3 to 0
 
 
 # --- the search's group, placed without Schreier passes ---------------------

@@ -216,6 +216,20 @@ def partition_cells(n, mask_at, cell_of, live):
     return cells
 
 
+def coarsens(coarse, fine):
+    """Whether each cell of the cell list ``coarse`` is the union of the
+    next consecutive cells of ``fine``, as a refinement part way leaves it."""
+    rest = iter(fine)
+    for cell in coarse:
+        union = 0
+        while union != cell:
+            part = next(rest, 0)
+            if not part or part & ~cell:
+                return False
+            union |= part
+    return next(rest, None) is None
+
+
 def is_equitable(adj, cells):
     for a in cells:
         for b in cells:
@@ -466,7 +480,7 @@ def test_canonical_form_refuses_rows_it_cannot_decide(monkeypatch):
     # vertex 0's row names vertex 2 of a 2-vertex graph, searched unseeded
     # or seeded by a group carried onto it
     cg = sym.ColoredGraph(2, (4, 0), (0, 0))
-    for known in (None, sym.Carried(cg, groups.PermutationGroup(2), (0, 1))):
+    for known in (None, sym.Carried(cg, groups.PermutationGroup(2), (0, 1), (0, 1))):
         with pytest.raises(ValueError, match="vertex 0: neighbour out of range"):
             sym.canonical_form(cg, known)
     # two isomorphic digraphs; refinement from these rows tells them apart
@@ -587,23 +601,50 @@ def subtree_leaves(adj, cells):
         yield from subtree_leaves(adj, refined(adj, child, [1 << v]))
 
 
-class _CheckedSearch(sym._Search):
-    """Enumerates the whole subtree of each node the bound prunes."""
+def child_cells(adj, parent, v):
+    """The cell list of the child that individualizes v below the cell
+    list ``parent``, refined from scratch."""
+    bit = 1 << v
+    child = []
+    for cell in parent:
+        child += [bit, cell & ~bit] if cell & bit else [cell]
+    return refined(adj, child, [bit])
 
-    checked = 0
+
+class _CheckedSearch(sym._Search):
+    """Enumerates the whole subtree of each node the bound prunes, and of
+    each child whose refinement was aborted, refined afresh from its
+    parent's cells."""
+
+    checked = aborted = 0
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.parents = []  # the cell lists of the nodes on the current path
+
+    def _node(self, mask_at, cell_of, live, prefix):
+        if live < 0:
+            self.aborted += 1
+            self._check_worse(child_cells(self.adj, self.parents[-1], prefix[-1]))
+        self.parents.append(list(filter(None, mask_at)))
+        super()._node(mask_at, cell_of, live, prefix)
+        self.parents.pop()
 
     def _worse_below(self, mask_at, cell_of):
         pruned = super()._worse_below(mask_at, cell_of)
         if pruned:
             self.checked += 1
-            for leaf in subtree_leaves(self.adj, list(filter(None, mask_at))):
-                lab = [0] * self.n
-                for pos, cell in enumerate(leaf):
-                    lab[cell.bit_length() - 1] = pos
-                cert = self._certificate(tuple(lab))
-                assert cert > self.best_cert
-                assert cert != self.first_cert
+            self._check_worse(list(filter(None, mask_at)))
         return pruned
+
+    def _check_worse(self, cells):
+        for leaf in subtree_leaves(self.adj, cells):
+            lab = [0] * self.n
+            for pos, cell in enumerate(leaf):
+                lab[cell.bit_length() - 1] = pos
+            cert = self._certificate(tuple(lab))
+            assert cert > self.best_cert
+            assert cert != self.first_cert
 
 
 class _UnprunedSearch(sym._Search):
@@ -627,18 +668,32 @@ def pruning_cases():
     yield "relabeled-switched-geometry", sym.colored_incidence_graph(relabeled)
 
 
+def carried_cases():
+    """Each graph of ``pruning_cases`` relabeled, with a seed that carries
+    its own search's group and labeling, as the certificate-stability claim
+    seeds its searches."""
+    rng = random.Random(5)
+    for name, cg in pruning_cases():
+        perm = tuple(rng.sample(range(cg.n), cg.n))
+        cf = sym.canonical_form(cg)
+        yield f"{name}-carried", relabel(cg, perm), sym.Carried(cg, cf.group, perm, cf.labeling)
+
+
 @pytest.mark.parametrize(
-    "cg", [pytest.param(cg, id=name) for name, cg in pruning_cases()]
+    "cg, known",
+    [pytest.param(cg, None, id=name) for name, cg in pruning_cases()]
+    + [pytest.param(cg, known, id=name) for name, cg, known in carried_cases()],
 )
-def test_pruned_subtrees_hold_only_worse_leaves(cg):
-    search = _CheckedSearch(cg)
+def test_pruned_subtrees_hold_only_worse_leaves(cg, known):
+    search = _CheckedSearch(cg, known)
     cf = search.run()
-    assert search.checked == cf.pruned > 0
+    assert search.checked + search.aborted == cf.pruned > 0
+    assert (search.aborted > 0) == (known is not None)  # only a carried search aborts
     ref = _UnprunedSearch(cg).run()
     assert ref.pruned == 0 and ref.leaves > cf.leaves
-    assert (cf.labeling, cf.certificate, cf.group.generators, cf.group.order()) == (
-        ref.labeling, ref.certificate, ref.group.generators, ref.group.order()
-    )
+    assert seed_free(cf) == seed_free(ref)
+    if known is None:
+        assert cf.group.generators == ref.group.generators
 
 
 # --- cached pruning orbits --------------------------------------------------
@@ -710,23 +765,26 @@ def test_cached_pruning_orbits_equal_recomputed_ones(cg):
 class _ArrayCheckedSearch(sym._Search):
     """At every node, checks the carried arrays against the partition they
     describe and against a from-scratch refinement of the parent's cell
-    list with the individualized vertex split off, and checks that the
-    children leave the node's arrays as they were."""
+    list with the individualized vertex split off, which must refine them
+    where ``refine`` was aborted, and checks that the children leave the
+    node's arrays as they were."""
 
-    checked = 0
+    checked = aborted = 0
 
-    def __init__(self, cg):
-        super().__init__(cg)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self.parents = []  # the cell lists of the nodes on the current path
 
     def _node(self, mask_at, cell_of, live, prefix):
-        cells = partition_cells(self.n, mask_at, cell_of, live)
+        if live < 0:  # refine stopped part way, and returned no live mask
+            self.aborted += 1
+            nonsingleton = sum(cell for cell in filter(None, mask_at) if cell & (cell - 1))
+            cells = partition_cells(self.n, mask_at, cell_of, nonsingleton)
+        else:
+            cells = partition_cells(self.n, mask_at, cell_of, live)
         if prefix:
-            bit = 1 << prefix[-1]
-            child = []
-            for cell in self.parents[-1]:
-                child += [bit, cell & ~bit] if cell & bit else [cell]
-            assert cells == refined(self.adj, child, [bit])
+            want = child_cells(self.adj, self.parents[-1], prefix[-1])
+            assert coarsens(cells, want) if live < 0 else cells == want
             self.checked += 1
         saved = list(mask_at), list(cell_of), live
         self.parents.append(cells)
@@ -736,16 +794,19 @@ class _ArrayCheckedSearch(sym._Search):
 
 
 @pytest.mark.parametrize(
-    "cg", [pytest.param(cg, id=name) for name, cg in orbit_cases()]
+    "cg, known",
+    [pytest.param(cg, None, id=name) for name, cg in orbit_cases()]
+    + [pytest.param(cg, known, id=name) for name, cg, known in carried_cases()],
 )
-def test_carried_partition_arrays_match_refinement_from_scratch(cg):
-    search = _ArrayCheckedSearch(cg)
+def test_carried_partition_arrays_match_refinement_from_scratch(cg, known):
+    search = _ArrayCheckedSearch(cg, known)
     cf = search.run()
     assert search.checked == cf.nodes - 1 > 0
+    assert search.aborted <= cf.pruned and (search.aborted > 0) == (known is not None)
     ref = sym.canonical_form(cg)
-    assert (cf.labeling, cf.certificate, cf.group.generators) == (
-        ref.labeling, ref.certificate, ref.group.generators
-    )
+    assert seed_free(cf) == seed_free(ref)
+    if known is None:
+        assert cf.group.generators == ref.group.generators
 
 
 # --- pinned canonical forms -------------------------------------------------
@@ -870,7 +931,14 @@ def carried_seed(g, perm):
     it, carried to ``relabel_incidence(g, perm)`` through the relabeling of
     g's incidence graph onto its incidence graph."""
     _, phi = relabeling(g, perm)
-    return sym.Carried(sym.colored_incidence_graph(g), sym.incidence_form(g).group, phi)
+    form = sym.incidence_form(g)
+    return sym.Carried(sym.colored_incidence_graph(g), form.group, phi, form.labeling)
+
+
+def moved_labeling(seed):
+    """The seed's labeling moved through its relabeling: a seed with the
+    identity relabeling and this labeling descends the same path first."""
+    return groups.compose(groups.inverse(seed.phi), seed.labeling)
 
 
 def seed_free(cf):
@@ -882,25 +950,30 @@ def seed_free(cf):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(colored_graphs(), st.data())
 def test_seeded_search_finds_the_canonical_form(cg, data):
+    # the carried labeling is any permutation, the source's own among them,
+    # so the carried path may leave the target cell, and the best leaf may
+    # lie off the first path, whose chain is then re-based to read the
+    # labeling off the group
     perm = tuple(data.draw(st.permutations(range(cg.n))))
     h = relabel(cg, perm)
     cf = sym.canonical_form(cg)
+    labeling = data.draw(st.one_of(st.just(cf.labeling), st.permutations(range(cg.n)).map(tuple)))
     known = conjugated(cf.group.generators, perm)
     want = seed_free(_FirstPathSearch(h).run())
-    unseeded = sym.canonical_form(h)
-    assert seed_free(unseeded) == want
-    assert search_key(unseeded) == search_key(sym.canonical_form(h, listed(h, [])))
-    by_list = sym.canonical_form(h, listed(h, known))
+    assert seed_free(sym.canonical_form(h)) == want
+    seed = sym.Carried(cg, cf.group, perm, labeling)
+    moved = moved_labeling(seed)
+    assert seed_free(sym.canonical_form(h, listed(h, [], moved))) == want
+    by_list = sym.canonical_form(h, listed(h, known, moved))
     assert seed_free(by_list) == want
-    by_seed = sym.canonical_form(h, sym.Carried(cg, cf.group, perm))
-    assert search_key(by_seed) == search_key(by_list)
+    assert search_key(sym.canonical_form(h, seed)) == search_key(by_list)
 
 
 @pytest.mark.parametrize("name", list(PINNED_FORMS))
 def test_seeded_search_on_pinned_graphs(name, vls, new):
     cg = PINNED_FORMS[name][0](vls, new)
     cf = sym.canonical_form(cg)
-    seeded = sym.canonical_form(cg, listed(cg, cf.group.generators))
+    seeded = sym.canonical_form(cg, listed(cg, cf.group.generators, cf.labeling))
     assert seed_free(seeded) == seed_free(cf)
     assert seeded.leaves <= cf.leaves
 
@@ -914,7 +987,7 @@ def test_seeded_search_on_relabeled_geometries(case):
     want = sym.incidence_form(g).certificate
     old = _FirstPathSearch(cg).run()
     assert old.certificate == want
-    for known in (None, listed(cg, carried(g, h, perm))):
+    for known in (None, listed(cg, carried(g, h, perm), moved_labeling(carried_seed(g, perm)))):
         cf = sym.canonical_form(cg, known)
         assert seed_free(cf) == seed_free(old)
         assert cf.leaves <= old.leaves
@@ -945,7 +1018,8 @@ def test_seeding_with_a_carried_group(case):
     assert known == carried(g, h, perm)
     search = _FirstPathRecordingSearch(cg, seed)
     by_seed = search.run()
-    assert search_key(by_seed) == search_key(sym.canonical_form(cg, listed(cg, known)))
+    by_list = sym.canonical_form(cg, listed(cg, known, moved_labeling(seed)))
+    assert search_key(by_seed) == search_key(by_list)
     assert seed_free(by_seed) == seed_free(sym.canonical_form(cg))
     assert by_seed.group is not seed.group and seed.group.order() == by_seed.group.order()
     explicit = conjugated_chain(seed.group._chain, seed.phi)
@@ -963,37 +1037,46 @@ def test_carried_relabeling_must_be_an_isomorphism(case):
     assert not is_automorphism(seed.source, (1, 0) + identity[2:])
     swapped = (seed.phi[1], seed.phi[0]) + seed.phi[2:]
     with pytest.raises(ValueError, match="relabeling is not an isomorphism"):
-        sym.canonical_form(cg, sym.Carried(seed.source, seed.group, swapped))
+        sym.canonical_form(cg, sym.Carried(seed.source, seed.group, swapped, seed.labeling))
     # the point and the line that phi sends to h's vertices 0 and 81 trade
     # images, so the check meets the wrong colour at vertex 0 first
     point, line = seed.phi.index(0), seed.phi.index(81)
     recoloured = list(seed.phi)
     recoloured[point], recoloured[line] = 81, 0
     with pytest.raises(ValueError, match="relabeling does not preserve colors"):
-        sym.canonical_form(cg, sym.Carried(seed.source, seed.group, tuple(recoloured)))
+        sym.canonical_form(cg, sym.Carried(seed.source, seed.group, tuple(recoloured),
+                                           seed.labeling))
     with pytest.raises(ValueError, match="relabeling is not a permutation"):
-        sym.canonical_form(cg, sym.Carried(seed.source, seed.group, seed.phi[:-1]))
+        sym.canonical_form(cg, sym.Carried(seed.source, seed.group, seed.phi[:-1], seed.labeling))
     with pytest.raises(ValueError, match="carried group acts on 80 points"):
-        sym.canonical_form(cg, sym.Carried(seed.source, groups.PermutationGroup(80), seed.phi))
+        sym.canonical_form(cg, sym.Carried(seed.source, groups.PermutationGroup(80), seed.phi,
+                                           seed.labeling))
+    # a labeling with a repeated position, and one a vertex short
+    for labeling in (seed.labeling[1:2] + seed.labeling[1:], seed.labeling[:-1]):
+        with pytest.raises(ValueError, match="carried labeling is not a permutation of the vertices"):
+            sym.canonical_form(cg, sym.Carried(seed.source, seed.group, seed.phi, labeling))
 
 
 # summed (nodes, leaves, pruned) of the first five seeded relabeled searches
 # per geometry of the certificate-stability claim, recorded with the
-# searches seeded by explicitly conjugated groups at commit 3ef1bc9
-PINNED_CLAIM_WORK = {"vls": (35, 5, 0), "new": (76, 15, 16)}
+# searches seeded by explicitly conjugated groups at commit 3ef1bc9; the
+# switched geometry's recorded again (it was (76, 15, 16)) once the search
+# descended the carried path first and aborted refinements
+PINNED_CLAIM_WORK = {"vls": (35, 5, 0), "new": (65, 5, 25)}
 
 
 def test_claim_search_work_is_pinned(vls, new):
     # the loop of cli._claim_isomorphism_and_duality with 5 relabelings
     rng = random.Random(20210522)
     for name, g in [("vls", vls), ("new", new)]:
-        source, group = sym.colored_incidence_graph(g), sym.incidence_form(g).group
+        source, form = sym.colored_incidence_graph(g), sym.incidence_form(g)
         work = [0, 0, 0]
         for _ in range(5):
             perm = list(range(g.v))
             rng.shuffle(perm)
             h, phi = relabeling(g, perm)
-            cf = sym.canonical_form(sym.colored_incidence_graph(h), sym.Carried(source, group, phi))
+            seed = sym.Carried(source, form.group, phi, form.labeling)
+            cf = sym.canonical_form(sym.colored_incidence_graph(h), seed)
             assert cf.certificate == sym.incidence_form(g).certificate
             work = [a + b for a, b in zip(work, (cf.nodes, cf.leaves, cf.pruned))]
         assert tuple(work) == PINNED_CLAIM_WORK[name], name
@@ -1016,20 +1099,29 @@ class _PrefixRecordingSearch(sym._Search):
     [pytest.param(c, id=c[0]) for c in relabeled_geometries(2) if c[0].startswith("switched")],
 )
 def test_seeded_search_enters_one_prefix_per_orbit(case):
-    # Seeded with the whole group, off-path pruning under the prefix's
-    # pointwise stabilizer enters a node only if its prefix is the least
-    # of its orbit: no two entered sibling subtrees are equivalent.
+    # Seeded with the whole group, off-path pruning under the pointwise
+    # stabilizer of a node's prefix enters a child only if no sibling
+    # entered before it lies in its orbit, so each entered child is the
+    # least of its orbit, or the carried child that is entered first; no
+    # two entered sibling subtrees are equivalent.  Children whose
+    # refinement was aborted are entered too.
     _, g, h, perm = case
     cg = sym.colored_incidence_graph(h)
     known = carried(g, h, perm)
     assert all(is_automorphism(cg, a) for a in known)
     elements = brute_elements(cg.n, known, ELEMENT_LIMIT)
     assert elements is not None and len(elements) == 972
-    search = _PrefixRecordingSearch(cg, listed(cg, known))
+    search = _PrefixRecordingSearch(cg, listed(cg, known, moved_labeling(carried_seed(g, perm))))
     cf = search.run()
-    assert len(search.prefixes) == cf.nodes
-    for prefix in search.prefixes:
-        assert min(tuple(a[p] for p in prefix) for a in elements) == prefix
+    assert len(search.prefixes) == cf.nodes and cf.pruned > 0
+    assert search.prefixes[0] == ()
+    orbits = set()
+    for prefix in search.prefixes[1:]:
+        *parent, v = prefix
+        orbit = {a[v] for a in elements if all(a[p] == p for p in parent)}
+        assert v == min(orbit) or list(prefix) == search.carried[: len(prefix)]
+        assert (tuple(parent), min(orbit)) not in orbits
+        orbits.add((tuple(parent), min(orbit)))
 
 
 class _SkipCheckedSearch(sym._Search):
@@ -1078,7 +1170,8 @@ def skip_cases():
     for name, g, h, perm in relabeled_geometries(2):
         cg = sym.colored_incidence_graph(h)
         yield name, cg, None
-        yield f"{name}-seeded", cg, listed(cg, carried(g, h, perm))
+        yield f"{name}-seeded", cg, listed(cg, carried(g, h, perm),
+                                         moved_labeling(carried_seed(g, perm)))
 
 
 def test_off_path_skips_are_images_under_checked_automorphisms():
@@ -1132,18 +1225,24 @@ def test_refine_matches_reference_on_random_partitions(case):
     "case", [pytest.param(c, id=c[0]) for c in relabeled_geometries(2)]
 )
 def test_refine_matches_reference_on_seeded_relabelings(case, monkeypatch):
-    # every refinement of the search the certificate-stability claim runs
-    _, g, h, perm = case
+    # every refinement of the search the certificate-stability claim runs,
+    # in full against the reference; where the search's bound aborts it,
+    # the full refinement must refine the partition it left
+    name, g, h, perm = case
     real = sym.refine
-    calls = 0
+    calls = aborted = 0
 
-    def compared(adj, mask_at, cell_of, live, active):
-        nonlocal calls
+    def compared(adj, mask_at, cell_of, live, active, bound=None):
+        nonlocal calls, aborted
         calls += 1
         got, want = both_refinements(real, adj, mask_at, cell_of, live, active)
         assert got == want
-        live = real(adj, mask_at, cell_of, live, active)
-        assert (mask_at, cell_of, live) == got
+        live = real(adj, mask_at, cell_of, live, active, bound)
+        if live < 0:
+            aborted += 1
+            assert coarsens(list(filter(None, mask_at)), list(filter(None, got[0])))
+        else:
+            assert (mask_at, cell_of, live) == got
         return live
 
     seed, want = carried_seed(g, perm), sym.incidence_form(g).certificate
@@ -1151,6 +1250,7 @@ def test_refine_matches_reference_on_seeded_relabelings(case, monkeypatch):
     cf = sym.canonical_form(sym.colored_incidence_graph(h), seed)
     assert cf.certificate == want
     assert calls == cf.nodes  # one refinement per node, the root's in run()
+    assert aborted <= cf.pruned and (aborted > 0) == name.startswith("switched")
 
 
 def set_closure(points, gens):
