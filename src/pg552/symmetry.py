@@ -20,7 +20,7 @@ So each automorphism is placed in the chain without Schreier passes
 (``PermutationGroup.add_strong``), which would only sift Schreier
 generators to the identity; a seeded search adds them with the passes.
 
-Four rules prune the tree (nauty's, McKay and Piperno 2014, section 3):
+Three rules prune the tree (nauty's, McKay and Piperno 2014, section 3):
 
 - Orbit pruning: a node skips a child in the orbit of a processed sibling
   under the pointwise stabilizer of the node's prefix in the group found so
@@ -33,13 +33,14 @@ Four rules prune the tree (nauty's, McKay and Piperno 2014, section 3):
   paths onto the current one, so the search unwinds to the fork.
 - Certificate bound: once a first leaf exists, a node is skipped when its
   equitable partition proves that every leaf below it has a certificate
-  above the best one so far and unequal to the first one.
-- Abort: in a seeded search, while the first leaf is the best, a child's
-  ``refine`` stops, the child counted as pruned, once the singletons at
-  the start of its partition prove every leaf below it above the best
-  (``_worse_prefix``), read each time that run of singletons grows.  An
-  unseeded search's first leaf is seldom its best, and there the bound
-  costs more than it prunes.
+  above the best one so far and unequal to the first one.  A leaf's row
+  at a position is at least ``_lowest`` of the neighbours of that
+  position's cell (``_Search._above_best``).  In a seeded search, while
+  the first leaf is the best, the bound is also read inside a child's
+  ``refine`` each time the run of singletons at the start of its
+  partition grows; once it holds, the refinement stops and the child
+  counts as pruned.  An unseeded search's first leaf is seldom its best,
+  and there that reading costs more than it prunes.
 
 The group may be seeded with the group an isomorphic graph's own search
 returned, a relabeling φ onto this graph and that search's labeling λ
@@ -52,11 +53,11 @@ first path (``PermutationGroup.with_base``).  A seeded search descends
 the image of λ's path first: below the root, and below each child so
 entered, it enters the child φ(λ⁻¹(s)) first, s the start of the target
 cell, if the cell holds it, then the rest in ascending order.  So its
-first leaf is as a rule the best one, which the abort needs.
+first leaf is as a rule the best one, which the bound in ``refine`` needs.
 
 Whatever the seed and the child order, the group found is the full
-automorphism group and the smallest certificate is reached: the bound and
-the abort skip only leaves above the best and unequal to the first, and
+automorphism group and the smallest certificate is reached: the bound
+skips only leaves above the best and unequal to the first, and
 orbit pruning and backjumps only images, under the group found, of leaves
 processed.  The leaves with the smallest certificate form one orbit of
 the group, and depth-first order is the lexicographic order of paths, so
@@ -295,6 +296,19 @@ def _target_start(mask_at, cell_of, live) -> int:
     return best[1]
 
 
+def _lowest(members, start) -> int:
+    """The lowest row with one bit in the position range of each member's
+    cell, ``start[u]`` the start of member u's cell: each member takes the
+    lowest free position of its cell's range."""
+    lo = 0
+    for u in members:
+        d = start[u]
+        while lo >> d & 1:
+            d += 1
+        lo |= 1 << d
+    return lo
+
+
 class CanonicalForm(Frozen):
     """Canonical labeling (vertex -> canonical position), a certificate that
     two colored graphs share iff they are isomorphic, and the automorphism
@@ -379,7 +393,7 @@ class _Search:
         # target cell's start, and the carried path entered so far
         self.guide = None if known is None else compose(inverse(known.labeling), known.phi)
         self.carried: list[int] = []
-        self.bound = None  # refine's abort, while the first leaf is the best
+        self.bound = None  # the bound refine reads, while the first leaf is the best
         self.first_cert = None
         self.first_lab: Perm | None = None
         self.base: list[int] = []
@@ -418,7 +432,7 @@ class _Search:
             self._leaf(cell_of, prefix)
             return
         if live < 0 or self.first_cert is not None and self._worse_below(mask_at, cell_of):
-            self.pruned += 1  # refine aborted, or the bound holds
+            self.pruned += 1  # the bound held in refine, or holds here
             return
         s = _target_start(mask_at, cell_of, live)
         target = mask_at[s]
@@ -479,68 +493,44 @@ class _Search:
         cell_of)`` has a certificate above the best one and unequal to the
         first one, so that none of those leaves could change the search.
 
-        A leaf below puts a vertex of cell C at each position of C's range,
-        and the row there has exactly k(C, D) bits in the range of each
-        cell D, the neighbour count that equitability makes the same for
-        all of C.  The smallest such row, ``lo``, takes the lowest k(C, D)
-        positions of each range.  If the best certificate's rows equal
-        ``lo`` up to a position where ``lo`` exceeds its row, every leaf
-        below is above the best: where a leaf first leaves the best
-        certificate's rows, its row is at least ``lo`` and so above.  If
-        some row of the first certificate has other counts than k(C, D),
-        no leaf below equals the first certificate.  A cell is keyed by its
-        start, which ``cell_of`` gives for every vertex."""
-
-        def rows():
-            """The counts k(C, .) and the row ``lo`` at each position."""
-            s = 0
-            while s < self.n:
-                cell = mask_at[s]
-                k: dict[int, int] = {}
-                for u in self.nbrs[(cell & -cell).bit_length() - 1]:
-                    d = cell_of[u]
-                    k[d] = k.get(d, 0) + 1
-                lo = 0
-                for d, c in k.items():
-                    lo |= (1 << c) - 1 << d
-                size = cell.bit_count()
-                for _ in range(size):
-                    yield k, lo
-                s += size
-
-        def fits(row: int, k: dict[int, int]) -> bool:
-            return row.bit_count() == sum(k.values()) and all(
-                (row >> d & (1 << mask_at[d].bit_count()) - 1).bit_count() == c
-                for d, c in k.items()
-            )
-
-        best = self.best_cert[1]
-        for p, (_, lo) in enumerate(rows()):
-            if lo != best[p]:
-                break
-        else:
-            return False  # a leaf below may have the best certificate
-        if lo < best[p]:
+        Equitability gives all of a cell C the same neighbour counts, so a
+        row at a position of C's range in a leaf below, its bits pushed down
+        to the starts of their cells' ranges, has C's lowest row as its
+        ``_lowest``; no leaf below equals the first certificate if some row
+        of it does not."""
+        if not self._above_best(mask_at, cell_of, self.n):
             return False
+        at = sorted(cell_of)  # each position's cell start: a cell's, once per vertex
         first = self.first_cert[1]
-        return not all(fits(first[q], k) for q, (k, _) in enumerate(rows()))
+        p = 0
+        while p < self.n:
+            cell = mask_at[p]
+            lo = _lowest(self.nbrs[(cell & -cell).bit_length() - 1], cell_of)
+            end = p + cell.bit_count()
+            while p < end:
+                if _lowest(bits(first[p]), at) != lo:
+                    return True
+                p += 1
+        return False
 
-    def _worse_prefix(self, mask_at, cell_of, stop) -> bool:
-        """Whether the singletons at positions 0..stop-1 of a partition in
-        refinement prove every leaf below it above the best: vertex v at
-        position p keeps it in each such leaf, with |N(v) ∩ D| bits in the
-        range of each cell D, so its row is at least ``lo``, the lowest
-        such bits (see ``_worse_below``)."""
+    def _above_best(self, mask_at, cell_of, stop) -> bool:
+        """Whether the cells at positions 0..stop-1 of a partition prove
+        every leaf below it above the best.  A vertex v of cell C has
+        |N(v) ∩ D| bits in the range of each cell D, so a leaf's row at a
+        position of C's range is at least ``_lowest`` of v's neighbours;
+        where those first leave the best certificate's rows, every leaf is
+        above it if they are.  In ``refine``, before the partition is
+        equitable, they are singletons, whose counts are their own."""
         best = self.best_cert[1]
-        for p in range(stop):
-            lo = 0
-            for u in self.nbrs[mask_at[p].bit_length() - 1]:
-                d = cell_of[u]
-                while lo >> d & 1:  # the lowest free position of u's cell
-                    d += 1
-                lo |= 1 << d
-            if lo != best[p]:
-                return lo > best[p]
+        p = 0
+        while p < stop:
+            cell = mask_at[p]
+            lo = _lowest(self.nbrs[(cell & -cell).bit_length() - 1], cell_of)
+            end = p + cell.bit_count()
+            while p < end:
+                if lo != best[p]:
+                    return lo > best[p]
+                p += 1
         return False
 
     def _leaf(self, cell_of, prefix) -> None:
@@ -556,7 +546,7 @@ class _Search:
                 self.group = PermutationGroup(self.n, base=prefix)
             else:
                 self.group = self.seed.group.with_base(tuple(prefix), self.seed.phi)
-                self.bound = self._worse_prefix
+                self.bound = self._above_best
             return
         if cert == self.first_cert:
             seen_lab, seen_path = self.first_lab, self.base

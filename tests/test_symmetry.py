@@ -11,6 +11,7 @@ and the group the search places without Schreier passes, are tested in
 
 import hashlib
 import itertools
+import math
 import random
 import re
 
@@ -694,6 +695,80 @@ def test_pruned_subtrees_hold_only_worse_leaves(cg, known):
     assert seed_free(cf) == seed_free(ref)
     if known is None:
         assert cf.group.generators == ref.group.generators
+
+
+def check_lowest_rows(adj, mask_at, cell_of, stop, leaves):
+    """The lowest row of each cell that starts before ``stop``, counted
+    here (a vertex v of it takes the first |N(v) ∩ D| positions of the
+    range of each cell D), is ``_lowest`` of v's neighbours.  Each leaf's
+    row at each position of the cell is at least that row, and reduces to
+    it under ``_lowest`` once its bits are pushed down to the starts of
+    their cells' ranges."""
+    at = [s for s, cell in enumerate(mask_at) if cell for _ in range(cell.bit_count())]
+    lows = []
+    s = 0
+    while s < stop:
+        cell = mask_at[s]
+        nbrs = adj[cell.bit_length() - 1]
+        lo = 0
+        for d, other in enumerate(mask_at):
+            lo |= (1 << (nbrs & other).bit_count()) - 1 << d
+        assert sym._lowest(bits(nbrs), cell_of) == lo
+        lows.append((s, cell, lo))
+        s += cell.bit_count()
+    for leaf in leaves:
+        lab = [0] * len(adj)
+        for pos, cell in enumerate(leaf):
+            lab[cell.bit_length() - 1] = pos
+        for s, cell, lo in lows:
+            for pos in range(s, s + cell.bit_count()):
+                v = leaf[pos].bit_length() - 1
+                assert cell >> v & 1
+                row = permute_mask(adj[v], lab)
+                assert sym._lowest(bits(row), at) == lo and row >= lo
+
+
+def small_subtree(adj, cells, data, depth=0):
+    """The cell list of a node below the equitable ``cells``, at least
+    ``depth`` drawn individualizations deep, with at most 5! leaves below
+    it by the product of its cells' factorials."""
+    while True:
+        live = sum(cell for cell in cells if cell & (cell - 1))
+        room = math.prod(math.factorial(cell.bit_count()) for cell in cells)
+        if not live or depth <= 0 and room <= 120:
+            return cells
+        cells = child_cells(adj, cells, data.draw(st.sampled_from(list(bits(live)))))
+        depth -= 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(colored_graphs(), st.data())
+def test_lowest_row_bounds_every_leaf_below(cg, data):
+    # the fact the certificate bound reads at a node and inside refine:
+    # every leaf below a partition holds, at each position of a cell, a row
+    # with the cell's neighbour counts, so at least the cell's lowest row
+    adj, n = cg.adj, cg.n
+    initial = sym._initial_cells(cg)
+    cells = small_subtree(adj, refined(adj, initial, initial), data, data.draw(st.integers(0, 2)))
+    mask_at, cell_of, _ = sym._partition(n, cells)
+    check_lowest_rows(adj, mask_at, cell_of, n, subtree_leaves(adj, cells))
+    # the singletons at the start of a drawn ordered partition whose
+    # refinement was stopped part way, against the leaves below its end
+    order = data.draw(st.permutations(range(n)))
+    cuts = data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    bounds = [0, *(i for i, cut in enumerate(cuts, 1) if cut), n]
+    cells = [mask_of(order[a:b]) for a, b in zip(bounds, bounds[1:])]
+    calls = data.draw(st.integers(1, n))
+    seen = []
+
+    def bound(mask_at, cell_of, stop):
+        seen.append((list(mask_at), list(cell_of), stop))
+        return len(seen) == calls
+
+    sym.refine(adj, *sym._partition(n, cells), cells, bound)
+    leaves = list(subtree_leaves(adj, small_subtree(adj, refined(adj, cells, cells), data)))
+    for part_at, part_of, stop in seen:
+        check_lowest_rows(adj, part_at, part_of, stop, leaves)
 
 
 # --- cached pruning orbits --------------------------------------------------
