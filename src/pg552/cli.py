@@ -379,15 +379,14 @@ def _claim_isomorphism_and_duality(env) -> dict:
     witness, and each one's certificate is stable under random relabelings.
 
     Each relabeling h of g gets its own canonical search, seeded with the
-    automorphism group of g's incidence graph that g's own search returned
+    canonical form of g's incidence graph that g's own search returned
     and the relabeling phi of that graph onto h's.  The chain of trust: g's
     search checked each generator on g's incidence graph when it recorded
     it, and h's search checks phi as an isomorphism onto h's incidence
     graph, so every generator carried through phi is an automorphism of h.
-    The search uses the group only to skip subtrees whose certificates it
-    has already seen.  The certificate is the smallest leaf certificate of
-    h's search tree whatever the seed, so the original's group serves only
-    as a source of checked pruning."""
+    The carried group is complete, so h's search never adds to it and uses
+    it only to skip subtrees; a later leaf not above its first would raise,
+    so the certificate is the smallest leaf certificate of h's tree."""
     relabelings = env["relabelings"]
     iso = is_isomorphic(env["G"], env["Gp"])
     sd_vls, w_vls = is_self_dual(env["G"])
@@ -402,7 +401,7 @@ def _claim_isomorphism_and_duality(env) -> dict:
             rng.shuffle(perm)
             h, phi = _relabeled(source, nbrs, g.v, perm)
             # one search per relabeling, outside the cache of shared forms
-            c = canonical_form(h, Carried(source, form.group, phi, form.labeling)).certificate
+            c = canonical_form(h, Carried(source, form, phi)).certificate
             if c == form.certificate:
                 stable[name] += 1
     return {

@@ -18,7 +18,7 @@ it whose subtree is still open, and the search has by then found
 generators of the full pointwise stabilizer of the path one node deeper.
 So each automorphism is placed in the chain without Schreier passes
 (``PermutationGroup.add_strong``), which would only sift Schreier
-generators to the identity; a seeded search adds them with the passes.
+generators to the identity.
 
 Three rules prune the tree (nauty's, McKay and Piperno 2014, section 3):
 
@@ -35,38 +35,40 @@ Three rules prune the tree (nauty's, McKay and Piperno 2014, section 3):
   equitable partition proves that every leaf below it has a certificate
   above the best one so far and unequal to the first one.  A leaf's row
   at a position is at least ``_lowest`` of the neighbours of that
-  position's cell (``_Search._above_best``).  In a seeded search, while
-  the first leaf is the best, the bound is also read inside a child's
+  position's cell (``_Search._above_best``).  In a seeded search, whose
+  first leaf is the best, the bound is also read inside a child's
   ``refine`` each time the run of singletons at the start of its
   partition grows; once it holds, the refinement stops and the child
   counts as pruned.  An unseeded search's first leaf is seldom its best,
   and there that reading costs more than it prunes.
 
-The group may be seeded with the group an isomorphic graph's own search
-returned, a relabeling φ onto this graph and that search's labeling λ
-(``Carried``).  The search checks φ once as an isomorphism; that search
-checked each of the group's generators, so each one conjugated by φ is an
-automorphism here, and no map is checked twice.  At the first leaf an
-unseeded search starts from the trivial group on the first path; a seeded
-one from the seed's group renamed through φ, its chain re-based onto the
-first path (``PermutationGroup.with_base``).  A seeded search descends
-the image of λ's path first: below the root, and below each child so
-entered, it enters the child φ(λ⁻¹(s)) first, s the start of the target
-cell, if the cell holds it, then the rest in ascending order.  So its
-first leaf is as a rule the best one, which the bound in ``refine`` needs.
+The search may be seeded with the canonical form (group and labeling λ)
+that an isomorphic graph's own search returned, and a relabeling φ onto
+this graph (``Carried``).  The search checks φ once as an isomorphism;
+that search checked each of the group's generators, so each one
+conjugated by φ is an automorphism here, and no map is checked twice.
+At the first leaf an unseeded search starts from the trivial group on
+the first path; a seeded one from the seed's group renamed through φ,
+its chain re-based onto the first path (``PermutationGroup.with_base``).
+A seeded search descends the image of λ's path first: below the root,
+and below each child so entered, it enters the child φ(λ⁻¹(s)) first, s
+the start of the target cell, if the cell holds it, then the rest in
+ascending order.  Refinement commutes with relabeling, so its first leaf
+has the source's canonical certificate, the least in the tree.
 
-Whatever the seed and the child order, the group found is the full
-automorphism group and the smallest certificate is reached: the bound
-skips only leaves above the best and unequal to the first, and
-orbit pruning and backjumps only images, under the group found, of leaves
-processed.  The leaves with the smallest certificate form one orbit of
-the group, and depth-first order is the lexicographic order of paths, so
-the first of them in plain depth-first order is the best leaf's image
-under ``PermutationGroup.least_image(best path)``, whose labeling a seeded
-search returns.  An unseeded search skips only leaves with an equal one
-earlier in that order, so its first smallest leaf is that one.  The
-labeling and the certificate do not depend on the seed; the generators
-and the work counters may.
+Without a seed, the group found is the full automorphism group and the
+first smallest leaf in depth-first order is reached: the bound skips
+only leaves above the best and unequal to the first, and orbit pruning
+and backjumps only images, under the group found, of leaves processed
+earlier.  A seed's group is complete, so a seeded search skips each leaf
+equal to its first and never grows its group; a later leaf not above its
+first shows the seed no complete canonical form, or ``refine`` dependent
+on vertex names, and raises ``AssertionError``.  The smallest leaves form one orbit of
+the group, and depth-first order is the lexicographic order of paths,
+so the first of them is the seeded search's first leaf's image under
+``PermutationGroup.least_image`` of its path, whose labeling it returns.
+The labeling and the certificate do not depend on the seed; the
+generators and the work counters may.
 
 A cell of an ordered partition is the mask of its vertices, which take
 its positions in ascending vertex order.  The search carries each node's
@@ -335,26 +337,24 @@ class CanonicalForm(Frozen):
 
 class Carried(Frozen):
     """A seed for the search of a graph isomorphic to ``source``: vertex x
-    of ``source`` is vertex ``phi[x]`` of the graph searched, and ``group``
-    and ``labeling`` are those that ``source``'s own search returned, which
+    of ``source`` is vertex ``phi[x]`` of the graph searched, and ``form``
+    is the canonical form that ``source``'s own search returned, which
     checked each generator on ``source``.  The search checks ``phi`` as an
     isomorphism onto its graph, so every map it carries through ``phi`` is
-    an automorphism there, and descends ``labeling``'s path first."""
+    an automorphism there, and descends the form's labeling's path first."""
 
-    _compared = _shown = ("source", "group", "phi", "labeling")
+    _compared = _shown = ("source", "form", "phi")
 
-    def __init__(self, source: ColoredGraph, group: PermutationGroup, phi: Perm,
-                 labeling: Perm):
+    def __init__(self, source: ColoredGraph, form: CanonicalForm, phi: Perm):
         object.__setattr__(self, "source", source)
-        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "form", form)
         object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "labeling", labeling)
 
 
 class _Search:
     """The search tree of ``cg``, pruned by the rules of the module
     docstring; its group starts at the first leaf from ``known``, a
-    ``Carried`` group whose relabeling it checks first, or trivial."""
+    ``Carried`` form whose relabeling it checks first, or trivial."""
 
     def __init__(self, cg: ColoredGraph, known: Carried | None = None):
         if cg.n > 256:  # the stabilizer chain's byte strings hold 256 points
@@ -378,11 +378,9 @@ class _Search:
         self.n = cg.n
         self.colors = cg.colors
         if known is not None:
-            if known.source.n != self.n or known.group.degree != self.n:
-                raise ValueError(f"carried group acts on {known.group.degree} points "
+            if known.source.n != self.n or known.form.group.degree != self.n:
+                raise ValueError(f"carried group acts on {known.form.group.degree} points "
                                  f"of a {known.source.n}-vertex graph, not {self.n}")
-            if sorted(known.labeling) != list(range(self.n)):
-                raise ValueError("carried labeling is not a permutation of the vertices")
             fault = ("is not a permutation of the vertices"
                      if sorted(known.phi) != list(range(self.n))
                      else self._fault(inverse(known.phi), known.source))
@@ -391,9 +389,9 @@ class _Search:
         self.seed = known
         # the vertex to enter first below a node on the carried path, by its
         # target cell's start, and the carried path entered so far
-        self.guide = None if known is None else compose(inverse(known.labeling), known.phi)
+        self.guide = None if known is None else compose(inverse(known.form.labeling), known.phi)
         self.carried: list[int] = []
-        self.bound = None  # the bound refine reads, while the first leaf is the best
+        self.bound = None  # the bound refine reads, once a seeded search's first leaf exists
         self.first_cert = None
         self.first_lab: Perm | None = None
         self.base: list[int] = []
@@ -545,9 +543,12 @@ class _Search:
             if self.seed is None:
                 self.group = PermutationGroup(self.n, base=prefix)
             else:
-                self.group = self.seed.group.with_base(tuple(prefix), self.seed.phi)
+                self.group = self.seed.form.group.with_base(tuple(prefix), self.seed.phi)
                 self.bound = self._above_best
             return
+        if self.seed is not None and cert <= self.first_cert:
+            raise AssertionError("a carried search met a leaf not above its first: the seed is "
+                                 "no complete canonical form, or refine depends on vertex names")
         if cert == self.first_cert:
             seen_lab, seen_path = self.first_lab, self.base
         elif cert == self.best_cert:
@@ -555,7 +556,6 @@ class _Search:
         else:
             if cert < self.best_cert:
                 self.best_cert, self.best_lab, self.best_path = cert, lab, list(prefix)
-                self.bound = None
             return
         self._record_automorphism(seen_lab, lab)
         # The new automorphism fixes the common prefix of this leaf's path
@@ -580,10 +580,7 @@ class _Search:
         fault = self._fault(gamma)  # a wrong map would poison the pruning
         if fault:
             raise AssertionError(f"discovered map {fault}")
-        if self.seed is None:
-            self.group.add_strong(gamma)
-        else:
-            self.group.add(gamma)
+        self.group.add_strong(gamma)
 
     def _fault(self, gamma: Perm, onto: ColoredGraph | None = None) -> str | None:
         """Why the permutation ``gamma`` is no automorphism, or None; with
@@ -615,13 +612,14 @@ def canonical_form(cg: ColoredGraph, known: Carried | None = None) -> CanonicalF
     Rows the search cannot decide, with a neighbour out of range or an edge
     without its reverse, raise ``ValueError`` before any refinement.
 
-    ``known``, if given, seeds the pruning group with the ``Carried`` group
-    of an isomorphic graph: its relabeling is checked first as an
-    isomorphism onto ``cg``, and its stabilizer chain is re-based through
-    that relabeling rather than rebuilt.  A relabeling that fails its check
-    raises ``ValueError``.  The labeling and the certificate do not depend
-    on ``known``; the generators and the counters may.  A search that would
-    enter more than ``NODE_BUDGET`` nodes raises ``BudgetExceeded``."""
+    ``known``, if given, seeds the search with the ``Carried`` form of an
+    isomorphic graph: its relabeling is checked first as an isomorphism
+    onto ``cg``, and its group's chain is re-based through that relabeling
+    rather than rebuilt.  A relabeling that fails its check raises
+    ``ValueError``; a later leaf not above the first, ``AssertionError``.
+    The labeling and the certificate do not depend on ``known``; the
+    generators and the counters may.  A search that would enter more than
+    ``NODE_BUDGET`` nodes raises ``BudgetExceeded``."""
     return _Search(cg, known).run()
 
 

@@ -7,8 +7,8 @@ The suite runs in this process (``pytest.main`` on ``tests/``) under a
 ``sys.settrace`` and ``threading.settrace`` hook that records the lines of
 frames whose code lives in ``src/pg552`` and ignores all others.  The
 executable lines are those that ``co_lines()`` names in the compiled
-modules.  Test outcomes are ignored: the tracer slows the suite, so wall
-bounds fail under it, and whether a test passes is the plain run's
+modules.  Test outcomes are ignored: the tracer slows the suite, so a wall
+bound may fail under it, and whether a test passes is the plain run's
 business.  Exit 1 on an unexecuted line that is not listed, and on a
 listed line that now runs or no longer exists; exit 0 otherwise.  Line
 tables differ across Python versions; the listed lines hold on 3.11.

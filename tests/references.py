@@ -196,15 +196,6 @@ def is_automorphism(cg, g):
     )
 
 
-def listed(cg, maps, labeling):
-    """A search seed from a list of checked automorphisms: their group, carried by the
-    identity, and ``labeling``, whose path the search descends first."""
-    maps = [tuple(g) for g in maps]
-    for g in maps:
-        assert sorted(g) == list(range(cg.n)) and is_automorphism(cg, g)
-    return sym.Carried(cg, groups.PermutationGroup(cg.n, maps), tuple(range(cg.n)), labeling)
-
-
 def form_key(cf):
     """What a canonical form prints: labeling, certificate, generators and group order."""
     return cf.labeling, cf.certificate, tuple(cf.group.generators), cf.group.order()

@@ -76,9 +76,9 @@ VALUES = {
                          nodes=3, leaves=2, pruned=1), {"group", "nodes", "leaves", "pruned"},
                     "CanonicalForm(labeling=(1, 0), certificate=((0, 1), (2, 1)), group='G',"
                     " nodes=3, leaves=2, pruned=1)"),
-    Carried: (dict(source=CG2, group="G", phi=(1, 0), labeling=(0, 1)), set(),
-              "Carried(source=ColoredGraph(n=2, adj=(2, 1), colors=(0, 1)), group='G',"
-              " phi=(1, 0), labeling=(0, 1))"),
+    Carried: (dict(source=CG2, form="F", phi=(1, 0)), set(),
+              "Carried(source=ColoredGraph(n=2, adj=(2, 1), colors=(0, 1)), form='F',"
+              " phi=(1, 0))"),
 }
 
 

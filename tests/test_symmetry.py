@@ -19,8 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from references import (_FirstPathSearch, brute_elements, chain_contents, colored_graphs, conjugated,
-                        conjugated_chain, form_key, is_automorphism, listed, refine_reference,
-                        relabel_incidence, relabeled_rows, relabeling, search_key)
+                        conjugated_chain, form_key, is_automorphism, refine_reference,
+                        relabel_incidence, relabeled_rows, relabeling)
 
 from pg552 import construction as con
 from pg552 import gf3space as gf3
@@ -477,11 +477,13 @@ def test_canonical_form_refuses_rows_it_cannot_decide(monkeypatch):
     def no_refinement(*args):
         raise AssertionError("refined rows it cannot decide")
 
-    monkeypatch.setattr(sym, "refine", no_refinement)
     # vertex 0's row names vertex 2 of a 2-vertex graph, searched unseeded
-    # or seeded by a group carried onto it
+    # or seeded by the form of a valid 2-vertex graph carried onto it
+    source = sym.ColoredGraph(2, (0, 0), (0, 0))
+    carried = sym.Carried(source, sym.canonical_form(source), (0, 1))
+    monkeypatch.setattr(sym, "refine", no_refinement)
     cg = sym.ColoredGraph(2, (4, 0), (0, 0))
-    for known in (None, sym.Carried(cg, groups.PermutationGroup(2), (0, 1), (0, 1))):
+    for known in (None, carried):
         with pytest.raises(ValueError, match="vertex 0: neighbour out of range"):
             sym.canonical_form(cg, known)
     # two isomorphic digraphs; refinement from these rows tells them apart
@@ -671,13 +673,12 @@ def pruning_cases():
 
 def carried_cases():
     """Each graph of ``pruning_cases`` relabeled, with a seed that carries
-    its own search's group and labeling, as the certificate-stability claim
+    its own search's canonical form, as the certificate-stability claim
     seeds its searches."""
     rng = random.Random(5)
     for name, cg in pruning_cases():
         perm = tuple(rng.sample(range(cg.n), cg.n))
-        cf = sym.canonical_form(cg)
-        yield f"{name}-carried", relabel(cg, perm), sym.Carried(cg, cf.group, perm, cf.labeling)
+        yield f"{name}-carried", relabel(cg, perm), sym.Carried(cg, sym.canonical_form(cg), perm)
 
 
 @pytest.mark.parametrize(
@@ -1002,18 +1003,11 @@ def carried(g, h, perm):
 
 
 def carried_seed(g, perm):
-    """g's incidence-graph automorphism group, as g's own search returned
-    it, carried to ``relabel_incidence(g, perm)`` through the relabeling of
-    g's incidence graph onto its incidence graph."""
+    """The canonical form of g's incidence graph, as g's own search
+    returned it, carried to ``relabel_incidence(g, perm)`` through the
+    relabeling of g's incidence graph onto its incidence graph."""
     _, phi = relabeling(g, perm)
-    form = sym.incidence_form(g)
-    return sym.Carried(sym.colored_incidence_graph(g), form.group, phi, form.labeling)
-
-
-def moved_labeling(seed):
-    """The seed's labeling moved through its relabeling: a seed with the
-    identity relabeling and this labeling descends the same path first."""
-    return groups.compose(groups.inverse(seed.phi), seed.labeling)
+    return sym.Carried(sym.colored_incidence_graph(g), sym.incidence_form(g), phi)
 
 
 def seed_free(cf):
@@ -1025,30 +1019,30 @@ def seed_free(cf):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(colored_graphs(), st.data())
 def test_seeded_search_finds_the_canonical_form(cg, data):
-    # the carried labeling is any permutation, the source's own among them,
-    # so the carried path may leave the target cell, and the best leaf may
-    # lie off the first path, whose chain is then re-based to read the
-    # labeling off the group
+    # the source's form carried through a drawn relabeling, and the seeded
+    # form carried once more through a second one: each seeded search
+    # returns the unseeded one's labeling, certificate and group order,
+    # and keeps the carried generators
     perm = tuple(data.draw(st.permutations(range(cg.n))))
     h = relabel(cg, perm)
     cf = sym.canonical_form(cg)
-    labeling = data.draw(st.one_of(st.just(cf.labeling), st.permutations(range(cg.n)).map(tuple)))
-    known = conjugated(cf.group.generators, perm)
     want = seed_free(_FirstPathSearch(h).run())
     assert seed_free(sym.canonical_form(h)) == want
-    seed = sym.Carried(cg, cf.group, perm, labeling)
-    moved = moved_labeling(seed)
-    assert seed_free(sym.canonical_form(h, listed(h, [], moved))) == want
-    by_list = sym.canonical_form(h, listed(h, known, moved))
-    assert seed_free(by_list) == want
-    assert search_key(sym.canonical_form(h, seed)) == search_key(by_list)
+    seeded = sym.canonical_form(h, sym.Carried(cg, cf, perm))
+    assert seed_free(seeded) == want
+    assert seeded.group.generators == conjugated(cf.group.generators, perm)
+    again = tuple(data.draw(st.permutations(range(cg.n))))
+    h2 = relabel(h, again)
+    reseeded = sym.canonical_form(h2, sym.Carried(h, seeded, again))
+    assert seed_free(reseeded) == seed_free(sym.canonical_form(h2))
+    assert reseeded.group.generators == conjugated(seeded.group.generators, again)
 
 
 @pytest.mark.parametrize("name", list(PINNED_FORMS))
 def test_seeded_search_on_pinned_graphs(name, vls, new):
     cg = PINNED_FORMS[name][0](vls, new)
     cf = sym.canonical_form(cg)
-    seeded = sym.canonical_form(cg, listed(cg, cf.group.generators, cf.labeling))
+    seeded = sym.canonical_form(cg, sym.Carried(cg, cf, tuple(range(cg.n))))
     assert seed_free(seeded) == seed_free(cf)
     assert seeded.leaves <= cf.leaves
 
@@ -1062,10 +1056,67 @@ def test_seeded_search_on_relabeled_geometries(case):
     want = sym.incidence_form(g).certificate
     old = _FirstPathSearch(cg).run()
     assert old.certificate == want
-    for known in (None, listed(cg, carried(g, h, perm), moved_labeling(carried_seed(g, perm)))):
+    for known in (None, carried_seed(g, perm)):
         cf = sym.canonical_form(cg, known)
         assert seed_free(cf) == seed_free(old)
         assert cf.leaves <= old.leaves
+
+
+def check_one_leaf(seed, cf):
+    """A search seeded with a complete form reaches one leaf, and its group
+    keeps the seed's order and the carried generators: it never grows."""
+    group = seed.form.group
+    assert cf.leaves == 1
+    assert cf.group.order() == group.order()
+    assert cf.group.generators == conjugated(group.generators, seed.phi)
+
+
+def one_leaf_cases():
+    yield from carried_cases()
+    for name, g, h, perm in relabeled_geometries(2):
+        yield name, sym.colored_incidence_graph(h), carried_seed(g, perm)
+
+
+@pytest.mark.parametrize(
+    "cg, seed", [pytest.param(cg, seed, id=name) for name, cg, seed in one_leaf_cases()]
+)
+def test_seeded_search_reaches_one_leaf(cg, seed):
+    check_one_leaf(seed, sym.canonical_form(cg, seed))
+
+
+@pytest.mark.parametrize(
+    "case", [pytest.param(c, id=c[0]) for c in relabeled_geometries(1)]
+)
+def test_seeded_search_with_a_trivial_group_fails_at_its_second_leaf(case):
+    # the source's labeling and certificate with the trivial group: the
+    # carried path still reaches the least certificate first, but no orbit
+    # skips a later leaf equal to it, which the search must report rather
+    # than add to its group
+    _, g, h, perm = case
+    seed = carried_seed(g, perm)
+    form = seed.form
+    trivial = sym.CanonicalForm(form.labeling, form.certificate,
+                                groups.PermutationGroup(form.group.degree))
+    cg = sym.colored_incidence_graph(h)
+    search = sym._Search(cg, sym.Carried(seed.source, trivial, seed.phi))
+    with pytest.raises(AssertionError, match="not above its first"):
+        search.run()
+    assert search.leaves == 2 and search.group.order() == 1
+
+
+def test_seeded_search_with_a_worse_labeling_fails_at_a_lower_leaf(new):
+    # the switched geometry's own group with the labeling of its unseeded
+    # search's first leaf, which is not its best: the carried path reaches
+    # that leaf first, and the search must report the lower one it meets
+    cg = sym.colored_incidence_graph(new)
+    search = sym._Search(cg)
+    cf = search.run()
+    assert search.first_cert > cf.certificate
+    worse = sym.CanonicalForm(search.first_lab, search.first_cert, cf.group)
+    seeded = sym._Search(cg, sym.Carried(cg, worse, tuple(range(cg.n))))
+    with pytest.raises(AssertionError, match="not above its first"):
+        seeded.run()
+    assert seeded.leaves == 2 and seeded.first_cert == search.first_cert
 
 
 class _FirstPathRecordingSearch(sym._Search):
@@ -1083,21 +1134,21 @@ class _FirstPathRecordingSearch(sym._Search):
 )
 def test_seeding_with_a_carried_group(case):
     # The source's chain is re-based through phi, not conjugated and then
-    # re-based: the search must be the one seeded with the conjugated
-    # generators as a list, counters included, and its first group must
+    # re-based: the search's generators must be the source's conjugated
+    # ones, which g's point action alone gives, and its first group must
     # hold the elements that re-basing an explicitly conjugated chain would.
     _, g, h, perm = case
     cg = sym.colored_incidence_graph(h)
     seed = carried_seed(g, perm)
-    known = conjugated(seed.group.generators, seed.phi)
+    group = seed.form.group
+    known = conjugated(group.generators, seed.phi)
     assert known == carried(g, h, perm)
     search = _FirstPathRecordingSearch(cg, seed)
     by_seed = search.run()
-    by_list = sym.canonical_form(cg, listed(cg, known, moved_labeling(seed)))
-    assert search_key(by_seed) == search_key(by_list)
+    assert by_seed.group.generators == known
     assert seed_free(by_seed) == seed_free(sym.canonical_form(cg))
-    assert by_seed.group is not seed.group and seed.group.order() == by_seed.group.order()
-    explicit = conjugated_chain(seed.group._chain, seed.phi)
+    assert by_seed.group is not group and group.order() == by_seed.group.order()
+    explicit = conjugated_chain(group._chain, seed.phi)
     assert search.seeded == chain_contents(groups._rebase(explicit, tuple(search.base)))
 
 
@@ -1112,24 +1163,20 @@ def test_carried_relabeling_must_be_an_isomorphism(case):
     assert not is_automorphism(seed.source, (1, 0) + identity[2:])
     swapped = (seed.phi[1], seed.phi[0]) + seed.phi[2:]
     with pytest.raises(ValueError, match="relabeling is not an isomorphism"):
-        sym.canonical_form(cg, sym.Carried(seed.source, seed.group, swapped, seed.labeling))
+        sym.canonical_form(cg, sym.Carried(seed.source, seed.form, swapped))
     # the point and the line that phi sends to h's vertices 0 and 81 trade
     # images, so the check meets the wrong colour at vertex 0 first
     point, line = seed.phi.index(0), seed.phi.index(81)
     recoloured = list(seed.phi)
     recoloured[point], recoloured[line] = 81, 0
     with pytest.raises(ValueError, match="relabeling does not preserve colors"):
-        sym.canonical_form(cg, sym.Carried(seed.source, seed.group, tuple(recoloured),
-                                           seed.labeling))
+        sym.canonical_form(cg, sym.Carried(seed.source, seed.form, tuple(recoloured)))
     with pytest.raises(ValueError, match="relabeling is not a permutation"):
-        sym.canonical_form(cg, sym.Carried(seed.source, seed.group, seed.phi[:-1], seed.labeling))
+        sym.canonical_form(cg, sym.Carried(seed.source, seed.form, seed.phi[:-1]))
+    form = seed.form
+    short = sym.CanonicalForm(form.labeling, form.certificate, groups.PermutationGroup(80))
     with pytest.raises(ValueError, match="carried group acts on 80 points"):
-        sym.canonical_form(cg, sym.Carried(seed.source, groups.PermutationGroup(80), seed.phi,
-                                           seed.labeling))
-    # a labeling with a repeated position, and one a vertex short
-    for labeling in (seed.labeling[1:2] + seed.labeling[1:], seed.labeling[:-1]):
-        with pytest.raises(ValueError, match="carried labeling is not a permutation of the vertices"):
-            sym.canonical_form(cg, sym.Carried(seed.source, seed.group, seed.phi, labeling))
+        sym.canonical_form(cg, sym.Carried(seed.source, short, seed.phi))
 
 
 # summed (nodes, leaves, pruned) of the first five seeded relabeled searches
@@ -1150,9 +1197,10 @@ def test_claim_search_work_is_pinned(vls, new):
             perm = list(range(g.v))
             rng.shuffle(perm)
             h, phi = relabeling(g, perm)
-            seed = sym.Carried(source, form.group, phi, form.labeling)
+            seed = sym.Carried(source, form, phi)
             cf = sym.canonical_form(sym.colored_incidence_graph(h), seed)
             assert cf.certificate == sym.incidence_form(g).certificate
+            check_one_leaf(seed, cf)
             work = [a + b for a, b in zip(work, (cf.nodes, cf.leaves, cf.pruned))]
         assert tuple(work) == PINNED_CLAIM_WORK[name], name
 
@@ -1186,7 +1234,7 @@ def test_seeded_search_enters_one_prefix_per_orbit(case):
     assert all(is_automorphism(cg, a) for a in known)
     elements = brute_elements(cg.n, known, ELEMENT_LIMIT)
     assert elements is not None and len(elements) == 972
-    search = _PrefixRecordingSearch(cg, listed(cg, known, moved_labeling(carried_seed(g, perm))))
+    search = _PrefixRecordingSearch(cg, carried_seed(g, perm))
     cf = search.run()
     assert len(search.prefixes) == cf.nodes and cf.pruned > 0
     assert search.prefixes[0] == ()
@@ -1245,8 +1293,7 @@ def skip_cases():
     for name, g, h, perm in relabeled_geometries(2):
         cg = sym.colored_incidence_graph(h)
         yield name, cg, None
-        yield f"{name}-seeded", cg, listed(cg, carried(g, h, perm),
-                                         moved_labeling(carried_seed(g, perm)))
+        yield f"{name}-seeded", cg, carried_seed(g, perm)
 
 
 def test_off_path_skips_are_images_under_checked_automorphisms():
