@@ -353,14 +353,15 @@ def _claim_srg_parameters(env) -> dict:
     return {"pass": ok, "got": got}
 
 
-def _relabeled(source: ColoredGraph, nbrs, v: int, perm) -> tuple[ColoredGraph, tuple]:
+def _relabeled(source: ColoredGraph, v: int, perm) -> tuple[ColoredGraph, tuple]:
     """The colored incidence graph of the structure whose incidence graph
-    is ``source``, with ``nbrs`` its rows' members, once point x is renamed
-    ``perm[x]``, and the relabeling phi of ``source`` onto it: vertex x of
-    ``source`` is vertex ``phi[x]``.  As in ``IncidenceStructure``, the
-    lines are numbered in the order of their point masks.  Each row is the
-    image of its source row, and no structure is built."""
+    is ``source``, once point x is renamed ``perm[x]``, and the relabeling
+    phi of ``source`` onto it: vertex x of ``source`` is vertex ``phi[x]``.
+    As in ``IncidenceStructure``, the lines are numbered in the order of
+    their point masks.  Each row is the image of its source row, read off
+    ``source.members``, and no structure is built."""
     b = source.n - v
+    nbrs = source.members
     bit = [1 << x for x in perm]
     masks = [sum(map(bit.__getitem__, nbrs[j])) for j in range(v, source.n)]
     phi = list(perm) + [0] * b
@@ -395,11 +396,10 @@ def _claim_isomorphism_and_duality(env) -> dict:
     stable = {"vls": 0, "new": 0}
     for name, g in [("vls", env["G"]), ("new", env["Gp"])]:
         form, source = incidence_form(g), colored_incidence_graph(g)
-        nbrs = [tuple(bits(row)) for row in source.adj]
         for _ in range(relabelings):
             perm = list(range(g.v))
             rng.shuffle(perm)
-            h, phi = _relabeled(source, nbrs, g.v, perm)
+            h, phi = _relabeled(source, g.v, perm)
             # one search per relabeling, outside the cache of shared forms
             c = canonical_form(h, Carried(source, form, phi)).certificate
             if c == form.certificate:

@@ -44,9 +44,12 @@ Three rules prune the tree (nauty's, McKay and Piperno 2014, section 3):
 
 The search may be seeded with the canonical form (group and labeling λ)
 that an isomorphic graph's own search returned, and a relabeling φ onto
-this graph (``Carried``).  The search checks φ once as an isomorphism;
-that search checked each of the group's generators, so each one
-conjugated by φ is an automorphism here, and no map is checked twice.
+this graph (``Carried``).  It names each vertex's neighbours by renaming
+the source's lists (``ColoredGraph.members``) through φ, and checks φ
+once as an isomorphism: φ maps the source's colours onto this graph's,
+and the renamed lists give this graph's rows.  That search checked each
+of the group's generators, so each one conjugated by φ is an automorphism
+here, and no map is checked twice.
 At the first leaf an unseeded search starts from the trivial group on
 the first path; a seeded one from the seed's group renamed through φ,
 its chain re-based onto the first path (``PermutationGroup.with_base``).
@@ -117,6 +120,15 @@ class ColoredGraph(Frozen):
     @classmethod
     def from_graph(cls, g: Graph) -> "ColoredGraph":
         return cls(g.n, g.adj, (0,) * g.n)
+
+    @functools.cached_property
+    def members(self) -> tuple[bytes, ...]:
+        """Each vertex's neighbours as a byte string, in ascending order,
+        built on first read.  A byte names one of at most 256 vertices, as
+        many as the search takes; a neighbour past 255 raises
+        ``ValueError``.  The search's readers ignore the order, so a
+        carried search renames these lists through its relabeling."""
+        return tuple(bytes(bits(row)) for row in self.adj)
 
 
 def colored_incidence_graph(g: IncidenceStructure) -> ColoredGraph:
@@ -339,9 +351,11 @@ class Carried(Frozen):
     """A seed for the search of a graph isomorphic to ``source``: vertex x
     of ``source`` is vertex ``phi[x]`` of the graph searched, and ``form``
     is the canonical form that ``source``'s own search returned, which
-    checked each generator on ``source``.  The search checks ``phi`` as an
-    isomorphism onto its graph, so every map it carries through ``phi`` is
-    an automorphism there, and descends the form's labeling's path first."""
+    checked each generator on ``source``.  The search renames
+    ``source.members`` through ``phi`` and checks ``phi`` as an isomorphism
+    onto its graph, so every map it carries through ``phi`` is an
+    automorphism there, and descends the form's labeling's path first.
+    One ``source`` shared by many seeds builds its lists once."""
 
     _compared = _shown = ("source", "form", "phi")
 
@@ -367,25 +381,12 @@ class _Search:
                     raise ValueError(f"vertex {v}: neighbour out of range")
         self.cg = cg
         self.adj = cg.adj
-        self.nbrs = []
-        for row in cg.adj:
-            members = []
-            while row:
-                low = row & -row
-                members.append(low.bit_length() - 1)
-                row ^= low
-            self.nbrs.append(tuple(members))
         self.n = cg.n
         self.colors = cg.colors
-        if known is not None:
-            if known.source.n != self.n or known.form.group.degree != self.n:
-                raise ValueError(f"carried group acts on {known.form.group.degree} points "
-                                 f"of a {known.source.n}-vertex graph, not {self.n}")
-            fault = ("is not a permutation of the vertices"
-                     if sorted(known.phi) != list(range(self.n))
-                     else self._fault(inverse(known.phi), known.source))
-            if fault:
-                raise ValueError(f"relabeling {fault}")
+        if known is None:
+            self.nbrs = cg.members
+        else:
+            self._carry(known)
         self.seed = known
         # the vertex to enter first below a node on the carried path, by its
         # target cell's start, and the carried path entered so far
@@ -401,6 +402,28 @@ class _Search:
         self.best_path: list[int] = []
         self.backjump: int | None = None
         self.nodes = self.leaves = self.pruned = 0
+
+    def _carry(self, known: Carried) -> None:
+        """Checks ``known`` and names the neighbours of ``cg``'s vertices by
+        renaming the source's through φ; φ is an isomorphism onto ``cg``
+        exactly when it maps the source's colours onto ``cg``'s and the
+        renamed lists give ``cg``'s rows."""
+        n, source, phi = self.n, known.source, known.phi
+        if source.n != n or known.form.group.degree != n:
+            raise ValueError(f"carried group acts on {known.form.group.degree} points "
+                             f"of a {source.n}-vertex graph, not {n}")
+        if sorted(phi) != list(range(n)):
+            raise ValueError("relabeling is not a permutation of the vertices")
+        if sorted(known.form.labeling) != list(range(n)):
+            raise ValueError("carried labeling is not a permutation of the vertices")
+        if tuple(map(self.colors.__getitem__, phi)) != source.colors:
+            raise ValueError("relabeling does not preserve colors")
+        rename = bytes(phi) + bytes(range(n, 256))  # a neighbour out of range keeps its name
+        self.nbrs = nbrs = [b""] * n
+        for x, members in enumerate(source.members):
+            nbrs[phi[x]] = members.translate(rename)
+        if self._certificate(range(n))[1] != self.adj:
+            raise ValueError("relabeling is not an isomorphism")
 
     def run(self) -> CanonicalForm:
         initial = _initial_cells(self.cg)
@@ -613,10 +636,13 @@ def canonical_form(cg: ColoredGraph, known: Carried | None = None) -> CanonicalF
     without its reverse, raise ``ValueError`` before any refinement.
 
     ``known``, if given, seeds the search with the ``Carried`` form of an
-    isomorphic graph: its relabeling is checked first as an isomorphism
-    onto ``cg``, and its group's chain is re-based through that relabeling
-    rather than rebuilt.  A relabeling that fails its check raises
-    ``ValueError``; a later leaf not above the first, ``AssertionError``.
+    isomorphic graph: the source's neighbour lists are renamed through its
+    relabeling, which is checked first as an isomorphism onto ``cg``, and
+    its group's chain is re-based through that relabeling rather than
+    rebuilt.  A relabeling or a carried labeling that is no permutation of
+    the vertices, or a relabeling that fails its check, raises
+    ``ValueError`` before any refinement; a later leaf not above the
+    first, ``AssertionError``.
     The labeling and the certificate do not depend on ``known``; the
     generators and the counters may.  A search that would enter more than
     ``NODE_BUDGET`` nodes raises ``BudgetExceeded``."""

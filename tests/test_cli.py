@@ -373,12 +373,11 @@ def test_claim_relabels_the_incidence_graph_directly(name):
     # incidence structure, whose lines are numbered in mask order
     g = con.build_vls() if name == "vls" else con.build_new()
     source = sym.colored_incidence_graph(g)
-    nbrs = [tuple(bits(row)) for row in source.adj]
     for seed in range(20):
         perm = list(range(g.v))
         random.Random(seed).shuffle(perm)
         h, phi = relabeling(g, perm)
-        assert cli._relabeled(source, nbrs, g.v, perm) == (sym.colored_incidence_graph(h), phi)
+        assert cli._relabeled(source, g.v, perm) == (sym.colored_incidence_graph(h), phi)
 
 
 def test_header_above_cap_is_one_line_error_at_once(tmp_path, capsys):

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from references import (_FirstPathSearch, brute_elements, chain_contents, colored_graphs, conjugated,
                         conjugated_chain, form_key, is_automorphism, refine_reference,
-                        relabel_incidence, relabeled_rows, relabeling)
+                        relabel_incidence, relabeled_rows, relabeling, search_key)
 
 from pg552 import construction as con
 from pg552 import gf3space as gf3
@@ -1085,6 +1085,38 @@ def test_seeded_search_reaches_one_leaf(cg, seed):
 
 
 @pytest.mark.parametrize(
+    "cg, seed", [pytest.param(cg, seed, id=name) for name, cg, seed in one_leaf_cases()]
+)
+def test_seeded_search_renames_each_neighbour_list(cg, seed):
+    # the source's lists renamed through phi hold each vertex's neighbours
+    search = sym._Search(cg, seed)
+    assert [sorted(search.nbrs[v]) for v in range(cg.n)] == [list(bits(row)) for row in cg.adj]
+    assert cg.__dict__.get("members") is None  # the searched graph's own lists are never built
+
+
+class _ShuffledSearch(sym._Search):
+    """Reads every neighbour list in a shuffled order."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        rng = random.Random(self.n)
+        self.nbrs = [bytes(rng.sample(list(m), len(m))) for m in self.nbrs]
+
+
+@pytest.mark.parametrize(
+    "cg, seed",
+    [pytest.param(cg, seed, id=name) for name, cg, seed in one_leaf_cases()]
+    + [pytest.param(cg, None, id=f"{name}-unseeded") for name, cg, _ in one_leaf_cases()],
+)
+def test_seeded_search_ignores_the_order_of_neighbour_lists(cg, seed):
+    # renamed lists are not ascending: the certificate, the bound and the
+    # orbit pruning must not read their order
+    shuffled = _ShuffledSearch(cg, seed)
+    assert shuffled.nbrs != list(sym._Search(cg, seed).nbrs)
+    assert search_key(shuffled.run()) == search_key(sym.canonical_form(cg, seed))
+
+
+@pytest.mark.parametrize(
     "case", [pytest.param(c, id=c[0]) for c in relabeled_geometries(1)]
 )
 def test_seeded_search_with_a_trivial_group_fails_at_its_second_leaf(case):
@@ -1155,10 +1187,14 @@ def test_seeding_with_a_carried_group(case):
 @pytest.mark.parametrize(
     "case", [pytest.param(c, id=c[0]) for c in relabeled_geometries(1)]
 )
-def test_carried_relabeling_must_be_an_isomorphism(case):
+def test_carried_relabeling_must_be_an_isomorphism(case, monkeypatch):
+    def no_refinement(*args):
+        raise AssertionError("refined under a relabeling it refuses")
+
     _, g, h, perm = case
     cg = sym.colored_incidence_graph(h)
     seed = carried_seed(g, perm)
+    monkeypatch.setattr(sym, "refine", no_refinement)  # each refusal comes first
     identity = tuple(range(cg.n))
     assert not is_automorphism(seed.source, (1, 0) + identity[2:])
     swapped = (seed.phi[1], seed.phi[0]) + seed.phi[2:]
@@ -1177,6 +1213,24 @@ def test_carried_relabeling_must_be_an_isomorphism(case):
     short = sym.CanonicalForm(form.labeling, form.certificate, groups.PermutationGroup(80))
     with pytest.raises(ValueError, match="carried group acts on 80 points"):
         sym.canonical_form(cg, sym.Carried(seed.source, short, seed.phi))
+
+
+def test_seeded_search_refuses_a_carried_labeling_that_is_no_permutation(monkeypatch):
+    # a labeling one vertex short, and one naming a vertex twice: both are
+    # refused before any refinement, on the path 0-1-2 carried onto itself
+    # and on a relabeled geometry
+    path = sym.ColoredGraph(3, (2, 5, 2), (0, 0, 0))
+    _, g, h, perm = next(relabeled_geometries(1))
+    seed = carried_seed(g, perm)
+    cases = [(path, sym.Carried(path, sym.canonical_form(path), (0, 1, 2))),
+             (sym.colored_incidence_graph(h), seed)]
+    monkeypatch.setattr(sym, "refine", None)
+    for cg, known in cases:
+        form = known.form
+        for labeling in (form.labeling[:-1], (0, 0) + form.labeling[2:]):
+            bad = sym.CanonicalForm(labeling, form.certificate, form.group)
+            with pytest.raises(ValueError, match="^carried labeling is not a permutation of the vertices$"):
+                sym.canonical_form(cg, sym.Carried(known.source, bad, known.phi))
 
 
 # summed (nodes, leaves, pruned) of the first five seeded relabeled searches
