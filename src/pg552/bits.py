@@ -85,8 +85,7 @@ class Frozen:
         return hash(tuple([d[name] for name in self._compared]))
 
     def __repr__(self):
-        d = self.__dict__
-        shown = ", ".join([f"{name}={d[name]!r}" for name in self._shown])
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._shown])
         return f"{self.__class__.__qualname__}({shown})"
 
     def __setattr__(self, name, value):

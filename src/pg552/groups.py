@@ -283,7 +283,7 @@ class PermutationGroup:
         self._check_points(base, "base point")
         self.generators: list[Perm] = []
         self._chain = _Chain(base)
-        self._path: tuple[_Chain | None, list] = (None, [])  # see stabilizer_gens
+        self._rebased: dict[tuple[int, ...], _Chain] = {}  # see _levels
         for g in generators:
             self.add(g)
 
@@ -314,7 +314,7 @@ class PermutationGroup:
             return False
         self.generators.append(g)
         store(padded)
-        self._path = (None, [])
+        self._rebased = {}
         return True
 
     def order(self) -> int:
@@ -325,17 +325,22 @@ class PermutationGroup:
         onto ``base``: each generator g becomes phi^-1 g phi, and so does
         each element the re-base draws (see ``_rebase``)."""
         n = self.degree
-        if sorted(phi) != list(range(n)):
-            raise ValueError(f"relabeling of length {len(phi)} is not a permutation "
-                             f"of 0..{n - 1}")
+        padded, inv = self._renaming(phi)
         self._check_points(base, "base point")
         out = PermutationGroup(n)
-        padded = _pad(phi)
-        inv = bytes.maketrans(padded, _TAIL)
         out.generators = [tuple(inv.translate(_pad(g)).translate(padded)[:n])
                           for g in self.generators]
         out._chain = _rebase(self._chain, base, padded)
         return out
+
+    def _renaming(self, phi: Perm) -> tuple[bytes, bytes]:
+        """``phi`` and its inverse as identity-padded byte strings; ``phi``
+        must be a permutation of the points."""
+        if sorted(phi) != list(range(self.degree)):
+            raise ValueError(f"relabeling of length {len(phi)} is not a permutation "
+                             f"of 0..{self.degree - 1}")
+        padded = _pad(phi)
+        return padded, bytes.maketrans(padded, _TAIL)
 
     def restricted(self, stop: int) -> PermutationGroup:
         """The action on the points 0..stop-1 of a group that maps them
@@ -354,68 +359,59 @@ class PermutationGroup:
         out._chain = _rebase(self._chain, (), stop=stop)
         return out
 
-    def least_image(self, points) -> Perm:
+    def least_image(self, points, phi: Perm | None = None) -> Perm:
         """The element whose images of ``points``, in order, are
         lexicographically least.  Each element is s u with u in the first
         level's transversal and s fixing its base point, so the least image
         of that point is the least orbit point x, and the rest is the least
         image under the next level with u_x applied after it: one walk of
-        the transversals, when the chain's base starts with ``points``;
-        otherwise the chain is first re-based onto them (see ``_rebase``).
-        The walk ends at the first level with no generators, past which the
-        stabilizer of the points walked is trivial."""
+        the levels ``_levels`` gives for ``points``, which re-bases only
+        where the chain's base leaves them, and only once per prefix.
+
+        With ``phi``, it is the element of the group renamed through
+        ``phi``, as in ``with_base``: ``points`` name renamed points.  The
+        walk asks the group in its own names: it takes the levels of
+        phi^-1(points), compares images by their names under ``phi``, and
+        returns the element found as phi^-1 g phi."""
         points = tuple(points)
         self._check_points(points, "point")
-        chain = level = self._chain
-        for p in points:
-            if not level.gens:
-                break
-            if level.basepoint != p:
-                chain = _rebase(chain, points)
-                break
-            level = level.stab
-        image, level = _TAIL, chain
-        for _ in points:
-            if not level.gens:
-                break
-            x = min(level.transversal, key=image.__getitem__)
+        rename, back = (_TAIL, _TAIL) if phi is None else self._renaming(phi)
+        image = _TAIL
+        for level in self._levels(tuple(back[p] for p in points)):
+            x = min(level.transversal, key=image.translate(rename).__getitem__)
             image = level.transversal[x].translate(image)
+        return tuple(back.translate(image).translate(rename)[:self.degree])
+
+    def _levels(self, points):
+        """Yields, for each point p of ``points`` in turn, a chain level with
+        base point p of the pointwise stabilizer of the points before it,
+        and ends before a level with no generators, past which every
+        stabilizer is trivial.  Along the chain's base these are its own
+        levels; off it, each is the previous level's stabilizer re-based
+        onto p, kept in ``_rebased`` by the prefix of ``points`` it ends,
+        so a prefix asked again, by any query, costs no re-base.  The dict
+        is dropped when a generator joins the group."""
+        level = self._chain
+        for i, p in enumerate(points):
+            if not level.gens:
+                return
+            if level.basepoint != p:
+                key = tuple(points[:i + 1])
+                if key not in self._rebased:
+                    self._rebased[key] = _rebase(level, (p,))
+                level = self._rebased[key]
+            yield level
             level = level.stab
-        return tuple(image[:self.degree])
 
     def stabilizer_gens(self, prefix) -> list[bytes]:
         """Strong generators of the pointwise stabilizer of the points
-        ``prefix``, as identity-padded byte strings; the list is the
-        chain's own, so it must not be changed.  The chain's level past
-        the common part of ``prefix`` and the chain's base stabilizes that
-        part.  Each later point p of ``prefix`` is stabilized by the level
-        below p of the previous point's stabilizer re-based onto p.
-
-        ``_path`` holds the level at the fork of the last prefix asked
-        about and, for each later point p of it, p and its stabilizer
-        level: a prefix one point longer costs one re-base.  It is dropped
-        when a generator joins the group."""
-        level = self._chain
-        fork = 0
-        for p in prefix:
-            if level.basepoint != p:
-                break
-            level = level.stab
-            fork += 1
-        root, steps = self._path
-        if root is not level:
-            steps = []
-            self._path = (level, steps)
-        rest = prefix[fork:]
-        keep = 0
-        for p, (q, _) in zip(rest, steps):
-            if p != q:
-                break
-            keep += 1
-        del steps[keep:]
-        for p in rest[keep:]:
-            steps.append((p, _rebase(steps[-1][1] if steps else level, (p,)).stab))
-        return steps[-1][1].gens if steps else level.gens
+        ``prefix``, as identity-padded byte strings: the generators of the
+        level below the last of ``_levels(prefix)``.  The list is the
+        chain's own, so it must not be changed."""
+        gens = self._chain.gens
+        for level in self._levels(prefix):
+            gens = level.stab.gens
+        return gens
 
     def contains(self, g) -> bool:
         """Whether the image tuple ``g`` of length ``degree`` is a member.

@@ -24,10 +24,10 @@ Three rules prune the tree (nauty's, McKay and Piperno 2014, section 3):
 
 - Orbit pruning: a node skips a child in the orbit of a processed sibling
   under the pointwise stabilizer of the node's prefix in the group found so
-  far (``PermutationGroup.stabilizer_gens``, from a chain whose base
-  starts with the first path).  The node keeps the orbits of its
-  processed children and recomputes the stabilizer and the orbits only
-  when the group has gained a generator.
+  far (``PermutationGroup.stabilizer_gens``, which re-bases the chain
+  only where the prefix leaves its base, once per prefix).  The node keeps
+  the orbits of its processed children and recomputes the stabilizer and
+  the orbits only when the group has gained a generator.
 - Backjump: a leaf equal to the first or to the best leaf so far yields an
   automorphism that maps that leaf's subtree below the fork of their two
   paths onto the current one, so the search unwinds to the fork.
@@ -51,8 +51,13 @@ and the renamed lists give this graph's rows.  That search checked each
 of the group's generators, so each one conjugated by φ is an automorphism
 here, and no map is checked twice.
 At the first leaf an unseeded search starts from the trivial group on
-the first path; a seeded one from the seed's group renamed through φ,
-its chain re-based onto the first path (``PermutationGroup.with_base``).
+the first path; a seeded one from the seed's group itself, which it asks
+in the source's names: each prefix goes through φ⁻¹, and a node tracks
+its processed children and tests its candidates by their names there.
+So the relabelings of one source share that group's re-based levels, and
+no chain is built for this graph; the form's group, the seed's renamed
+through φ with its chain re-based onto the first path
+(``PermutationGroup.with_base``), is built when first read.
 A seeded search descends the image of λ's path first: below the root,
 and below each child so entered, it enters the child φ(λ⁻¹(s)) first, s
 the start of the target cell, if the cell holds it, then the rest in
@@ -69,7 +74,8 @@ first shows the seed no complete canonical form, or ``refine`` dependent
 on vertex names, and raises ``AssertionError``.  The smallest leaves form one orbit of
 the group, and depth-first order is the lexicographic order of paths,
 so the first of them is the seeded search's first leaf's image under
-``PermutationGroup.least_image`` of its path, whose labeling it returns.
+``PermutationGroup.least_image`` of its path, asked through φ, whose
+labeling it returns.
 The labeling and the certificate do not depend on the seed; the
 generators and the work counters may.
 
@@ -124,10 +130,14 @@ class ColoredGraph(Frozen):
     @functools.cached_property
     def members(self) -> tuple[bytes, ...]:
         """Each vertex's neighbours as a byte string, in ascending order,
-        built on first read.  A byte names one of at most 256 vertices, as
-        many as the search takes; a neighbour past 255 raises
-        ``ValueError``.  The search's readers ignore the order, so a
-        carried search renames these lists through its relabeling."""
+        built on first read, once the rows are checked (``check_rows``): a
+        neighbour out of range or an edge without its reverse raises
+        ``ValueError``, and so does a neighbour past 255, since a byte names
+        one of at most 256 vertices, as many as the search takes.  The
+        search's readers ignore the order, so a carried search renames
+        these lists through its relabeling, and checks no rows of its own
+        but their range."""
+        check_rows(self.adj)
         return tuple(bytes(bits(row)) for row in self.adj)
 
 
@@ -326,7 +336,9 @@ def _lowest(members, start) -> int:
 class CanonicalForm(Frozen):
     """Canonical labeling (vertex -> canonical position), a certificate that
     two colored graphs share iff they are isomorphic, and the automorphism
-    group with its generators and stabilizer chain.
+    group with its generators and stabilizer chain.  ``group`` may be given
+    as a function that builds it, as a seeded search gives it; then it is
+    built on first read.
 
     The work counters are deterministic: ``nodes`` search-tree nodes were
     entered (leaves and pruned subtrees included), ``leaves`` of them were
@@ -337,14 +349,18 @@ class CanonicalForm(Frozen):
     _compared = ("labeling", "certificate")
     _shown = ("labeling", "certificate", "group", "nodes", "leaves", "pruned")
 
-    def __init__(self, labeling: Perm, certificate: tuple, group: PermutationGroup,
+    def __init__(self, labeling: Perm, certificate: tuple, group,
                  nodes: int = 0, leaves: int = 0, pruned: int = 0):
         object.__setattr__(self, "labeling", labeling)
         object.__setattr__(self, "certificate", certificate)
-        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "_group" if callable(group) else "group", group)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "leaves", leaves)
         object.__setattr__(self, "pruned", pruned)
+
+    @functools.cached_property
+    def group(self) -> PermutationGroup:
+        return self._group()
 
 
 class Carried(Frozen):
@@ -355,7 +371,9 @@ class Carried(Frozen):
     ``source.members`` through ``phi`` and checks ``phi`` as an isomorphism
     onto its graph, so every map it carries through ``phi`` is an
     automorphism there, and descends the form's labeling's path first.
-    One ``source`` shared by many seeds builds its lists once."""
+    It asks the form's group in ``source``'s names and never changes it.
+    One ``source`` shared by many seeds builds and checks its lists once,
+    and one form shared by them re-bases each prefix once."""
 
     _compared = _shown = ("source", "form", "phi")
 
@@ -373,9 +391,7 @@ class _Search:
     def __init__(self, cg: ColoredGraph, known: Carried | None = None):
         if cg.n > 256:  # the stabilizer chain's byte strings hold 256 points
             raise ValueError(f"graph has {cg.n} vertices; at most 256 are supported")
-        if known is None:
-            check_rows(cg.adj)
-        else:  # a carried graph's rows are checked through φ
+        if known is not None:  # a carried graph's rows are checked through φ
             for v, row in enumerate(cg.adj):
                 if row >> cg.n:
                     raise ValueError(f"vertex {v}: neighbour out of range")
@@ -385,8 +401,10 @@ class _Search:
         self.colors = cg.colors
         if known is None:
             self.nbrs = cg.members
+            self.names = range(self.n)  # each vertex's name in the group's action
         else:
             self._carry(known)
+            self.names = inverse(known.phi)
         self.seed = known
         # the vertex to enter first below a node on the carried path, by its
         # target cell's start, and the carried path entered so far
@@ -430,13 +448,15 @@ class _Search:
         mask_at, cell_of, live = _partition(self.n, initial)
         live = refine(self.adj, mask_at, cell_of, live, initial)
         self._node(mask_at, cell_of, live, [])
-        labeling = self.best_lab
+        labeling, group = self.best_lab, self.group
         if self.seed is not None:  # the first smallest leaf in plain depth-first order
-            labeling = compose(inverse(self.group.least_image(self.best_path)), labeling)
+            phi = self.seed.phi
+            labeling = compose(inverse(group.least_image(self.best_path, phi)), labeling)
+            group = functools.partial(group.with_base, tuple(self.base), phi)
         return CanonicalForm(
             labeling=labeling,
             certificate=self.best_cert,
-            group=self.group,
+            group=group,
             nodes=self.nodes,
             leaves=self.leaves,
             pruned=self.pruned,
@@ -469,9 +489,10 @@ class _Search:
             lead = 0
             todo ^= bit
             v = bit.bit_length() - 1
+            named = 1 << self.names[v]
             if processed:  # so the first leaf, and the group, exist
                 orbits = self._orbits(prefix, processed, orbits)
-                if orbits[2] & bit:
+                if orbits[2] & named:
                     continue
             # individualize v: {v} keeps the start s, the rest starts at s + 1
             rest = target ^ bit
@@ -488,7 +509,7 @@ class _Search:
             child_live = live & ~bit if rest & (rest - 1) else live & ~target
             child_live = refine(self.adj, child_at, child_of, child_live, [bit], self.bound)
             self._node(child_at, child_of, child_live, prefix + [v])
-            processed |= bit
+            processed |= named
             if self.backjump is not None:
                 if self.backjump < k:
                     return  # keep unwinding
@@ -498,13 +519,15 @@ class _Search:
         """The orbits of ``processed`` under the pointwise stabilizer of
         ``prefix`` in the group found so far, as ``(generator count, strong
         generators of that stabilizer as identity-padded byte strings, mask
-        of the orbits)``.  ``cached`` is the node's previous result, or
-        None: while the group has gained no generator since, the orbits of
-        the vertices processed after it are added to its mask; otherwise
-        the stabilizer and the mask are computed afresh."""
+        of the orbits)``; ``processed``, the generators and the orbits name
+        each vertex v ``names[v]``, as the group does.  ``cached`` is the
+        node's previous result, or None: while the group has gained no
+        generator since, the orbits of the vertices processed after it are
+        added to its mask; otherwise the stabilizer and the mask are
+        computed afresh."""
         count = len(self.group.generators)
         if cached is None or cached[0] != count:
-            gens = self.group.stabilizer_gens(prefix)
+            gens = self.group.stabilizer_gens([self.names[p] for p in prefix])
             return count, gens, orbit_closure(processed, gens)
         _, gens, mask = cached
         return count, gens, mask | orbit_closure(processed & ~mask, gens)
@@ -566,7 +589,7 @@ class _Search:
             if self.seed is None:
                 self.group = PermutationGroup(self.n, base=prefix)
             else:
-                self.group = self.seed.form.group.with_base(tuple(prefix), self.seed.phi)
+                self.group = self.seed.form.group
                 self.bound = self._above_best
             return
         if self.seed is not None and cert <= self.first_cert:
@@ -638,11 +661,12 @@ def canonical_form(cg: ColoredGraph, known: Carried | None = None) -> CanonicalF
     ``known``, if given, seeds the search with the ``Carried`` form of an
     isomorphic graph: the source's neighbour lists are renamed through its
     relabeling, which is checked first as an isomorphism onto ``cg``, and
-    its group's chain is re-based through that relabeling rather than
-    rebuilt.  A relabeling or a carried labeling that is no permutation of
-    the vertices, or a relabeling that fails its check, raises
-    ``ValueError`` before any refinement; a later leaf not above the
-    first, ``AssertionError``.
+    its group is asked in the source's names.  The form's group is that
+    group renamed through the relabeling, its chain re-based onto the first
+    path, built when first read.  A relabeling or a carried labeling that
+    is no permutation of the vertices, a relabeling that fails its check,
+    or source rows that fail ``check_rows`` raise ``ValueError`` before any
+    refinement; a later leaf not above the first, ``AssertionError``.
     The labeling and the certificate do not depend on ``known``; the
     generators and the counters may.  A search that would enter more than
     ``NODE_BUDGET`` nodes raises ``BudgetExceeded``."""

@@ -281,10 +281,13 @@ def test_order_equals_the_product_over_every_level(group, data):
 
 def check_stabilizer(grp, elements, prefix):
     """``stabilizer_gens(prefix)`` generates exactly the elements of
-    ``elements``, the whole group, that fix each point of ``prefix``."""
+    ``elements``, the whole group, that fix each point of ``prefix``;
+    returns those generators."""
     n = grp.degree
-    got = brute_elements(n, [g[:n] for g in grp.stabilizer_gens(prefix)])
+    gens = grp.stabilizer_gens(prefix)
+    got = brute_elements(n, [g[:n] for g in gens])
     assert got == {e for e in elements if all(e[p] == p for p in prefix)}, prefix
+    return gens
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -301,9 +304,15 @@ def test_stabilizers_of_prefixes_are_exact(group, data):
     walk = [off[:k] for k in range(len(off) + 1)]  # one point at a time
     walk += [on_base[:k] for k in range(len(on_base), -1, -1)]  # rejoins it
     walk += data.draw(st.lists(st.lists(st.integers(0, n - 1), unique=True), max_size=4))
-    walk.append(off[: fork + 1])  # the last call keeps one re-based level
-    for prefix in walk:
-        check_stabilizer(grp, elements, prefix)
+    walk.append(off[: fork + 1])
+    exact = {tuple(prefix): check_stabilizer(grp, elements, prefix) for prefix in walk}
+    # every level re-based on the way is kept by its prefix, so the same
+    # prefixes asked again in any order need no re-base and give the same
+    # exact stabilizers
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groups, "_rebase", None)
+        for prefix in data.draw(st.permutations(walk)):
+            assert grp.stabilizer_gens(prefix) == exact[tuple(prefix)], prefix
     for g in held:  # and ``add`` must drop it when the group grows
         grp.add(g)
         elements = brute_elements(n, gens)
@@ -338,10 +347,11 @@ def test_conjugate_group_equals_the_group_of_conjugated_generators(group, data):
 # --- least images ------------------------------------------------------------
 
 
-def check_least_image(grp, elements, points):
-    """``least_image(points)`` is an element of ``elements``, the whole
-    group, whose images of ``points`` are the least over all of them."""
-    g = grp.least_image(points)
+def check_least_image(grp, elements, points, phi=None):
+    """``least_image(points, phi)`` is an element of ``elements``, the whole
+    group renamed through ``phi``, whose images of ``points`` are the least
+    over all of them."""
+    g = grp.least_image(points, phi)
     assert bytes(g) in elements
     assert tuple(g[p] for p in points) == min(tuple(e[p] for p in points) for e in elements)
 
@@ -365,14 +375,20 @@ def test_least_image_on_textbook_groups(name, monkeypatch):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(permutation_groups(max_n=8, max_gens=3), st.data())
 def test_least_image_is_the_least_over_all_elements(group, data):
+    # then in the group renamed through phi, on its renamed base and off
+    # it: the walk asks the group in its own names, and each element found
+    # is renamed back
     n, gens, base = group
     grp = groups.PermutationGroup(n, gens, base=base)
-    elements = brute_elements(n, gens)
+    phi = tuple(data.draw(st.permutations(range(n))))
     on_base = [level.basepoint for level in chain_levels(grp._chain)]
     cut = data.draw(st.integers(0, len(on_base)))
     off = data.draw(st.lists(st.integers(0, n - 1), unique=True))
-    for points in (on_base[:cut], on_base[:cut] + off, off):
-        check_least_image(grp, elements, points)
+    for rename, elements in [(None, brute_elements(n, gens)),
+                             (phi, brute_elements(n, conjugated(gens, phi)))]:
+        renamed = on_base if rename is None else [phi[b] for b in on_base]
+        for points in (renamed[:cut], renamed[:cut] + off, off):
+            check_least_image(grp, elements, points, rename)
 
 
 @pytest.mark.parametrize("points", [(4,), (0, -1), (1, 2, 300)])
@@ -381,6 +397,8 @@ def test_least_image_refuses_points_out_of_range(points):
     with pytest.raises(ValueError, match="point .* out of range 0..3"):
         grp.least_image(points)
     assert grp.least_image((3, 1)) == (3, 2, 1, 0)  # the one element sending 3 to 0
+    with pytest.raises(ValueError, match="relabeling of length 4 is not a permutation"):
+        grp.least_image((0,), (0, 0, 1, 2))
 
 
 # --- the search's group, placed without Schreier passes ---------------------

@@ -493,6 +493,31 @@ def test_canonical_form_refuses_rows_it_cannot_decide(monkeypatch):
             sym.canonical_form(sym.ColoredGraph(7, adj, (0,) * 7))
 
 
+def test_seeded_search_refuses_a_source_with_an_asymmetric_edge(monkeypatch):
+    # vertex 0 names vertex 1, which does not name it back: carried onto a
+    # graph with the same rows, or searched unseeded, the rows are refused
+    # with one message before any refinement, when the source's lists are
+    # built; a source shared by many seeds is checked once
+    path = sym.ColoredGraph(3, (2, 5, 2), (0, 0, 0))
+    form = sym.canonical_form(path)
+    source = sym.ColoredGraph(3, path.adj, path.colors)  # whose lists are not built yet
+    seeds = [sym.Carried(source, form, phi) for phi in [(0, 1, 2), (2, 1, 0)]]
+    checked = []
+    monkeypatch.setattr(sym, "check_rows", checked.append)
+    for _ in range(3):
+        for seed in seeds:
+            sym.canonical_form(path, seed)
+    assert checked == [path.adj]
+    monkeypatch.undo()
+    form = sym.canonical_form(sym.ColoredGraph(2, (0, 0), (0, 0)))
+    monkeypatch.setattr(sym, "refine", None)
+    rows = sym.ColoredGraph(2, (2, 0), (0, 0))
+    for known in (None, sym.Carried(rows, form, (0, 1))):
+        with pytest.raises(ValueError) as e:
+            sym.canonical_form(rows, known)
+        assert str(e.value) == "asymmetric edge (0, 1)"
+
+
 def test_canonical_form_names_the_asymmetric_edge_graph_names(monkeypatch):
     # past 16 vertices the rows are first compared with their transpose;
     # with one reverse edge missing, the search refuses the rows with the
@@ -1151,37 +1176,48 @@ def test_seeded_search_with_a_worse_labeling_fails_at_a_lower_leaf(new):
     assert seeded.leaves == 2 and seeded.first_cert == search.first_cert
 
 
-class _FirstPathRecordingSearch(sym._Search):
-    """Records the group its first leaf seeds, before any map is added."""
-
-    def _leaf(self, cell_of, prefix):
-        first = self.first_cert is None
-        super()._leaf(cell_of, prefix)
-        if first:
-            self.seeded = chain_contents(self.group._chain)
-
-
 @pytest.mark.parametrize(
     "case", [pytest.param(c, id=c[0]) for c in relabeled_geometries(2)]
 )
 def test_seeding_with_a_carried_group(case):
     # The source's chain is re-based through phi, not conjugated and then
-    # re-based: the search's generators must be the source's conjugated
-    # ones, which g's point action alone gives, and its first group must
-    # hold the elements that re-basing an explicitly conjugated chain would.
+    # re-based: the returned group's generators must be the source's
+    # conjugated ones, which g's point action alone gives, and its chain,
+    # built when first read, must hold the elements that re-basing an
+    # explicitly conjugated chain onto the first path would.
     _, g, h, perm = case
     cg = sym.colored_incidence_graph(h)
     seed = carried_seed(g, perm)
     group = seed.form.group
     known = conjugated(group.generators, seed.phi)
     assert known == carried(g, h, perm)
-    search = _FirstPathRecordingSearch(cg, seed)
+    search = sym._Search(cg, seed)
     by_seed = search.run()
+    assert "group" not in by_seed.__dict__  # not built yet
     assert by_seed.group.generators == known
     assert seed_free(by_seed) == seed_free(sym.canonical_form(cg))
     assert by_seed.group is not group and group.order() == by_seed.group.order()
     explicit = conjugated_chain(group._chain, seed.phi)
-    assert search.seeded == chain_contents(groups._rebase(explicit, tuple(search.base)))
+    assert chain_contents(by_seed.group._chain) == chain_contents(
+        groups._rebase(explicit, tuple(search.base)))
+
+
+def test_seeded_searches_share_their_source_groups_rebases(monkeypatch):
+    # A seeded search asks the source's group in the source's names, so a
+    # second round of carried searches of the same sources asks only
+    # prefixes the first round re-based: no re-base until a form's group,
+    # the source's renamed onto the search's first path, is read.
+    seeds = [(sym.colored_incidence_graph(h), carried_seed(g, perm))
+             for _, g, h, perm in relabeled_geometries(2)]
+    first = [sym.canonical_form(cg, seed) for cg, seed in seeds]
+    calls = []
+    rebase = groups._rebase
+    monkeypatch.setattr(groups, "_rebase", lambda *args: calls.append(args) or rebase(*args))
+    again = [sym.canonical_form(cg, seed) for cg, seed in seeds]
+    assert calls == []
+    keys = [search_key(cf) for cf in again]
+    assert len(calls) == len(seeds)  # one re-base for each group read
+    assert keys == [search_key(cf) for cf in first]
 
 
 @pytest.mark.parametrize(
@@ -1314,10 +1350,13 @@ class _SkipCheckedSearch(sym._Search):
         self.checked = set()
 
     def _orbits(self, prefix, processed, cached):
+        # the group's names: a seeded search's are the source's, so each
+        # generator is checked here renamed through phi
         result = super()._orbits(prefix, processed, cached)
         _, gens, mask = result
+        phi = tuple(range(self.n)) if self.seed is None else self.seed.phi
         for g in set(gens) - self.checked:
-            assert is_automorphism(self.cg, g)
+            assert is_automorphism(self.cg, conjugated([g], phi)[0])
             self.checked.add(g)
         identity = tuple(range(self.n))
         maps = {p: identity for p in bits(processed)}
@@ -1329,9 +1368,10 @@ class _SkipCheckedSearch(sym._Search):
                     maps[g[u]] = groups.compose(maps[u], g)
                     queue.append(g[u])
         assert mask_of(maps) == mask
+        named = [self.names[p] for p in prefix]
         for image, gamma in maps.items():
             assert any(gamma[p] == image for p in bits(processed))
-            assert all(gamma[p] == p for p in prefix)
+            assert all(gamma[p] == p for p in named)
         if self.base[: len(prefix)] != prefix and mask & ~processed:
             self.off_path += 1
         return result
