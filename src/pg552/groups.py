@@ -284,6 +284,7 @@ class PermutationGroup:
         self.generators: list[Perm] = []
         self._chain = _Chain(base)
         self._rebased: dict[tuple[int, ...], _Chain] = {}  # see _levels
+        self._orbit_masks: dict[tuple, tuple[list[bytes], int]] = {}  # see stabilizer_orbits
         for g in generators:
             self.add(g)
 
@@ -315,6 +316,7 @@ class PermutationGroup:
         self.generators.append(g)
         store(padded)
         self._rebased = {}
+        self._orbit_masks = {}
         return True
 
     def order(self) -> int:
@@ -412,6 +414,22 @@ class PermutationGroup:
         for level in self._levels(prefix):
             gens = level.stab.gens
         return gens
+
+    def stabilizer_orbits(self, prefix: tuple[int, ...], points: int,
+                          known=None) -> tuple[list[bytes], int]:
+        """``stabilizer_gens(prefix)`` and the union of the orbits of the
+        points of the mask ``points`` under them, kept in ``_orbit_masks``
+        by ``(prefix, points)`` until a generator joins, so a query asked
+        again, as each relabeling of one carried canonical search asks its
+        predecessor's, closes no orbit.  ``known``, the answer for
+        ``prefix`` and a subset of ``points``, leaves only the points outside
+        its mask to close."""
+        found = self._orbit_masks.get((prefix, points))
+        if found is None:
+            gens, mask = known or (self.stabilizer_gens(prefix), 0)
+            found = gens, mask | orbit_closure(points & ~mask, gens)
+            self._orbit_masks[prefix, points] = found
+        return found
 
     def contains(self, g) -> bool:
         """Whether the image tuple ``g`` of length ``degree`` is a member.

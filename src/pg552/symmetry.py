@@ -3,9 +3,10 @@ and self-duality testing.
 
 The canonical-labeling engine is an individualization-refinement search:
 refine an ordered partition to equitability, branch on the vertices of the
-first smallest non-singleton cell in ascending vertex order, and take the
-first smallest leaf certificate in that depth-first order as the canonical
-form.  Whenever two explored leaves carry equal certificates, the
+first smallest non-singleton cell in ascending order of their names in the
+group's action (the vertex numbers, unless the search is seeded), and take
+the first smallest leaf certificate in that depth-first order as the
+canonical form.  Whenever two explored leaves carry equal certificates, the
 permutation relating them is an automorphism of the input graph; the
 search checks it and adds it to a group whose stabilizer chain has the
 first leaf's path as its base.  At the end the group's generators generate
@@ -26,8 +27,9 @@ Three rules prune the tree (nauty's, McKay and Piperno 2014, section 3):
   under the pointwise stabilizer of the node's prefix in the group found so
   far (``PermutationGroup.stabilizer_gens``, which re-bases the chain
   only where the prefix leaves its base, once per prefix).  The node keeps
-  the orbits of its processed children and recomputes the stabilizer and
-  the orbits only when the group has gained a generator.
+  the orbits of its processed children, adds those of each child it
+  processes, and recomputes the stabilizer and the orbits only when the
+  group has gained a generator.
 - Backjump: a leaf equal to the first or to the best leaf so far yields an
   automorphism that maps that leaf's subtree below the fork of their two
   paths onto the current one, so the search unwinds to the fork.
@@ -52,17 +54,23 @@ of the group's generators, so each one conjugated by φ is an automorphism
 here, and no map is checked twice.
 At the first leaf an unseeded search starts from the trivial group on
 the first path; a seeded one from the seed's group itself, which it asks
-in the source's names: each prefix goes through φ⁻¹, and a node tracks
-its processed children and tests its candidates by their names there.
-So the relabelings of one source share that group's re-based levels, and
-no chain is built for this graph; the form's group, the seed's renamed
-through φ with its chain re-based onto the first path
-(``PermutationGroup.with_base``), is built when first read.
-A seeded search descends the image of λ's path first: below the root,
-and below each child so entered, it enters the child φ(λ⁻¹(s)) first, s
-the start of the target cell, if the cell holds it, then the rest in
-ascending order.  Refinement commutes with relabeling, so its first leaf
-has the source's canonical certificate, the least in the tree.
+in the source's names: each prefix goes through φ⁻¹, and a node walks its
+target cell in ascending order of those names and tracks its processed
+children by them.  A seeded search descends the image of λ's path first:
+below the root, and below each child so entered, it enters the child
+named λ⁻¹(s) first, s the start of the target cell, if the cell holds
+it, then the rest.  Refinement commutes with relabeling, so in the
+source's names every relabeling of one source walks the same tree and
+asks the same orbits, which the group keeps with its re-based levels
+(``PermutationGroup.stabilizer_orbits``): each is computed once per
+source.  No chain is built for this graph; the form's group, the seed's
+renamed through φ with its chain re-based onto the first path
+(``PermutationGroup.with_base``), is built when first read.  The first
+leaf has the source's canonical certificate, the least in the tree: its
+labeling is λ∘φ⁻¹, over the renamed lists λ's certificate, so the search
+takes the form's certificate and its row lists (``CanonicalForm.members``)
+as they are, and computes a first leaf's certificate only when the
+carried path has led elsewhere.
 
 Without a seed, the group found is the full automorphism group and the
 first smallest leaf in depth-first order is reached: the bound skips
@@ -86,8 +94,10 @@ each position, the start of every vertex's cell, and the mask of the
 vertices in non-singleton cells.  A child copies its parent's two lists,
 rewrites the target cell's entries to split off the individualized vertex,
 and ``refine`` updates them in place, so no node rebuilds them from a cell
-list.  A discrete partition is read off as the labeling: each vertex's
-cell start is its position.
+list.  The root's arrays, the colour classes before refinement, are kept
+by colour tuple (``_root``), and each search refines copies.  A discrete
+partition is read off as the labeling: each vertex's cell start is its
+position.
 
 Incidence structures are canonized through their 2-colored bipartite
 incidence graph (points color 0, lines color 1), which yields isomorphism
@@ -98,7 +108,7 @@ from __future__ import annotations
 
 import functools
 
-from .bits import Frozen, bits, count_planes
+from .bits import Frozen, bits, count_planes, permute_mask
 from .graphs import Graph, check_rows
 from .groups import Perm, PermutationGroup, compose, inverse, orbit_closure
 from .incidence import IncidenceStructure, dual
@@ -138,7 +148,12 @@ class ColoredGraph(Frozen):
         these lists through its relabeling, and checks no rows of its own
         but their range."""
         check_rows(self.adj)
-        return tuple(bytes(bits(row)) for row in self.adj)
+        return _members(self.adj)
+
+
+def _members(rows) -> tuple[bytes, ...]:
+    """Each row's members as a byte string, in ascending order."""
+    return tuple(bytes(bits(row)) for row in rows)
 
 
 def colored_incidence_graph(g: IncidenceStructure) -> ColoredGraph:
@@ -148,11 +163,22 @@ def colored_incidence_graph(g: IncidenceStructure) -> ColoredGraph:
     return ColoredGraph(g.v + g.b, adj, (0,) * g.v + (1,) * g.b)
 
 
-def _initial_cells(cg: ColoredGraph) -> list[int]:
+def _initial_cells(colors: tuple[int, ...]) -> list[int]:
     by_color: dict[int, int] = {}
-    for v, c in enumerate(cg.colors):
+    for v, c in enumerate(colors):
         by_color[c] = by_color.get(c, 0) | 1 << v
     return [by_color[c] for c in sorted(by_color)]
+
+
+@functools.lru_cache(maxsize=8)
+def _root(colors: tuple[int, ...]) -> tuple:
+    """The colour classes of ``colors``, in colour order, and the position
+    arrays of that partition (see ``_partition``), kept by colour tuple:
+    the relabelings of one source all pass the source's colours.  Each
+    search refines copies of the arrays."""
+    initial = _initial_cells(colors)
+    mask_at, cell_of, live = _partition(len(colors), initial)
+    return tuple(initial), tuple(mask_at), tuple(cell_of), live
 
 
 def _partition(n: int, cells) -> tuple[list[int], list[int], int]:
@@ -362,6 +388,14 @@ class CanonicalForm(Frozen):
     def group(self) -> PermutationGroup:
         return self._group()
 
+    @functools.cached_property
+    def members(self) -> tuple[bytes, ...]:
+        """Each certificate row's members, as ``ColoredGraph.members``
+        lists a graph's, built on first read: every search that takes this
+        form's certificate as its first leaf's reads them to test a node's
+        fit with it (``_Search._worse_below``)."""
+        return _members(self.certificate[1])
+
 
 class Carried(Frozen):
     """A seed for the search of a graph isomorphic to ``source``: vertex x
@@ -371,9 +405,12 @@ class Carried(Frozen):
     ``source.members`` through ``phi`` and checks ``phi`` as an isomorphism
     onto its graph, so every map it carries through ``phi`` is an
     automorphism there, and descends the form's labeling's path first.
-    It asks the form's group in ``source``'s names and never changes it.
+    It asks the form's group in ``source``'s names and never changes it,
+    and takes the form's certificate, which must be its labeling's, as the
+    first leaf's when that leaf is the labeling renamed through ``phi``.
     One ``source`` shared by many seeds builds and checks its lists once,
-    and one form shared by them re-bases each prefix once."""
+    and one form shared by them re-bases each prefix and closes each
+    pruning orbit once."""
 
     _compared = _shown = ("source", "form", "phi")
 
@@ -401,17 +438,19 @@ class _Search:
         self.colors = cg.colors
         if known is None:
             self.nbrs = cg.members
-            self.names = range(self.n)  # each vertex's name in the group's action
+            self.names = self.vertices = range(self.n)  # each vertex's name in the group's action
         else:
             self._carry(known)
             self.names = inverse(known.phi)
+            self.vertices = known.phi  # the vertex of each name
         self.seed = known
-        # the vertex to enter first below a node on the carried path, by its
+        # the name to enter first below a node on the carried path, by its
         # target cell's start, and the carried path entered so far
-        self.guide = None if known is None else compose(inverse(known.form.labeling), known.phi)
+        self.guide = None if known is None else inverse(known.form.labeling)
         self.carried: list[int] = []
         self.bound = None  # the bound refine reads, once a seeded search's first leaf exists
         self.first_cert = None
+        self.first_members = None  # the first certificate's rows as lists, once read
         self.first_lab: Perm | None = None
         self.base: list[int] = []
         self.group: PermutationGroup | None = None
@@ -444,8 +483,8 @@ class _Search:
             raise ValueError("relabeling is not an isomorphism")
 
     def run(self) -> CanonicalForm:
-        initial = _initial_cells(self.cg)
-        mask_at, cell_of, live = _partition(self.n, initial)
+        initial, mask_at, cell_of, live = _root(self.colors)
+        mask_at, cell_of = list(mask_at), list(cell_of)
         live = refine(self.adj, mask_at, cell_of, live, initial)
         self._node(mask_at, cell_of, live, [])
         labeling, group = self.best_lab, self.group
@@ -478,22 +517,24 @@ class _Search:
         s = _target_start(mask_at, cell_of, live)
         target = mask_at[s]
         k = len(prefix)
-        processed = lead = 0
-        if self.guide is not None and prefix == self.carried and target >> self.guide[s] & 1:
+        # the target cell's vertices by their names in the group's action
+        todo = target if self.seed is None else permute_mask(target, self.names)
+        lead = 0
+        if self.guide is not None and prefix == self.carried and todo >> self.guide[s] & 1:
             lead = 1 << self.guide[s]
-            self.carried = prefix + [self.guide[s]]
+            self.carried = prefix + [self.vertices[self.guide[s]]]
+        processed = 0
         orbits = None
-        todo = target
         while todo:
-            bit = lead or todo & -todo
+            named = lead or todo & -todo
             lead = 0
-            todo ^= bit
-            v = bit.bit_length() - 1
-            named = 1 << self.names[v]
+            todo ^= named
             if processed:  # so the first leaf, and the group, exist
                 orbits = self._orbits(prefix, processed, orbits)
                 if orbits[2] & named:
                     continue
+            v = self.vertices[named.bit_length() - 1]
+            bit = 1 << v
             # individualize v: {v} keeps the start s, the rest starts at s + 1
             rest = target ^ bit
             child_at = mask_at.copy()
@@ -522,14 +563,21 @@ class _Search:
         of the orbits)``; ``processed``, the generators and the orbits name
         each vertex v ``names[v]``, as the group does.  ``cached`` is the
         node's previous result, or None: while the group has gained no
-        generator since, the orbits of the vertices processed after it are
-        added to its mask; otherwise the stabilizer and the mask are
-        computed afresh."""
+        generator since, it stands if no vertex was processed after it, and
+        otherwise the orbits of those vertices are added to its mask; once
+        the group has grown, the stabilizer and the mask are computed
+        afresh.  A carried group never changes, and the group
+        keeps its answers by named prefix and ``processed``
+        (``PermutationGroup.stabilizer_orbits``), so the relabelings of one
+        source, which ask the same ones, close each orbit once."""
         count = len(self.group.generators)
-        if cached is None or cached[0] != count:
-            gens = self.group.stabilizer_gens([self.names[p] for p in prefix])
-            return count, gens, orbit_closure(processed, gens)
-        _, gens, mask = cached
+        known = cached[1:] if cached is not None and cached[0] == count else None
+        if known is not None and not processed & ~cached[2]:
+            return cached  # nothing new since
+        named = tuple(map(self.names.__getitem__, prefix))
+        if self.seed is not None:
+            return (count, *self.group.stabilizer_orbits(named, processed, known))
+        gens, mask = known or (self.group.stabilizer_gens(named), 0)
         return count, gens, mask | orbit_closure(processed & ~mask, gens)
 
     def _worse_below(self, mask_at, cell_of) -> bool:
@@ -545,14 +593,16 @@ class _Search:
         if not self._above_best(mask_at, cell_of, self.n):
             return False
         at = sorted(cell_of)  # each position's cell start: a cell's, once per vertex
-        first = self.first_cert[1]
+        first = self.first_members
+        if first is None:  # built once per search, at its first fit test
+            first = self.first_members = _members(self.first_cert[1])
         p = 0
         while p < self.n:
             cell = mask_at[p]
             lo = _lowest(self.nbrs[(cell & -cell).bit_length() - 1], cell_of)
             end = p + cell.bit_count()
             while p < end:
-                if _lowest(bits(first[p]), at) != lo:
+                if _lowest(first[p], at) != lo:
                     return True
                 p += 1
         return False
@@ -581,7 +631,13 @@ class _Search:
         """A discrete partition: each vertex's cell start is its position."""
         self.leaves += 1
         lab = tuple(cell_of)
-        cert = self._certificate(lab)
+        form = None if self.seed is None or self.first_cert is not None else self.seed.form
+        if form is not None and lab == compose(self.names, form.labeling):
+            # the source's canonical labeling renamed through phi: over the
+            # renamed lists, its certificate is the source's
+            cert, self.first_members = form.certificate, form.members
+        else:
+            cert = self._certificate(lab)
         if self.first_cert is None:
             self.first_cert, self.first_lab = cert, lab
             self.best_cert, self.best_lab = cert, lab

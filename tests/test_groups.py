@@ -320,6 +320,48 @@ def test_stabilizers_of_prefixes_are_exact(group, data):
             check_stabilizer(grp, elements, prefix)
 
 
+def stabilizer_orbit_union(elements, prefix, points):
+    """The images of the points of the mask ``points`` under the elements
+    of ``elements`` that fix each point of ``prefix``."""
+    return mask_of(e[u] for e in elements if all(e[p] == p for p in prefix) for u in bits(points))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(permutation_groups(max_n=7, max_gens=3), st.data())
+def test_stabilizer_orbits_for_seeded_searches_are_kept_until_a_generator_joins(group, data):
+    # the orbits a seeded canonical search asks at a node: a prefix, then
+    # a growing mask of processed points, each answer built on the last
+    n, gens, base = group
+    held = gens[-1:]  # joins the group after the queries
+    grp = groups.PermutationGroup(n, gens[:-1], base=base)
+    elements = brute_elements(n, grp.generators)
+    asked = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        prefix = tuple(data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=3)))
+        known = None
+        points = 0
+        for extra in data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=3)):
+            points |= extra
+            known = grp.stabilizer_orbits(prefix, points, known)
+            assert known[0] is grp.stabilizer_gens(prefix)
+            assert known[1] == stabilizer_orbit_union(elements, prefix, points), (prefix, points)
+            asked.append((prefix, points, known))
+    # every answer is kept, so asked again in any order, with or without
+    # a known subset's answer, it closes no orbit and re-bases nothing
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groups, "orbit_closure", None)
+        patch.setattr(groups, "_rebase", None)
+        for prefix, points, answer in data.draw(st.permutations(asked)):
+            assert grp.stabilizer_orbits(prefix, points) == answer
+            assert grp.stabilizer_orbits(prefix, points, (answer[0], 0)) == answer
+    for g in held:  # and ``add`` must drop them when the group grows
+        grp.add(g)
+        elements = brute_elements(n, gens)
+        for prefix, points, _ in asked:
+            got = grp.stabilizer_orbits(prefix, points)
+            assert got[1] == stabilizer_orbit_union(elements, prefix, points), (prefix, points)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(permutation_groups(), st.data())
 def test_conjugate_group_equals_the_group_of_conjugated_generators(group, data):

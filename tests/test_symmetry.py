@@ -774,7 +774,7 @@ def test_lowest_row_bounds_every_leaf_below(cg, data):
     # every leaf below a partition holds, at each position of a cell, a row
     # with the cell's neighbour counts, so at least the cell's lowest row
     adj, n = cg.adj, cg.n
-    initial = sym._initial_cells(cg)
+    initial = sym._initial_cells(cg.colors)
     cells = small_subtree(adj, refined(adj, initial, initial), data, data.draw(st.integers(0, 2)))
     mask_at, cell_of, _ = sym._partition(n, cells)
     check_lowest_rows(adj, mask_at, cell_of, n, subtree_leaves(adj, cells))
@@ -1220,6 +1220,86 @@ def test_seeded_searches_share_their_source_groups_rebases(monkeypatch):
     assert keys == [search_key(cf) for cf in first]
 
 
+def test_seeded_searches_share_their_source_groups_orbits(monkeypatch):
+    # Every relabeling of one source asks the same pruning orbits in the
+    # source's names, and the source's group keeps them, so a second round
+    # of carried searches closes no orbit and re-bases nothing, though
+    # each search still asks its orbits and enters the same nodes.
+    seeds = [(sym.colored_incidence_graph(h), carried_seed(g, perm))
+             for _, g, h, perm in relabeled_geometries(2)]
+    first = [search_key(sym._Search(cg, seed).run()) for cg, seed in seeds]
+    closures, asked = [], []
+    closure = groups.orbit_closure
+    monkeypatch.setattr(groups, "orbit_closure", lambda *args: closures.append(args) or closure(*args))
+    monkeypatch.setattr(sym, "orbit_closure", None)
+    monkeypatch.setattr(groups, "_rebase", None)
+
+    class Asking(sym._Search):
+        def _orbits(self, *args):
+            asked.append(args)
+            return super()._orbits(*args)
+
+    again = [Asking(cg, seed).run() for cg, seed in seeds]
+    assert closures == [] and asked
+    monkeypatch.undo()
+    assert [search_key(cf) for cf in again] == first
+
+
+def test_seeded_search_reads_no_orbits_kept_before_a_generator_joined():
+    # a carried group that gains a generator drops the orbits it kept, so
+    # the next search seeded with it prunes on the larger group's orbits
+    path = sym.ColoredGraph(3, (2, 5, 2), (0, 0, 0))  # 0 - 1 - 2
+    trivial = sym.CanonicalForm((0, 2, 1), sym.canonical_form(path).certificate,
+                                groups.PermutationGroup(3))
+    seed = sym.Carried(path, trivial, (0, 1, 2))
+    with pytest.raises(AssertionError, match="not above its first"):
+        sym.canonical_form(path, seed)  # the second leaf is no image under the trivial group
+    assert trivial.group.stabilizer_orbits((), 0b001) == ([], 0b001)
+    assert trivial.group.add((2, 1, 0))
+    cf = sym.canonical_form(path, seed)
+    assert cf.leaves == 1 and trivial.group.stabilizer_orbits((), 0b001)[1] == 0b101
+
+
+def test_seeded_searches_leave_the_shared_root_arrays_as_they_were():
+    # the root partition is kept by colour tuple and every search refines a
+    # copy, so the kept arrays are those built afresh after any search, and
+    # a second search of each graph does the same work
+    for _, cg, seed in one_leaf_cases():
+        root = sym._root(cg.colors)
+        for known in (seed, None):
+            key = search_key(sym.canonical_form(cg, known))
+            assert sym._root(cg.colors) is root
+            initial = sym._initial_cells(cg.colors)
+            mask_at, cell_of, live = sym._partition(cg.n, initial)
+            assert root == (tuple(initial), tuple(mask_at), tuple(cell_of), live)
+            assert search_key(sym.canonical_form(cg, known)) == key
+
+
+def test_seeded_first_leaf_takes_the_source_certificate_only_on_the_carried_labeling():
+    # The first leaf of a genuine seed is the source's labeling renamed
+    # through phi, whose certificate over the renamed lists is the
+    # source's: the search takes it, and the form's row lists, as they are.
+    for name, cg, seed in one_leaf_cases():
+        search = sym._Search(cg, seed)
+        search.run()
+        assert search.first_lab == groups.compose(search.names, seed.form.labeling), name
+        assert search.first_cert is seed.form.certificate, name
+        assert search.first_cert == search._certificate(search.first_lab), name
+        assert search.first_members is seed.form.members, name
+    # A form whose labeling, with its own certificate, is no leaf of the
+    # path 0 - 1 - 2 (vertex 1 ends last in every leaf): the carried path
+    # reaches another leaf first, whose certificate is computed
+    path = sym.ColoredGraph(3, (2, 5, 2), (0, 0, 0))
+    cf = sym.canonical_form(path)
+    identity = (0, 1, 2)
+    off = sym.CanonicalForm(identity, sym._Search(path)._certificate(identity), cf.group)
+    search = sym._Search(path, sym.Carried(path, off, identity))
+    got = search.run()
+    assert search.first_lab != identity and search.first_cert != off.certificate
+    assert search.first_cert == search._certificate(search.first_lab)
+    assert seed_free(got) == seed_free(cf)
+
+
 @pytest.mark.parametrize(
     "case", [pytest.param(c, id=c[0]) for c in relabeled_geometries(1)]
 )
@@ -1314,10 +1394,11 @@ class _PrefixRecordingSearch(sym._Search):
 def test_seeded_search_enters_one_prefix_per_orbit(case):
     # Seeded with the whole group, off-path pruning under the pointwise
     # stabilizer of a node's prefix enters a child only if no sibling
-    # entered before it lies in its orbit, so each entered child is the
-    # least of its orbit, or the carried child that is entered first; no
-    # two entered sibling subtrees are equivalent.  Children whose
-    # refinement was aborted are entered too.
+    # entered before it lies in its orbit.  A node walks its target cell in
+    # ascending order of the group's names, the source's, so each entered
+    # child is the least of its orbit in those names, or the carried child
+    # that is entered first; no two entered sibling subtrees are
+    # equivalent.  Children whose refinement was aborted are entered too.
     _, g, h, perm = case
     cg = sym.colored_incidence_graph(h)
     known = carried(g, h, perm)
@@ -1332,7 +1413,8 @@ def test_seeded_search_enters_one_prefix_per_orbit(case):
     for prefix in search.prefixes[1:]:
         *parent, v = prefix
         orbit = {a[v] for a in elements if all(a[p] == p for p in parent)}
-        assert v == min(orbit) or list(prefix) == search.carried[: len(prefix)]
+        name = search.names[v]
+        assert name == min(search.names[u] for u in orbit) or list(prefix) == search.carried[: len(prefix)]
         assert (tuple(parent), min(orbit)) not in orbits
         orbits.add((tuple(parent), min(orbit)))
 
@@ -1343,7 +1425,7 @@ class _SkipCheckedSearch(sym._Search):
     each vertex of the orbits as the image of a processed sibling under a
     product of those generators that fixes the prefix pointwise."""
 
-    off_path = best_backjumps = 0
+    off_path = best_backjumps = asked = 0
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -1352,6 +1434,7 @@ class _SkipCheckedSearch(sym._Search):
     def _orbits(self, prefix, processed, cached):
         # the group's names: a seeded search's are the source's, so each
         # generator is checked here renamed through phi
+        self.asked += 1
         result = super()._orbits(prefix, processed, cached)
         _, gens, mask = result
         phi = tuple(range(self.n)) if self.seed is None else self.seed.phi
@@ -1395,6 +1478,7 @@ def test_off_path_skips_are_images_under_checked_automorphisms():
     for name, cg, known in skip_cases():
         search = _SkipCheckedSearch(cg, known)
         assert seed_free(search.run()) == seed_free(_FirstPathSearch(cg).run()), name
+        assert search.asked > 0, name  # no search prunes past the checks above
         off_path += search.off_path
         best_backjumps += search.best_backjumps
     assert off_path > 0 and best_backjumps > 0
